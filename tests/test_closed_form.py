@@ -19,6 +19,7 @@ from ar1quad import (
 )
 from ar1quad.spectral import raw_psi
 
+from mp_reference import growth_rate_ref, log_transform_ref
 from util import alpha_grid_in_domain, rel_err
 
 
@@ -142,6 +143,18 @@ def test_ergodic_near_alpha_zero_limit():
     erg = ergodic_constants(ModelParams(0.5, 0.7), TransformPoint(-1e-8), 0.3)
     assert abs(erg.lambda_of_alpha) < 1e-6
     assert abs(erg.f_check - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("alpha", [-1e-6, -1e-9, -1e-12, -1e-15, -1e-300])
+@pytest.mark.parametrize("theta", [0.6, -0.8, 0.95])
+def test_small_alpha_keeps_full_relative_precision(theta, alpha):
+    # log L_t and Lambda are O(alpha); no cancellation may cost eps/|alpha|
+    params, point = ModelParams(theta, 1.0), TransformPoint(alpha)
+    for t in (1, 10, 1000, 10**6):
+        log_value = transform(params, point, 0.5, t).log_value
+        assert rel_err(log_value, log_transform_ref(theta, 1.0, 0.5, alpha, t)) <= 1e-13
+    drift = ergodic_constants(params, point, 0.5).lambda_of_alpha
+    assert rel_err(drift, growth_rate_ref(theta, 1.0, alpha)) <= 1e-13
 
 
 def test_ergodic_alpha_zero_special_case():

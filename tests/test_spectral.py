@@ -14,8 +14,9 @@ from ar1quad import (
     roots,
     sequence_ratios,
 )
-from ar1quad.spectral import RECURRENCE_MAX_T, raw_pi, raw_psi
+from ar1quad.spectral import raw_pi, raw_psi
 
+from mp_reference import sequence_ref
 from util import alpha_grid_in_domain, rel_err
 
 
@@ -135,24 +136,15 @@ def test_ratio_monotone_and_geometric_for_negative_real_alpha():
     (0.3, -1e-6),
 ])
 def test_recurrence_and_closed_paths_agree(theta, alpha):
+    # the closed form against psi_t evaluated directly in mpmath
     params = ModelParams(theta)
     spectral = roots(params, TransformPoint(alpha))
-    cap = RECURRENCE_MAX_T
-    for t in (1, 7, 64, 1000, cap - 1, cap, cap + 1, cap + 500):
-        by_loop = _sequence_by_recurrence(spectral, params, t)
+    for t in [*range(60), 64, 1000, 32768, 32769, 33268, 10**6]:
+        ref_r, ref_gap, ref_inv_psi = sequence_ref(theta, alpha, t)
         seq = sequence_ratios(spectral, params, t)
-        assert rel_err(seq.r, by_loop[0]) < 1e-12
-        assert abs(seq.inv_psi - by_loop[1]) <= 1e-12 * max(abs(by_loop[1]), 1e-280)
-
-
-def _sequence_by_recurrence(spectral, params, t):
-    cont = (spectral.lambda_plus + spectral.lambda_minus) / params.theta
-    r = complex(params.theta)
-    inv = complex(params.theta)
-    for _ in range(t):
-        r = 1.0 / (cont - r)
-        inv *= r
-    return r, inv
+        assert rel_err(seq.r, ref_r) < 1e-12
+        assert rel_err(seq.theta_minus_r, ref_gap) < 1e-12 if t else seq.theta_minus_r == 0
+        assert abs(seq.inv_psi - ref_inv_psi) <= 1e-12 * max(abs(ref_inv_psi), 1e-280)
 
 
 @pytest.mark.parametrize("theta,alpha", [(0.5, -0.5), (0.8, -2.0), (0.6, complex(-0.5, 0.3))])
@@ -204,6 +196,19 @@ def test_vanishing_pi_raises_singular_sequence():
     )
     with pytest.raises(SingularSequenceError):
         sequence_ratios(crafted, params, 0)
+
+
+def test_vanishing_d_t_beyond_horizon_zero_raises_singular_sequence():
+    # w = lambda_-/lambda_+ = 1/2 and beta_+ + beta_- = 1 with
+    # beta_- = 4/3: D_1 = beta_+ + beta_-*w^2 = 0, so pi_1 and psi_2 vanish
+    params = ModelParams(0.5)
+    crafted = SpectralData(
+        lambda_plus=complex(2.0), lambda_minus=complex(1.0),
+        beta_plus=complex(-1.0 / 3.0), beta_minus=complex(4.0 / 3.0), in_domain=True,
+    )
+    sequence_ratios(crafted, params, 0)
+    with pytest.raises(SingularSequenceError):
+        sequence_ratios(crafted, params, 1)
 
 
 def test_raw_evaluation_index_cap():
