@@ -15,7 +15,6 @@ from .closed_form import (
     transform,
 )
 from .errors import (
-    AccuracyError,
     ConvergenceError,
     DomainBoundaryError,
     DomainError,
@@ -49,7 +48,6 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyError",
     "ClosedFormConstants",
     "ConditionalPath",
     "ConvergenceError",

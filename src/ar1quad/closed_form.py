@@ -42,7 +42,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, SingularConstantError
-from .model import ModelParams
+from .model import ModelParams, check_finite
 from .spectral import SpectralData, TransformPoint, _log, raw_psi, roots, sequence_ratios
 
 _LOG_MAX = math.log(sys.float_info.max)  # ~709.78
@@ -137,6 +137,7 @@ def _evaluate(params: ModelParams, point: TransformPoint, x: float, t: int | Non
     """
     if t is not None and t < 0:
         raise ValueError(f"horizon t must be >= 0, got {t}")
+    check_finite("x", x)
     theta = params.theta
     alpha = point.alpha
     if alpha == 0:
@@ -162,6 +163,24 @@ def _evaluate(params: ModelParams, point: TransformPoint, x: float, t: int | Non
         return None, None, log_normalized, drift, rate
     sigma = cf.A * t + bounded
     return -0.5 * seq.log_pi + alpha * sigma, sigma, log_normalized, drift, rate
+
+
+def quadratic_coefficients(params: ModelParams, point: TransformPoint, t: int) -> tuple[complex, ...]:
+    """(g0, g1, c2) with log L_t(alpha, x) = g0 + g1*(x - m) + c2*(x - m)^2 exactly: x enters
+    Sigma_t through x^2, B and C, with B' = 2*theta/mu*(x - (1-theta)*nu), B'' = 2*theta/mu
+    and C' = 2*nu.  One roots, one sequence_ratios and one constants evaluation, at x = m."""
+    if t < 0:
+        raise ValueError(f"horizon t must be >= 0, got {t}")
+    theta, m, alpha = params.theta, params.m, point.alpha
+    if alpha == 0:
+        return 0j, 0j, 0j
+    seq = sequence_ratios(_in_domain_roots(params, point), params, t)
+    cf = constants(params, point, m)
+    theta_minus_r, theta_minus_inv = seq.theta_minus_r, theta - seq.inv_psi
+    b_slope = 2.0 * theta / point.mu * (m - (1.0 - theta) * cf.nu)
+    g0 = -0.5 * seq.log_pi + alpha * (cf.A * t + m * m + cf.B * theta_minus_r + cf.C * theta_minus_inv)
+    g1 = alpha * (2.0 * m + b_slope * theta_minus_r + 2.0 * cf.nu * theta_minus_inv)
+    return g0, g1, alpha * (1.0 + theta / point.mu * theta_minus_r)
 
 
 def transform(params: ModelParams, point: TransformPoint, x: float, t: int) -> TransformValue:

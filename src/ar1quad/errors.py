@@ -25,9 +25,5 @@ class SingularConstantError(ZeroDivisionError):
 
 
 class ConvergenceError(ArithmeticError):
-    """The Gaussian moment generating function diverges: I - 2*alpha*Sigma
-    is not positive definite."""
-
-
-class AccuracyError(ArithmeticError):
-    """Quadrature failed its order-doubling self-consistency check."""
+    """A Gaussian moment generating function diverges: I - 2*alpha*Sigma is
+    not positive definite, or L_t is not integrable over the start law."""

@@ -23,6 +23,12 @@ import numpy as np
 from .errors import ParameterError
 
 
+def check_finite(name: str, value: float) -> None:
+    """Raise ParameterError unless value (the level m, a start value x) is finite."""
+    if not math.isfinite(value):
+        raise ParameterError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Process parameters: memory coefficient theta and level shift m.
@@ -37,8 +43,7 @@ class ModelParams:
     def __post_init__(self):
         if not 0.0 < abs(self.theta) < 1.0:
             raise ParameterError(f"need 0 < |theta| < 1, got theta={self.theta!r}")
-        if not math.isfinite(self.m):
-            raise ParameterError(f"m must be finite, got {self.m!r}")
+        check_finite("m", self.m)
 
 
 @dataclass(frozen=True)
@@ -94,10 +99,8 @@ def conditional_covariance(params: ModelParams, t: int) -> np.ndarray:
     """
     if t < 0:
         raise ValueError(f"horizon t must be >= 0, got {t}")
-    if t == 0:
-        return np.zeros((0, 0))
+    powers = params.theta ** np.arange(2 * t + 1)  # theta^k for every exponent used
     idx = np.arange(1, t + 1)
     lag = np.abs(idx[:, None] - idx[None, :])
     low = np.minimum(idx[:, None], idx[None, :])
-    theta = params.theta
-    return theta**lag * (1.0 - theta ** (2 * low)) / (1.0 - theta * theta)
+    return powers[lag] * (1.0 - powers[2 * low]) / (1.0 - params.theta * params.theta)

@@ -12,10 +12,8 @@ machinery:
 * monte_carlo_mgf: the empirical mean of exp(alpha*S_t) over simulated
   paths, with its standard error.
 
-A quadrature routine additionally integrates L_t(alpha, .) against the
-stationary start law N(m, 1/(1-theta^2)) to produce the unconditional
-transform; no closed-form target exists for it, so it is validated purely
-against Monte Carlo.
+unconditional_transform is the exact Gaussian integral of L_t(alpha, .)
+over the stationary start law N(m, 1/(1-theta^2)).
 
 The matrix oracle deliberately restricts alpha to real values: a complex
 determinant would reintroduce exactly the branch ambiguity the oracle is
@@ -24,22 +22,20 @@ meant to arbitrate.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .closed_form import transform
-from .errors import AccuracyError, ConvergenceError
-from .model import ModelParams, conditional_covariance
+from .closed_form import _exp_checked, quadratic_coefficients
+from .errors import ConvergenceError
+from .model import ModelParams, check_finite, conditional_covariance
 from .spectral import TransformPoint
 
 # O(t^3) factorization budget for the dense oracle.
 MATRIX_MAX_T = 2000
-
-QUADRATURE_RELTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -47,7 +43,7 @@ class OracleResult:
     """A single oracle evaluation; stderr/n_samples only for Monte Carlo."""
 
     value: float
-    method: Literal["matrix", "monte_carlo", "quadrature"]
+    method: Literal["matrix", "monte_carlo"]
     stderr: float | None = None
     n_samples: int | None = None
 
@@ -60,23 +56,24 @@ def matrix_mgf(params: ModelParams, alpha: float, x: float, t: int) -> OracleRes
     the moment generating function diverges at this alpha.
     """
     a = float(alpha)
+    check_finite("x", x)
     if not 0 <= t <= MATRIX_MAX_T:
         raise ValueError(f"matrix oracle requires 0 <= t <= {MATRIX_MAX_T}, got {t}")
-    if t == 0:
-        return OracleResult(value=math.exp(a * x * x), method="matrix")
     cov = conditional_covariance(params, t)
     mean = params.m + params.theta ** np.arange(1, t + 1) * (x - params.m)
     mat = np.eye(t) - 2.0 * a * cov
     try:
-        factor = cho_factor(mat, lower=True)
+        factor = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"I - 2*alpha*Sigma is not positive definite at alpha={a}: "
             "the moment generating function diverges"
         ) from exc
-    log_det = 2.0 * float(np.log(np.diag(factor[0])).sum())
-    quad = float(mean @ cho_solve(factor, mean))
-    return OracleResult(value=math.exp(a * x * x - 0.5 * log_det + a * quad), method="matrix")
+    log_det = 2.0 * float(np.log(np.diag(factor)).sum())
+    y = np.empty(t)  # forward substitution: factor @ y = mean, so mean' mat^(-1) mean = |y|^2
+    for i in range(t):
+        y[i] = (mean[i] - factor[i, :i] @ y[:i]) / factor[i, i]
+    return OracleResult(value=math.exp(a * x * x - 0.5 * log_det + a * float(y @ y)), method="matrix")
 
 
 def monte_carlo_mgf(
@@ -90,6 +87,7 @@ def monte_carlo_mgf(
     deterministic given the seed.
     """
     a = float(alpha)
+    check_finite("x", x)
     if a > 0:
         raise ValueError(f"need alpha <= 0 for a bounded integrand, got {a}")
     if n < 2:
@@ -117,28 +115,17 @@ def gauss_hermite_nodes(mean: float, variance: float, order: int) -> tuple[np.nd
     return mean + math.sqrt(2.0 * variance) * nodes, weights / math.sqrt(math.pi)
 
 
-def _quadrature_value(params: ModelParams, point: TransformPoint, t: int, order: int) -> complex:
-    variance = 1.0 / (1.0 - params.theta * params.theta)
-    nodes, weights = gauss_hermite_nodes(params.m, variance, order)
-    return sum(w * transform(params, point, float(xi), t).value for xi, w in zip(nodes, weights))
+def unconditional_transform(params: ModelParams, point: TransformPoint, t: int) -> complex:
+    """E[exp(alpha*S_t)] with X_0 drawn from the stationary law N(m, v), v = 1/(1-theta^2).
 
-
-def unconditional_transform(
-    params: ModelParams, point: TransformPoint, t: int, quad_order: int = 64
-) -> complex:
-    """E[exp(alpha*S_t)] with X_0 drawn from the stationary law.
-
-    Integrates L_t(alpha, x) against N(m, 1/(1-theta^2)) by Gauss-Hermite
-    quadrature of the stated order, and cross-checks against order 2q;
-    disagreement beyond 1e-8 raises AccuracyError.
+    With log L_t(alpha, x) = g0 + g1*(x - m) + c2*(x - m)^2 exactly (quadratic_coefficients),
+    this is (1 - 2*c2*v)^(-1/2) * exp(g0 + g1^2*v / (2*(1 - 2*c2*v))).  The integral exists iff
+    Re(1 - 2*c2*v) > 0, else ConvergenceError.  alpha == 0 gives exactly 1; alpha outside D
+    raises DomainError.
     """
-    if quad_order < 16:
-        raise ValueError(f"need quad_order >= 16, got {quad_order}")
-    value = _quadrature_value(params, point, t, quad_order)
-    refined = _quadrature_value(params, point, t, 2 * quad_order)
-    if abs(value - refined) > QUADRATURE_RELTOL * max(1.0, abs(refined)):
-        raise AccuracyError(
-            f"quadrature orders {quad_order} and {2 * quad_order} disagree by "
-            f"{abs(value - refined):.3e}"
-        )
-    return value
+    g0, g1, c2 = quadratic_coefficients(params, point, t)
+    v = 1.0 / (1.0 - params.theta * params.theta)
+    q = 1.0 - 2.0 * c2 * v
+    if q.real <= 0.0:
+        raise ConvergenceError(f"Re(1 - 2*c2*v) <= 0: the start-law integral diverges at alpha={point.alpha}")
+    return _exp_checked(g0 + g1 * g1 * v / (2.0 * q) - 0.5 * cmath.log(q))[0]

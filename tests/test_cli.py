@@ -76,6 +76,16 @@ def test_invalid_theta_exits_64(capsys):
     assert "theta" in err
 
 
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+def test_non_finite_start_exits_64(capsys, x):
+    for command, extra in (("transform", ["--t", "5"]), ("ergodic", []), ("sweep", ["--t", "1:3"])):
+        code, out, err = run_cli(
+            capsys, command, "--theta", "0.6", "--m", "1", f"--x={x}", "--alpha", "-0.3", *extra
+        )
+        assert code == 64, command
+        assert out == "" and "x must be finite" in err
+
+
 def test_ergodic_reference_value(capsys):
     code, out, _ = run_cli(
         capsys, "ergodic", "--theta", "0.5", "--m", "0", "--x", "0", "--alpha", "-0.5"

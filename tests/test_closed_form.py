@@ -6,6 +6,7 @@ import pytest
 from ar1quad import (
     DomainError,
     ModelParams,
+    ParameterError,
     SingularConstantError,
     TransformPoint,
     constants,
@@ -71,6 +72,18 @@ def test_transform_rejects_alpha_outside_domain():
 def test_transform_rejects_negative_horizon():
     with pytest.raises(ValueError):
         transform(ModelParams(0.5), TransformPoint(-0.5), 0.0, -1)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("alpha", [0.0, -0.3, complex(-0.3, 0.2)])
+def test_non_finite_start_raises_parameter_error(x, alpha):
+    params, point = ModelParams(0.6, 1.0), TransformPoint(alpha)
+    with pytest.raises(ParameterError):
+        transform(params, point, x, 10)
+    with pytest.raises(ParameterError):
+        normalized_transform(params, point, x, 10)
+    with pytest.raises(ParameterError):
+        ergodic_constants(params, point, x)
 
 
 def test_transform_underflow_sets_flag():

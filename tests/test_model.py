@@ -118,6 +118,17 @@ def test_covariance_symmetric_positive_definite(theta, t):
     np.linalg.cholesky(cov)  # raises if not positive definite
 
 
+@pytest.mark.parametrize("theta", [0.6, -0.8, 0.05, 0.95, -0.3])
+@pytest.mark.parametrize("t", [1, 7, 50])
+def test_covariance_equals_entrywise_formula_bit_for_bit(theta, t):
+    # every entry raises theta to its own exponents; the table must not change a bit
+    idx = np.arange(1, t + 1)
+    lag = np.abs(idx[:, None] - idx[None, :])
+    low = np.minimum(idx[:, None], idx[None, :])
+    expected = theta**lag * (1.0 - theta ** (2 * low)) / (1.0 - theta * theta)
+    assert np.array_equal(conditional_covariance(ModelParams(theta), t), expected)
+
+
 def test_covariance_matches_sample_covariance():
     params = ModelParams(0.7, 1.0)
     t, n = 4, 20_000

@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ar1quad
 from ar1quad import (
     ConvergenceError,
     DomainError,
     ModelParams,
+    ParameterError,
     TransformPoint,
+    domain_check,
     gauss_hermite_nodes,
     matrix_mgf,
     monte_carlo_mgf,
@@ -117,20 +123,64 @@ def test_unconditional_horizon_zero_closed_gaussian_integral():
     assert rel_err(value, (1.0 - 2.0 * alpha * var) ** -0.5) < 1e-12
 
 
-def test_unconditional_order_doubling_consistency():
-    params = ModelParams(0.5, 1.0)
-    point = TransformPoint(-0.3)
-    coarse = unconditional_transform(params, point, 5, quad_order=16)
-    fine = unconditional_transform(params, point, 5, quad_order=32)
-    assert rel_err(coarse, fine) < 1e-8
-
-
 def test_unconditional_rejects_low_order_and_bad_domain():
     params = ModelParams(0.5, 1.0)
-    with pytest.raises(ValueError):
-        unconditional_transform(params, TransformPoint(-0.3), 5, quad_order=8)
     with pytest.raises(DomainError):
         unconditional_transform(params, TransformPoint(0.9), 5)
+
+
+@pytest.mark.parametrize(
+    "theta, m, alpha, t",
+    [(0.6, 1.0, -0.3, 100), (0.6, 1.0, complex(-0.3, 0.2), 100), (-0.8, 1.5, -2.0, 100), (0.95, -1.2, -0.01, 2000)],
+)
+def test_unconditional_matches_high_order_gauss_hermite(theta, m, alpha, t):
+    params, point = ModelParams(theta, m), TransformPoint(alpha)
+    nodes, weights = gauss_hermite_nodes(m, 1.0 / (1.0 - theta * theta), 256)
+    reference = sum(w * transform(params, point, float(xi), t).value for xi, w in zip(nodes, weights))
+    assert rel_err(unconditional_transform(params, point, t), reference) <= 1e-12
+
+
+def _dense_stationary_mgf(theta, m, alpha, t):
+    # (X_0..X_t) ~ N(m*1, theta^|s-u| / (1-theta^2)); S_t is its squared norm
+    idx = np.arange(t + 1)
+    cov = theta ** np.abs(idx[:, None] - idx[None, :]) / (1.0 - theta * theta)
+    mean = np.full(t + 1, m)
+    mat = np.eye(t + 1) - 2.0 * alpha * cov
+    sign, log_det = np.linalg.slogdet(mat)
+    assert sign > 0
+    return math.exp(-0.5 * log_det + alpha * mean @ np.linalg.solve(mat, mean))
+
+
+@pytest.mark.parametrize("t", [1, 5, 50])
+@pytest.mark.parametrize("theta, m, alpha", [(0.6, 1.0, -0.3), (-0.8, 1.5, -2.0), (0.3, -0.7, 0.1)])
+def test_unconditional_matches_dense_stationary_form(theta, m, alpha, t):
+    value = unconditional_transform(ModelParams(theta, m), TransformPoint(alpha), t)
+    assert rel_err(value, _dense_stationary_mgf(theta, m, alpha, t)) <= 1e-10
+
+
+def test_unconditional_divergent_integral_raises():
+    # alpha lies inside D, but the start-law integral of L_t diverges
+    params, point = ModelParams(0.5, 1.0), TransformPoint(complex(2.0, 0.5))
+    assert domain_check(params, point)
+    with pytest.raises(ConvergenceError):
+        unconditional_transform(params, point, 10)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_oracles_reject_non_finite_start(x):
+    params = ModelParams(0.6, 1.0)
+    with pytest.raises(ParameterError):
+        matrix_mgf(params, -0.3, x, 10)
+    with pytest.raises(ParameterError):
+        monte_carlo_mgf(params, -0.3, x, 10, 100, seed=1)
+
+
+def test_import_does_not_load_scipy():
+    # a fresh interpreter that finds the same ar1quad as this one
+    src = os.path.dirname(os.path.dirname(ar1quad.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, ar1quad; assert 'scipy' not in sys.modules, 'import ar1quad loaded scipy'"
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_unconditional_matches_stationary_start_monte_carlo():
