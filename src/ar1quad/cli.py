@@ -1,9 +1,11 @@
 """Command-line front end: single evaluations, sweeps, and self-verification.
 
 Exit codes: 0 success, 1 verification failure, 2 domain error, 64 usage
-error.  Data goes to stdout (one JSON object per line, or CSV with a '.'
-decimal separator); diagnostics go to stderr.  Floats are printed with 17
-significant digits so that parsing the output reproduces them bit for bit.
+error, 141 stdout closed by its reader (console script only).  Data goes to
+stdout (one JSON object per line, or CSV with a '.' decimal separator);
+diagnostics go to stderr.  Floats are printed with 17 significant digits so
+that parsing the output reproduces them bit for bit.  A sweep prints each
+row as soon as it is computed.
 """
 
 from __future__ import annotations
@@ -11,13 +13,13 @@ from __future__ import annotations
 import argparse
 import cmath
 import math
+import os
 import re
 import sys
-from dataclasses import dataclass
 
 from .closed_form import _evaluate, ergodic_constants, transform
 from .errors import DomainError, SingularSequenceError
-from .model import ModelParams
+from .model import ModelParams, check_finite
 from .spectral import TransformPoint
 from .verify import run_all
 
@@ -33,23 +35,6 @@ _SWEEP_FIELDS = [
     "rate",
     "error",
 ]
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A grid evaluation request: every (alpha, t) pair at one (params, x)."""
-
-    alpha_grid: list[complex]
-    t_grid: list[int]
-    x: float
-    params: ModelParams
-    output_format: str = "json"
-
-    def __post_init__(self):
-        if not self.alpha_grid or not self.t_grid:
-            raise ValueError("alpha and t grids must be non-empty")
-        if self.output_format not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
 
 # stock argparse only treats plain decimals as negative numbers, which would
@@ -100,25 +85,32 @@ def _csv_cell(value) -> str:
     return _fmt(value)
 
 
-def _parse_t_grid(text: str) -> list[int]:
-    """Comma-separated entries, each INT or START:STOP[:STEP] (inclusive)."""
-    out = []
+def _parse_t_grid(text: str) -> list[range]:
+    """Comma-separated entries, each INT or START:STOP[:STEP] (inclusive).
+
+    Rejects a negative horizon and an empty grid here, so that a sweep
+    fails before it prints anything.
+    """
+    grid = []
     for item in text.split(","):
-        item = item.strip()
-        if ":" in item:
-            parts = [int(p) for p in item.split(":")]
-            if len(parts) == 2:
-                start, stop, step = parts[0], parts[1], 1
-            elif len(parts) == 3:
-                start, stop, step = parts
-            else:
-                raise ValueError(f"bad range {item!r}")
-            if step <= 0:
-                raise ValueError(f"range step must be positive in {item!r}")
-            out.extend(range(start, stop + 1, step))
+        parts = [int(p) for p in item.split(":")]
+        if len(parts) == 1:
+            start, stop, step = parts[0], parts[0], 1
+        elif len(parts) == 2:
+            start, stop, step = parts[0], parts[1], 1
+        elif len(parts) == 3:
+            start, stop, step = parts
         else:
-            out.append(int(item))
-    return out
+            raise ValueError(f"bad range {item!r}")
+        if step <= 0:
+            raise ValueError(f"range step must be positive in {item!r}")
+        horizons = range(start, stop + 1, step)
+        if horizons and start < 0:
+            raise ValueError(f"horizon t must be >= 0, got {start}")
+        grid.append(horizons)
+    if not any(grid):
+        raise ValueError("alpha and t grids must be non-empty")
+    return grid
 
 
 def _parse_alpha_grid(alpha_text: str, alpha_im_text: str | None) -> list[complex]:
@@ -171,46 +163,35 @@ def cmd_ergodic(args) -> int:
     return 0
 
 
-def _sweep_row(params: ModelParams, x: float, alpha: complex, t: int) -> dict:
-    row = dict.fromkeys(_SWEEP_FIELDS)
-    row["alpha_re"], row["alpha_im"], row["t"] = alpha.real, alpha.imag, t
+def _sweep_row(params: ModelParams, x: float, point: TransformPoint, t: int) -> tuple:
+    """One sweep row, in _SWEEP_FIELDS order."""
+    alpha = point.alpha
     try:
-        log_value, _, log_normalized, drift, rate = _evaluate(params, TransformPoint(alpha), x, t)
+        log_value, _, log_normalized, drift, rate = _evaluate(params, point, x, t)
     except (DomainError, SingularSequenceError):
-        row["error"] = "out_of_domain"
-        return row
+        return alpha.real, alpha.imag, t, None, None, None, None, None, None, "out_of_domain"
     normalized = cmath.exp(log_normalized)
-    row["log_L_re"], row["log_L_im"] = log_value.real, log_value.imag
-    row["normalized_re"], row["normalized_im"] = normalized.real, normalized.imag
-    row["Lambda_re"] = drift.real
-    row["rate"] = rate
-    return row
-
-
-def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Evaluate every (alpha, t) pair; rows ordered by (alpha index, t index)."""
-    return [_sweep_row(spec.params, spec.x, alpha, t) for alpha in spec.alpha_grid for t in spec.t_grid]
+    return (alpha.real, alpha.imag, t, log_value.real, log_value.imag,
+            normalized.real, normalized.imag, drift.real, rate, None)
 
 
 def cmd_sweep(args) -> int:
-    spec = SweepSpec(
-        alpha_grid=_parse_alpha_grid(args.alpha, args.alpha_im),
-        t_grid=_parse_t_grid(args.t),
-        x=args.x,
-        params=ModelParams(args.theta, args.m),
-        output_format=args.format,
-    )
-    rows = run_sweep(spec)
-    if spec.output_format == "csv":
+    """Print every (alpha, t) row, alpha-major, as soon as it is computed."""
+    points = [TransformPoint(alpha) for alpha in _parse_alpha_grid(args.alpha, args.alpha_im)]
+    t_grid = _parse_t_grid(args.t)
+    params = ModelParams(args.theta, args.m)
+    check_finite("x", args.x)
+    csv = args.format == "csv"
+    if csv:
         print(",".join(_SWEEP_FIELDS))
-        for row in rows:
-            print(",".join(_csv_cell(row[k]) for k in _SWEEP_FIELDS))
-    else:
-        for row in rows:
-            print(_json_line((k, row[k]) for k in _SWEEP_FIELDS))
-    if args.strict and any(row["error"] for row in rows):
-        return 2
-    return 0
+    any_error = False
+    for point in points:
+        for horizons in t_grid:
+            for t in horizons:
+                row = _sweep_row(params, args.x, point, t)
+                any_error = any_error or row[-1] is not None
+                print(",".join(map(_csv_cell, row)) if csv else _json_line(zip(_SWEEP_FIELDS, row)))
+    return 2 if args.strict and any_error else 0
 
 
 def cmd_verify(args) -> int:
@@ -290,4 +271,13 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """Console-script entry point."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`ar1quad sweep ... | head`): stop quietly,
+        # and send what is still buffered to devnull so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 128 + 13  # SIGPIPE
+    sys.exit(code)

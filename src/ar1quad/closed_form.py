@@ -113,7 +113,8 @@ def _in_domain_roots(params: ModelParams, point: TransformPoint) -> SpectralData
 
 
 def constants(params: ModelParams, point: TransformPoint, x: float) -> ClosedFormConstants:
-    """Evaluate nu, A, B, C at (alpha, x).  Requires alpha != 0."""
+    """Evaluate nu, A, B, C at (alpha, x).  Requires alpha != 0 and a finite x."""
+    check_finite("x", x)
     alpha = point.alpha
     if alpha == 0:
         raise SingularConstantError("B has a 1/(-2*alpha) pole at alpha == 0")
@@ -202,6 +203,7 @@ def sigma_via_recursion(params: ModelParams, point: TransformPoint, x: float, t:
     transform(...).sigma_t validates the closed form.  Capped at t <= 50
     (raw psi overflows beyond).
     """
+    check_finite("x", x)
     if not 0 <= t <= RECURSION_MAX_T:
         raise ValueError(f"recursion cross-check requires 0 <= t <= {RECURSION_MAX_T}, got {t}")
     spectral = _in_domain_roots(params, point)

@@ -65,6 +65,7 @@ def simulate_conditional(params: ModelParams, x: float, t: int, seed: int) -> Co
     ``numpy.random.default_rng(seed).standard_normal(t)``, consumed in
     order, so identical seeds replay identical paths bit for bit.
     """
+    check_finite("x", x)
     if t < 0:
         raise ValueError(f"horizon t must be >= 0, got {t}")
     innovations = np.random.default_rng(seed).standard_normal(t)
@@ -83,6 +84,7 @@ def conditional_mean(params: ModelParams, x: float, s: int) -> float:
     Equals the one-step recursion m_s = theta*m_{s-1} + m*(1 - theta)
     started from m_0 = x.
     """
+    check_finite("x", x)
     if s < 0:
         raise ValueError(f"step index must be >= 0, got {s}")
     if s == 0:

@@ -1,9 +1,15 @@
 import cmath
+import contextlib
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
+import ar1quad
 from ar1quad import ModelParams, TransformPoint, ergodic_constants, roots, transform
 from ar1quad.cli import main
 
@@ -254,3 +260,48 @@ def test_verify_impossible_tolerance_fails(capsys):
     )
     assert code == 1
     assert "[FAIL]" in out
+
+
+def test_sweep_memory_does_not_grow_with_the_grid():
+    # 5,000 rows are streamed: nothing proportional to the grid is held
+    argv = ["sweep", "--theta", "0.6", "--m", "1", "--x", "0.5",
+            "--alpha=-0.3,-0.3", "--alpha-im=0,0.2", "--t"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        main([*argv, "40000"])  # one-time imports (argparse loads gettext lazily) are not the sweep's
+        tracemalloc.start()
+        try:
+            code = main([*argv, "40000:42499"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 256 * 1024
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("bad", [["--x", "nan", "--t", "1:3"], ["--x", "0.5", "--t=1,-2"],
+                                 ["--x", "0.5", "--t", "5:3"]])
+def test_sweep_usage_error_prints_nothing(capsys, fmt, bad):
+    # a streaming sweep must fail before its CSV header or its first row
+    code, out, err = run_cli(
+        capsys, "sweep", "--theta", "0.6", "--m", "1", "--alpha=-0.3,-0.5", *bad, "--format", fmt
+    )
+    assert code == 64
+    assert out == ""
+    assert err.startswith("ar1quad: error:")
+
+
+def test_console_script_exits_141_when_reader_closes_pipe():
+    script = (
+        "import sys; from ar1quad.cli import run; "
+        "sys.argv = ['ar1quad', 'sweep', '--theta', '0.6', '--m', '1', '--x', '0.5', "
+        "'--alpha=-0.3', '--t', '1:100000', '--format', 'csv']; run()"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ar1quad.__file__)))
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"alpha_re,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -84,6 +84,10 @@ def test_non_finite_start_raises_parameter_error(x, alpha):
         normalized_transform(params, point, x, 10)
     with pytest.raises(ParameterError):
         ergodic_constants(params, point, x)
+    with pytest.raises(ParameterError):
+        constants(params, point, x)
+    with pytest.raises(ParameterError):
+        sigma_via_recursion(params, point, x, 10)
 
 
 def test_transform_underflow_sets_flag():

@@ -64,6 +64,14 @@ def test_negative_horizon_rejected():
         simulate_conditional(ModelParams(0.5), 0.0, -1, seed=0)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_start_rejected(x):
+    with pytest.raises(ParameterError):
+        conditional_mean(ModelParams(0.5, 1.0), x, 3)
+    with pytest.raises(ParameterError):
+        simulate_conditional(ModelParams(0.5, 1.0), x, 3, seed=0)
+
+
 def test_conditional_mean_anchors():
     assert conditional_mean(ModelParams(0.9, -3.0), 1.7, 0) == 1.7
     assert conditional_mean(ModelParams(0.5, 2.0), 0.0, 1) == 1.0
