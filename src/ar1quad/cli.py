@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
+import itertools
 import math
 import os
 import re
 import sys
 
-from .closed_form import _evaluate, ergodic_constants, transform
+from .closed_form import _alpha_stage, _horizon_stage, ergodic_constants, transform
 from .errors import DomainError, SingularSequenceError
 from .model import ModelParams, check_finite
 from .spectral import TransformPoint
@@ -57,6 +59,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(value) -> str:
     """JSON-compatible scalar at 17 significant digits (exact round-trip)."""
+    if type(value) is float and math.isfinite(value):  # nearly every sweep cell: no dispatch
+        return format(value, ".17g")
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -163,34 +167,64 @@ def cmd_ergodic(args) -> int:
     return 0
 
 
-def _sweep_row(params: ModelParams, x: float, point: TransformPoint, t: int) -> tuple:
-    """One sweep row, in _SWEEP_FIELDS order."""
-    alpha = point.alpha
+def _sweep_cells(params: ModelParams, point: TransformPoint, x: float, stage: tuple, t: int) -> tuple | None:
+    """(t, log_L_re, log_L_im, normalized_re, normalized_im) cells of one
+    sweep row, or None where the sequences vanish (an error row)."""
     try:
-        log_value, _, log_normalized, drift, rate = _evaluate(params, point, x, t)
-    except (DomainError, SingularSequenceError):
-        return alpha.real, alpha.imag, t, None, None, None, None, None, None, "out_of_domain"
+        log_value, _, log_normalized = _horizon_stage(params, point, x, stage, t)
+    except SingularSequenceError:
+        return None
     normalized = cmath.exp(log_normalized)
-    return (alpha.real, alpha.imag, t, log_value.real, log_value.imag,
-            normalized.real, normalized.imag, drift.real, rate, None)
+    return t, _fmt(log_value.real), _fmt(log_value.imag), _fmt(normalized.real), _fmt(normalized.imag)
+
+
+def _sweep_template(cells, csv: bool) -> str:
+    """One sweep line as a %-format string, from cells in _SWEEP_FIELDS
+    order that are formatted already or "%s" where each row fills one in."""
+    if csv:
+        return ",".join(cells) + "\n"
+    return "{" + ", ".join(f'"{k}": {c}' for k, c in zip(_SWEEP_FIELDS, cells)) + "}\n"
 
 
 def cmd_sweep(args) -> int:
-    """Print every (alpha, t) row, alpha-major, as soon as it is computed."""
-    points = [TransformPoint(alpha) for alpha in _parse_alpha_grid(args.alpha, args.alpha_im)]
+    """Print every (alpha, t) row, alpha-major, as soon as it is computed.
+
+    The alpha stage of every alpha runs before the first line, so invalid
+    input (such as constants that overflow) prints nothing.  Per row only
+    the horizon stage runs and only t and the four log L_t / normalized
+    cells are formatted; the other five come from a per-alpha template.
+    """
+    alphas = _parse_alpha_grid(args.alpha, args.alpha_im)
     t_grid = _parse_t_grid(args.t)
     params = ModelParams(args.theta, args.m)
-    check_finite("x", args.x)
+    x = args.x
+    check_finite("x", x)
     csv = args.format == "csv"
+    cell = _csv_cell if csv else _fmt
+    plans = []
+    for alpha in alphas:
+        point = TransformPoint(alpha)
+        head = [cell(alpha.real), cell(alpha.imag), "%s"]
+        try:
+            stage = _alpha_stage(params, point, x)
+        except DomainError:  # every row of this alpha is an error row
+            stage = row = None
+        else:
+            row = _sweep_template(head + ["%s"] * 4 + [cell(stage[2].real), cell(stage[3]), cell(None)], csv)
+        error_row = _sweep_template(head + [cell(None)] * 6 + [cell("out_of_domain")], csv)
+        plans.append((point, stage, row, error_row))
+    write = sys.stdout.write
     if csv:
-        print(",".join(_SWEEP_FIELDS))
+        write(",".join(_SWEEP_FIELDS) + "\n")
     any_error = False
-    for point in points:
-        for horizons in t_grid:
-            for t in horizons:
-                row = _sweep_row(params, args.x, point, t)
-                any_error = any_error or row[-1] is not None
-                print(",".join(map(_csv_cell, row)) if csv else _json_line(zip(_SWEEP_FIELDS, row)))
+    for point, stage, row, error_row in plans:
+        for t in itertools.chain.from_iterable(t_grid):
+            cells = None if stage is None else _sweep_cells(params, point, x, stage, t)
+            if cells is None:
+                any_error = True
+                write(error_row % t)
+            else:
+                write(row % cells)
     return 2 if args.strict and any_error else 0
 
 
@@ -212,7 +246,10 @@ def cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI parser, built on the first call (not at import) and reused:
+    building it costs more than a small sweep."""
     parser = _Parser(prog="ar1quad", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

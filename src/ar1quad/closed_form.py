@@ -28,10 +28,15 @@ horizons up to 10^6 neither overflow nor lose the normalized limit, and
 small terms enter as products, never as differences (see spectral.py), so
 log L_t and Lambda keep full relative precision as alpha -> 0.
 alpha == 0 is special-cased (L_t = 1, Lambda = 0, f_check = 1): the B
-constant has a 1/(-2*alpha) pole there although the limit exists.  Every
-output comes from one shared evaluation (_evaluate), so the formulas live
+constant has a 1/(-2*alpha) pole there although the limit exists.
+
+Every output comes from one evaluation in two stages, so the formulas live
 in one place and transform, normalized_transform, ergodic_constants and a
-CLI sweep row agree bit for bit.
+CLI sweep row agree bit for bit.  The alpha stage (_alpha_stage: roots,
+nu, A, B, C, Lambda and the rate) depends only on (alpha, x); the horizon
+stage (_horizon_stage: sequence_ratios and the log-domain assembly) adds
+t.  _evaluate composes the two for one point; a sweep or a rate fit runs
+the alpha stage once and the horizon stage per t.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, SingularConstantError
+from .errors import DomainError, ParameterError, SingularConstantError
 from .model import ModelParams, check_finite
 from .spectral import SpectralData, TransformPoint, _log, raw_psi, roots, sequence_ratios
 
@@ -113,7 +118,9 @@ def _in_domain_roots(params: ModelParams, point: TransformPoint) -> SpectralData
 
 
 def constants(params: ModelParams, point: TransformPoint, x: float) -> ClosedFormConstants:
-    """Evaluate nu, A, B, C at (alpha, x).  Requires alpha != 0 and a finite x."""
+    """Evaluate nu, A, B, C at (alpha, x).  Requires alpha != 0 and a finite x;
+    raises ParameterError when a constant overflows (|m| or |x| near 1e154,
+    or a subnormal alpha)."""
     check_finite("x", x)
     alpha = point.alpha
     if alpha == 0:
@@ -125,26 +132,45 @@ def constants(params: ModelParams, point: TransformPoint, x: float) -> ClosedFor
     centred = x - (1.0 - theta) * nu
     b_const = theta / mu * centred * centred - theta * nu * nu
     c_const = 2.0 * nu * centred
+    # m*nu and centred^2 overflow once |m| or |x| nears sqrt(max double) ~ 1e154,
+    # theta/mu once |alpha| is subnormal; a non-finite nu makes A non-finite
+    if not (cmath.isfinite(a_const) and cmath.isfinite(b_const) and cmath.isfinite(c_const)):
+        raise ParameterError(f"closed-form constants overflow at m={m!r}, x={x!r}, alpha={alpha}")
     return ClosedFormConstants(nu=nu, A=a_const, B=b_const, C=c_const)
 
 
-def _evaluate(params: ModelParams, point: TransformPoint, x: float, t: int | None) -> tuple:
-    """(log L_t, Sigma_t, log(exp(-t*Lambda)*L_t), Lambda, rate) from one
-    roots, one sequence_ratios and one constants evaluation.
+def _alpha_stage(params: ModelParams, point: TransformPoint, x: float) -> tuple:
+    """(spectral, constants, Lambda, rate): the part of L_t that does not
+    depend on t, from one roots and one constants evaluation.
 
-    t = None is the t -> inf limit: sequence_ratios is skipped, log L_t and
-    Sigma_t are None and the normalized log is log f_check.  Sigma_t is
-    also None at alpha == 0.
+    At alpha == 0 spectral and constants are None.  Raises DomainError for
+    alpha outside D and ParameterError for a non-finite x or constants.
     """
-    if t is not None and t < 0:
-        raise ValueError(f"horizon t must be >= 0, got {t}")
     check_finite("x", x)
     theta = params.theta
     alpha = point.alpha
     if alpha == 0:
-        return complex(0.0), None, complex(0.0), complex(0.0), abs(theta)
+        return None, None, complex(0.0), abs(theta)
     spectral = _in_domain_roots(params, point)
     cf = constants(params, point, x)
+    drift = alpha * cf.A - 0.5 * spectral.log_lambda_plus
+    return spectral, cf, drift, abs(theta / spectral.lambda_plus)
+
+
+def _horizon_stage(params: ModelParams, point: TransformPoint, x: float, stage: tuple, t: int | None) -> tuple:
+    """(log L_t, Sigma_t, log(exp(-t*Lambda)*L_t)) from an alpha stage and
+    one sequence_ratios evaluation.
+
+    t = None is the t -> inf limit: sequence_ratios is skipped, log L_t and
+    Sigma_t are None and the normalized log is log f_check.  Sigma_t is
+    also None at alpha == 0.  Raises ParameterError where log L_t leaves
+    the double range.
+    """
+    spectral, cf = stage[0], stage[1]
+    if spectral is None:  # alpha == 0
+        return complex(0.0), None, complex(0.0)
+    theta = params.theta
+    alpha = point.alpha
     lam_plus, beta_minus = spectral.lambda_plus, spectral.beta_minus
     if t is None:
         # theta - r_t -> theta*(lambda_+ - 1)/lambda_+, 1/psi_{t+1} -> 0, D_t -> beta_+
@@ -158,12 +184,23 @@ def _evaluate(params: ModelParams, point: TransformPoint, x: float, t: int | Non
     # the t-proportional parts of log(L_t) and t*Lambda cancel analytically
     # and are never formed (subtracting two O(t) logs would lose ~t*eps)
     log_normalized = -0.5 * (spectral.log_lambda_plus + log_correction) + alpha * bounded
-    drift = alpha * cf.A - 0.5 * spectral.log_lambda_plus
-    rate = abs(theta / lam_plus)
     if t is None:
-        return None, None, log_normalized, drift, rate
+        return None, None, log_normalized
     sigma = cf.A * t + bounded
-    return -0.5 * seq.log_pi + alpha * sigma, sigma, log_normalized, drift, rate
+    log_value = -0.5 * seq.log_pi + alpha * sigma
+    if not cmath.isfinite(log_value):  # A*t beyond the double range (|m| near 1e152 at t = 10^6)
+        raise ParameterError(f"log L_t overflows at m={params.m!r}, x={x!r}, alpha={alpha}, t={t}")
+    return log_value, sigma, log_normalized
+
+
+def _evaluate(params: ModelParams, point: TransformPoint, x: float, t: int | None) -> tuple:
+    """(log L_t, Sigma_t, log(exp(-t*Lambda)*L_t), Lambda, rate): an alpha
+    stage and a horizon stage (see there for t = None and alpha == 0)."""
+    if t is not None and t < 0:
+        raise ValueError(f"horizon t must be >= 0, got {t}")
+    stage = _alpha_stage(params, point, x)
+    log_value, sigma, log_normalized = _horizon_stage(params, point, x, stage, t)
+    return log_value, sigma, log_normalized, stage[2], stage[3]
 
 
 def quadratic_coefficients(params: ModelParams, point: TransformPoint, t: int) -> tuple[complex, ...]:
@@ -248,10 +285,13 @@ def fit_convergence_rate(
     floating-point plateau and carry no rate information).  The fitted
     ratio should match ErgodicConstants.rate.
     """
-    target = ergodic_constants(params, point, x).f_check
+    # one alpha stage for the whole window; the values are bit-identical to
+    # ergodic_constants(...).f_check and normalized_transform(...)
+    stage = _alpha_stage(params, point, x)
+    target = cmath.exp(_horizon_stage(params, point, x, stage, None)[2])
     points = []
     for t in range(t_start, t_end + 1):
-        err = abs(normalized_transform(params, point, x, t) - target)
+        err = abs(cmath.exp(_horizon_stage(params, point, x, stage, t)[2]) - target)
         if err > noise_floor:
             points.append((t, math.log(err)))
     if len(points) < 2:

@@ -10,8 +10,10 @@ import tracemalloc
 import pytest
 
 import ar1quad
-from ar1quad import ModelParams, TransformPoint, ergodic_constants, roots, transform
+from ar1quad import ModelParams, TransformPoint, closed_form, ergodic_constants, roots, transform
 from ar1quad.cli import main
+
+from util import count_calls
 
 
 def run_cli(capsys, *argv):
@@ -305,3 +307,31 @@ def test_console_script_exits_141_when_reader_closes_pipe():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+def test_sweep_runs_roots_and_constants_once_per_alpha(monkeypatch):
+    # 3 alphas (one outside D) x 1000 horizons: the per-alpha work is not per row
+    counts = count_calls(monkeypatch, closed_form, "roots", "constants")
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        code = main(["sweep", "--theta", "0.6", "--m", "1", "--x", "0.5", "--alpha=-0.3,0.9,-0.3",
+                     "--alpha-im=0,0,0.2", "--t", "40000:40999"])
+    assert code == 0
+    assert counts["roots"] <= 3 and counts["constants"] <= 3
+
+
+@pytest.mark.parametrize("level", [["--m", "1e200", "--x", "0.5"], ["--m", "1", "--x", "1e200"]])
+def test_overflowing_constants_exit_64_before_any_output(capsys, level):
+    point = ["--theta", "0.6", *level, "--alpha", "-0.3"]
+    for argv in (["transform", *point, "--t", "10"], ["ergodic", *point],
+                 ["sweep", *point, "--t", "1:3"], ["sweep", *point, "--t", "1:3", "--format", "csv"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 64, argv
+        assert out == "" and "constants overflow" in err
+
+
+def test_large_finite_level_transform_sets_overflow(capsys):
+    code, out, _ = run_cli(capsys, "transform", "--theta", "-0.8", "--m", "1e150", "--x", "0.5",
+                           "--alpha", "-0.3", "--t", "10")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value_re"] == 0.0 and math.isfinite(payload["log_value_re"])

@@ -18,10 +18,11 @@ from ar1quad import (
     sigma_via_recursion,
     transform,
 )
+from ar1quad import closed_form
 from ar1quad.spectral import raw_psi
 
 from mp_reference import growth_rate_ref, log_transform_ref
-from util import alpha_grid_in_domain, rel_err
+from util import alpha_grid_in_domain, count_calls, rel_err
 
 
 def test_constants_vanish_at_zero_mean():
@@ -88,6 +89,40 @@ def test_non_finite_start_raises_parameter_error(x, alpha):
         constants(params, point, x)
     with pytest.raises(ParameterError):
         sigma_via_recursion(params, point, x, 10)
+
+
+@pytest.mark.parametrize("m, x, alpha", [(1e200, 0.5, -0.3), (1.0, 1e200, -0.3),
+                                         (1e150, 0.5, -1e-300), (-1e200, 0.5, complex(-0.3, 0.2))])
+def test_overflowing_constants_raise_parameter_error(m, x, alpha):
+    # m*nu, centred^2 or theta/mu*centred^2 leaves the double range: A, B, C would be inf or NaN
+    params, point = ModelParams(0.6, m), TransformPoint(alpha)
+    with pytest.raises(ParameterError, match="overflow"):
+        constants(params, point, x)
+    with pytest.raises(ParameterError, match="overflow"):
+        transform(params, point, x, 10)
+    with pytest.raises(ParameterError, match="overflow"):
+        normalized_transform(params, point, x, 10)
+    with pytest.raises(ParameterError, match="overflow"):
+        ergodic_constants(params, point, x)
+    with pytest.raises(ParameterError, match="overflow"):
+        fit_convergence_rate(params, point, x)
+
+
+def test_log_transform_overflow_raises_parameter_error():
+    # the constants are finite at m = 1e152, but A*t leaves the double range at t = 10^6
+    params, point = ModelParams(0.6, 1e152), TransformPoint(-0.3)
+    assert cmath.isfinite(transform(params, point, 0.5, 1000).log_value)
+    with pytest.raises(ParameterError, match="log L_t overflows"):
+        transform(params, point, 0.5, 10**6)
+
+
+def test_large_finite_level_sets_the_overflow_flag():
+    # m = 1e150 keeps nu, A, B, C finite; L_t itself underflows
+    params, point = ModelParams(-0.8, 1e150), TransformPoint(-0.3)
+    assert all(map(cmath.isfinite, vars(constants(params, point, 0.5)).values()))
+    tv = transform(params, point, 0.5, 10)
+    assert tv.overflow and tv.value == 0 and cmath.isfinite(tv.log_value)
+    assert cmath.isfinite(ergodic_constants(params, point, 0.5).lambda_of_alpha)
 
 
 def test_transform_underflow_sets_flag():
@@ -243,6 +278,23 @@ def test_fitted_rate_matches_root_ratio():
     expected = ergodic_constants(params, point, 0.5).rate
     assert fit.n_points >= 3
     assert abs(fit.ratio - expected) <= 0.05 * expected
+
+
+@pytest.mark.parametrize("theta, alpha", [(0.6, -0.3), (-0.8, complex(-0.1, 0.1)), (0.95, -0.5)])
+def test_fitted_rate_runs_one_alpha_stage_with_unchanged_result(monkeypatch, theta, alpha):
+    params, point = ModelParams(theta, 1.0), TransformPoint(alpha)
+    # reference: the fit from the public scalar functions, one full evaluation per t
+    target = ergodic_constants(params, point, 0.5).f_check
+    errors = [(t, abs(normalized_transform(params, point, 0.5, t) - target)) for t in range(20, 81)]
+    points = [(t, math.log(err)) for t, err in errors if err > 1e-13]
+    n = len(points)
+    mean_t, mean_y = sum(p[0] for p in points) / n, sum(p[1] for p in points) / n
+    sxy = sum((p[0] - mean_t) * (p[1] - mean_y) for p in points)
+    sxx = sum((p[0] - mean_t) ** 2 for p in points)
+    counts = count_calls(monkeypatch, closed_form, "roots", "constants")
+    fit = fit_convergence_rate(params, point, 0.5)
+    assert (fit.ratio, fit.n_points) == (math.exp(sxy / sxx), n)
+    assert counts == {"roots": 1, "constants": 1}
 
 
 def test_transform_valid_for_positive_alpha_inside_domain():

@@ -175,6 +175,12 @@ def test_oracles_reject_non_finite_start(x):
         monte_carlo_mgf(params, -0.3, x, 10, 100, seed=1)
 
 
+@pytest.mark.parametrize("m", [1e200, -1e200])
+def test_unconditional_rejects_overflowing_constants(m):
+    with pytest.raises(ParameterError, match="overflow"):
+        unconditional_transform(ModelParams(0.6, m), TransformPoint(-0.3), 10)
+
+
 def test_import_does_not_load_scipy():
     # a fresh interpreter that finds the same ar1quad as this one
     src = os.path.dirname(os.path.dirname(ar1quad.__file__))

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import collections
+
 import numpy as np
 
 from ar1quad import ModelParams, TransformPoint, domain_check
@@ -21,3 +23,17 @@ def alpha_grid_in_domain(theta: float, n_min: int = 50, include_complex: bool = 
     points = [a for a in candidates if domain_check(params, TransformPoint(a))]
     assert len(points) >= n_min, f"only {len(points)} in-domain points for theta={theta}"
     return points
+
+
+def count_calls(monkeypatch, module, *names):
+    """Wrap each module.<name> so that its calls are counted in the returned Counter."""
+    counts = collections.Counter()
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
