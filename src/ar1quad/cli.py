@@ -4,14 +4,15 @@ Exit codes: 0 success, 1 verification failure, 2 domain error, 64 usage
 error, 141 stdout closed by its reader (console script only).  Data goes to
 stdout (one JSON object per line, or CSV with a '.' decimal separator);
 diagnostics go to stderr.  Floats are printed with 17 significant digits so
-that parsing the output reproduces them bit for bit.  A sweep prints each
-row as soon as it is computed.
+that parsing the output reproduces them bit for bit.  A sweep evaluates
+its horizons (ranges and single values alike, in grid order) in chunks of
+at most 256 rows, one numpy pass per chunk, and writes each chunk as soon
+as it is computed: memory stays flat in the grid size.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import itertools
 import math
@@ -19,7 +20,9 @@ import os
 import re
 import sys
 
-from .closed_form import _alpha_stage, _horizon_stage, ergodic_constants, transform
+import numpy as np
+
+from .closed_form import _alpha_stage, _horizon_batch, ergodic_constants, transform
 from .errors import DomainError, SingularSequenceError
 from .model import ModelParams, check_finite
 from .spectral import TransformPoint
@@ -37,6 +40,10 @@ _SWEEP_FIELDS = [
     "rate",
     "error",
 ]
+
+# Horizons per numpy pass of a sweep: the rows of one chunk are held at
+# once, so memory stays flat in the grid size.
+_SWEEP_CHUNK = 256
 
 
 # stock argparse only treats plain decimals as negative numbers, which would
@@ -167,32 +174,42 @@ def cmd_ergodic(args) -> int:
     return 0
 
 
-def _sweep_cells(params: ModelParams, point: TransformPoint, x: float, stage: tuple, t: int) -> tuple | None:
-    """(t, log_L_re, log_L_im, normalized_re, normalized_im) cells of one
-    sweep row, or None where the sequences vanish (an error row)."""
-    try:
-        log_value, _, log_normalized = _horizon_stage(params, point, x, stage, t)
-    except SingularSequenceError:
-        return None
-    normalized = cmath.exp(log_normalized)
-    return t, _fmt(log_value.real), _fmt(log_value.imag), _fmt(normalized.real), _fmt(normalized.imag)
-
-
 def _sweep_template(cells, csv: bool) -> str:
     """One sweep line as a %-format string, from cells in _SWEEP_FIELDS
-    order that are formatted already or "%s" where each row fills one in."""
+    order that are formatted already or a %-slot that each row fills in."""
     if csv:
         return ",".join(cells) + "\n"
     return "{" + ", ".join(f'"{k}": {c}' for k, c in zip(_SWEEP_FIELDS, cells)) + "}\n"
 
 
+def _sweep_chunk(templates, horizons: list[int], log_value, normalized, regular) -> str:
+    """The lines of one evaluated chunk: all through the %.17g template
+    when every cell is finite (%.17g prints what _fmt does), else row by
+    row, an error row where D_t vanishes and the cells through _fmt."""
+    row, fallback, error_row = templates
+    columns = (log_value.real.tolist(), log_value.imag.tolist(), normalized.real.tolist(), normalized.imag.tolist())
+    if np.count_nonzero(regular) == len(horizons) and np.isfinite(normalized).all():
+        cells = [None] * (5 * len(horizons))
+        cells[0::5] = horizons
+        for k, column in enumerate(columns, 1):
+            cells[k::5] = column
+        return (row * len(horizons)) % tuple(cells)
+    lines = []
+    for t, ok, *values in zip(horizons, regular.tolist(), *columns):
+        lines.append(fallback % (t, *map(_fmt, values)) if ok else error_row % t)
+    return "".join(lines)
+
+
 def cmd_sweep(args) -> int:
-    """Print every (alpha, t) row, alpha-major, as soon as it is computed.
+    """Print every (alpha, t) row, alpha-major.
 
     The alpha stage of every alpha runs before the first line, so invalid
-    input (such as constants that overflow) prints nothing.  Per row only
-    the horizon stage runs and only t and the four log L_t / normalized
-    cells are formatted; the other five come from a per-alpha template.
+    input (such as constants that overflow) prints nothing.  The horizon
+    stage then runs over chunks of at most _SWEEP_CHUNK horizons of the
+    t grid, taken across its entries, in one numpy pass, and each chunk is
+    written at once: the five cells fixed per alpha come from a per-alpha
+    template.  A row whose log L_t or normalized value overflows ends the
+    sweep (ParameterError) after the rows before it.
     """
     alphas = _parse_alpha_grid(args.alpha, args.alpha_im)
     t_grid = _parse_t_grid(args.t)
@@ -204,27 +221,34 @@ def cmd_sweep(args) -> int:
     plans = []
     for alpha in alphas:
         point = TransformPoint(alpha)
-        head = [cell(alpha.real), cell(alpha.imag), "%s"]
+        head = [cell(alpha.real), cell(alpha.imag), "%d"]
+        error_row = _sweep_template(head + [cell(None)] * 6 + [cell("out_of_domain")], csv)
         try:
             stage = _alpha_stage(params, point, x)
         except DomainError:  # every row of this alpha is an error row
-            stage = row = None
-        else:
-            row = _sweep_template(head + ["%s"] * 4 + [cell(stage[2].real), cell(stage[3]), cell(None)], csv)
-        error_row = _sweep_template(head + [cell(None)] * 6 + [cell("out_of_domain")], csv)
-        plans.append((point, stage, row, error_row))
+            plans.append((point, None, (None, None, error_row)))
+            continue
+        tail = [cell(stage[2].real), cell(stage[3]), cell(None)]
+        row = _sweep_template(head + ["%.17g"] * 4 + tail, csv)
+        fallback = _sweep_template(head + ["%s"] * 4 + tail, csv)
+        plans.append((point, stage, (row, fallback, error_row)))
     write = sys.stdout.write
     if csv:
         write(",".join(_SWEEP_FIELDS) + "\n")
     any_error = False
-    for point, stage, row, error_row in plans:
-        for t in itertools.chain.from_iterable(t_grid):
-            cells = None if stage is None else _sweep_cells(params, point, x, stage, t)
-            if cells is None:
+    for point, stage, templates in plans:
+        horizons = itertools.chain.from_iterable(t_grid)
+        while chunk := list(itertools.islice(horizons, _SWEEP_CHUNK)):
+            if stage is None:
                 any_error = True
-                write(error_row % t)
-            else:
-                write(row % cells)
+                write((templates[2] * len(chunk)) % tuple(chunk))
+                continue
+            log_value, normalized, regular, error = _horizon_batch(params, point, x, stage, chunk)
+            chunk = chunk[:len(regular)]  # the rows before an overflow
+            any_error = any_error or np.count_nonzero(regular) < len(chunk)
+            write(_sweep_chunk(templates, chunk, log_value, normalized, regular))
+            if error is not None:
+                raise error
     return 2 if args.strict and any_error else 0
 
 

@@ -31,12 +31,19 @@ alpha == 0 is special-cased (L_t = 1, Lambda = 0, f_check = 1): the B
 constant has a 1/(-2*alpha) pole there although the limit exists.
 
 Every output comes from one evaluation in two stages, so the formulas live
-in one place and transform, normalized_transform, ergodic_constants and a
-CLI sweep row agree bit for bit.  The alpha stage (_alpha_stage: roots,
-nu, A, B, C, Lambda and the rate) depends only on (alpha, x); the horizon
-stage (_horizon_stage: sequence_ratios and the log-domain assembly) adds
-t.  _evaluate composes the two for one point; a sweep or a rate fit runs
-the alpha stage once and the horizon stage per t.
+in one place and transform, normalized_transform, ergodic_constants and
+fit_convergence_rate agree bit for bit.  The alpha stage (_alpha_stage:
+roots, nu, A, B, C, Lambda and the rate) depends only on (alpha, x); the
+horizon stage adds t.  Its text (_horizon: spectral._sequence_terms and
+the log-domain assembly) is written once, over an operations namespace:
+SCALAR_OPS (cmath and math) at one t for the public functions, which never
+call numpy, and ARRAY_OPS over an array of t in one numpy pass
+(_horizon_batch, for a CLI sweep); quadratic_coefficients takes its
+log L_t at x = m and its sequence terms from the same text.  numpy's exp
+and log differ from cmath's in the last bits, so a sweep row agrees with
+the scalar functions to a few eps of the size of the terms it sums, and
+exactly at t = 0.  A log L_t, a normalized value or an f_check beyond
+the double range raises ParameterError.
 """
 
 from __future__ import annotations
@@ -46,9 +53,20 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, ParameterError, SingularConstantError
 from .model import ModelParams, check_finite
-from .spectral import SpectralData, TransformPoint, _log, raw_psi, roots, sequence_ratios
+from .spectral import (
+    ARRAY_OPS,
+    SCALAR_OPS,
+    SpectralData,
+    TransformPoint,
+    _log,
+    _sequence_terms,
+    raw_psi,
+    roots,
+)
 
 _LOG_MAX = math.log(sys.float_info.max)  # ~709.78
 _LOG_MIN = -745.0  # below the smallest subnormal's log
@@ -157,40 +175,87 @@ def _alpha_stage(params: ModelParams, point: TransformPoint, x: float) -> tuple:
     return spectral, cf, drift, abs(theta / spectral.lambda_plus)
 
 
-def _horizon_stage(params: ModelParams, point: TransformPoint, x: float, stage: tuple, t: int | None) -> tuple:
-    """(log L_t, Sigma_t, log(exp(-t*Lambda)*L_t)) from an alpha stage and
-    one sequence_ratios evaluation.
+def _overflow(what: str, params: ModelParams, x: float, alpha: complex, t: int | None) -> ParameterError:
+    where = "" if t is None else f", t={t}"
+    return ParameterError(f"{what} overflows at m={params.m!r}, x={x!r}, alpha={alpha}{where}")
 
-    t = None is the t -> inf limit: sequence_ratios is skipped, log L_t and
-    Sigma_t are None and the normalized log is log f_check.  Sigma_t is
-    also None at alpha == 0.  Raises ParameterError where log L_t leaves
-    the double range.
+
+def _assemble(theta, x, alpha, spectral, cf, theta_minus_r, inv_psi, log_correction) -> tuple:
+    """(Sigma_t - A*t, log(exp(-t*Lambda)*L_t)) from the sequence terms."""
+    bounded = x * x + cf.B * theta_minus_r + cf.C * (theta - inv_psi)
+    # the t-proportional parts of log(L_t) and t*Lambda cancel analytically
+    # and are never formed (subtracting two O(t) logs would lose ~t*eps)
+    return bounded, -0.5 * (spectral.log_lambda_plus + log_correction) + alpha * bounded
+
+
+def _horizon(ops, params: ModelParams, x: float, alpha: complex, stage: tuple, t) -> tuple:
+    """(log L_t, Sigma_t, log(exp(-t*Lambda)*L_t), regular) at one horizon
+    t (SCALAR_OPS) or an array of them (ARRAY_OPS): the one text
+    of the horizon formulas, see spectral._sequence_terms for `regular`."""
+    spectral, cf = stage[0], stage[1]
+    theta = params.theta
+    theta_minus_r, inv_psi, log_correction, log_pi, regular = _sequence_terms(ops, theta, spectral, t)[:5]
+    bounded, log_normalized = _assemble(theta, x, alpha, spectral, cf, theta_minus_r, inv_psi, log_correction)
+    sigma = cf.A * t + bounded
+    return -0.5 * log_pi + alpha * sigma, sigma, log_normalized, regular
+
+
+def _horizon_stage(params: ModelParams, point: TransformPoint, x: float, stage: tuple, t: int | None) -> tuple:
+    """(log L_t, Sigma_t, log(exp(-t*Lambda)*L_t)) from an alpha stage, at
+    one horizon.
+
+    t = None is the t -> inf limit: log L_t and Sigma_t are None and the
+    normalized log is log f_check.  Sigma_t is also None at alpha == 0.
+    Raises ParameterError where log L_t leaves the double range.
     """
     spectral, cf = stage[0], stage[1]
     if spectral is None:  # alpha == 0
         return complex(0.0), None, complex(0.0)
-    theta = params.theta
     alpha = point.alpha
-    lam_plus, beta_minus = spectral.lambda_plus, spectral.beta_minus
     if t is None:
         # theta - r_t -> theta*(lambda_+ - 1)/lambda_+, 1/psi_{t+1} -> 0, D_t -> beta_+
+        theta, lam_plus, beta_minus = params.theta, spectral.lambda_plus, spectral.beta_minus
         theta_minus_r = theta * beta_minus * (lam_plus - spectral.lambda_minus) / lam_plus
-        inv_psi, log_correction = 0.0, _log(spectral.beta_plus, -beta_minus)
-    else:
-        seq = sequence_ratios(spectral, params, t)
-        theta_minus_r, inv_psi, log_correction = seq.theta_minus_r, seq.inv_psi, seq.log_correction
-    # Sigma_t without its A*t part
-    bounded = x * x + cf.B * theta_minus_r + cf.C * (theta - inv_psi)
-    # the t-proportional parts of log(L_t) and t*Lambda cancel analytically
-    # and are never formed (subtracting two O(t) logs would lose ~t*eps)
-    log_normalized = -0.5 * (spectral.log_lambda_plus + log_correction) + alpha * bounded
-    if t is None:
-        return None, None, log_normalized
-    sigma = cf.A * t + bounded
-    log_value = -0.5 * seq.log_pi + alpha * sigma
+        log_correction = _log(spectral.beta_plus, -beta_minus)
+        return None, None, _assemble(theta, x, alpha, spectral, cf, theta_minus_r, 0.0, log_correction)[1]
+    log_value, sigma, log_normalized, _ = _horizon(SCALAR_OPS, params, x, alpha, stage, t)
     if not cmath.isfinite(log_value):  # A*t beyond the double range (|m| near 1e152 at t = 10^6)
-        raise ParameterError(f"log L_t overflows at m={params.m!r}, x={x!r}, alpha={alpha}, t={t}")
+        raise _overflow("log L_t", params, x, alpha, t)
     return log_value, sigma, log_normalized
+
+
+def _horizon_batch(params: ModelParams, point: TransformPoint, x: float, stage: tuple, horizons: list[int]) -> tuple:
+    """The horizon stage over a list of horizons in one numpy pass.
+
+    Returns (log L_t, exp(-t*Lambda)*L_t, regular, error).  The arrays
+    cover the rows before the first one whose log L_t is not finite or
+    whose normalized value overflows; `regular` is False where D_t vanishes
+    (an error row); error is the ParameterError of that first row, for the
+    caller to raise once it has used the rows before it, or None.
+    """
+    if stage[0] is None:  # alpha == 0: L_t = 1
+        return np.zeros(len(horizons), complex), np.ones(len(horizons), complex), np.full(len(horizons), True), None
+    alpha = point.alpha
+    t = np.array(horizons, dtype=float)
+    with np.errstate(all="ignore"):
+        log_value, _, log_normalized, regular = _horizon(ARRAY_OPS, params, x, alpha, stage, t)
+        log_finite = np.isfinite(log_value)
+        overflow = regular & (~log_finite | (log_normalized.real > _LOG_MAX))
+        normalized = ARRAY_OPS.exp(log_normalized)
+    if not np.count_nonzero(overflow):
+        return log_value, normalized, regular, None
+    stop = int(overflow.argmax())
+    what = "exp(-t*Lambda)*L_t" if log_finite[stop] else "log L_t"
+    error = _overflow(what, params, x, alpha, horizons[stop])
+    return log_value[:stop], normalized[:stop], regular[:stop], error
+
+
+def _exp_normalized(log_normalized: complex, params: ModelParams, x: float, alpha: complex, t: int | None) -> complex:
+    """exp(-t*Lambda)*L_t (f_check at t = None) from its log; raises
+    ParameterError where it overflows (m = 1e150 at theta = 0.6)."""
+    if log_normalized.real > _LOG_MAX:
+        raise _overflow("f_check" if t is None else "exp(-t*Lambda)*L_t", params, x, alpha, t)
+    return cmath.exp(log_normalized)
 
 
 def _evaluate(params: ModelParams, point: TransformPoint, x: float, t: int | None) -> tuple:
@@ -206,18 +271,18 @@ def _evaluate(params: ModelParams, point: TransformPoint, x: float, t: int | Non
 def quadratic_coefficients(params: ModelParams, point: TransformPoint, t: int) -> tuple[complex, ...]:
     """(g0, g1, c2) with log L_t(alpha, x) = g0 + g1*(x - m) + c2*(x - m)^2 exactly: x enters
     Sigma_t through x^2, B and C, with B' = 2*theta/mu*(x - (1-theta)*nu), B'' = 2*theta/mu
-    and C' = 2*nu.  One roots, one sequence_ratios and one constants evaluation, at x = m."""
+    and C' = 2*nu.  One roots and one constants evaluation, at x = m; g0 is log L_t there."""
     if t < 0:
         raise ValueError(f"horizon t must be >= 0, got {t}")
     theta, m, alpha = params.theta, params.m, point.alpha
     if alpha == 0:
         return 0j, 0j, 0j
-    seq = sequence_ratios(_in_domain_roots(params, point), params, t)
-    cf = constants(params, point, m)
-    theta_minus_r, theta_minus_inv = seq.theta_minus_r, theta - seq.inv_psi
+    stage = (_in_domain_roots(params, point), constants(params, point, m))
+    theta_minus_r, inv_psi = _sequence_terms(SCALAR_OPS, theta, stage[0], t)[:2]
+    cf = stage[1]
     b_slope = 2.0 * theta / point.mu * (m - (1.0 - theta) * cf.nu)
-    g0 = -0.5 * seq.log_pi + alpha * (cf.A * t + m * m + cf.B * theta_minus_r + cf.C * theta_minus_inv)
-    g1 = alpha * (2.0 * m + b_slope * theta_minus_r + 2.0 * cf.nu * theta_minus_inv)
+    g0 = _horizon(SCALAR_OPS, params, m, alpha, stage, t)[0]
+    g1 = alpha * (2.0 * m + b_slope * theta_minus_r + 2.0 * cf.nu * (theta - inv_psi))
     return g0, g1, alpha * (1.0 + theta / point.mu * theta_minus_r)
 
 
@@ -261,13 +326,14 @@ def ergodic_constants(params: ModelParams, point: TransformPoint, x: float) -> E
     rate = |theta| since lambda_+ -> 1).
     """
     _, _, log_f_check, drift, rate = _evaluate(params, point, x, None)
-    return ErgodicConstants(lambda_of_alpha=drift, f_check=cmath.exp(log_f_check), rate=rate)
+    f_check = _exp_normalized(log_f_check, params, x, point.alpha, None)
+    return ErgodicConstants(lambda_of_alpha=drift, f_check=f_check, rate=rate)
 
 
 def normalized_transform(params: ModelParams, point: TransformPoint, x: float, t: int) -> complex:
     """exp(-t*Lambda(alpha)) * L_t(alpha, x), assembled in log domain with
     the t-proportional parts cancelled analytically (accurate at any t)."""
-    return cmath.exp(_evaluate(params, point, x, t)[2])
+    return _exp_normalized(_evaluate(params, point, x, t)[2], params, x, point.alpha, t)
 
 
 def fit_convergence_rate(
@@ -285,13 +351,16 @@ def fit_convergence_rate(
     floating-point plateau and carry no rate information).  The fitted
     ratio should match ErgodicConstants.rate.
     """
+    if t_start < 0:
+        raise ValueError(f"horizon t must be >= 0, got {t_start}")
     # one alpha stage for the whole window; the values are bit-identical to
     # ergodic_constants(...).f_check and normalized_transform(...)
     stage = _alpha_stage(params, point, x)
-    target = cmath.exp(_horizon_stage(params, point, x, stage, None)[2])
+    alpha = point.alpha
+    target = _exp_normalized(_horizon_stage(params, point, x, stage, None)[2], params, x, alpha, None)
     points = []
     for t in range(t_start, t_end + 1):
-        err = abs(cmath.exp(_horizon_stage(params, point, x, stage, t)[2]) - target)
+        err = abs(_exp_normalized(_horizon_stage(params, point, x, stage, t)[2], params, x, alpha, t) - target)
         if err > noise_floor:
             points.append((t, math.log(err)))
     if len(points) < 2:

@@ -335,3 +335,14 @@ def test_large_finite_level_transform_sets_overflow(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["value_re"] == 0.0 and math.isfinite(payload["log_value_re"])
+
+
+@pytest.mark.parametrize("argv", [["ergodic"], ["sweep", "--t", "1:3"], ["sweep", "--t", "1:3", "--format", "csv"]])
+def test_overflowing_normalized_value_exits_64(capsys, argv):
+    # f_check and exp(-t*Lambda)*L_t overflow at theta = 0.6, m = 1e150: one
+    # stderr line, no traceback, and no row (a CSV sweep has printed its header)
+    code, out, err = run_cli(capsys, *argv, "--theta", "0.6", "--m", "1e150", "--x", "0.5", "--alpha", "-0.3")
+    assert code == 64
+    header = "alpha_re,alpha_im,t,log_L_re,log_L_im,normalized_re,normalized_im,Lambda_re,rate,error\n"
+    assert out == (header if "csv" in argv else "")
+    assert err.count("\n") == 1 and err.startswith("ar1quad: error: ") and "overflows" in err

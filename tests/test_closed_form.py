@@ -108,6 +108,13 @@ def test_overflowing_constants_raise_parameter_error(m, x, alpha):
         fit_convergence_rate(params, point, x)
 
 
+@pytest.mark.parametrize("t_start", [-1, -3])
+def test_fitted_rate_rejects_a_negative_horizon(t_start):
+    # at t = -1, w^t*w = 1 makes D_t = 1: finite values that must not enter the fit
+    with pytest.raises(ValueError, match="horizon t must be >= 0"):
+        fit_convergence_rate(ModelParams(0.6, 1.0), TransformPoint(-0.3), 0.5, t_start=t_start)
+
+
 def test_log_transform_overflow_raises_parameter_error():
     # the constants are finite at m = 1e152, but A*t leaves the double range at t = 10^6
     params, point = ModelParams(0.6, 1e152), TransformPoint(-0.3)
@@ -123,6 +130,19 @@ def test_large_finite_level_sets_the_overflow_flag():
     tv = transform(params, point, 0.5, 10)
     assert tv.overflow and tv.value == 0 and cmath.isfinite(tv.log_value)
     assert cmath.isfinite(ergodic_constants(params, point, 0.5).lambda_of_alpha)
+
+
+def test_overflowing_normalized_value_raises_parameter_error():
+    # theta = 0.6, m = 1e150: nu, A, B, C and log L_t are finite, but
+    # log f_check ~ +5e298 leaves the double range (cmath.exp raised a bare OverflowError)
+    params, point = ModelParams(0.6, 1e150), TransformPoint(-0.3)
+    assert cmath.isfinite(transform(params, point, 0.5, 10).log_value)
+    with pytest.raises(ParameterError, match="overflows"):
+        normalized_transform(params, point, 0.5, 10)
+    with pytest.raises(ParameterError, match="f_check overflows"):
+        ergodic_constants(params, point, 0.5)
+    with pytest.raises(ParameterError, match="f_check overflows"):
+        fit_convergence_rate(params, point, 0.5)
 
 
 def test_transform_underflow_sets_flag():

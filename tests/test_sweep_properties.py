@@ -22,6 +22,8 @@ from ar1quad import (
 )
 from ar1quad.cli import main
 
+from util import term_sizes, within_conditioning
+
 _SWEEP_FIELDS = ["alpha_re", "alpha_im", "t", "log_L_re", "log_L_im", "normalized_re",
                  "normalized_im", "Lambda_re", "rate", "error"]
 
@@ -44,7 +46,7 @@ def test_sweep_rows_equal_the_scalar_functions(theta, m, x, alphas, horizons):
             "--alpha-im=" + ",".join(repr(a.imag) for a in alphas),
             "--t=" + ",".join(map(str, horizons))]
     params = ModelParams(theta, m)
-    expected = []  # alpha-major, one row per (alpha, t): None for an error row
+    expected = []  # alpha-major, one row per (alpha, t): None for an error row, and the term sizes
     rejected = False  # some alpha's constants overflow: the sweep exits 64 and prints nothing
     for alpha in alphas:
         point = TransformPoint(alpha)
@@ -54,13 +56,13 @@ def test_sweep_rows_equal_the_scalar_functions(theta, m, x, alphas, horizons):
                 log_value = transform(params, point, x, t).log_value
                 normalized = normalized_transform(params, point, x, t)
             except (DomainError, SingularSequenceError):
-                expected.append((alpha, t, None))
+                expected.append((alpha, t, None, None))
                 continue
             except ParameterError:
                 rejected = True
                 continue
             expected.append((alpha, t, [log_value.real, log_value.imag, normalized.real, normalized.imag,
-                                        erg.lambda_of_alpha.real, erg.rate]))
+                                        erg.lambda_of_alpha.real, erg.rate], term_sizes(params, point, x, t)))
     for fmt in ("json", "csv"):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
@@ -77,10 +79,13 @@ def test_sweep_rows_equal_the_scalar_functions(theta, m, x, alphas, horizons):
         else:
             rows = [json.loads(line) for line in lines]
         assert len(rows) == len(expected)
-        for row, (alpha, t, values) in zip(rows, expected):
+        for row, (alpha, t, values, sizes) in zip(rows, expected):
             assert (row["alpha_re"], row["alpha_im"], row["t"]) == (alpha.real, alpha.imag, t)
             got = [row[k] for k in _SWEEP_FIELDS[3:9]]
             if values is None:
                 assert row["error"] == "out_of_domain" and got == [None] * 6
             else:
-                assert row["error"] is None and got == values
+                assert row["error"] is None and got[4:] == values[4:]
+                got = (complex(row["log_L_re"], row["log_L_im"]), complex(row["normalized_re"], row["normalized_im"]))
+                want = (complex(values[0], values[1]), complex(values[2], values[3]))
+                assert within_conditioning(got, want, sizes), (row, values, sizes)

@@ -1,10 +1,13 @@
 """Shared helpers for the test suite."""
 
 import collections
+import sys
 
 import numpy as np
 
-from ar1quad import ModelParams, TransformPoint, domain_check
+from ar1quad import ModelParams, TransformPoint, constants, domain_check, roots, sequence_ratios
+
+EPS = sys.float_info.epsilon
 
 
 def rel_err(a, b, floor=1e-300) -> float:
@@ -37,3 +40,33 @@ def count_calls(monkeypatch, module, *names):
 
         monkeypatch.setattr(module, name, counted)
     return counts
+
+
+def term_sizes(params, point, x, t):
+    """Sums of the magnitudes of the terms that add up to log L_t and to
+    log n = log(exp(-t*Lambda)*L_t): the condition of each sum.  A sweep
+    evaluates its horizon cells with numpy's exp and log, the scalar
+    functions with cmath's, and the two differ in the last bits, so the
+    cells differ by a few eps times these sizes.  They shrink with alpha:
+    a relative loss of accuracy at small alpha does not hide below them."""
+    if point.alpha == 0:
+        return 0.0, 0.0  # log L_t = 0 and n = 1 exactly in both
+    spectral = roots(params, point)
+    seq = sequence_ratios(spectral, params, t)
+    cf = constants(params, point, x)
+    bounded = x * x + abs(cf.B * seq.theta_minus_r) + abs(cf.C * (params.theta - seq.inv_psi))
+    log_lambda_plus, log_correction = abs(spectral.log_lambda_plus), abs(seq.log_correction)
+    alpha = abs(point.alpha)
+    return (0.5 * ((t + 1) * log_lambda_plus + log_correction) + alpha * (abs(cf.A * t) + bounded),
+            0.5 * (log_lambda_plus + log_correction) + alpha * bounded)
+
+
+def within_conditioning(got, want, sizes) -> bool:
+    """got and want are (log L_t, n) pairs, sizes their term_sizes:
+    |d log L| <= 4 eps*size(log L), and n = exp(log n) inherits the
+    absolute error of its log as a relative error (plus that of exp), so
+    |d n| <= 4 eps*|n|*max(1, size(log n)), |n| floored at the smallest
+    normal double (a subnormal n has fewer digits)."""
+    (got_log_l, got_n), (log_l, n) = got, want
+    return (abs(got_log_l - log_l) <= 4 * EPS * sizes[0]
+            and abs(got_n - n) <= 4 * EPS * max(abs(n), sys.float_info.min) * max(1.0, sizes[1]))
