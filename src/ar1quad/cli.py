@@ -139,7 +139,6 @@ def cmd_transform(args) -> int:
     params = ModelParams(args.theta, args.m)
     point = TransformPoint(complex(args.alpha, args.alpha_im))
     tv = transform(params, point, args.x, args.t)
-    sigma = tv.sigma_t
     print(
         _json_line(
             [
@@ -147,8 +146,8 @@ def cmd_transform(args) -> int:
                 ("log_value_im", tv.log_value.imag),
                 ("value_re", tv.value.real),
                 ("value_im", tv.value.imag),
-                ("sigma_re", None if sigma is None else sigma.real),
-                ("sigma_im", None if sigma is None else sigma.imag),
+                ("sigma_re", tv.sigma_t.real),
+                ("sigma_im", tv.sigma_t.imag),
                 ("in_domain", True),  # transform raised DomainError otherwise
             ]
         )

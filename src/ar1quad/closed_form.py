@@ -7,33 +7,34 @@ partial sum S_t = sum_{s=0..t} X_s^2 given X_0 = x is
 
 with
 
-    Sigma_t = A*t + x^2 + B*(theta - psi_t/psi_{t+1}) + C*(theta - 1/psi_{t+1})
+    Sigma_t = A*t + x^2 + (mu*B)*q_t + C*(theta - 1/psi_{t+1}),  q_t = (theta - psi_t/psi_{t+1})/mu
 
 and constants (mu = -2*alpha)
 
-    nu = m*(1-theta) / (mu + (1-theta)^2)
-    A  = m*(1-theta)*nu
-    B  = (theta/mu)*(x - (1-theta)*nu)^2 - theta*nu^2
-    C  = 2*nu*(x - (1-theta)*nu).
+    nu   = m*(1-theta) / (mu + (1-theta)^2)
+    A    = m*(1-theta)*nu
+    mu*B = theta*((x - (1-theta)*nu)^2 - mu*nu^2)
+    C    = 2*nu*(x - (1-theta)*nu).
 
 As t grows, exp(-t*Lambda(alpha)) * L_t(alpha, x) converges to
 f_check(alpha, x) at geometric speed |theta/lambda_+|^t, where
 
     Lambda(alpha)  = alpha*m^2*(1-theta)^2/(mu + (1-theta)^2) - (1/2)*log(lambda_+)
     f_check(alpha, x) = (beta_+*lambda_+)^(-1/2)
-                        * exp(alpha*(x^2 + B*(theta - theta/lambda_+) + C*theta)).
+                        * exp(alpha*(x^2 + (mu*B)*q + C*theta)),  q = theta/((1-lambda_-)*lambda_+).
 
 All exponentials are assembled in log domain and exponentiated last, so
 horizons up to 10^6 neither overflow nor lose the normalized limit, and
 small terms enter as products, never as differences (see spectral.py), so
-log L_t and Lambda keep full relative precision as alpha -> 0.
-alpha == 0 is special-cased (L_t = 1, Lambda = 0, f_check = 1): the B
-constant has a 1/(-2*alpha) pole there although the limit exists.
+log L_t and Lambda keep full relative precision as alpha -> 0.  Neither
+mu*B nor q_t has the 1/(-2*alpha) pole of B, so one formula holds on all of
+D, alpha = 0 (L_t = 1, Lambda = 0, f_check = 1 exactly) and subnormal alpha
+included; only the public constants() forms B.
 
 Every output comes from one evaluation in two stages, so the formulas live
 in one place and transform, normalized_transform, ergodic_constants and
 fit_convergence_rate agree bit for bit.  The alpha stage (_alpha_stage:
-roots, nu, A, B, C, Lambda and the rate) depends only on (alpha, x); the
+roots, nu, A, mu*B, C, Lambda and the rate) depends only on (alpha, x); the
 horizon stage adds t.  Its text (_horizon: spectral._sequence_terms and
 the log-domain assembly) is written once, over an operations namespace:
 SCALAR_OPS (cmath and math) at one t for the public functions, which never
@@ -90,14 +91,13 @@ class TransformValue:
     """L_t(alpha, x) with its log-domain representation.
 
     `value` is exp(log_value); when Re(log_value) leaves the double
-    exponent range, value is +/-inf or 0 and `overflow` is set.  sigma_t
-    is None at alpha == 0, where only alpha*Sigma_t (which vanishes) is
-    defined.
+    exponent range, value is +/-inf or 0 and `overflow` is set.  sigma_t is
+    Sigma_t, a finite number at every alpha in D (alpha = 0 included).
     """
 
     log_value: complex
     value: complex
-    sigma_t: complex | None
+    sigma_t: complex
     overflow: bool = False
 
 
@@ -135,44 +135,48 @@ def _in_domain_roots(params: ModelParams, point: TransformPoint) -> SpectralData
     return spectral
 
 
-def constants(params: ModelParams, point: TransformPoint, x: float) -> ClosedFormConstants:
-    """Evaluate nu, A, B, C at (alpha, x).  Requires alpha != 0 and a finite x;
-    raises ParameterError when a constant overflows (|m| or |x| near 1e154,
-    or a subnormal alpha)."""
+def _constants(params: ModelParams, point: TransformPoint, x: float) -> tuple:
+    """(nu, A, mu*B, C) at (alpha, x), with no pole at alpha = 0.  Requires a
+    finite x; raises ParameterError when a constant overflows (|m| or |x|
+    near 1e154)."""
     check_finite("x", x)
-    alpha = point.alpha
-    if alpha == 0:
-        raise SingularConstantError("B has a 1/(-2*alpha) pole at alpha == 0")
     theta, m = params.theta, params.m
     mu = point.mu
     nu = m * (1.0 - theta) / (mu + (1.0 - theta) ** 2)
-    a_const = m * (1.0 - theta) * nu
     centred = x - (1.0 - theta) * nu
-    b_const = theta / mu * centred * centred - theta * nu * nu
-    c_const = 2.0 * nu * centred
-    # m*nu and centred^2 overflow once |m| or |x| nears sqrt(max double) ~ 1e154,
-    # theta/mu once |alpha| is subnormal; a non-finite nu makes A non-finite
-    if not (cmath.isfinite(a_const) and cmath.isfinite(b_const) and cmath.isfinite(c_const)):
-        raise ParameterError(f"closed-form constants overflow at m={m!r}, x={x!r}, alpha={alpha}")
+    terms = (nu, m * (1.0 - theta) * nu, theta * (centred * centred - mu * nu * nu), 2.0 * nu * centred)
+    # m*nu and centred^2 overflow once |m| or |x| nears sqrt(max double) ~ 1e154;
+    # a non-finite nu makes A non-finite
+    if not all(map(cmath.isfinite, terms)):
+        raise ParameterError(f"closed-form constants overflow at m={m!r}, x={x!r}, alpha={point.alpha}")
+    return terms
+
+
+def constants(params: ModelParams, point: TransformPoint, x: float) -> ClosedFormConstants:
+    """Evaluate nu, A, B = (mu*B)/mu, C at (alpha, x).  Requires a finite x
+    and alpha != 0 (SingularConstantError); raises ParameterError when a
+    constant overflows (|m| or |x| near 1e154, or B alone at a tiny alpha)."""
+    nu, a_const, mu_b, c_const = _constants(params, point, x)
+    if point.alpha == 0:
+        raise SingularConstantError("B has a 1/(-2*alpha) pole at alpha == 0")
+    b_const = mu_b / point.mu
+    if not cmath.isfinite(b_const):
+        raise ParameterError(f"closed-form constant B overflows at m={params.m!r}, x={x!r}, alpha={point.alpha}")
     return ClosedFormConstants(nu=nu, A=a_const, B=b_const, C=c_const)
 
 
 def _alpha_stage(params: ModelParams, point: TransformPoint, x: float) -> tuple:
-    """(spectral, constants, Lambda, rate): the part of L_t that does not
-    depend on t, from one roots and one constants evaluation.
+    """(spectral, (nu, A, mu*B, C), Lambda, rate): the part of L_t that does
+    not depend on t, from one roots and one _constants evaluation.
 
-    At alpha == 0 spectral and constants are None.  Raises DomainError for
-    alpha outside D and ParameterError for a non-finite x or constants.
+    Raises DomainError for alpha outside D and ParameterError for a
+    non-finite x or constants.
     """
     check_finite("x", x)
-    theta = params.theta
-    alpha = point.alpha
-    if alpha == 0:
-        return None, None, complex(0.0), abs(theta)
     spectral = _in_domain_roots(params, point)
-    cf = constants(params, point, x)
-    drift = alpha * cf.A - 0.5 * spectral.log_lambda_plus
-    return spectral, cf, drift, abs(theta / spectral.lambda_plus)
+    cf = _constants(params, point, x)
+    drift = point.alpha * cf[1] - 0.5 * spectral.log_lambda_plus
+    return spectral, cf, drift, abs(params.theta / spectral.lambda_plus)
 
 
 def _overflow(what: str, params: ModelParams, x: float, alpha: complex, t: int | None) -> ParameterError:
@@ -180,9 +184,9 @@ def _overflow(what: str, params: ModelParams, x: float, alpha: complex, t: int |
     return ParameterError(f"{what} overflows at m={params.m!r}, x={x!r}, alpha={alpha}{where}")
 
 
-def _assemble(theta, x, alpha, spectral, cf, theta_minus_r, inv_psi, log_correction) -> tuple:
+def _assemble(theta, x, alpha, spectral, cf, q_t, inv_psi, log_correction) -> tuple:
     """(Sigma_t - A*t, log(exp(-t*Lambda)*L_t)) from the sequence terms."""
-    bounded = x * x + cf.B * theta_minus_r + cf.C * (theta - inv_psi)
+    bounded = x * x + cf[2] * q_t + cf[3] * (theta - inv_psi)
     # the t-proportional parts of log(L_t) and t*Lambda cancel analytically
     # and are never formed (subtracting two O(t) logs would lose ~t*eps)
     return bounded, -0.5 * (spectral.log_lambda_plus + log_correction) + alpha * bounded
@@ -194,9 +198,9 @@ def _horizon(ops, params: ModelParams, x: float, alpha: complex, stage: tuple, t
     of the horizon formulas, see spectral._sequence_terms for `regular`."""
     spectral, cf = stage[0], stage[1]
     theta = params.theta
-    theta_minus_r, inv_psi, log_correction, log_pi, regular = _sequence_terms(ops, theta, spectral, t)[:5]
-    bounded, log_normalized = _assemble(theta, x, alpha, spectral, cf, theta_minus_r, inv_psi, log_correction)
-    sigma = cf.A * t + bounded
+    q_t, inv_psi, log_correction, log_pi, regular = _sequence_terms(ops, theta, spectral, t)[:5]
+    bounded, log_normalized = _assemble(theta, x, alpha, spectral, cf, q_t, inv_psi, log_correction)
+    sigma = cf[1] * t + bounded
     return -0.5 * log_pi + alpha * sigma, sigma, log_normalized, regular
 
 
@@ -205,19 +209,16 @@ def _horizon_stage(params: ModelParams, point: TransformPoint, x: float, stage: 
     one horizon.
 
     t = None is the t -> inf limit: log L_t and Sigma_t are None and the
-    normalized log is log f_check.  Sigma_t is also None at alpha == 0.
-    Raises ParameterError where log L_t leaves the double range.
+    normalized log is log f_check.  Raises ParameterError where log L_t
+    leaves the double range.
     """
-    spectral, cf = stage[0], stage[1]
-    if spectral is None:  # alpha == 0
-        return complex(0.0), None, complex(0.0)
     alpha = point.alpha
     if t is None:
-        # theta - r_t -> theta*(lambda_+ - 1)/lambda_+, 1/psi_{t+1} -> 0, D_t -> beta_+
-        theta, lam_plus, beta_minus = params.theta, spectral.lambda_plus, spectral.beta_minus
-        theta_minus_r = theta * beta_minus * (lam_plus - spectral.lambda_minus) / lam_plus
-        log_correction = _log(spectral.beta_plus, -beta_minus)
-        return None, None, _assemble(theta, x, alpha, spectral, cf, theta_minus_r, 0.0, log_correction)[1]
+        # q_t -> theta/((1 - lambda_-)*lambda_+), 1/psi_{t+1} -> 0, D_t -> beta_+
+        theta, spectral = params.theta, stage[0]
+        q = theta / ((1.0 - spectral.lambda_minus) * spectral.lambda_plus)
+        log_correction = _log(spectral.beta_plus, -spectral.beta_minus)
+        return None, None, _assemble(theta, x, alpha, spectral, stage[1], q, 0.0, log_correction)[1]
     log_value, sigma, log_normalized, _ = _horizon(SCALAR_OPS, params, x, alpha, stage, t)
     if not cmath.isfinite(log_value):  # A*t beyond the double range (|m| near 1e152 at t = 10^6)
         raise _overflow("log L_t", params, x, alpha, t)
@@ -233,8 +234,6 @@ def _horizon_batch(params: ModelParams, point: TransformPoint, x: float, stage: 
     (an error row); error is the ParameterError of that first row, for the
     caller to raise once it has used the rows before it, or None.
     """
-    if stage[0] is None:  # alpha == 0: L_t = 1
-        return np.zeros(len(horizons), complex), np.ones(len(horizons), complex), np.full(len(horizons), True), None
     alpha = point.alpha
     t = np.array(horizons, dtype=float)
     with np.errstate(all="ignore"):
@@ -260,7 +259,7 @@ def _exp_normalized(log_normalized: complex, params: ModelParams, x: float, alph
 
 def _evaluate(params: ModelParams, point: TransformPoint, x: float, t: int | None) -> tuple:
     """(log L_t, Sigma_t, log(exp(-t*Lambda)*L_t), Lambda, rate): an alpha
-    stage and a horizon stage (see there for t = None and alpha == 0)."""
+    stage and a horizon stage (see there for t = None)."""
     if t is not None and t < 0:
         raise ValueError(f"horizon t must be >= 0, got {t}")
     stage = _alpha_stage(params, point, x)
@@ -270,26 +269,23 @@ def _evaluate(params: ModelParams, point: TransformPoint, x: float, t: int | Non
 
 def quadratic_coefficients(params: ModelParams, point: TransformPoint, t: int) -> tuple[complex, ...]:
     """(g0, g1, c2) with log L_t(alpha, x) = g0 + g1*(x - m) + c2*(x - m)^2 exactly: x enters
-    Sigma_t through x^2, B and C, with B' = 2*theta/mu*(x - (1-theta)*nu), B'' = 2*theta/mu
+    Sigma_t through x^2, mu*B and C, with (mu*B)' = 2*theta*(x - (1-theta)*nu), (mu*B)'' = 2*theta
     and C' = 2*nu.  One roots and one constants evaluation, at x = m; g0 is log L_t there."""
     if t < 0:
         raise ValueError(f"horizon t must be >= 0, got {t}")
     theta, m, alpha = params.theta, params.m, point.alpha
-    if alpha == 0:
-        return 0j, 0j, 0j
-    stage = (_in_domain_roots(params, point), constants(params, point, m))
-    theta_minus_r, inv_psi = _sequence_terms(SCALAR_OPS, theta, stage[0], t)[:2]
-    cf = stage[1]
-    b_slope = 2.0 * theta / point.mu * (m - (1.0 - theta) * cf.nu)
+    stage = _alpha_stage(params, point, m)
+    q_t, inv_psi = _sequence_terms(SCALAR_OPS, theta, stage[0], t)[:2]
+    nu = stage[1][0]
     g0 = _horizon(SCALAR_OPS, params, m, alpha, stage, t)[0]
-    g1 = alpha * (2.0 * m + b_slope * theta_minus_r + 2.0 * cf.nu * (theta - inv_psi))
-    return g0, g1, alpha * (1.0 + theta / point.mu * theta_minus_r)
+    g1 = alpha * (2.0 * m + 2.0 * theta * (m - (1.0 - theta) * nu) * q_t + 2.0 * nu * (theta - inv_psi))
+    return g0, g1, alpha * (1.0 + theta * q_t)
 
 
 def transform(params: ModelParams, point: TransformPoint, x: float, t: int) -> TransformValue:
     """Exact L_t(alpha, x), assembled as exp(-log(pi_t)/2 + alpha*Sigma_t).
 
-    alpha == 0 returns exactly 1.  Raises DomainError for alpha outside D.
+    alpha = 0 gives exactly 1.  Raises DomainError for alpha outside D.
     """
     log_value, sigma = _evaluate(params, point, x, t)[:2]
     value, overflow = _exp_checked(log_value)

@@ -20,8 +20,8 @@ class SingularSequenceError(ArithmeticError):
 
 
 class SingularConstantError(ZeroDivisionError):
-    """Closed-form constants requested at alpha == 0, where the B constant
-    has a 1/(-2 alpha) pole.  Callers special-case alpha == 0 instead."""
+    """Raised only by the public constants() at alpha == 0, where B has a
+    1/(-2 alpha) pole; the evaluation carries mu*B and never forms B."""
 
 
 class ConvergenceError(ArithmeticError):

@@ -120,8 +120,8 @@ def unconditional_transform(params: ModelParams, point: TransformPoint, t: int) 
 
     With log L_t(alpha, x) = g0 + g1*(x - m) + c2*(x - m)^2 exactly (quadratic_coefficients),
     this is (1 - 2*c2*v)^(-1/2) * exp(g0 + g1^2*v / (2*(1 - 2*c2*v))).  The integral exists iff
-    Re(1 - 2*c2*v) > 0, else ConvergenceError.  alpha == 0 gives exactly 1; alpha outside D
-    raises DomainError.
+    Re(1 - 2*c2*v) > 0, else ConvergenceError.  alpha = 0 gives exactly 1, and a subnormal
+    alpha evaluates; alpha outside D raises DomainError.
     """
     g0, g1, c2 = quadratic_coefficients(params, point, t)
     v = 1.0 / (1.0 - params.theta * params.theta)

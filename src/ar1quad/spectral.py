@@ -16,14 +16,15 @@ ratios, each by one O(1) closed form.  With w = lambda_-/lambda_+ =
 (theta/lambda_+)^2 and one bounded factor D_t = beta_+ + beta_-*w^(t+1):
 
     log pi_t    = (t+1)*log(lambda_+) + log(D_t)
-    theta - r_t = theta*beta_-*(1 - lambda_-)*(1 - w^t) / (lambda_+*D_t),  r_t = psi_t/psi_{t+1}
-    1/psi_{t+1} = (theta/lambda_+)^(t+1) / D_t.
+    q_t         = (theta - r_t)/mu = theta*(1 - w^t) / ((lambda_+ - lambda_-)*lambda_+*D_t)
+    1/psi_{t+1} = (theta/lambda_+)^(t+1) / D_t,
 
+with r_t = psi_t/psi_{t+1} and mu = -2*alpha: q_t has no pole at alpha = 0.
 beta_- vanishes like alpha and beta_+ + beta_- = 1, so near alpha = 0 the
 logs come through log1p from lambda_+ - 1 = beta_-*(lambda_+ - lambda_-)
 and D_t - 1 = beta_-*(w^(t+1) - 1), and 1 - w^t from expm1: no small
 quantity is a difference of nearly equal numbers.  At t = 0 the anchors
-pi_0 = 1 and r_0 = 1/psi_1 = theta hold exactly.  Raw psi/pi evaluation
+pi_0 = 1, r_0 = 1/psi_1 = theta and q_0 = 0 hold exactly.  Raw psi/pi evaluation
 is for cross-checks only and is capped at small indices.
 
 These formulas are written once, in _sequence_terms, over a small
@@ -279,19 +280,19 @@ ARRAY_OPS = SimpleNamespace(
 
 
 def _sequence_terms(ops: SimpleNamespace, theta: float, spectral: SpectralData, t):
-    """(theta - r_t, 1/psi_{t+1}, log D_t, log pi_t, regular, w^t, D_t) at
-    one horizon t (SCALAR_OPS) or an array of them (ARRAY_OPS).
+    """(q_t, 1/psi_{t+1}, log D_t, log pi_t, regular, w^t, D_t) at one
+    horizon t (SCALAR_OPS) or an array of them (ARRAY_OPS).
 
     The one text of the closed forms in the module docstring.  At t = 0 the
     anchors pi_0 = 1 (log pi_0 = 0, log D_0 = -log lambda_+) and
-    1/psi_1 = theta are exact, and theta - r_0 is exactly 0.  `regular` is
+    1/psi_1 = theta are exact, and q_0 is exactly 0.  `regular` is
     the guard's verdict: the scalar guard raises SingularSequenceError for a
     vanishing D_t or a non-finite result, the array guard returns the mask
     of rows where neither happened.
     """
     lam_plus, lam_minus = spectral.lambda_plus, spectral.lambda_minus
     beta_plus, beta_minus = spectral.beta_plus, spectral.beta_minus
-    # D_t needs w^t accurate when beta_+ is small (large |alpha|), theta - r_t w^t - 1
+    # D_t needs w^t accurate when beta_+ is small (large |alpha|), q_t w^t - 1
     w = lam_minus / lam_plus
     t_log_w = t * cmath.log(w)
     w_t, w_t_m1 = ops.exp(t_log_w), ops.expm1(t_log_w)
@@ -299,14 +300,14 @@ def _sequence_terms(ops: SimpleNamespace, theta: float, spectral: SpectralData, 
     ops.guard(t, d_t)
     # D_t - 1 = beta_-*(w^(t+1) - 1); w*(w^t - 1) and w - 1 share a sign for real w
     log_correction = ops.log(d_t, beta_minus * (w * w_t_m1 + (w - 1.0)))
-    theta_minus_r = -theta * beta_minus * (1.0 - lam_minus) * w_t_m1 / (lam_plus * d_t)
+    q_t = -theta * w_t_m1 / ((lam_plus - lam_minus) * lam_plus * d_t)
     inv_psi = ops.power(theta / lam_plus, t + 1) / d_t
     log_pi = (t + 1) * spectral.log_lambda_plus + log_correction
-    regular = ops.guard(t, d_t, inv_psi, theta_minus_r, log_pi)
+    regular = ops.guard(t, d_t, inv_psi, q_t, log_pi)
     inv_psi = ops.at_zero(t, complex(theta), inv_psi)
     log_correction = ops.at_zero(t, -spectral.log_lambda_plus, log_correction)
     log_pi = ops.at_zero(t, 0j, log_pi)
-    return theta_minus_r, inv_psi, log_correction, log_pi, regular, w_t, d_t
+    return q_t, inv_psi, log_correction, log_pi, regular, w_t, d_t
 
 
 def sequence_ratios(spectral: SpectralData, params: ModelParams, t: int) -> SequenceRatios:
@@ -321,13 +322,15 @@ def sequence_ratios(spectral: SpectralData, params: ModelParams, t: int) -> Sequ
         raise ValueError(f"horizon t must be >= 0, got {t}")
     if not spectral.in_domain:
         raise DomainError("sequence ratios are only defined inside the validity domain")
-    theta = params.theta
-    theta_minus_r, inv_psi, log_correction, log_pi, _, w_t, d_t = _sequence_terms(SCALAR_OPS, theta, spectral, t)
+    theta, lam_plus, lam_minus = params.theta, spectral.lambda_plus, spectral.lambda_minus
+    q_t, inv_psi, log_correction, log_pi, _, w_t, d_t = _sequence_terms(SCALAR_OPS, theta, spectral, t)
     if t == 0:
         r = complex(theta)
     else:
-        r = theta * (spectral.beta_plus + spectral.beta_minus * w_t) / (spectral.lambda_plus * d_t)
+        r = theta * (spectral.beta_plus + spectral.beta_minus * w_t) / (lam_plus * d_t)
         _guard(t, d_t, r)
+    # mu = beta_-*(1 - lambda_-)*(lambda_+ - lambda_-), free of the lambda_+ ~ 1 cancellation
+    theta_minus_r = q_t * spectral.beta_minus * (1.0 - lam_minus) * (lam_plus - lam_minus)
     return SequenceRatios(t, r, inv_psi, log_pi, theta_minus_r, log_correction)
 
 

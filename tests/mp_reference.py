@@ -14,11 +14,13 @@ from mpmath import mp
 BASE_DIGITS = 50
 
 
-def _digits(alpha: complex, t: int) -> int:
+def _digits(alpha: complex, t: int, level: float = 1.0) -> int:
     """Working digits that keep BASE_DIGITS after the lambda_+ ~ 1
-    cancellation (about -log10|alpha| digits) and the O(t) terms."""
+    cancellation (about -log10|alpha| digits), the O(t) terms, and the
+    terms of size level^2 = max(1, |m|, |x|)^2 that cancel in Sigma_t
+    (at t = 0, B*(theta - r_0) and C*(theta - 1/psi_1) must vanish)."""
     small = max(0.0, -math.log10(abs(alpha)))
-    return BASE_DIGITS + 10 + int(small) + int(math.log10(t + 2))
+    return BASE_DIGITS + 10 + int(small) + int(math.log10(t + 2)) + int(2 * math.log10(max(1.0, level)))
 
 
 def _roots(theta, alpha):
@@ -60,7 +62,7 @@ def sequence_ref(theta: float, alpha: complex, t: int) -> tuple[complex, complex
 def log_transform_ref(theta: float, m: float, x: float, alpha: complex, t: int) -> complex:
     """log L_t = -log(pi_t)/2 + alpha*Sigma_t, with log(pi_t) taken as
     (t+1)*log(lambda_+) + log(beta_+ + beta_-*(lambda_-/lambda_+)^(t+1))."""
-    with mp.workdps(_digits(alpha, t)):
+    with mp.workdps(_digits(alpha, t, max(abs(m), abs(x)))):
         th, m, x, a = mpmath.mpf(theta), mpmath.mpf(m), mpmath.mpf(x), _mp_alpha(alpha)
         lam_plus, lam_minus, beta_plus, beta_minus = _roots(th, a)
         log_pi = (t + 1) * mpmath.log(lam_plus) + mpmath.log(

@@ -10,10 +10,10 @@ import tracemalloc
 import pytest
 
 import ar1quad
-from ar1quad import ModelParams, TransformPoint, closed_form, ergodic_constants, roots, transform
+from ar1quad import ModelParams, TransformPoint, closed_form, ergodic_constants, roots, sigma_via_recursion, transform
 from ar1quad.cli import main
 
-from util import count_calls
+from util import count_calls, rel_err
 
 
 def run_cli(capsys, *argv):
@@ -30,7 +30,9 @@ def test_transform_alpha_zero(capsys):
     payload = json.loads(out)
     assert payload["value_re"] == 1.0
     assert payload["value_im"] == 0.0
-    assert payload["sigma_re"] is None
+    assert payload["log_value_re"] == 0.0
+    sigma = complex(payload["sigma_re"], payload["sigma_im"])
+    assert rel_err(sigma, sigma_via_recursion(ModelParams(0.5, 0.0), TransformPoint(0.0), 1.0, 7)) <= 1e-13
     assert payload["in_domain"] is True
 
 
@@ -311,12 +313,12 @@ def test_console_script_exits_141_when_reader_closes_pipe():
 
 def test_sweep_runs_roots_and_constants_once_per_alpha(monkeypatch):
     # 3 alphas (one outside D) x 1000 horizons: the per-alpha work is not per row
-    counts = count_calls(monkeypatch, closed_form, "roots", "constants")
+    counts = count_calls(monkeypatch, closed_form, "roots", "_constants")
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         code = main(["sweep", "--theta", "0.6", "--m", "1", "--x", "0.5", "--alpha=-0.3,0.9,-0.3",
                      "--alpha-im=0,0,0.2", "--t", "40000:40999"])
     assert code == 0
-    assert counts["roots"] <= 3 and counts["constants"] <= 3
+    assert counts["roots"] <= 3 and counts["_constants"] <= 3
 
 
 @pytest.mark.parametrize("level", [["--m", "1e200", "--x", "0.5"], ["--m", "1", "--x", "1e200"]])

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import pytest
@@ -17,8 +18,10 @@ from ar1quad import (
     roots,
     sigma_via_recursion,
     transform,
+    unconditional_transform,
 )
 from ar1quad import closed_form
+from ar1quad.cli import main
 from ar1quad.spectral import raw_psi
 
 from mp_reference import growth_rate_ref, log_transform_ref
@@ -58,10 +61,12 @@ def test_transform_at_horizon_zero_is_gaussian_factor(alpha, x):
 
 
 def test_transform_at_alpha_zero_is_exactly_one():
-    tv = transform(ModelParams(0.5, 0.0), TransformPoint(0.0), 1.0, 7)
+    params, point = ModelParams(0.5, 0.0), TransformPoint(0.0)
+    tv = transform(params, point, 1.0, 7)
     assert tv.value == 1.0
     assert tv.log_value == 0.0
-    assert tv.sigma_t is None
+    # Sigma_t is finite at alpha = 0: the evaluation carries mu*B, not B
+    assert rel_err(tv.sigma_t, sigma_via_recursion(params, point, 1.0, 7)) <= 1e-13
     assert not tv.overflow
 
 
@@ -94,10 +99,18 @@ def test_non_finite_start_raises_parameter_error(x, alpha):
 @pytest.mark.parametrize("m, x, alpha", [(1e200, 0.5, -0.3), (1.0, 1e200, -0.3),
                                          (1e150, 0.5, -1e-300), (-1e200, 0.5, complex(-0.3, 0.2))])
 def test_overflowing_constants_raise_parameter_error(m, x, alpha):
-    # m*nu, centred^2 or theta/mu*centred^2 leaves the double range: A, B, C would be inf or NaN
+    # m*nu or centred^2 leaves the double range: A, mu*B, C would be inf or NaN
     params, point = ModelParams(0.6, m), TransformPoint(alpha)
     with pytest.raises(ParameterError, match="overflow"):
         constants(params, point, x)
+    if alpha == -1e-300:
+        # only the public B = (mu*B)/mu ~ 1e599 overflows there; the evaluation never forms it
+        log_value = transform(params, point, x, 10).log_value
+        assert rel_err(log_value, log_transform_ref(0.6, m, x, alpha, 10)) <= 1e-13
+        assert cmath.isfinite(normalized_transform(params, point, x, 10))
+        assert cmath.isfinite(ergodic_constants(params, point, x).f_check)
+        assert 0 < fit_convergence_rate(params, point, x).ratio < 1
+        return
     with pytest.raises(ParameterError, match="overflow"):
         transform(params, point, x, 10)
     with pytest.raises(ParameterError, match="overflow"):
@@ -229,6 +242,52 @@ def test_small_alpha_keeps_full_relative_precision(theta, alpha):
     assert rel_err(drift, growth_rate_ref(theta, 1.0, alpha)) <= 1e-13
 
 
+def _floored_err(got, want) -> float:
+    """|got - want| / max(1, |want|): a relative error for a large value, an
+    absolute one near 0, where a subnormal alpha leaves few digits (-5e-324
+    is one quantum)."""
+    return abs(got - want) / max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("alpha", [-1e-310, -5e-324, complex(-1e-310, 1e-310)])
+@pytest.mark.parametrize("theta, m, x", [(0.6, 1.0, 3.0), (-0.8, 1.5, -1.0)])
+def test_subnormal_alpha_evaluates(capsys, theta, m, x, alpha):
+    # B = theta/mu*centred^2 - theta*nu^2 overflows at a subnormal alpha, yet
+    # L_t ~ 1: every entry point evaluates, and a one-alpha sweep exits 0
+    params, point = ModelParams(theta, m), TransformPoint(alpha)
+    horizons = (0, 10, 1000, 10**6)
+    want = [log_transform_ref(theta, m, x, alpha, t) for t in horizons]
+    for t, log_ref in zip(horizons, want):
+        assert _floored_err(transform(params, point, x, t).log_value, log_ref) <= 1e-13
+        assert cmath.isfinite(normalized_transform(params, point, x, t))
+        assert cmath.isfinite(unconditional_transform(params, point, t))
+    erg = ergodic_constants(params, point, x)
+    assert cmath.isfinite(erg.f_check)
+    assert _floored_err(erg.lambda_of_alpha, growth_rate_ref(theta, m, alpha)) <= 1e-13
+    point_args = [f"--theta={theta!r}", f"--m={m!r}", f"--x={x!r}", f"--alpha={point.alpha.real!r}",
+                  f"--alpha-im={point.alpha.imag!r}"]
+    assert main(["sweep", *point_args, "--t=" + ",".join(map(str, horizons))]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row["t"] for row in rows] == list(horizons) and all(row["error"] is None for row in rows)
+    for row, log_ref in zip(rows, want):
+        assert _floored_err(complex(row["log_L_re"], row["log_L_im"]), log_ref) <= 1e-13
+
+
+def test_tiny_alpha_at_a_large_level_evaluates():
+    # m = 1e150, alpha = -1e-15: B ~ 3e314 overflows, mu*B ~ 6e299 does not.
+    # log L_t ~ -1e285*t and Lambda are in range (L_t itself underflows)
+    params, point = ModelParams(0.6, 1e150), TransformPoint(-1e-15)
+    for t in (0, 10, 1000, 10**6):
+        tv = transform(params, point, 0.5, t)
+        assert _floored_err(tv.log_value, log_transform_ref(0.6, 1e150, 0.5, -1e-15, t)) <= 1e-13
+    assert unconditional_transform(params, point, 10) == 0
+    drift = closed_form._alpha_stage(params, point, 0.5)[2]
+    assert _floored_err(drift, growth_rate_ref(0.6, 1e150, -1e-15)) <= 1e-13
+    # f_check ~ exp(+1e285) is beyond the double range: that value overflows, not a constant
+    with pytest.raises(ParameterError, match="f_check overflows"):
+        ergodic_constants(params, point, 0.5)
+
+
 def test_ergodic_alpha_zero_special_case():
     erg = ergodic_constants(ModelParams(0.5, 0.7), TransformPoint(0.0), 0.3)
     assert erg.lambda_of_alpha == 0
@@ -311,10 +370,10 @@ def test_fitted_rate_runs_one_alpha_stage_with_unchanged_result(monkeypatch, the
     mean_t, mean_y = sum(p[0] for p in points) / n, sum(p[1] for p in points) / n
     sxy = sum((p[0] - mean_t) * (p[1] - mean_y) for p in points)
     sxx = sum((p[0] - mean_t) ** 2 for p in points)
-    counts = count_calls(monkeypatch, closed_form, "roots", "constants")
+    counts = count_calls(monkeypatch, closed_form, "roots", "_constants")
     fit = fit_convergence_rate(params, point, 0.5)
     assert (fit.ratio, fit.n_points) == (math.exp(sxy / sxx), n)
-    assert counts == {"roots": 1, "constants": 1}
+    assert counts == {"roots": 1, "_constants": 1}
 
 
 def test_transform_valid_for_positive_alpha_inside_domain():

@@ -5,7 +5,8 @@ import sys
 
 import numpy as np
 
-from ar1quad import ModelParams, TransformPoint, constants, domain_check, roots, sequence_ratios
+from ar1quad import ModelParams, TransformPoint, closed_form, domain_check, roots
+from ar1quad.spectral import SCALAR_OPS, _sequence_terms
 
 EPS = sys.float_info.epsilon
 
@@ -48,16 +49,15 @@ def term_sizes(params, point, x, t):
     evaluates its horizon cells with numpy's exp and log, the scalar
     functions with cmath's, and the two differ in the last bits, so the
     cells differ by a few eps times these sizes.  They shrink with alpha:
-    a relative loss of accuracy at small alpha does not hide below them."""
-    if point.alpha == 0:
-        return 0.0, 0.0  # log L_t = 0 and n = 1 exactly in both
+    a relative loss of accuracy at small alpha does not hide below them;
+    at alpha = 0 both are 0, and log L_t = 0, n = 1 must hold exactly."""
     spectral = roots(params, point)
-    seq = sequence_ratios(spectral, params, t)
-    cf = constants(params, point, x)
-    bounded = x * x + abs(cf.B * seq.theta_minus_r) + abs(cf.C * (params.theta - seq.inv_psi))
-    log_lambda_plus, log_correction = abs(spectral.log_lambda_plus), abs(seq.log_correction)
+    q_t, inv_psi, log_correction = _sequence_terms(SCALAR_OPS, params.theta, spectral, t)[:3]
+    _, a_const, mu_b, c_const = closed_form._constants(params, point, x)
+    bounded = x * x + abs(mu_b * q_t) + abs(c_const * (params.theta - inv_psi))
+    log_lambda_plus, log_correction = abs(spectral.log_lambda_plus), abs(log_correction)
     alpha = abs(point.alpha)
-    return (0.5 * ((t + 1) * log_lambda_plus + log_correction) + alpha * (abs(cf.A * t) + bounded),
+    return (0.5 * ((t + 1) * log_lambda_plus + log_correction) + alpha * (abs(a_const * t) + bounded),
             0.5 * (log_lambda_plus + log_correction) + alpha * bounded)
 
 
