@@ -193,15 +193,15 @@ def _assemble(theta, x, alpha, spectral, cf, q_t, inv_psi, log_correction) -> tu
 
 
 def _horizon(ops, params: ModelParams, x: float, alpha: complex, stage: tuple, t) -> tuple:
-    """(log L_t, Sigma_t, log(exp(-t*Lambda)*L_t), regular) at one horizon
-    t (SCALAR_OPS) or an array of them (ARRAY_OPS): the one text
-    of the horizon formulas, see spectral._sequence_terms for `regular`."""
+    """(log L_t, Sigma_t, log(exp(-t*Lambda)*L_t), regular, q_t, 1/psi_{t+1})
+    at one horizon t (SCALAR_OPS) or an array of them (ARRAY_OPS): the one
+    text of the horizon formulas, see spectral._sequence_terms for `regular`."""
     spectral, cf = stage[0], stage[1]
     theta = params.theta
     q_t, inv_psi, log_correction, log_pi, regular = _sequence_terms(ops, theta, spectral, t)[:5]
     bounded, log_normalized = _assemble(theta, x, alpha, spectral, cf, q_t, inv_psi, log_correction)
     sigma = cf[1] * t + bounded
-    return -0.5 * log_pi + alpha * sigma, sigma, log_normalized, regular
+    return -0.5 * log_pi + alpha * sigma, sigma, log_normalized, regular, q_t, inv_psi
 
 
 def _horizon_stage(params: ModelParams, point: TransformPoint, x: float, stage: tuple, t: int | None) -> tuple:
@@ -219,7 +219,7 @@ def _horizon_stage(params: ModelParams, point: TransformPoint, x: float, stage: 
         q = theta / ((1.0 - spectral.lambda_minus) * spectral.lambda_plus)
         log_correction = _log(spectral.beta_plus, -spectral.beta_minus)
         return None, None, _assemble(theta, x, alpha, spectral, stage[1], q, 0.0, log_correction)[1]
-    log_value, sigma, log_normalized, _ = _horizon(SCALAR_OPS, params, x, alpha, stage, t)
+    log_value, sigma, log_normalized = _horizon(SCALAR_OPS, params, x, alpha, stage, t)[:3]
     if not cmath.isfinite(log_value):  # A*t beyond the double range (|m| near 1e152 at t = 10^6)
         raise _overflow("log L_t", params, x, alpha, t)
     return log_value, sigma, log_normalized
@@ -237,7 +237,7 @@ def _horizon_batch(params: ModelParams, point: TransformPoint, x: float, stage: 
     alpha = point.alpha
     t = np.array(horizons, dtype=float)
     with np.errstate(all="ignore"):
-        log_value, _, log_normalized, regular = _horizon(ARRAY_OPS, params, x, alpha, stage, t)
+        log_value, _, log_normalized, regular = _horizon(ARRAY_OPS, params, x, alpha, stage, t)[:4]
         log_finite = np.isfinite(log_value)
         overflow = regular & (~log_finite | (log_normalized.real > _LOG_MAX))
         normalized = ARRAY_OPS.exp(log_normalized)
@@ -270,14 +270,14 @@ def _evaluate(params: ModelParams, point: TransformPoint, x: float, t: int | Non
 def quadratic_coefficients(params: ModelParams, point: TransformPoint, t: int) -> tuple[complex, ...]:
     """(g0, g1, c2) with log L_t(alpha, x) = g0 + g1*(x - m) + c2*(x - m)^2 exactly: x enters
     Sigma_t through x^2, mu*B and C, with (mu*B)' = 2*theta*(x - (1-theta)*nu), (mu*B)'' = 2*theta
-    and C' = 2*nu.  One roots and one constants evaluation, at x = m; g0 is log L_t there."""
+    and C' = 2*nu.  One roots, one constants and one sequence-terms evaluation, at x = m; g0 is
+    log L_t there."""
     if t < 0:
         raise ValueError(f"horizon t must be >= 0, got {t}")
     theta, m, alpha = params.theta, params.m, point.alpha
     stage = _alpha_stage(params, point, m)
-    q_t, inv_psi = _sequence_terms(SCALAR_OPS, theta, stage[0], t)[:2]
+    g0, _, _, _, q_t, inv_psi = _horizon(SCALAR_OPS, params, m, alpha, stage, t)
     nu = stage[1][0]
-    g0 = _horizon(SCALAR_OPS, params, m, alpha, stage, t)[0]
     g1 = alpha * (2.0 * m + 2.0 * theta * (m - (1.0 - theta) * nu) * q_t + 2.0 * nu * (theta - inv_psi))
     return g0, g1, alpha * (1.0 + theta * q_t)
 

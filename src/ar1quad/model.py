@@ -98,11 +98,19 @@ def conditional_covariance(params: ModelParams, t: int) -> np.ndarray:
     Entry (s, u), indexed from 1, is
     theta^|s-u| * (1 - theta^(2*min(s,u))) / (1 - theta^2).
     t = 0 returns an empty (0, 0) matrix.
+
+    Built as min(w_s, w_u) * theta^|s-u| / (1 - theta^2): w_s = 1 - theta^(2s)
+    never decreases with s, so the minimum is w_min(s,u), and the Toeplitz
+    factor is a window view of the power table, so no index array is formed.
     """
     if t < 0:
         raise ValueError(f"horizon t must be >= 0, got {t}")
     powers = params.theta ** np.arange(2 * t + 1)  # theta^k for every exponent used
-    idx = np.arange(1, t + 1)
-    lag = np.abs(idx[:, None] - idx[None, :])
-    low = np.minimum(idx[:, None], idx[None, :])
-    return powers[lag] * (1.0 - powers[2 * low]) / (1.0 - params.theta * params.theta)
+    # row s of the windows, read in reverse, is theta^|s-u| for u = 1..t
+    lags = np.concatenate((powers[t - 1 : 0 : -1], powers[:t]))
+    toeplitz = np.lib.stride_tricks.sliding_window_view(lags, t)[::-1]
+    w = 1.0 - powers[2::2]
+    cov = np.minimum.outer(w, w)
+    cov *= toeplitz
+    cov /= 1.0 - params.theta * params.theta
+    return cov

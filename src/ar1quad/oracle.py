@@ -6,8 +6,9 @@ machinery:
 * matrix_mgf: the Gaussian quadratic-form identity.  Conditionally on
   X_0 = x, (X_1..X_t) is normal with mean vector mu and covariance Sigma,
   so E[exp(alpha*S_t)] = exp(alpha*x^2) * det(I - 2*alpha*Sigma)^(-1/2)
-  * exp(alpha * mu' (I - 2*alpha*Sigma)^(-1) mu), with determinant and
-  solve both taken from one Cholesky factorization.
+  * exp(alpha * mu' (I - 2*alpha*Sigma)^(-1) mu).  One Cholesky
+  factorization of I - 2*alpha*Sigma bordered by the scaled mean mu/s
+  gives the determinant from its pivots and the solve from its last row.
 
 * monte_carlo_mgf: the empirical mean of exp(alpha*S_t) over simulated
   paths, with its standard error.
@@ -29,7 +30,7 @@ from typing import Literal
 
 import numpy as np
 
-from .closed_form import _exp_checked, quadratic_coefficients
+from .closed_form import _LOG_MAX, _exp_checked, _overflow, quadratic_coefficients
 from .errors import ConvergenceError
 from .model import ModelParams, check_finite, conditional_covariance
 from .spectral import TransformPoint
@@ -51,29 +52,46 @@ class OracleResult:
 def matrix_mgf(params: ModelParams, alpha: float, x: float, t: int) -> OracleResult:
     """E[exp(alpha*S_t) | X_0 = x] via the dense quadratic-form identity.
 
-    Positive definiteness of I - 2*alpha*Sigma is detected by Cholesky
-    failure (the factorization is being computed anyway); failure means
-    the moment generating function diverges at this alpha.
+    With M = I - 2*alpha*Sigma, s = max|mu| (1 if mu = 0) and b = mu/s,
+    one Cholesky factor L of the bordered matrix [[M, b], [b', big]], big
+    the largest double, gives both terms: its first t pivots are M's, so
+    log det M = 2*sum(log L_ii), and its last row is y = L^(-1) b, so
+    mu' M^(-1) mu = s^2*|y|^2.  The scaled border keeps
+    |y|^2 <= t/lambda_min(M), far below big, so the factorization fails
+    exactly when M is not positive definite: the moment generating
+    function diverges at this alpha (ConvergenceError).  It also keeps a
+    huge mean finite: alpha = 0 gives 1 and alpha < 0 gives 0 where
+    mu' M^(-1) mu overflows.  A value beyond the double range raises
+    ParameterError.
     """
     a = float(alpha)
     check_finite("x", x)
     if not 0 <= t <= MATRIX_MAX_T:
         raise ValueError(f"matrix oracle requires 0 <= t <= {MATRIX_MAX_T}, got {t}")
-    cov = conditional_covariance(params, t)
     mean = params.m + params.theta ** np.arange(1, t + 1) * (x - params.m)
-    mat = np.eye(t) - 2.0 * a * cov
+    scale = float(np.abs(mean).max(initial=0.0)) or 1.0
+    if not math.isfinite(scale):
+        raise _overflow("the conditional mean", params, x, a, t)
+    bordered = np.empty((t + 1, t + 1))
+    block = bordered[:t, :t]
+    np.multiply(conditional_covariance(params, t), -2.0 * a, out=block)
+    block.flat[:: t + 1] += 1.0  # the diagonal
+    np.divide(mean, scale, out=bordered[t, :t])
+    bordered[:t, t] = bordered[t, :t]
+    bordered[t, t] = np.finfo(float).max
     try:
-        factor = np.linalg.cholesky(mat)
+        factor = np.linalg.cholesky(bordered)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"I - 2*alpha*Sigma is not positive definite at alpha={a}: "
             "the moment generating function diverges"
         ) from exc
-    log_det = 2.0 * float(np.log(np.diag(factor)).sum())
-    y = np.empty(t)  # forward substitution: factor @ y = mean, so mean' mat^(-1) mean = |y|^2
-    for i in range(t):
-        y[i] = (mean[i] - factor[i, :i] @ y[:i]) / factor[i, i]
-    return OracleResult(value=math.exp(a * x * x - 0.5 * log_det + a * float(y @ y)), method="matrix")
+    log_det = 2.0 * float(np.log(factor.diagonal()[:t]).sum())
+    y = factor[t, :t]
+    log_value = a * x * x - 0.5 * log_det + (a * scale) * scale * float(y @ y)
+    if log_value > _LOG_MAX:
+        raise _overflow("L_t", params, x, a, t)
+    return OracleResult(value=math.exp(log_value), method="matrix")
 
 
 def monte_carlo_mgf(
@@ -97,10 +115,19 @@ def monte_carlo_mgf(
     rng = np.random.default_rng(seed)
     dev = np.full(n, x - params.m)
     total = np.full(n, x * x)
-    for _ in range(t):
-        dev = params.theta * dev + rng.standard_normal(n)
-        total += (dev + params.m) ** 2
-    values = np.exp(a * total)
+    step = np.empty(n)  # the step's normals, then its squared levels
+    with np.errstate(over="ignore"):
+        for _ in range(t):
+            rng.standard_normal(out=step)
+            dev *= params.theta
+            dev += step
+            np.add(dev, params.m, out=step)
+            np.square(step, out=step)
+            total += step
+    if not math.isfinite(total.max()):
+        raise _overflow("a sampled S_t", params, x, a, t)
+    np.multiply(total, a, out=total)
+    values = np.exp(total, out=total)
     return OracleResult(
         value=float(values.mean()),
         method="monte_carlo",

@@ -376,6 +376,19 @@ def test_fitted_rate_runs_one_alpha_stage_with_unchanged_result(monkeypatch, the
     assert counts == {"roots": 1, "_constants": 1}
 
 
+@pytest.mark.parametrize("theta, alpha, t", [(0.6, -0.3, 0), (-0.8, complex(-0.1, 0.1), 7), (0.95, -0.5, 10**6)])
+def test_quadratic_coefficients_evaluate_the_sequence_terms_once(monkeypatch, theta, alpha, t):
+    params, point = ModelParams(theta, 1.0), TransformPoint(alpha)
+    expected = closed_form.quadratic_coefficients(params, point, t)
+    counts = count_calls(monkeypatch, closed_form, "roots", "_constants", "_sequence_terms")
+    g0, g1, c2 = closed_form.quadratic_coefficients(params, point, t)
+    assert (g0, g1, c2) == expected
+    assert counts == {"roots": 1, "_constants": 1, "_sequence_terms": 1}
+    # g0 is log L_t at x = m, from the same terms
+    monkeypatch.undo()
+    assert g0 == transform(params, point, 1.0, t).log_value
+
+
 def test_transform_valid_for_positive_alpha_inside_domain():
     # D reaches slightly past 0 on the real axis; the closed form must keep
     # matching the oracle there

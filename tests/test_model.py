@@ -126,8 +126,9 @@ def test_covariance_symmetric_positive_definite(theta, t):
     np.linalg.cholesky(cov)  # raises if not positive definite
 
 
-@pytest.mark.parametrize("theta", [0.6, -0.8, 0.05, 0.95, -0.3])
-@pytest.mark.parametrize("t", [1, 7, 50])
+# at |theta| = 1 - eps/2, 1 - theta^(2s) is nearly flat in s
+@pytest.mark.parametrize("theta", [0.6, -0.8, 0.05, 0.95, -0.3, 0.9999999999999999, -0.9999999999999999])
+@pytest.mark.parametrize("t", [1, 7, 50, 300])
 def test_covariance_equals_entrywise_formula_bit_for_bit(theta, t):
     # every entry raises theta to its own exponents; the table must not change a bit
     idx = np.arange(1, t + 1)

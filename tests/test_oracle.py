@@ -13,6 +13,7 @@ from ar1quad import (
     ModelParams,
     ParameterError,
     TransformPoint,
+    conditional_covariance,
     domain_check,
     gauss_hermite_nodes,
     matrix_mgf,
@@ -62,12 +63,103 @@ def test_matrix_theta_sign_invariance():
         assert rel_err(plus, minus) < 1e-10
 
 
+def _dense_conditional_mgf(params, alpha, x, t):
+    # the identity through an LU log-determinant and a dense solve
+    cov = conditional_covariance(params, t)
+    mean = params.m + params.theta ** np.arange(1, t + 1) * (x - params.m)
+    mat = np.eye(t) - 2.0 * alpha * cov
+    sign, log_det = np.linalg.slogdet(mat)
+    assert sign > 0
+    return math.exp(alpha * x * x - 0.5 * log_det + alpha * mean @ np.linalg.solve(mat, mean))
+
+
+def _divergence_point(params, t):
+    # I - 2*alpha*Sigma is positive definite iff alpha < 1/(2*lambda_max(Sigma))
+    return 0.5 / np.linalg.eigvalsh(conditional_covariance(params, t))[-1]
+
+
+@pytest.mark.parametrize("t", [1, 50, 300, 500])
+@pytest.mark.parametrize("theta, m, x", [(0.6, 1.0, 0.5), (-0.8, 1.5, -2.0), (0.95, -0.7, 3.0)])
+def test_matrix_matches_dense_reference(theta, m, x, t):
+    params = ModelParams(theta, m)
+    # alpha < 0 with |alpha|*E[S_t] at most ~50, so exp's conditioning stays below 1e-12
+    v = 1.0 / (1.0 - theta * theta)
+    for alpha in (-1e-6, -min(0.3, 50.0 / ((t + 1) * (v + m * m))), 0.5 * _divergence_point(params, t)):
+        value = matrix_mgf(params, alpha, x, t).value
+        assert rel_err(value, _dense_conditional_mgf(params, alpha, x, t)) <= 1e-12, alpha
+
+
+@pytest.mark.parametrize("t", [1, 50, 300, 500])
+@pytest.mark.parametrize("theta", [0.6, -0.8, 0.95])
+def test_matrix_at_the_divergence_point(theta, t):
+    # a zero mean keeps the value finite as alpha nears the divergence point
+    params = ModelParams(theta, 0.0)
+    pole = _divergence_point(params, t)
+    alpha = 0.999999 * pole
+    mat = np.eye(t) - 2.0 * alpha * conditional_covariance(params, t)
+    # the smallest eigenvalue of mat is ~1e-6 of its largest: two backward-stable
+    # factorizations of mat may differ by ~eps*cond(mat) ~ 2e-10 in log det
+    tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(mat))
+    assert rel_err(matrix_mgf(params, alpha, 0.0, t).value, _dense_conditional_mgf(params, alpha, 0.0, t)) <= tol
+    with pytest.raises(ConvergenceError):
+        matrix_mgf(params, 1.000001 * pole, 0.0, t)
+    with pytest.raises(ConvergenceError):
+        matrix_mgf(ModelParams(theta, 1.5), 1.000001 * pole, 0.7, t)
+
+
+def test_matrix_huge_level_gives_the_limits():
+    # mu' (I - 2*alpha*Sigma)^(-1) mu ~ 1e400 overflows; the scaled mean does not
+    params = ModelParams(0.6, 1e200)
+    assert matrix_mgf(params, 0.0, 0.5, 10).value == 1.0
+    assert matrix_mgf(params, -0.3, 0.5, 10).value == 0.0
+    assert matrix_mgf(params, -1e-300, 0.5, 10).value == 0.0
+    with pytest.raises(ParameterError, match="overflow"):
+        matrix_mgf(params, 1e-300, 0.5, 10)
+
+
+def test_matrix_overflowing_value_raises_parameter_error():
+    # just inside the divergence point the true value exceeds the double range
+    params = ModelParams(0.6, 1.5)
+    alpha = 0.999 * _divergence_point(params, 20)
+    with pytest.raises(ParameterError, match="overflow"):
+        matrix_mgf(params, alpha, 0.7, 20)
+
+
+@pytest.mark.parametrize("m, x", [(1e308, -1e308), (-1.5e308, 1e308)])
+def test_matrix_overflowing_mean_raises_parameter_error(m, x):
+    with pytest.raises(ParameterError, match="overflow"):
+        matrix_mgf(ModelParams(0.6, m), -0.3, x, 3)
+
+
 def test_monte_carlo_deterministic_given_seed():
     params = ModelParams(0.6, 1.0)
     a = monte_carlo_mgf(params, -0.2, 0.0, 5, 10_000, seed=7)
     b = monte_carlo_mgf(params, -0.2, 0.0, 5, 10_000, seed=7)
     assert a == b
     assert a.method == "monte_carlo" and a.n_samples == 10_000
+
+
+@pytest.mark.parametrize("t, n, seed", [(0, 2, 0), (1, 10, 5), (7, 1000, 42), (27, 20_000, 2**32 - 1)])
+@pytest.mark.parametrize("theta, m, alpha, x", [(0.6, 1.0, -0.2, 0.3), (-0.8, -1.5, -0.01, -2.0)])
+def test_monte_carlo_replays_the_documented_loop(theta, m, alpha, x, t, n, seed):
+    # the seed contract: one standard_normal(n) per step, consumed in order
+    rng = np.random.default_rng(seed)
+    dev = np.full(n, x - m)
+    total = np.full(n, x * x)
+    for _ in range(t):
+        dev = theta * dev + rng.standard_normal(n)
+        total += (dev + m) ** 2
+    values = np.exp(alpha * total)
+    res = monte_carlo_mgf(ModelParams(theta, m), alpha, x, t, n, seed)
+    assert (res.value, res.stderr) == (float(values.mean()), float(values.std(ddof=1) / math.sqrt(n)))
+
+
+@pytest.mark.parametrize("m, x", [(1e200, 0.5), (0.0, 1e200)])
+@pytest.mark.parametrize("alpha", [0.0, -0.3])
+def test_monte_carlo_overflowing_paths_raise_parameter_error(m, x, alpha):
+    # a sampled S_t beyond the double range, as the closed form's constants are there
+    with pytest.raises(ParameterError, match="overflow"):
+        monte_carlo_mgf(ModelParams(0.6, m), alpha, x, 5, 100, seed=1)
 
 
 def test_monte_carlo_exact_cases():
