@@ -7,7 +7,10 @@ diagnostics go to stderr.  Floats are printed with 17 significant digits so
 that parsing the output reproduces them bit for bit.  A sweep evaluates
 its horizons (ranges and single values alike, in grid order) in chunks of
 at most 256 rows, one numpy pass per chunk, and writes each chunk as soon
-as it is computed: memory stays flat in the grid size.
+as it is computed: memory stays flat in the grid size.  A value column
+whose cells in a chunk all have the same bits (a normalized value past
+the mixing horizon, the zero imaginary parts of a real alpha) is
+formatted once for the chunk, not once per row.
 """
 
 from __future__ import annotations
@@ -181,18 +184,44 @@ def _sweep_template(cells, csv: bool) -> str:
     return "{" + ", ".join(f'"{k}": {c}' for k, c in zip(_SWEEP_FIELDS, cells)) + "}\n"
 
 
+def _bit_constant(column: list, values: np.ndarray) -> bool:
+    """True if every cell of a value column has the bits of the first.
+    list.count compares with ==, which holds between 0.0 and -0.0 (they
+    print as 0 and -0), so a zero column must also have one sign."""
+    first = column[0]
+    if column.count(first) != len(column):
+        return False
+    return first != 0.0 or np.count_nonzero(np.signbit(values)) in (0, len(column))
+
+
 def _sweep_chunk(templates, horizons: list[int], log_value, normalized, regular) -> str:
-    """The lines of one evaluated chunk: all through the %.17g template
-    when every cell is finite (%.17g prints what _fmt does), else row by
-    row, an error row where D_t vanishes and the cells through _fmt."""
-    row, fallback, error_row = templates
-    columns = (log_value.real.tolist(), log_value.imag.tolist(), normalized.real.tolist(), normalized.imag.tolist())
-    if np.count_nonzero(regular) == len(horizons) and np.isfinite(normalized).all():
-        cells = [None] * (5 * len(horizons))
-        cells[0::5] = horizons
-        for k, column in enumerate(columns, 1):
-            cells[k::5] = column
-        return (row * len(horizons)) % tuple(cells)
+    """The lines of one evaluated chunk.
+
+    When every cell is finite, all rows go through one %-template for the
+    chunk (%.17g prints what _fmt does): the per-alpha row template split
+    at its four value slots, with each value column whose cells all have
+    the same bits (a converged normalized value, the zero imaginary parts
+    of a real alpha) formatted once into its slot, and a %.17g slot for
+    each other column.  Otherwise row by row, an error row where D_t
+    vanishes and the cells through _fmt.
+    """
+    pieces, fallback, error_row = templates
+    arrays = (log_value.real, log_value.imag, normalized.real, normalized.imag)
+    columns = [values.tolist() for values in arrays]
+    n = len(horizons)
+    if n and np.count_nonzero(regular) == n and np.isfinite(normalized).all():
+        template, varying = pieces[0], [horizons]
+        for column, values, piece in zip(columns, arrays, pieces[1:]):
+            if _bit_constant(column, values):
+                template += format(column[0], ".17g") + piece
+            else:
+                template += "%.17g" + piece
+                varying.append(column)
+        width = len(varying)
+        cells = [None] * (width * n)
+        for k, column in enumerate(varying):
+            cells[k::width] = column
+        return (template * n) % tuple(cells)
     lines = []
     for t, ok, *values in zip(horizons, regular.tolist(), *columns):
         lines.append(fallback % (t, *map(_fmt, values)) if ok else error_row % t)
@@ -207,8 +236,10 @@ def cmd_sweep(args) -> int:
     stage then runs over chunks of at most _SWEEP_CHUNK horizons of the
     t grid, taken across its entries, in one numpy pass, and each chunk is
     written at once: the five cells fixed per alpha come from a per-alpha
-    template.  A row whose log L_t or normalized value overflows ends the
-    sweep (ParameterError) after the rows before it.
+    template, kept as its pieces between the four value slots, and
+    _sweep_chunk fills the slots of each chunk.  A row whose log L_t or
+    normalized value overflows ends the sweep (ParameterError) after the
+    rows before it.
     """
     alphas = _parse_alpha_grid(args.alpha, args.alpha_im)
     t_grid = _parse_t_grid(args.t)
@@ -228,9 +259,9 @@ def cmd_sweep(args) -> int:
             plans.append((point, None, (None, None, error_row)))
             continue
         tail = [cell(stage[2].real), cell(stage[3]), cell(None)]
-        row = _sweep_template(head + ["%.17g"] * 4 + tail, csv)
+        pieces = _sweep_template(head + ["%.17g"] * 4 + tail, csv).split("%.17g")
         fallback = _sweep_template(head + ["%s"] * 4 + tail, csv)
-        plans.append((point, stage, (row, fallback, error_row)))
+        plans.append((point, stage, (pieces, fallback, error_row)))
     write = sys.stdout.write
     if csv:
         write(",".join(_SWEEP_FIELDS) + "\n")

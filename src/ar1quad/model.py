@@ -24,7 +24,8 @@ from .errors import ParameterError
 
 
 def check_finite(name: str, value: float) -> None:
-    """Raise ParameterError unless value (the level m, a start value x) is finite."""
+    """Raise ParameterError unless value (the level m, a start value x, an
+    oracle's alpha) is finite."""
     if not math.isfinite(value):
         raise ParameterError(f"{name} must be finite, got {value!r}")
 

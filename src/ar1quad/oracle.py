@@ -61,10 +61,11 @@ def matrix_mgf(params: ModelParams, alpha: float, x: float, t: int) -> OracleRes
     exactly when M is not positive definite: the moment generating
     function diverges at this alpha (ConvergenceError).  It also keeps a
     huge mean finite: alpha = 0 gives 1 and alpha < 0 gives 0 where
-    mu' M^(-1) mu overflows.  A value beyond the double range raises
-    ParameterError.
+    mu' M^(-1) mu overflows.  A non-finite alpha or x, and a value beyond
+    the double range, raise ParameterError.
     """
     a = float(alpha)
+    check_finite("alpha", a)
     check_finite("x", x)
     if not 0 <= t <= MATRIX_MAX_T:
         raise ValueError(f"matrix oracle requires 0 <= t <= {MATRIX_MAX_T}, got {t}")
@@ -100,11 +101,12 @@ def monte_carlo_mgf(
     """Sample mean and standard error of exp(alpha*S_t) over n paths.
 
     Requires alpha <= 0 so the integrand is bounded by 1 and the estimator
-    has finite variance.  Paths are driven by default_rng(seed) with one
-    standard-normal vector of length n per step, so results are
-    deterministic given the seed.
+    has finite variance; a non-finite alpha or x raises ParameterError.
+    Paths are driven by default_rng(seed) with one standard-normal vector
+    of length n per step, so results are deterministic given the seed.
     """
     a = float(alpha)
+    check_finite("alpha", a)
     check_finite("x", x)
     if a > 0:
         raise ValueError(f"need alpha <= 0 for a bounded integrand, got {a}")

@@ -46,7 +46,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DomainBoundaryError, DomainError, SingularSequenceError
+from .errors import DomainBoundaryError, DomainError, ParameterError, SingularSequenceError
 from .model import ModelParams
 
 # Strict-inequality margin for the root-modulus tests; boundary points are
@@ -60,12 +60,18 @@ RAW_INDEX_MAX = 51
 
 @dataclass(frozen=True)
 class TransformPoint:
-    """A transform argument alpha together with its alias mu = -2*alpha."""
+    """A transform argument alpha together with its alias mu = -2*alpha.
+
+    A non-finite alpha raises ParameterError: it has no transform to be
+    inside or outside the validity domain of."""
 
     alpha: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
+        alpha = complex(self.alpha)
+        if not cmath.isfinite(alpha):
+            raise ParameterError(f"alpha must be finite, got {alpha!r}")
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def mu(self) -> complex:
@@ -153,8 +159,10 @@ def roots(params: ModelParams, point: TransformPoint) -> SpectralData:
 def domain_check(params: ModelParams, point: TransformPoint) -> bool:
     """True iff |lambda_-|/|theta| < 1 < |lambda_+|/|theta| strictly.
 
-    Every alpha on the real interval (-inf, 0] passes.  Boundary points
-    (including equal-modulus root pairs) return False rather than raising.
+    Every finite alpha on the real interval (-inf, 0] passes.  Boundary
+    points (including equal-modulus root pairs) return False rather than
+    raising.  A non-finite alpha never gets here: TransformPoint rejects it
+    with ParameterError.
     """
     try:
         return roots(params, point).in_domain
@@ -172,12 +180,21 @@ def _int_power(base: complex, n: int) -> complex:
 
 
 def _expm1(z: complex) -> complex:
-    """exp(z) - 1, accurate to a few ulps also for small |z|."""
+    """exp(z) - 1, accurate to a few ulps also for small |z|.
+
+    For Re z <= -1, e^x*cos(y) - 1 has no cancellation and is exactly -1
+    once e^x no longer moves 1, as for a real z; the small-|z| form would
+    wander by an ulp or two there."""
     x, y = z.real, z.imag
     if y == 0.0:
         return complex(math.expm1(x), y)
-    half_sin = math.sin(0.5 * y)
-    return complex(math.expm1(x) * math.cos(y) - 2.0 * half_sin * half_sin, math.exp(x) * math.sin(y))
+    exp_x = math.exp(x)
+    if x <= -1.0:
+        re = exp_x * math.cos(y) - 1.0
+    else:
+        half_sin = math.sin(0.5 * y)
+        re = math.expm1(x) * math.cos(y) - 2.0 * half_sin * half_sin
+    return complex(re, exp_x * math.sin(y))
 
 
 def _log(value: complex, excess: complex) -> complex:
@@ -216,12 +233,21 @@ def _complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def _array_expm1(z: np.ndarray) -> np.ndarray:
-    """_expm1 elementwise; a real z (every imaginary part 0) stays real."""
+    """_expm1 elementwise; a real z (every imaginary part 0) stays real, and
+    the form that no element takes is not evaluated."""
     x, y = z.real, z.imag
     if not np.count_nonzero(y):
         return np.expm1(x)
-    half_sin = np.sin(0.5 * y)
-    return _complex_array(np.expm1(x) * np.cos(y) - 2.0 * half_sin * half_sin, np.exp(x) * np.sin(y))
+    exp_x, cos_y = np.exp(x), np.cos(y)
+    far = x <= -1.0
+    n_far = np.count_nonzero(far)
+    if n_far:
+        re = exp_x * cos_y - 1.0
+    if n_far < far.size:
+        half_sin = np.sin(0.5 * y)
+        near = np.expm1(x) * cos_y - 2.0 * half_sin * half_sin
+        re = np.where(far, re, near) if n_far else near
+    return _complex_array(re, exp_x * np.sin(y))
 
 
 def _array_log(value: np.ndarray, excess: np.ndarray) -> np.ndarray:

@@ -96,6 +96,15 @@ def test_non_finite_start_exits_64(capsys, x):
         assert out == "" and "x must be finite" in err
 
 
+@pytest.mark.parametrize("alpha", [["--alpha", "nan"], ["--alpha=-inf"], ["--alpha", "-0.3", "--alpha-im", "inf"]])
+def test_non_finite_alpha_exits_64(capsys, alpha):
+    # invalid input, not an out-of-domain point (exit 2) or error rows (exit 0)
+    for command, extra in (("transform", ["--t", "5"]), ("ergodic", []), ("sweep", ["--t", "1:3"])):
+        code, out, err = run_cli(capsys, command, "--theta", "0.6", "--m", "1", "--x", "0.5", *alpha, *extra)
+        assert code == 64, command
+        assert out == "" and "alpha must be finite" in err
+
+
 def test_ergodic_reference_value(capsys):
     code, out, _ = run_cli(
         capsys, "ergodic", "--theta", "0.5", "--m", "0", "--x", "0", "--alpha", "-0.5"
@@ -284,7 +293,8 @@ def test_sweep_memory_does_not_grow_with_the_grid():
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("bad", [["--x", "nan", "--t", "1:3"], ["--x", "0.5", "--t=1,-2"],
-                                 ["--x", "0.5", "--t", "5:3"]])
+                                 ["--x", "0.5", "--t", "5:3"], ["--x", "0.5", "--alpha=-0.3,nan", "--t", "1:3"],
+                                 ["--x", "0.5", "--alpha-im=0,-inf", "--t", "1:3"]])
 def test_sweep_usage_error_prints_nothing(capsys, fmt, bad):
     # a streaming sweep must fail before its CSV header or its first row
     code, out, err = run_cli(

@@ -267,6 +267,18 @@ def test_oracles_reject_non_finite_start(x):
         monte_carlo_mgf(params, -0.3, x, 10, 100, seed=1)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_oracles_reject_non_finite_alpha(alpha):
+    # loud, not a NaN value or an out-of-domain verdict
+    params = ModelParams(0.6, 1.0)
+    with pytest.raises(ParameterError, match="alpha must be finite"):
+        matrix_mgf(params, alpha, 0.5, 10)
+    with pytest.raises(ParameterError, match="alpha must be finite"):
+        monte_carlo_mgf(params, alpha, 0.5, 10, 100, seed=1)
+    with pytest.raises(ParameterError, match="alpha must be finite"):
+        unconditional_transform(params, TransformPoint(alpha), 10)
+
+
 @pytest.mark.parametrize("m", [1e200, -1e200])
 def test_unconditional_rejects_overflowing_constants(m):
     with pytest.raises(ParameterError, match="overflow"):

@@ -1,12 +1,16 @@
 import cmath
 import math
+import sys
 
+import mpmath
+import numpy as np
 import pytest
 
 from ar1quad import (
     DomainBoundaryError,
     DomainError,
     ModelParams,
+    ParameterError,
     SingularSequenceError,
     SpectralData,
     TransformPoint,
@@ -14,7 +18,7 @@ from ar1quad import (
     roots,
     sequence_ratios,
 )
-from ar1quad.spectral import raw_pi, raw_psi
+from ar1quad.spectral import _array_expm1, _expm1, raw_pi, raw_psi
 
 from mp_reference import sequence_ref
 from util import alpha_grid_in_domain, rel_err
@@ -24,6 +28,13 @@ def test_transform_point_mu_alias():
     point = TransformPoint(complex(-0.3, 0.4))
     assert point.mu == complex(0.6, -0.8)
     assert TransformPoint(-1.0).alpha == complex(-1.0)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, complex(-0.3, math.nan), complex(-0.3, -math.inf)])
+def test_non_finite_alpha_raises_parameter_error(alpha):
+    # no transform to be inside or outside the validity domain of
+    with pytest.raises(ParameterError, match="alpha must be finite"):
+        TransformPoint(alpha)
 
 
 def test_roots_at_alpha_zero_are_one_and_theta_squared():
@@ -225,3 +236,22 @@ def test_negative_horizon_rejected():
     spectral = roots(params, TransformPoint(-0.5))
     with pytest.raises(ValueError):
         sequence_ratios(spectral, params, -1)
+
+
+@pytest.mark.parametrize("y", [0.1, 1.5, 2.2, 2.5, 3.0, -0.7])
+def test_expm1_is_exactly_minus_one_once_exp_underflows(y):
+    # w^t - 1 for a complex w at a large t: e^x no longer moves 1, so the
+    # real part is exactly -1 (as for a real w), not -1 give or take an ulp
+    z = complex(-800.0, y)
+    assert _expm1(z).real == -1.0
+    assert _array_expm1(np.array([z, complex(-40.0, y)])).real.tolist() == [-1.0, -1.0]
+
+
+@pytest.mark.parametrize("x", [-800.0, -40.0, -1.5, -1.0, -0.999, -0.5, -1e-8, 0.3])
+@pytest.mark.parametrize("y", [1e-9, 0.7, 2.5, -3.0])
+def test_expm1_keeps_relative_precision_on_both_sides_of_re_z_minus_one(x, y):
+    z = complex(x, y)
+    with mpmath.workdps(40):
+        exact = complex(mpmath.expm1(mpmath.mpc(x, y)))
+    for value in _expm1(z), complex(_array_expm1(np.array([z, complex(-5.0, y), complex(0.1, y)]))[0]):
+        assert abs(value - exact) <= 4 * sys.float_info.epsilon * abs(exact)

@@ -4,7 +4,9 @@ horizons in one numpy pass (closed_form._horizon_batch over ARRAY_OPS).
 The scalar functions are the reference: a batch row agrees with them within
 the conditioning of log L_t and of exp(log n) (numpy's exp and log differ
 from cmath's in the last bits), exactly at t = 0, and row for row in which
-rows are error rows and where an overflow ends the sweep.
+rows are error rows and where an overflow ends the sweep.  The writer's
+reference is the rendering of every cell through _fmt / _csv_cell: its
+output must be those bytes.
 """
 
 import contextlib
@@ -12,6 +14,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ar1quad import (
@@ -173,3 +176,109 @@ def test_log_overflow_inside_a_chunk_prints_the_rows_before_it(before):
         assert within_conditioning(cells(row), expected, term_sizes(params, point, 0.5, row["t"]))
     assert err.count("\n") == 1 and err.startswith("ar1quad: error: log L_t overflows")
     assert f"t={first}" in err
+
+
+def sweep_text(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["sweep", *argv])
+    assert code == 0
+    return out.getvalue()
+
+
+def rendered(theta, m, x, alphas, t_text, fmt, batch=closed_form._horizon_batch):
+    """The sweep's output rendered row by row and cell by cell through
+    _fmt / _csv_cell, as the writer's fallback does, from the values of the
+    same chunks."""
+    params = ModelParams(theta, m)
+    csv = fmt == "csv"
+    cell = cli._csv_cell if csv else cli._fmt
+
+    def line(values):
+        if csv:
+            return ",".join(map(cell, values)) + "\n"
+        return "{" + ", ".join(f'"{k}": {cell(v)}' for k, v in zip(cli._SWEEP_FIELDS, values)) + "}\n"
+
+    horizons = [t for entry in cli._parse_t_grid(t_text) for t in entry]
+    lines = [",".join(cli._SWEEP_FIELDS) + "\n"] if csv else []
+    for alpha in alphas:
+        point = TransformPoint(alpha)
+        error = [None] * 6 + ["out_of_domain"]
+        try:
+            stage = closed_form._alpha_stage(params, point, x)
+        except DomainError:
+            lines += [line([alpha.real, alpha.imag, t, *error]) for t in horizons]
+            continue
+        for k in range(0, len(horizons), cli._SWEEP_CHUNK):
+            chunk = horizons[k:k + cli._SWEEP_CHUNK]
+            log_value, normalized, regular, _ = batch(params, point, x, stage, chunk)
+            columns = (log_value.real, log_value.imag, normalized.real, normalized.imag)
+            for t, ok, *values in zip(chunk, regular.tolist(), *(c.tolist() for c in columns)):
+                tail = [*values, stage[2].real, stage[3], None] if ok else error
+                lines.append(line([alpha.real, alpha.imag, t, *tail]))
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("alphas, t_text", [
+    # converged: constant normalized columns (also for the complex alpha)
+    ([-0.3, complex(-0.3, 0.4), complex(-1.0, -0.25)], "40000:40149"),
+    # the first chunk straddles convergence, the second is converged
+    ([-0.3, complex(-0.05, 0.2), 0.9], "0:300"),
+    # alpha = -0.0 and 0.0: every cell 0 or -0; a one-horizon grid
+    ([-0.0, 0.0, complex(-0.0, -0.0)], "0:20"),
+    ([-0.3, complex(-0.3, 0.4), -0.0], "5"),
+    # a list grid across two chunks, with t = 0 inside the second
+    ([-1e-300, complex(-2.0, 1.0)], ",".join(map(str, range(1, 2600, 10))) + ",0,1000000"),
+])
+def test_sweep_output_is_the_cell_by_cell_rendering(alphas, t_text, fmt):
+    # the fast path writes a chunk through one template, with bit-constant
+    # columns formatted once; the bytes must be those of _fmt on every cell
+    alphas = [complex(a) for a in alphas]
+    text = sweep_text("--theta=0.6", "--m=1.0", "--x=0.5", "--alpha=" + ",".join(repr(a.real) for a in alphas),
+                      "--alpha-im=" + ",".join(repr(a.imag) for a in alphas), f"--t={t_text}", f"--format={fmt}")
+    assert text == rendered(0.6, 1.0, 0.5, alphas, t_text, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_output_with_a_vanishing_d_t_is_the_cell_by_cell_rendering(monkeypatch, fmt):
+    # the crafted roots of test_vanishing_d_t_prints_an_error_row: an error
+    # row at t = 1 sends the chunk down the row-by-row path
+    crafted = SpectralData(lambda_plus=complex(2.0), lambda_minus=complex(1.0),
+                           beta_plus=complex(-1.0 / 3.0), beta_minus=complex(4.0 / 3.0), in_domain=True)
+    monkeypatch.setattr(closed_form, "roots", lambda params, point: crafted)
+    text = sweep_text("--theta=0.5", "--m=0", "--x=0.5", "--alpha=-0.3,-0.2", "--alpha-im=0,0.1", "--t=0:5",
+                      f"--format={fmt}")
+    assert "out_of_domain" in text
+    assert text == rendered(0.5, 0.0, 0.5, [complex(-0.3), complex(-0.2, 0.1)], "0:5", fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_bit_constant_columns_are_tested_on_bits(monkeypatch, fmt):
+    # 0.0 == -0.0, but they print as 0 and -0: a zero column with both signs
+    # (log_L_im) is not constant, one with a single sign is, whichever it is
+    # (normalized_re -0, normalized_im 0)
+    log_value = np.array([complex(1.5, 0.0), complex(2.5, -0.0), complex(3.5, 0.0)])
+    normalized = np.array([complex(-0.0, 0.0)] * 3)
+
+    def crafted(params, point, x, stage, horizons):
+        return log_value, normalized, np.ones(3, bool), None
+
+    monkeypatch.setattr(cli, "_horizon_batch", crafted)
+    text = sweep_text("--theta=0.6", "--m=1.0", "--x=0.5", "--alpha=-0.3", "--t=1:3", f"--format={fmt}")
+    assert text == rendered(0.6, 1.0, 0.5, [complex(-0.3)], "1:3", fmt, batch=crafted)
+    if fmt == "csv":
+        assert [row.split(",")[4:7] for row in text.splitlines()[1:]] == [["0", "-0", "0"], ["-0", "-0", "0"],
+                                                                          ["0", "-0", "0"]]
+
+
+@pytest.mark.parametrize("theta, alpha", [(0.6, complex(-0.3, 0.4)), (0.6, complex(-0.05, 0.2)),
+                                          (-0.8, complex(-1.0, -0.25)), (0.9, complex(-0.3, 0.1))])
+def test_converged_complex_rows_have_one_normalized_value(theta, alpha):
+    # past the mixing horizon w^t underflows, so w^t - 1 is exactly -1 and
+    # exp(-t*Lambda)*L_t is the same double in every row, as for a real alpha
+    code, rows, _ = sweep(f"--theta={theta}", "--m=1", "--x=0.5", f"--alpha={alpha.real}",
+                          f"--alpha-im={alpha.imag}", "--t=40000:40149")
+    assert code == 0 and len(rows) == 150
+    assert len({row["normalized_re"] for row in rows}) == 1
+    assert len({row["normalized_im"] for row in rows}) == 1
