@@ -50,10 +50,9 @@ _SWEEP_CHUNK = 256
 
 
 # stock argparse only treats plain decimals as negative numbers, which would
-# reject values like "-1e-9" or "-0.3,-0.5" as unknown options
-_NEGATIVE_VALUE = re.compile(
-    r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?(,-?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?)*$"
-)
+# reject values like "-1e-9", "-0.3,-0.5" or "-inf" as unknown options; a
+# value is whatever starts like a negative number, and float() checks the rest
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,7 +68,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(value) -> str:
     """JSON-compatible scalar at 17 significant digits (exact round-trip)."""
-    if type(value) is float and math.isfinite(value):  # nearly every sweep cell: no dispatch
+    if type(value) is float and math.isfinite(value):  # nearly every cell: no dispatch
         return format(value, ".17g")
     if value is None:
         return "null"
@@ -195,37 +194,34 @@ def _bit_constant(column: list, values: np.ndarray) -> bool:
 
 
 def _sweep_chunk(templates, horizons: list[int], log_value, normalized, regular) -> str:
-    """The lines of one evaluated chunk.
+    """The lines of one evaluated chunk ("" for an empty one).
 
-    When every cell is finite, all rows go through one %-template for the
-    chunk (%.17g prints what _fmt does): the per-alpha row template split
-    at its four value slots, with each value column whose cells all have
-    the same bits (a converged normalized value, the zero imaginary parts
-    of a real alpha) formatted once into its slot, and a %.17g slot for
-    each other column.  Otherwise row by row, an error row where D_t
-    vanishes and the cells through _fmt.
+    An error row where D_t vanishes; every other row through one
+    %-template for the chunk (its cells are finite, and %.17g prints what
+    _fmt does): the per-alpha row template split at its four value slots,
+    with each value column whose cells all have the same bits (a converged
+    normalized value, the zero imaginary parts of a real alpha) formatted
+    once into its slot, and a %.17g slot for each other column.
     """
-    pieces, fallback, error_row = templates
-    arrays = (log_value.real, log_value.imag, normalized.real, normalized.imag)
-    columns = [values.tolist() for values in arrays]
+    pieces, error_row = templates
     n = len(horizons)
-    if n and np.count_nonzero(regular) == n and np.isfinite(normalized).all():
-        template, varying = pieces[0], [horizons]
-        for column, values, piece in zip(columns, arrays, pieces[1:]):
-            if _bit_constant(column, values):
-                template += format(column[0], ".17g") + piece
-            else:
-                template += "%.17g" + piece
-                varying.append(column)
-        width = len(varying)
-        cells = [None] * (width * n)
-        for k, column in enumerate(varying):
-            cells[k::width] = column
-        return (template * n) % tuple(cells)
-    lines = []
-    for t, ok, *values in zip(horizons, regular.tolist(), *columns):
-        lines.append(fallback % (t, *map(_fmt, values)) if ok else error_row % t)
-    return "".join(lines)
+    if not n:
+        return ""
+    template, varying = pieces[0], [horizons]
+    for values, piece in zip((log_value.real, log_value.imag, normalized.real, normalized.imag), pieces[1:]):
+        column = values.tolist()
+        if _bit_constant(column, values):
+            template += format(column[0], ".17g") + piece
+        else:
+            template += "%.17g" + piece
+            varying.append(column)
+    if np.count_nonzero(regular) < n:
+        return "".join(template % row if ok else error_row % row[0] for row, ok in zip(zip(*varying), regular.tolist()))
+    width = len(varying)
+    cells = [None] * (width * n)
+    for k, column in enumerate(varying):
+        cells[k::width] = column
+    return (template * n) % tuple(cells)
 
 
 def cmd_sweep(args) -> int:
@@ -256,12 +252,11 @@ def cmd_sweep(args) -> int:
         try:
             stage = _alpha_stage(params, point, x)
         except DomainError:  # every row of this alpha is an error row
-            plans.append((point, None, (None, None, error_row)))
+            plans.append((point, None, (None, error_row)))
             continue
         tail = [cell(stage[2].real), cell(stage[3]), cell(None)]
         pieces = _sweep_template(head + ["%.17g"] * 4 + tail, csv).split("%.17g")
-        fallback = _sweep_template(head + ["%s"] * 4 + tail, csv)
-        plans.append((point, stage, (pieces, fallback, error_row)))
+        plans.append((point, stage, (pieces, error_row)))
     write = sys.stdout.write
     if csv:
         write(",".join(_SWEEP_FIELDS) + "\n")
@@ -271,7 +266,7 @@ def cmd_sweep(args) -> int:
         while chunk := list(itertools.islice(horizons, _SWEEP_CHUNK)):
             if stage is None:
                 any_error = True
-                write((templates[2] * len(chunk)) % tuple(chunk))
+                write((templates[1] * len(chunk)) % tuple(chunk))
                 continue
             log_value, normalized, regular, error = _horizon_batch(params, point, x, stage, chunk)
             chunk = chunk[:len(regular)]  # the rows before an overflow
@@ -307,11 +302,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ar1quad", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common(p, with_point=True):
+    def add_common(p):
         p.add_argument("--theta", type=float, required=True, help="memory coefficient, 0 < |theta| < 1")
         p.add_argument("--m", type=float, default=0.0, help="level shift (default 0)")
-        if with_point:
-            p.add_argument("--x", type=float, required=True, help="conditioning start value X_0")
+        p.add_argument("--x", type=float, required=True, help="conditioning start value X_0")
 
     p_tr = sub.add_parser("transform", help="evaluate L_t(alpha, x)")
     add_common(p_tr)

@@ -39,12 +39,12 @@ horizon stage adds t.  Its text (_horizon: spectral._sequence_terms and
 the log-domain assembly) is written once, over an operations namespace:
 SCALAR_OPS (cmath and math) at one t for the public functions, which never
 call numpy, and ARRAY_OPS over an array of t in one numpy pass
-(_horizon_batch, for a CLI sweep); quadratic_coefficients takes its
-log L_t at x = m and its sequence terms from the same text.  numpy's exp
-and log differ from cmath's in the last bits, so a sweep row agrees with
-the scalar functions to a few eps of the size of the terms it sums, and
-exactly at t = 0.  A log L_t, a normalized value or an f_check beyond
-the double range raises ParameterError.
+(_horizon_batch, for a CLI sweep); _limit is its t -> inf limit, f_check.
+numpy's exp and log differ from cmath's in the last bits, so a sweep row
+agrees with the scalar functions to a few eps of the size of the terms it
+sums, and exactly at t = 0.  A non-finite log L_t raises ParameterError,
+as does every value beyond the double range (_exp) but transform's, which
+is inf or 0 with its overflow flag set.
 """
 
 from __future__ import annotations
@@ -119,15 +119,6 @@ class RateFit:
     n_points: int
 
 
-def _exp_checked(log_value: complex) -> tuple[complex, bool]:
-    re = log_value.real
-    if re > _LOG_MAX:
-        return cmath.rect(math.inf, log_value.imag), True
-    if re < _LOG_MIN:
-        return complex(0.0), True
-    return cmath.exp(log_value), False
-
-
 def _in_domain_roots(params: ModelParams, point: TransformPoint) -> SpectralData:
     spectral = roots(params, point)
     if not spectral.in_domain:
@@ -179,9 +170,19 @@ def _alpha_stage(params: ModelParams, point: TransformPoint, x: float) -> tuple:
     return spectral, cf, drift, abs(params.theta / spectral.lambda_plus)
 
 
-def _overflow(what: str, params: ModelParams, x: float, alpha: complex, t: int | None) -> ParameterError:
-    where = "" if t is None else f", t={t}"
-    return ParameterError(f"{what} overflows at m={params.m!r}, x={x!r}, alpha={alpha}{where}")
+def _overflow(what: str, params: ModelParams, x: float | None, alpha: complex, t: int | None) -> ParameterError:
+    at_x = "" if x is None else f", x={x!r}"
+    at_t = "" if t is None else f", t={t}"
+    return ParameterError(f"{what} overflows at m={params.m!r}{at_x}, alpha={alpha}{at_t}")
+
+
+def _exp(log_value: complex, what: str, params: ModelParams, x: float | None, alpha: complex, t: int | None) -> complex:
+    """exp(log_value); raises ParameterError where Re(log_value) > _LOG_MAX,
+    that is where the value lies beyond the double range (cmath.exp would
+    raise a bare OverflowError)."""
+    if log_value.real > _LOG_MAX:
+        raise _overflow(what, params, x, alpha, t)
+    return cmath.exp(log_value)
 
 
 def _assemble(theta, x, alpha, spectral, cf, q_t, inv_psi, log_correction) -> tuple:
@@ -204,25 +205,27 @@ def _horizon(ops, params: ModelParams, x: float, alpha: complex, stage: tuple, t
     return -0.5 * log_pi + alpha * sigma, sigma, log_normalized, regular, q_t, inv_psi
 
 
-def _horizon_stage(params: ModelParams, point: TransformPoint, x: float, stage: tuple, t: int | None) -> tuple:
-    """(log L_t, Sigma_t, log(exp(-t*Lambda)*L_t)) from an alpha stage, at
-    one horizon.
-
-    t = None is the t -> inf limit: log L_t and Sigma_t are None and the
-    normalized log is log f_check.  Raises ParameterError where log L_t
-    leaves the double range.
-    """
-    alpha = point.alpha
-    if t is None:
-        # q_t -> theta/((1 - lambda_-)*lambda_+), 1/psi_{t+1} -> 0, D_t -> beta_+
-        theta, spectral = params.theta, stage[0]
-        q = theta / ((1.0 - spectral.lambda_minus) * spectral.lambda_plus)
-        log_correction = _log(spectral.beta_plus, -spectral.beta_minus)
-        return None, None, _assemble(theta, x, alpha, spectral, stage[1], q, 0.0, log_correction)[1]
-    log_value, sigma, log_normalized = _horizon(SCALAR_OPS, params, x, alpha, stage, t)[:3]
-    if not cmath.isfinite(log_value):  # A*t beyond the double range (|m| near 1e152 at t = 10^6)
+def _scalar_horizon(params: ModelParams, x: float, alpha: complex, stage: tuple, t: int) -> tuple:
+    """_horizon over SCALAR_OPS at one horizon t >= 0, from an alpha stage.
+    Raises ParameterError where log L_t is not finite (A*t beyond the
+    double range: |m| near 1e152 at t = 10^6)."""
+    if t < 0:
+        raise ValueError(f"horizon t must be >= 0, got {t}")
+    terms = _horizon(SCALAR_OPS, params, x, alpha, stage, t)
+    if not cmath.isfinite(terms[0]):
         raise _overflow("log L_t", params, x, alpha, t)
-    return log_value, sigma, log_normalized
+    return terms
+
+
+def _limit(params: ModelParams, x: float, alpha: complex, stage: tuple) -> complex:
+    """f_check, the t -> inf limit of exp(-t*Lambda)*L_t, from an alpha
+    stage: q_t -> theta/((1 - lambda_-)*lambda_+), 1/psi_{t+1} -> 0 and
+    D_t -> beta_+ in the horizon formulas."""
+    theta, spectral = params.theta, stage[0]
+    q = theta / ((1.0 - spectral.lambda_minus) * spectral.lambda_plus)
+    log_correction = _log(spectral.beta_plus, -spectral.beta_minus)
+    log_f_check = _assemble(theta, x, alpha, spectral, stage[1], q, 0.0, log_correction)[1]
+    return _exp(log_f_check, "f_check", params, x, alpha, None)
 
 
 def _horizon_batch(params: ModelParams, point: TransformPoint, x: float, stage: tuple, horizons: list[int]) -> tuple:
@@ -249,34 +252,14 @@ def _horizon_batch(params: ModelParams, point: TransformPoint, x: float, stage: 
     return log_value[:stop], normalized[:stop], regular[:stop], error
 
 
-def _exp_normalized(log_normalized: complex, params: ModelParams, x: float, alpha: complex, t: int | None) -> complex:
-    """exp(-t*Lambda)*L_t (f_check at t = None) from its log; raises
-    ParameterError where it overflows (m = 1e150 at theta = 0.6)."""
-    if log_normalized.real > _LOG_MAX:
-        raise _overflow("f_check" if t is None else "exp(-t*Lambda)*L_t", params, x, alpha, t)
-    return cmath.exp(log_normalized)
-
-
-def _evaluate(params: ModelParams, point: TransformPoint, x: float, t: int | None) -> tuple:
-    """(log L_t, Sigma_t, log(exp(-t*Lambda)*L_t), Lambda, rate): an alpha
-    stage and a horizon stage (see there for t = None)."""
-    if t is not None and t < 0:
-        raise ValueError(f"horizon t must be >= 0, got {t}")
-    stage = _alpha_stage(params, point, x)
-    log_value, sigma, log_normalized = _horizon_stage(params, point, x, stage, t)
-    return log_value, sigma, log_normalized, stage[2], stage[3]
-
-
 def quadratic_coefficients(params: ModelParams, point: TransformPoint, t: int) -> tuple[complex, ...]:
     """(g0, g1, c2) with log L_t(alpha, x) = g0 + g1*(x - m) + c2*(x - m)^2 exactly: x enters
     Sigma_t through x^2, mu*B and C, with (mu*B)' = 2*theta*(x - (1-theta)*nu), (mu*B)'' = 2*theta
     and C' = 2*nu.  One roots, one constants and one sequence-terms evaluation, at x = m; g0 is
     log L_t there."""
-    if t < 0:
-        raise ValueError(f"horizon t must be >= 0, got {t}")
     theta, m, alpha = params.theta, params.m, point.alpha
     stage = _alpha_stage(params, point, m)
-    g0, _, _, _, q_t, inv_psi = _horizon(SCALAR_OPS, params, m, alpha, stage, t)
+    g0, _, _, _, q_t, inv_psi = _scalar_horizon(params, m, alpha, stage, t)
     nu = stage[1][0]
     g1 = alpha * (2.0 * m + 2.0 * theta * (m - (1.0 - theta) * nu) * q_t + 2.0 * nu * (theta - inv_psi))
     return g0, g1, alpha * (1.0 + theta * q_t)
@@ -287,8 +270,10 @@ def transform(params: ModelParams, point: TransformPoint, x: float, t: int) -> T
 
     alpha = 0 gives exactly 1.  Raises DomainError for alpha outside D.
     """
-    log_value, sigma = _evaluate(params, point, x, t)[:2]
-    value, overflow = _exp_checked(log_value)
+    log_value, sigma = _scalar_horizon(params, x, point.alpha, _alpha_stage(params, point, x), t)[:2]
+    # log L_t is finite here; beyond the double range the value is inf or 0
+    overflow = not _LOG_MIN <= log_value.real <= _LOG_MAX
+    value = (cmath.rect(math.inf, log_value.imag) if log_value.real > 0 else 0j) if overflow else cmath.exp(log_value)
     return TransformValue(log_value=log_value, value=value, sigma_t=sigma, overflow=overflow)
 
 
@@ -321,15 +306,15 @@ def ergodic_constants(params: ModelParams, point: TransformPoint, x: float) -> E
     alpha == 0 is the degenerate limit (Lambda = 0, f_check = 1,
     rate = |theta| since lambda_+ -> 1).
     """
-    _, _, log_f_check, drift, rate = _evaluate(params, point, x, None)
-    f_check = _exp_normalized(log_f_check, params, x, point.alpha, None)
-    return ErgodicConstants(lambda_of_alpha=drift, f_check=f_check, rate=rate)
+    stage = _alpha_stage(params, point, x)
+    return ErgodicConstants(lambda_of_alpha=stage[2], f_check=_limit(params, x, point.alpha, stage), rate=stage[3])
 
 
 def normalized_transform(params: ModelParams, point: TransformPoint, x: float, t: int) -> complex:
     """exp(-t*Lambda(alpha)) * L_t(alpha, x), assembled in log domain with
     the t-proportional parts cancelled analytically (accurate at any t)."""
-    return _exp_normalized(_evaluate(params, point, x, t)[2], params, x, point.alpha, t)
+    log_normalized = _scalar_horizon(params, x, point.alpha, _alpha_stage(params, point, x), t)[2]
+    return _exp(log_normalized, "exp(-t*Lambda)*L_t", params, x, point.alpha, t)
 
 
 def fit_convergence_rate(
@@ -347,16 +332,15 @@ def fit_convergence_rate(
     floating-point plateau and carry no rate information).  The fitted
     ratio should match ErgodicConstants.rate.
     """
-    if t_start < 0:
-        raise ValueError(f"horizon t must be >= 0, got {t_start}")
     # one alpha stage for the whole window; the values are bit-identical to
     # ergodic_constants(...).f_check and normalized_transform(...)
     stage = _alpha_stage(params, point, x)
     alpha = point.alpha
-    target = _exp_normalized(_horizon_stage(params, point, x, stage, None)[2], params, x, alpha, None)
+    target = _limit(params, x, alpha, stage)
     points = []
     for t in range(t_start, t_end + 1):
-        err = abs(_exp_normalized(_horizon_stage(params, point, x, stage, t)[2], params, x, alpha, t) - target)
+        log_normalized = _scalar_horizon(params, x, alpha, stage, t)[2]
+        err = abs(_exp(log_normalized, "exp(-t*Lambda)*L_t", params, x, alpha, t) - target)
         if err > noise_floor:
             points.append((t, math.log(err)))
     if len(points) < 2:

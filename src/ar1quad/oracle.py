@@ -14,7 +14,8 @@ machinery:
   paths, with its standard error.
 
 unconditional_transform is the exact Gaussian integral of L_t(alpha, .)
-over the stationary start law N(m, 1/(1-theta^2)).
+over the stationary start law N(m, 1/(1-theta^2)); it raises
+ParameterError where its value lies beyond the double range.
 
 The matrix oracle deliberately restricts alpha to real values: a complex
 determinant would reintroduce exactly the branch ambiguity the oracle is
@@ -30,7 +31,7 @@ from typing import Literal
 
 import numpy as np
 
-from .closed_form import _LOG_MAX, _exp_checked, _overflow, quadratic_coefficients
+from .closed_form import _LOG_MAX, _LOG_MIN, _exp, _overflow, quadratic_coefficients
 from .errors import ConvergenceError
 from .model import ModelParams, check_finite, conditional_covariance
 from .spectral import TransformPoint
@@ -150,11 +151,14 @@ def unconditional_transform(params: ModelParams, point: TransformPoint, t: int) 
     With log L_t(alpha, x) = g0 + g1*(x - m) + c2*(x - m)^2 exactly (quadratic_coefficients),
     this is (1 - 2*c2*v)^(-1/2) * exp(g0 + g1^2*v / (2*(1 - 2*c2*v))).  The integral exists iff
     Re(1 - 2*c2*v) > 0, else ConvergenceError.  alpha = 0 gives exactly 1, and a subnormal
-    alpha evaluates; alpha outside D raises DomainError.
+    alpha evaluates; alpha outside D raises DomainError.  A value beyond the double range
+    raises ParameterError; below it the result is exactly 0.
     """
     g0, g1, c2 = quadratic_coefficients(params, point, t)
     v = 1.0 / (1.0 - params.theta * params.theta)
     q = 1.0 - 2.0 * c2 * v
     if q.real <= 0.0:
         raise ConvergenceError(f"Re(1 - 2*c2*v) <= 0: the start-law integral diverges at alpha={point.alpha}")
-    return _exp_checked(g0 + g1 * g1 * v / (2.0 * q) - 0.5 * cmath.log(q))[0]
+    log_value = g0 + g1 * g1 * v / (2.0 * q) - 0.5 * cmath.log(q)
+    # below the double range the value is exactly 0, as transform's
+    return 0j if log_value.real < _LOG_MIN else _exp(log_value, "E[exp(alpha*S_t)]", params, None, point.alpha, t)

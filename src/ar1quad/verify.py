@@ -1,7 +1,8 @@
 """Self-verification suite: every identity the closed form rests on.
 
 Each check measures a worst-case error over a parameter grid and compares
-it to a tolerance.  The grid density scales with `grid_size`; size 1 is a
+it to a tolerance; a non-finite error (NaN included) at any grid point
+fails its check.  The grid density scales with `grid_size`; size 1 is a
 minimal smoke run.  A user-supplied tolerance overrides the per-check
 defaults of the deterministic float checks (the Monte Carlo check stays
 statistical at 4 standard errors).
@@ -54,6 +55,15 @@ def _rel(a: complex, b: complex) -> float:
     return abs(a - b) / max(abs(b), 1e-300)
 
 
+def _worse(worst: float, *errors: float) -> float:
+    """The largest of worst and errors, NaN once any is NaN: max() keeps its
+    first argument against a NaN, which would let a NaN error pass."""
+    for error in errors:
+        if math.isnan(error) or error > worst:
+            worst = error
+    return worst
+
+
 def _grids(grid_size: int):
     k = max(1, grid_size)
     return _THETA_POOL[:k], _ALPHA_POOL[: 2 * k], _X_POOL[:k], _M_POOL[:k]
@@ -90,7 +100,7 @@ def check_spectral_identities(grid_size: int, tol: float) -> CheckResult:
                 ),
                 (spectral.beta_plus + spectral.beta_minus, complex(1.0)),
             ]
-            worst = max(worst, max(_rel(a, b) for a, b in pairs))
+            worst = _worse(worst, *(_rel(a, b) for a, b in pairs))
     return CheckResult("spectral_identities", worst, tol, worst <= tol)
 
 
@@ -113,16 +123,11 @@ def check_wronskian(grid_size: int, tol: float) -> CheckResult:
             spectral = roots(params, point)
             z = spectral.lambda_plus / theta
             target = spectral.beta_plus * spectral.beta_minus * (z - 1.0 / z) ** 2
+            psi = [raw_psi(spectral, params, s) for s in range(22)]
             for s in range(1, 21):
-                lhs = raw_psi(spectral, params, s + 1) * raw_psi(spectral, params, s - 1) - raw_psi(
-                    spectral, params, s
-                ) ** 2
-                scale = max(
-                    abs(raw_psi(spectral, params, s + 1) * raw_psi(spectral, params, s - 1)),
-                    abs(raw_psi(spectral, params, s)) ** 2,
-                    abs(target),
-                )
-                worst = max(worst, abs(lhs - target) / scale)
+                outer = psi[s + 1] * psi[s - 1]
+                scale = max(abs(outer), abs(psi[s]) ** 2, abs(target))
+                worst = _worse(worst, abs(outer - psi[s] ** 2 - target) / scale)
     return CheckResult("wronskian", worst, tol, worst <= tol)
 
 
@@ -142,7 +147,7 @@ def check_sigma_recursion(grid_size: int, tol: float) -> CheckResult:
                     for t in (1, 5, 50):
                         direct = sigma_via_recursion(params, point, x, t)
                         closed = transform(params, point, x, t).sigma_t
-                        worst = max(worst, abs(direct - closed) / max(abs(closed), 1e-30))
+                        worst = _worse(worst, abs(direct - closed) / max(abs(closed), 1e-30))
     return CheckResult("sigma_recursion", worst, tol, worst <= tol)
 
 
@@ -159,7 +164,7 @@ def check_matrix_oracle(grid_size: int, tol: float) -> CheckResult:
                     for t in (1, 5, 50):
                         closed = transform(params, point, x, t).value.real
                         reference = matrix_mgf(params, alpha, x, t).value
-                        worst = max(worst, abs(closed - reference) / reference)
+                        worst = _worse(worst, abs(closed - reference) / reference)
     return CheckResult("matrix_oracle", worst, tol, worst <= tol)
 
 
@@ -212,10 +217,10 @@ def check_exactness_anchors(grid_size: int, tol: float) -> CheckResult:
                 continue
             spectral = roots(params, point)
             seq = sequence_ratios(spectral, params, 0)
-            worst = max(worst, abs(seq.r - theta), abs(seq.inv_psi - theta), abs(seq.log_pi))
+            worst = _worse(worst, abs(seq.r - theta), abs(seq.inv_psi - theta), abs(seq.log_pi))
             for x in xs:
                 value = transform(params, point, x, 0).value
-                worst = max(worst, _rel(value, cmath.exp(alpha * x * x)))
+                worst = _worse(worst, _rel(value, cmath.exp(alpha * x * x)))
     return CheckResult("exactness_anchors", worst, tol, worst <= tol)
 
 

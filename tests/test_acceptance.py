@@ -25,7 +25,7 @@ from ar1quad import (
 )
 from ar1quad.spectral import raw_psi
 
-from util import alpha_grid_in_domain, rel_err
+from util import alpha_grid_in_domain, rel_err, worse
 
 THETA_GRID = (-0.8, -0.3, 0.3, 0.6, 0.8)
 M_GRID = (0.0, 1.5)
@@ -50,7 +50,7 @@ def test_criterion_1_closed_form_vs_matrix_oracle():
                     for t in T_GRID:
                         closed = transform(params, point, x, t).value.real
                         reference = matrix_mgf(params, alpha, x, t).value
-                        worst = max(worst, abs(closed - reference) / reference)
+                        worst = worse(worst, abs(closed - reference) / reference)
     _report(
         "criterion 1 (matrix oracle agreement)",
         worst <= 1e-8,
@@ -84,10 +84,10 @@ def test_criterion_3_exactness_anchors():
             spectral = roots(params, point)
             seq = sequence_ratios(spectral, params, 0)
             exact_ok &= seq.r == theta and seq.inv_psi == theta
-            worst_anchor = max(worst_anchor, abs(seq.log_pi))
+            worst_anchor = worse(worst_anchor, abs(seq.log_pi))
             for x in X_GRID:
                 value = transform(params, point, x, 0).value
-                worst_l0 = max(worst_l0, rel_err(value, cmath.exp(alpha * x * x)))
+                worst_l0 = worse(worst_l0, rel_err(value, cmath.exp(alpha * x * x)))
     ok = exact_ok and worst_l0 <= 1e-15 and worst_anchor <= 5e-15
     _report(
         "criterion 3 (exactness anchors)",
@@ -108,7 +108,7 @@ def test_criterion_4_recursion_equals_telescoped_sigma():
                     for t in T_GRID:  # all <= 50
                         direct = sigma_via_recursion(params, point, x, t)
                         closed = transform(params, point, x, t).sigma_t
-                        worst = max(worst, abs(direct - closed) / max(abs(closed), 1e-30))
+                        worst = worse(worst, abs(direct - closed) / max(abs(closed), 1e-30))
     _report(
         "criterion 4 (derivation equivalence)",
         worst <= 1e-10,
@@ -155,14 +155,14 @@ def test_criterion_6_spectral_identity_suite():
                 mu / ((mu + (1 - theta) ** 2) * (mu + (1 + theta) ** 2)),
             ),
         ]
-        worst_identity = max(worst_identity, max(rel_err(a, b) for a, b in identity_pairs))
+        worst_identity = worse(worst_identity, *(rel_err(a, b) for a, b in identity_pairs))
         target = spectral.beta_plus * spectral.beta_minus * (z - 1 / z) ** 2
         for s in range(1, 21):
             outer = raw_psi(spectral, params, s + 1) * raw_psi(spectral, params, s - 1)
             inner = raw_psi(spectral, params, s) ** 2
             # difference of O(|z|^2s) products: measured at operand scale
             scale = max(abs(outer), abs(inner), abs(target))
-            worst_wronskian = max(worst_wronskian, abs((outer - inner) - target) / scale)
+            worst_wronskian = worse(worst_wronskian, abs((outer - inner) - target) / scale)
     ok = worst_identity <= 1e-12 and worst_wronskian <= 1e-10
     _report(
         "criterion 6 (spectral identity suite)",
@@ -185,7 +185,7 @@ def test_criterion_7_tower_property():
                 for y, w in zip(nodes, weights)
             )
             lhs = transform(params, point, x, t).value
-            worst = max(worst, rel_err(lhs, cmath.exp(alpha * x * x) * integral))
+            worst = worse(worst, rel_err(lhs, cmath.exp(alpha * x * x) * integral))
     _report(
         "criterion 7 (tower property)",
         worst <= 1e-6,
@@ -228,7 +228,7 @@ def test_criterion_9_zero_mean_reduction():
                 exact_ok &= cf.nu == 0 and cf.A == 0 and cf.C == 0
                 expected_b = theta * x * x / (-2.0 * alpha)
                 if x != 0:
-                    worst_b = max(worst_b, rel_err(cf.B, expected_b))
+                    worst_b = worse(worst_b, rel_err(cf.B, expected_b))
                 else:
                     exact_ok &= cf.B == 0
     ok = exact_ok and worst_b <= 1e-15

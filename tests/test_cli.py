@@ -96,13 +96,33 @@ def test_non_finite_start_exits_64(capsys, x):
         assert out == "" and "x must be finite" in err
 
 
-@pytest.mark.parametrize("alpha", [["--alpha", "nan"], ["--alpha=-inf"], ["--alpha", "-0.3", "--alpha-im", "inf"]])
+@pytest.mark.parametrize("alpha", [["--alpha", "nan"], ["--alpha=-inf"], ["--alpha", "-0.3", "--alpha-im", "inf"],
+                                   ["--alpha", "-inf"]])
 def test_non_finite_alpha_exits_64(capsys, alpha):
     # invalid input, not an out-of-domain point (exit 2) or error rows (exit 0)
     for command, extra in (("transform", ["--t", "5"]), ("ergodic", []), ("sweep", ["--t", "1:3"])):
         code, out, err = run_cli(capsys, command, "--theta", "0.6", "--m", "1", "--x", "0.5", *alpha, *extra)
         assert code == 64, command
         assert out == "" and "alpha must be finite" in err
+
+
+@pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan"])
+@pytest.mark.parametrize("flag, name", [("--x", "x"), ("--m", "m"), ("--alpha-im", "alpha")])
+def test_space_separated_negative_non_finite_value_exits_64(capsys, flag, name, value):
+    # "-inf" after a flag is its value, not an unknown option: float() reads
+    # it and the finiteness check rejects it, as for --x=-inf
+    for command, extra in (("transform", ["--t", "5"]), ("ergodic", []), ("sweep", ["--t", "1:3"])):
+        code, out, err = run_cli(capsys, command, "--theta", "0.6", "--m", "1", "--x", "0.5", "--alpha", "-0.3",
+                                 *extra, flag, value)
+        assert code == 64, command
+        assert out == "" and f"{name} must be finite" in err
+
+
+def test_value_that_only_starts_like_a_negative_number_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["transform", "--theta", "0.6", "--x", "0.5", "--alpha", "-infx", "--t", "3"])
+    assert info.value.code == 64
+    assert "invalid float value: '-infx'" in capsys.readouterr().err
 
 
 def test_ergodic_reference_value(capsys):

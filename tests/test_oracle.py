@@ -285,6 +285,21 @@ def test_unconditional_rejects_overflowing_constants(m):
         unconditional_transform(ModelParams(0.6, m), TransformPoint(-0.3), 10)
 
 
+def test_unconditional_beyond_the_double_range_raises():
+    # a small positive alpha inside D: the value grows like exp(t*Lambda),
+    # past the largest double before t = 10^5, where it must raise, not be inf
+    params, point = ModelParams(0.6, 1.0), TransformPoint(0.05)
+    assert rel_err(unconditional_transform(params, point, 1000), 2.481109964153374e100) <= 1e-12
+    with pytest.raises(ParameterError, match=r"E\[exp\(alpha\*S_t\)\] overflows at m=1.0, alpha=\(0.05\+0j\), t=100000"):
+        unconditional_transform(params, point, 100000)
+
+
+@pytest.mark.parametrize("alpha", [-0.3, complex(-0.3, 0.4), complex(-1.0, -0.25)])
+def test_unconditional_below_the_double_range_is_exactly_zero(alpha):
+    # exp of the complex logs would give -0j and -0-0j: the value is 0, unsigned
+    assert repr(unconditional_transform(ModelParams(0.6, 1.0), TransformPoint(alpha), 10**6)) == "0j"
+
+
 def test_import_does_not_load_scipy():
     # a fresh interpreter that finds the same ar1quad as this one
     src = os.path.dirname(os.path.dirname(ar1quad.__file__))

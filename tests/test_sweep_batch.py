@@ -188,8 +188,7 @@ def sweep_text(*argv):
 
 def rendered(theta, m, x, alphas, t_text, fmt, batch=closed_form._horizon_batch):
     """The sweep's output rendered row by row and cell by cell through
-    _fmt / _csv_cell, as the writer's fallback does, from the values of the
-    same chunks."""
+    _fmt / _csv_cell, from the values of the same chunks."""
     params = ModelParams(theta, m)
     csv = fmt == "csv"
     cell = cli._csv_cell if csv else cli._fmt
@@ -232,7 +231,7 @@ def rendered(theta, m, x, alphas, t_text, fmt, batch=closed_form._horizon_batch)
     ([-1e-300, complex(-2.0, 1.0)], ",".join(map(str, range(1, 2600, 10))) + ",0,1000000"),
 ])
 def test_sweep_output_is_the_cell_by_cell_rendering(alphas, t_text, fmt):
-    # the fast path writes a chunk through one template, with bit-constant
+    # the writer fills a chunk through one template, with bit-constant
     # columns formatted once; the bytes must be those of _fmt on every cell
     alphas = [complex(a) for a in alphas]
     text = sweep_text("--theta=0.6", "--m=1.0", "--x=0.5", "--alpha=" + ",".join(repr(a.real) for a in alphas),
@@ -243,7 +242,7 @@ def test_sweep_output_is_the_cell_by_cell_rendering(alphas, t_text, fmt):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_sweep_output_with_a_vanishing_d_t_is_the_cell_by_cell_rendering(monkeypatch, fmt):
     # the crafted roots of test_vanishing_d_t_prints_an_error_row: an error
-    # row at t = 1 sends the chunk down the row-by-row path
+    # row at t = 1 among the template's rows of one chunk
     crafted = SpectralData(lambda_plus=complex(2.0), lambda_minus=complex(1.0),
                            beta_plus=complex(-1.0 / 3.0), beta_minus=complex(4.0 / 3.0), in_domain=True)
     monkeypatch.setattr(closed_form, "roots", lambda params, point: crafted)

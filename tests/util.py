@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import collections
+import math
 import sys
 
 import numpy as np
@@ -13,6 +14,15 @@ EPS = sys.float_info.epsilon
 
 def rel_err(a, b, floor=1e-300) -> float:
     return abs(a - b) / max(abs(b), floor)
+
+
+def worse(worst: float, *errors: float) -> float:
+    """The largest of worst and errors, NaN once any is NaN: max() keeps its
+    first argument against a NaN, so a NaN error would pass its tolerance."""
+    for error in errors:
+        if math.isnan(error) or error > worst:
+            worst = error
+    return worst
 
 
 def alpha_grid_in_domain(theta: float, n_min: int = 50, include_complex: bool = True):
