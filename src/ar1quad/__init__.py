@@ -31,7 +31,6 @@ from .model import (
 )
 from .oracle import (
     OracleResult,
-    gauss_hermite_nodes,
     matrix_mgf,
     monte_carlo_mgf,
     unconditional_transform,
@@ -70,7 +69,6 @@ __all__ = [
     "domain_check",
     "ergodic_constants",
     "fit_convergence_rate",
-    "gauss_hermite_nodes",
     "matrix_mgf",
     "monte_carlo_mgf",
     "normalized_transform",

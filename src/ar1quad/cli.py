@@ -4,50 +4,25 @@ Exit codes: 0 success, 1 verification failure, 2 domain error, 64 usage
 error, 141 stdout closed by its reader (console script only).  Data goes to
 stdout (one JSON object per line, or CSV with a '.' decimal separator);
 diagnostics go to stderr.  Floats are printed with 17 significant digits so
-that parsing the output reproduces them bit for bit.  A sweep evaluates
-its horizons (ranges and single values alike, in grid order) in chunks of
-at most 256 rows, one numpy pass per chunk, and writes each chunk as soon
-as it is computed: memory stays flat in the grid size.  A value column
-whose cells in a chunk all have the same bits (a normalized value past
-the mixing horizon, the zero imaginary parts of a real alpha) is
-formatted once for the chunk, not once per row.
+that parsing the output reproduces them bit for bit.  The sweep command
+runs in sweep.py (its batch path and streaming writer are described
+there), which is imported when a sweep runs: no other command loads numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import os
 import re
 import sys
 
-import numpy as np
-
-from .closed_form import _alpha_stage, _horizon_batch, ergodic_constants, transform
+from .closed_form import ergodic_constants, transform
 from .errors import DomainError, SingularSequenceError
-from .model import ModelParams, check_finite
+from .model import ModelParams
 from .spectral import TransformPoint
 from .verify import run_all
-
-_SWEEP_FIELDS = [
-    "alpha_re",
-    "alpha_im",
-    "t",
-    "log_L_re",
-    "log_L_im",
-    "normalized_re",
-    "normalized_im",
-    "Lambda_re",
-    "rate",
-    "error",
-]
-
-# Horizons per numpy pass of a sweep: the rows of one chunk are held at
-# once, so memory stays flat in the grid size.
-_SWEEP_CHUNK = 256
-
 
 # stock argparse only treats plain decimals as negative numbers, which would
 # reject values like "-1e-9", "-0.3,-0.5" or "-inf" as unknown options; a
@@ -90,53 +65,6 @@ def _json_line(pairs) -> str:
     return "{" + ", ".join(f'"{k}": {_fmt(v)}' for k, v in pairs) + "}"
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return _fmt(value)
-
-
-def _parse_t_grid(text: str) -> list[range]:
-    """Comma-separated entries, each INT or START:STOP[:STEP] (inclusive).
-
-    Rejects a negative horizon and an empty grid here, so that a sweep
-    fails before it prints anything.
-    """
-    grid = []
-    for item in text.split(","):
-        parts = [int(p) for p in item.split(":")]
-        if len(parts) == 1:
-            start, stop, step = parts[0], parts[0], 1
-        elif len(parts) == 2:
-            start, stop, step = parts[0], parts[1], 1
-        elif len(parts) == 3:
-            start, stop, step = parts
-        else:
-            raise ValueError(f"bad range {item!r}")
-        if step <= 0:
-            raise ValueError(f"range step must be positive in {item!r}")
-        horizons = range(start, stop + 1, step)
-        if horizons and start < 0:
-            raise ValueError(f"horizon t must be >= 0, got {start}")
-        grid.append(horizons)
-    if not any(grid):
-        raise ValueError("alpha and t grids must be non-empty")
-    return grid
-
-
-def _parse_alpha_grid(alpha_text: str, alpha_im_text: str | None) -> list[complex]:
-    res = [float(a) for a in alpha_text.split(",")]
-    if alpha_im_text is None:
-        ims = [0.0] * len(res)
-    else:
-        ims = [float(b) for b in alpha_im_text.split(",")]
-        if len(ims) != len(res):
-            raise ValueError("--alpha and --alpha-im must have the same length")
-    return [complex(a, b) for a, b in zip(res, ims)]
-
-
 def cmd_transform(args) -> int:
     params = ModelParams(args.theta, args.m)
     point = TransformPoint(complex(args.alpha, args.alpha_im))
@@ -175,106 +103,11 @@ def cmd_ergodic(args) -> int:
     return 0
 
 
-def _sweep_template(cells, csv: bool) -> str:
-    """One sweep line as a %-format string, from cells in _SWEEP_FIELDS
-    order that are formatted already or a %-slot that each row fills in."""
-    if csv:
-        return ",".join(cells) + "\n"
-    return "{" + ", ".join(f'"{k}": {c}' for k, c in zip(_SWEEP_FIELDS, cells)) + "}\n"
-
-
-def _bit_constant(column: list, values: np.ndarray) -> bool:
-    """True if every cell of a value column has the bits of the first.
-    list.count compares with ==, which holds between 0.0 and -0.0 (they
-    print as 0 and -0), so a zero column must also have one sign."""
-    first = column[0]
-    if column.count(first) != len(column):
-        return False
-    return first != 0.0 or np.count_nonzero(np.signbit(values)) in (0, len(column))
-
-
-def _sweep_chunk(templates, horizons: list[int], log_value, normalized, regular) -> str:
-    """The lines of one evaluated chunk ("" for an empty one).
-
-    An error row where D_t vanishes; every other row through one
-    %-template for the chunk (its cells are finite, and %.17g prints what
-    _fmt does): the per-alpha row template split at its four value slots,
-    with each value column whose cells all have the same bits (a converged
-    normalized value, the zero imaginary parts of a real alpha) formatted
-    once into its slot, and a %.17g slot for each other column.
-    """
-    pieces, error_row = templates
-    n = len(horizons)
-    if not n:
-        return ""
-    template, varying = pieces[0], [horizons]
-    for values, piece in zip((log_value.real, log_value.imag, normalized.real, normalized.imag), pieces[1:]):
-        column = values.tolist()
-        if _bit_constant(column, values):
-            template += format(column[0], ".17g") + piece
-        else:
-            template += "%.17g" + piece
-            varying.append(column)
-    if np.count_nonzero(regular) < n:
-        return "".join(template % row if ok else error_row % row[0] for row, ok in zip(zip(*varying), regular.tolist()))
-    width = len(varying)
-    cells = [None] * (width * n)
-    for k, column in enumerate(varying):
-        cells[k::width] = column
-    return (template * n) % tuple(cells)
-
-
 def cmd_sweep(args) -> int:
-    """Print every (alpha, t) row, alpha-major.
+    """sweep.cmd_sweep, importing the batch path (and numpy) on first use."""
+    from . import sweep
 
-    The alpha stage of every alpha runs before the first line, so invalid
-    input (such as constants that overflow) prints nothing.  The horizon
-    stage then runs over chunks of at most _SWEEP_CHUNK horizons of the
-    t grid, taken across its entries, in one numpy pass, and each chunk is
-    written at once: the five cells fixed per alpha come from a per-alpha
-    template, kept as its pieces between the four value slots, and
-    _sweep_chunk fills the slots of each chunk.  A row whose log L_t or
-    normalized value overflows ends the sweep (ParameterError) after the
-    rows before it.
-    """
-    alphas = _parse_alpha_grid(args.alpha, args.alpha_im)
-    t_grid = _parse_t_grid(args.t)
-    params = ModelParams(args.theta, args.m)
-    x = args.x
-    check_finite("x", x)
-    csv = args.format == "csv"
-    cell = _csv_cell if csv else _fmt
-    plans = []
-    for alpha in alphas:
-        point = TransformPoint(alpha)
-        head = [cell(alpha.real), cell(alpha.imag), "%d"]
-        error_row = _sweep_template(head + [cell(None)] * 6 + [cell("out_of_domain")], csv)
-        try:
-            stage = _alpha_stage(params, point, x)
-        except DomainError:  # every row of this alpha is an error row
-            plans.append((point, None, (None, error_row)))
-            continue
-        tail = [cell(stage[2].real), cell(stage[3]), cell(None)]
-        pieces = _sweep_template(head + ["%.17g"] * 4 + tail, csv).split("%.17g")
-        plans.append((point, stage, (pieces, error_row)))
-    write = sys.stdout.write
-    if csv:
-        write(",".join(_SWEEP_FIELDS) + "\n")
-    any_error = False
-    for point, stage, templates in plans:
-        horizons = itertools.chain.from_iterable(t_grid)
-        while chunk := list(itertools.islice(horizons, _SWEEP_CHUNK)):
-            if stage is None:
-                any_error = True
-                write((templates[1] * len(chunk)) % tuple(chunk))
-                continue
-            log_value, normalized, regular, error = _horizon_batch(params, point, x, stage, chunk)
-            chunk = chunk[:len(regular)]  # the rows before an overflow
-            any_error = any_error or np.count_nonzero(regular) < len(chunk)
-            write(_sweep_chunk(templates, chunk, log_value, normalized, regular))
-            if error is not None:
-                raise error
-    return 2 if args.strict and any_error else 0
+    return sweep.cmd_sweep(args)
 
 
 def cmd_verify(args) -> int:
@@ -330,7 +163,7 @@ def build_parser() -> _Parser:
     p_sw.set_defaults(func=cmd_sweep)
 
     p_vf = sub.add_parser("verify", help="run the self-verification suite")
-    p_vf.add_argument("--grid-size", type=int, default=3, help="values per parameter axis (1 = smoke run)")
+    p_vf.add_argument("--grid-size", type=int, default=3, help="values per parameter axis, >= 1 (1 = smoke run)")
     p_vf.add_argument("--seed", type=int, default=20240901, help="Monte Carlo seed")
     p_vf.add_argument("--tolerance", type=float, default=None, help="override the float-check tolerances")
     p_vf.add_argument("--mc-samples", type=int, default=1_000_000, help="Monte Carlo sample count")

@@ -38,13 +38,10 @@ roots, nu, A, mu*B, C, Lambda and the rate) depends only on (alpha, x); the
 horizon stage adds t.  Its text (_horizon: spectral._sequence_terms and
 the log-domain assembly) is written once, over an operations namespace:
 SCALAR_OPS (cmath and math) at one t for the public functions, which never
-call numpy, and ARRAY_OPS over an array of t in one numpy pass
-(_horizon_batch, for a CLI sweep); _limit is its t -> inf limit, f_check.
-numpy's exp and log differ from cmath's in the last bits, so a sweep row
-agrees with the scalar functions to a few eps of the size of the terms it
-sums, and exactly at t = 0.  A non-finite log L_t raises ParameterError,
-as does every value beyond the double range (_exp) but transform's, which
-is inf or 0 with its overflow flag set.
+call numpy, and sweep.ARRAY_OPS over an array of t for a CLI sweep (see
+sweep.py); _limit is its t -> inf limit, f_check.  A non-finite log L_t
+raises ParameterError, as does every value beyond the double range (_exp)
+but transform's, which is inf or 0 with its overflow flag set.
 """
 
 from __future__ import annotations
@@ -54,20 +51,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, ParameterError, SingularConstantError
 from .model import ModelParams, check_finite
-from .spectral import (
-    ARRAY_OPS,
-    SCALAR_OPS,
-    SpectralData,
-    TransformPoint,
-    _log,
-    _sequence_terms,
-    raw_psi,
-    roots,
-)
+from .spectral import SCALAR_OPS, SpectralData, TransformPoint, _log, _sequence_terms, raw_psi, roots
 
 _LOG_MAX = math.log(sys.float_info.max)  # ~709.78
 _LOG_MIN = -745.0  # below the smallest subnormal's log
@@ -195,8 +181,9 @@ def _assemble(theta, x, alpha, spectral, cf, q_t, inv_psi, log_correction) -> tu
 
 def _horizon(ops, params: ModelParams, x: float, alpha: complex, stage: tuple, t) -> tuple:
     """(log L_t, Sigma_t, log(exp(-t*Lambda)*L_t), regular, q_t, 1/psi_{t+1})
-    at one horizon t (SCALAR_OPS) or an array of them (ARRAY_OPS): the one
-    text of the horizon formulas, see spectral._sequence_terms for `regular`."""
+    at one horizon t (SCALAR_OPS) or an array of them (sweep.ARRAY_OPS):
+    the one text of the horizon formulas, see spectral._sequence_terms for
+    `regular`."""
     spectral, cf = stage[0], stage[1]
     theta = params.theta
     q_t, inv_psi, log_correction, log_pi, regular = _sequence_terms(ops, theta, spectral, t)[:5]
@@ -226,30 +213,6 @@ def _limit(params: ModelParams, x: float, alpha: complex, stage: tuple) -> compl
     log_correction = _log(spectral.beta_plus, -spectral.beta_minus)
     log_f_check = _assemble(theta, x, alpha, spectral, stage[1], q, 0.0, log_correction)[1]
     return _exp(log_f_check, "f_check", params, x, alpha, None)
-
-
-def _horizon_batch(params: ModelParams, point: TransformPoint, x: float, stage: tuple, horizons: list[int]) -> tuple:
-    """The horizon stage over a list of horizons in one numpy pass.
-
-    Returns (log L_t, exp(-t*Lambda)*L_t, regular, error).  The arrays
-    cover the rows before the first one whose log L_t is not finite or
-    whose normalized value overflows; `regular` is False where D_t vanishes
-    (an error row); error is the ParameterError of that first row, for the
-    caller to raise once it has used the rows before it, or None.
-    """
-    alpha = point.alpha
-    t = np.array(horizons, dtype=float)
-    with np.errstate(all="ignore"):
-        log_value, _, log_normalized, regular = _horizon(ARRAY_OPS, params, x, alpha, stage, t)[:4]
-        log_finite = np.isfinite(log_value)
-        overflow = regular & (~log_finite | (log_normalized.real > _LOG_MAX))
-        normalized = ARRAY_OPS.exp(log_normalized)
-    if not np.count_nonzero(overflow):
-        return log_value, normalized, regular, None
-    stop = int(overflow.argmax())
-    what = "exp(-t*Lambda)*L_t" if log_finite[stop] else "log L_t"
-    error = _overflow(what, params, x, alpha, horizons[stop])
-    return log_value[:stop], normalized[:stop], regular[:stop], error
 
 
 def quadratic_coefficients(params: ModelParams, point: TransformPoint, t: int) -> tuple[complex, ...]:

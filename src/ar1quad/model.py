@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ParameterError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def check_finite(name: str, value: float) -> None:
@@ -66,6 +68,7 @@ def simulate_conditional(params: ModelParams, x: float, t: int, seed: int) -> Co
     ``numpy.random.default_rng(seed).standard_normal(t)``, consumed in
     order, so identical seeds replay identical paths bit for bit.
     """
+    import numpy as np
     check_finite("x", x)
     if t < 0:
         raise ValueError(f"horizon t must be >= 0, got {t}")
@@ -104,6 +107,7 @@ def conditional_covariance(params: ModelParams, t: int) -> np.ndarray:
     never decreases with s, so the minimum is w_min(s,u), and the Toeplitz
     factor is a window view of the power table, so no index array is formed.
     """
+    import numpy as np
     if t < 0:
         raise ValueError(f"horizon t must be >= 0, got {t}")
     powers = params.theta ** np.arange(2 * t + 1)  # theta^k for every exponent used

@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
-
 from .closed_form import _LOG_MAX, _LOG_MIN, _exp, _overflow, quadratic_coefficients
 from .errors import ConvergenceError
 from .model import ModelParams, check_finite, conditional_covariance
@@ -65,6 +63,7 @@ def matrix_mgf(params: ModelParams, alpha: float, x: float, t: int) -> OracleRes
     mu' M^(-1) mu overflows.  A non-finite alpha or x, and a value beyond
     the double range, raise ParameterError.
     """
+    import numpy as np
     a = float(alpha)
     check_finite("alpha", a)
     check_finite("x", x)
@@ -106,6 +105,7 @@ def monte_carlo_mgf(
     Paths are driven by default_rng(seed) with one standard-normal vector
     of length n per step, so results are deterministic given the seed.
     """
+    import numpy as np
     a = float(alpha)
     check_finite("alpha", a)
     check_finite("x", x)
@@ -137,12 +137,6 @@ def monte_carlo_mgf(
         stderr=float(values.std(ddof=1) / math.sqrt(n)),
         n_samples=n,
     )
-
-
-def gauss_hermite_nodes(mean: float, variance: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights integrating against the N(mean, variance) density."""
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    return mean + math.sqrt(2.0 * variance) * nodes, weights / math.sqrt(math.pi)
 
 
 def unconditional_transform(params: ModelParams, point: TransformPoint, t: int) -> complex:

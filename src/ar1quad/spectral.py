@@ -24,17 +24,14 @@ beta_- vanishes like alpha and beta_+ + beta_- = 1, so near alpha = 0 the
 logs come through log1p from lambda_+ - 1 = beta_-*(lambda_+ - lambda_-)
 and D_t - 1 = beta_-*(w^(t+1) - 1), and 1 - w^t from expm1: no small
 quantity is a difference of nearly equal numbers.  At t = 0 the anchors
-pi_0 = 1, r_0 = 1/psi_1 = theta and q_0 = 0 hold exactly.  Raw psi/pi evaluation
-is for cross-checks only and is capped at small indices.
+pi_0 = 1, r_0 = 1/psi_1 = theta and q_0 = 0 hold exactly.  Raw psi evaluation
+(raw_psi) is for cross-checks only and is capped at small indices.
 
 These formulas are written once, in _sequence_terms, over a small
 namespace of operations (exp, expm1, log from the excess, integer power,
 the singularity guard and the t = 0 anchor).  SCALAR_OPS (cmath and math,
-no numpy) evaluates one horizon for every public function; ARRAY_OPS
-evaluates an array of horizons in one numpy pass for a sweep, with
-the same cancellation-free forms, a real base's powers kept real,
-and a vanishing or non-finite D_t returned as a mask of rows instead of
-raised.
+no numpy) evaluates one horizon for every public function; sweep.py holds
+ARRAY_OPS, which evaluates an array of horizons for a sweep.
 """
 
 from __future__ import annotations
@@ -43,8 +40,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-
-import numpy as np
 
 from .errors import DomainBoundaryError, DomainError, ParameterError, SingularSequenceError
 from .model import ModelParams
@@ -226,88 +221,9 @@ def _at_zero(t: int, anchor: complex, value: complex) -> complex:
 SCALAR_OPS = SimpleNamespace(exp=cmath.exp, expm1=_expm1, log=_log, power=_int_power, guard=_guard, at_zero=_at_zero)
 
 
-def _complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    out = np.empty(re.shape, complex)
-    out.real, out.imag = re, im
-    return out
-
-
-def _array_expm1(z: np.ndarray) -> np.ndarray:
-    """_expm1 elementwise; a real z (every imaginary part 0) stays real, and
-    the form that no element takes is not evaluated."""
-    x, y = z.real, z.imag
-    if not np.count_nonzero(y):
-        return np.expm1(x)
-    exp_x, cos_y = np.exp(x), np.cos(y)
-    far = x <= -1.0
-    n_far = np.count_nonzero(far)
-    if n_far:
-        re = exp_x * cos_y - 1.0
-    if n_far < far.size:
-        half_sin = np.sin(0.5 * y)
-        near = np.expm1(x) * cos_y - 2.0 * half_sin * half_sin
-        re = np.where(far, re, near) if n_far else near
-    return _complex_array(re, exp_x * np.sin(y))
-
-
-def _array_log(value: np.ndarray, excess: np.ndarray) -> np.ndarray:
-    """_log elementwise: log1p of the excess where |excess| < 0.5, else log;
-    the branch that no element takes is not evaluated."""
-    near = abs(excess) < 0.5
-    n_near = np.count_nonzero(near)
-    if n_near < near.size:
-        far = np.log(value)
-        if not n_near:
-            return far
-    x, y = excess.real, excess.imag
-    if np.count_nonzero(y):
-        small = _complex_array(0.5 * np.log1p(x * (2.0 + x) + y * y), np.arctan2(y, 1.0 + x))
-    else:
-        small = np.log1p(x)
-    return small if n_near == near.size else np.where(near, small, far)
-
-
-def _array_power(base: complex, n: np.ndarray) -> np.ndarray:
-    """_int_power for an array of exponents (floats holding integers)."""
-    if base.imag == 0.0:
-        return np.power(base.real, n)
-    return np.exp(n * cmath.log(base))
-
-
-def _array_guard(t: np.ndarray, d_t: np.ndarray, *values: np.ndarray):
-    """True where every value is finite (a vanishing D_t makes 1/psi_{t+1}
-    non-finite), or True for no values."""
-    regular = True
-    for value in values:
-        regular = regular & np.isfinite(value)
-    return regular
-
-
-def _array_exp(z: np.ndarray) -> np.ndarray:
-    """exp elementwise; a real z (every imaginary part 0) stays real."""
-    if not np.count_nonzero(z.imag):
-        return np.exp(z.real)
-    return np.exp(z)
-
-
-def _array_at_zero(t: np.ndarray, anchor: complex, value: np.ndarray) -> np.ndarray:
-    zero = t == 0
-    if np.count_nonzero(zero):
-        value = value.astype(complex, copy=False)
-        value[zero] = anchor
-    return value
-
-
-# The same operations over numpy arrays of horizons; callers silence
-# floating-point warnings (np.errstate), since a singular row is masked.
-ARRAY_OPS = SimpleNamespace(
-    exp=_array_exp, expm1=_array_expm1, log=_array_log, power=_array_power, guard=_array_guard, at_zero=_array_at_zero
-)
-
-
 def _sequence_terms(ops: SimpleNamespace, theta: float, spectral: SpectralData, t):
     """(q_t, 1/psi_{t+1}, log D_t, log pi_t, regular, w^t, D_t) at one
-    horizon t (SCALAR_OPS) or an array of them (ARRAY_OPS).
+    horizon t (SCALAR_OPS) or an array of them (sweep.ARRAY_OPS).
 
     The one text of the closed forms in the module docstring.  At t = 0 the
     anchors pi_0 = 1 (log pi_0 = 0, log D_0 = -log lambda_+) and
@@ -366,12 +282,3 @@ def raw_psi(spectral: SpectralData, params: ModelParams, s: int) -> complex:
         raise ValueError(f"raw psi evaluation is capped at index {RAW_INDEX_MAX}, got {s}")
     z = spectral.lambda_plus / params.theta
     return spectral.beta_plus * _int_power(z, s) + spectral.beta_minus * _int_power(z, -s)
-
-
-def raw_pi(spectral: SpectralData, params: ModelParams, s: int) -> complex:
-    """pi_s evaluated directly; cross-check use only, capped at small s."""
-    if not 0 <= s <= RAW_INDEX_MAX:
-        raise ValueError(f"raw pi evaluation is capped at index {RAW_INDEX_MAX}, got {s}")
-    return spectral.beta_plus * _int_power(spectral.lambda_plus, s + 1) + spectral.beta_minus * _int_power(
-        spectral.lambda_minus, s + 1
-    )

@@ -3,9 +3,9 @@
 Each check measures a worst-case error over a parameter grid and compares
 it to a tolerance; a non-finite error (NaN included) at any grid point
 fails its check.  The grid density scales with `grid_size`; size 1 is a
-minimal smoke run.  A user-supplied tolerance overrides the per-check
-defaults of the deterministic float checks (the Monte Carlo check stays
-statistical at 4 standard errors).
+minimal smoke run, and a size below 1 raises ValueError.  A user-supplied
+tolerance overrides the per-check defaults of the deterministic float
+checks (the Monte Carlo check stays statistical at 4 standard errors).
 """
 
 from __future__ import annotations
@@ -64,8 +64,9 @@ def _worse(worst: float, *errors: float) -> float:
     return worst
 
 
-def _grids(grid_size: int):
-    k = max(1, grid_size)
+def _grids(k: int):
+    if k < 1:
+        raise ValueError(f"grid size must be >= 1, got {k}")
     return _THETA_POOL[:k], _ALPHA_POOL[: 2 * k], _X_POOL[:k], _M_POOL[:k]
 
 
@@ -158,7 +159,7 @@ def check_matrix_oracle(grid_size: int, tol: float) -> CheckResult:
     for theta in thetas:
         for m in ms:
             params = ModelParams(theta, m)
-            for alpha in _REAL_ALPHA_POOL[: max(1, grid_size)]:
+            for alpha in _REAL_ALPHA_POOL[:grid_size]:
                 point = TransformPoint(alpha)
                 for x in xs:
                     for t in (1, 5, 50):

@@ -14,7 +14,6 @@ from ar1quad import (
     constants,
     ergodic_constants,
     fit_convergence_rate,
-    gauss_hermite_nodes,
     matrix_mgf,
     monte_carlo_mgf,
     normalized_transform,
@@ -25,7 +24,7 @@ from ar1quad import (
 )
 from ar1quad.spectral import raw_psi
 
-from util import alpha_grid_in_domain, rel_err, worse
+from util import alpha_grid_in_domain, gauss_hermite_nodes, rel_err, worse
 
 THETA_GRID = (-0.8, -0.3, 0.3, 0.6, 0.8)
 M_GRID = (0.0, 1.5)
@@ -157,9 +156,10 @@ def test_criterion_6_spectral_identity_suite():
         ]
         worst_identity = worse(worst_identity, *(rel_err(a, b) for a, b in identity_pairs))
         target = spectral.beta_plus * spectral.beta_minus * (z - 1 / z) ** 2
+        psi = [raw_psi(spectral, params, s) for s in range(22)]
         for s in range(1, 21):
-            outer = raw_psi(spectral, params, s + 1) * raw_psi(spectral, params, s - 1)
-            inner = raw_psi(spectral, params, s) ** 2
+            outer = psi[s + 1] * psi[s - 1]
+            inner = psi[s] ** 2
             # difference of O(|z|^2s) products: measured at operand scale
             scale = max(abs(outer), abs(inner), abs(target))
             worst_wronskian = worse(worst_wronskian, abs((outer - inner) - target) / scale)

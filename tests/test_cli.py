@@ -295,6 +295,15 @@ def test_verify_impossible_tolerance_fails(capsys):
     assert "[FAIL]" in out
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_verify_rejects_a_grid_size_below_one(capsys, size):
+    # such a size used to run the size-1 smoke grid and exit 0
+    code, out, err = run_cli(capsys, "verify", "--grid-size", size, "--mc-samples", "20000")
+    assert code == 64
+    assert out == ""
+    assert err.startswith("ar1quad: error:") and f"grid size must be >= 1, got {size}" in err
+
+
 def test_sweep_memory_does_not_grow_with_the_grid():
     # 5,000 rows are streamed: nothing proportional to the grid is held
     argv = ["sweep", "--theta", "0.6", "--m", "1", "--x", "0.5",

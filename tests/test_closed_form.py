@@ -13,7 +13,6 @@ from ar1quad import (
     constants,
     ergodic_constants,
     fit_convergence_rate,
-    gauss_hermite_nodes,
     normalized_transform,
     roots,
     sigma_via_recursion,
@@ -25,7 +24,7 @@ from ar1quad.cli import main
 from ar1quad.spectral import raw_psi
 
 from mp_reference import growth_rate_ref, log_transform_ref
-from util import alpha_grid_in_domain, count_calls, rel_err
+from util import alpha_grid_in_domain, count_calls, gauss_hermite_nodes, rel_err
 
 
 def test_constants_vanish_at_zero_mean():

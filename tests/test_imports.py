@@ -1,0 +1,52 @@
+"""numpy is loaded by the sweep and the matrix/Monte Carlo oracles only.
+
+Each entry point runs in a fresh interpreter, which then reports whether
+numpy was imported: the scalar closed form, the package import and the
+`transform`, `ergodic` and `verify` front ends must not pay for it.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import ar1quad
+
+SETUP = "from ar1quad import *; p = ModelParams(0.6, 1.0); a = TransformPoint(complex(-0.3, 0.2)); "
+CLI = "from ar1quad.cli import main; assert main({!r}) == 0"
+POINT = ["--theta", "0.6", "--m", "1", "--x", "0.5", "--alpha=-0.3"]
+
+
+def numpy_loaded_after(code: str) -> bool:
+    src = os.path.dirname(os.path.dirname(ar1quad.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = f"import sys\n{code}\nprint('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", script], check=True, env=env, capture_output=True, text=True).stdout
+    return out.splitlines()[-1] == "True"  # the last line: a CLI command prints its result first
+
+
+ENTRY_POINTS = {
+    "import": "import ar1quad",
+    "import_verify": "import ar1quad.verify",
+    "transform": SETUP + "transform(p, a, 0.5, 40000)",
+    "normalized_transform": SETUP + "normalized_transform(p, a, 0.5, 40000)",
+    "ergodic_constants": SETUP + "ergodic_constants(p, a, 0.5)",
+    "fit_convergence_rate": SETUP + "fit_convergence_rate(p, TransformPoint(-0.3), 0.5)",
+    "unconditional_transform": SETUP + "unconditional_transform(p, a, 10)",
+    "sigma_via_recursion": SETUP + "sigma_via_recursion(p, a, 0.5, 10)",
+    "roots": SETUP + "roots(p, a)",
+    "sequence_ratios": SETUP + "sequence_ratios(roots(p, a), p, 10)",
+    "constants": SETUP + "constants(p, a, 0.5)",
+    "cli_transform": CLI.format(["transform", *POINT, "--t", "40000"]),
+    "cli_ergodic": CLI.format(["ergodic", *POINT]),
+}
+
+
+@pytest.mark.parametrize("code", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_scalar_entry_points_do_not_load_numpy(code):
+    assert not numpy_loaded_after(code)
+
+
+def test_sweep_loads_numpy():
+    assert numpy_loaded_after(CLI.format(["sweep", *POINT, "--t", "1:3"]))

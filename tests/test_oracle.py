@@ -15,14 +15,13 @@ from ar1quad import (
     TransformPoint,
     conditional_covariance,
     domain_check,
-    gauss_hermite_nodes,
     matrix_mgf,
     monte_carlo_mgf,
     transform,
     unconditional_transform,
 )
 
-from util import rel_err
+from util import gauss_hermite_nodes, rel_err
 
 
 def test_matrix_horizon_zero_is_gaussian_factor():

@@ -18,10 +18,11 @@ from ar1quad import (
     roots,
     sequence_ratios,
 )
-from ar1quad.spectral import _array_expm1, _expm1, raw_pi, raw_psi
+from ar1quad.spectral import _expm1, raw_psi
+from ar1quad.sweep import _array_expm1
 
 from mp_reference import sequence_ref
-from util import alpha_grid_in_domain, rel_err
+from util import alpha_grid_in_domain, raw_pi, rel_err
 
 
 def test_transform_point_mu_alias():

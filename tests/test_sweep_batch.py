@@ -1,5 +1,5 @@
 """The sweep's batch path: `ar1quad sweep` evaluates each chunk of its
-horizons in one numpy pass (closed_form._horizon_batch over ARRAY_OPS).
+horizons in one numpy pass (sweep._horizon_batch over ARRAY_OPS).
 
 The scalar functions are the reference: a batch row agrees with them within
 the conditioning of log L_t and of exp(log n) (numpy's exp and log differ
@@ -29,6 +29,7 @@ from ar1quad import (
     transform,
 )
 from ar1quad import cli, closed_form
+from ar1quad import sweep as sweep_module
 from ar1quad.cli import main
 from mp_reference import log_transform_ref
 from util import rel_err, term_sizes, within_conditioning
@@ -123,16 +124,17 @@ def test_list_grid_is_evaluated_in_chunks(monkeypatch):
     # 300 single horizons plus a range of 20 are 320 rows: two numpy passes
     # per alpha, not one per grid entry
     calls = []
+    batch = sweep_module._horizon_batch  # the original, before it is patched
 
     def counting(params, point, x, stage, horizons):
         calls.append(len(horizons))
-        return closed_form._horizon_batch(params, point, x, stage, horizons)
+        return batch(params, point, x, stage, horizons)
 
-    monkeypatch.setattr(cli, "_horizon_batch", counting)
+    monkeypatch.setattr(sweep_module, "_horizon_batch", counting)
     grid = ",".join(map(str, range(1, 3000, 10))) + ",5000:5019"
     code, rows, _ = sweep("--theta=0.6", "--m=1.0", "--x=0.5", "--alpha=-0.3,-0.5", f"--t={grid}")
     assert code == 0 and len(rows) == 640
-    assert calls == [cli._SWEEP_CHUNK, 320 - cli._SWEEP_CHUNK] * 2
+    assert calls == [sweep_module._SWEEP_CHUNK, 320 - sweep_module._SWEEP_CHUNK] * 2
 
 
 def test_vanishing_d_t_prints_an_error_row(monkeypatch):
@@ -186,20 +188,20 @@ def sweep_text(*argv):
     return out.getvalue()
 
 
-def rendered(theta, m, x, alphas, t_text, fmt, batch=closed_form._horizon_batch):
+def rendered(theta, m, x, alphas, t_text, fmt, batch=sweep_module._horizon_batch):
     """The sweep's output rendered row by row and cell by cell through
     _fmt / _csv_cell, from the values of the same chunks."""
     params = ModelParams(theta, m)
     csv = fmt == "csv"
-    cell = cli._csv_cell if csv else cli._fmt
+    cell = sweep_module._csv_cell if csv else cli._fmt
 
     def line(values):
         if csv:
             return ",".join(map(cell, values)) + "\n"
-        return "{" + ", ".join(f'"{k}": {cell(v)}' for k, v in zip(cli._SWEEP_FIELDS, values)) + "}\n"
+        return "{" + ", ".join(f'"{k}": {cell(v)}' for k, v in zip(sweep_module._SWEEP_FIELDS, values)) + "}\n"
 
-    horizons = [t for entry in cli._parse_t_grid(t_text) for t in entry]
-    lines = [",".join(cli._SWEEP_FIELDS) + "\n"] if csv else []
+    horizons = [t for entry in sweep_module._parse_t_grid(t_text) for t in entry]
+    lines = [",".join(sweep_module._SWEEP_FIELDS) + "\n"] if csv else []
     for alpha in alphas:
         point = TransformPoint(alpha)
         error = [None] * 6 + ["out_of_domain"]
@@ -208,8 +210,8 @@ def rendered(theta, m, x, alphas, t_text, fmt, batch=closed_form._horizon_batch)
         except DomainError:
             lines += [line([alpha.real, alpha.imag, t, *error]) for t in horizons]
             continue
-        for k in range(0, len(horizons), cli._SWEEP_CHUNK):
-            chunk = horizons[k:k + cli._SWEEP_CHUNK]
+        for k in range(0, len(horizons), sweep_module._SWEEP_CHUNK):
+            chunk = horizons[k:k + sweep_module._SWEEP_CHUNK]
             log_value, normalized, regular, _ = batch(params, point, x, stage, chunk)
             columns = (log_value.real, log_value.imag, normalized.real, normalized.imag)
             for t, ok, *values in zip(chunk, regular.tolist(), *(c.tolist() for c in columns)):
@@ -263,7 +265,7 @@ def test_bit_constant_columns_are_tested_on_bits(monkeypatch, fmt):
     def crafted(params, point, x, stage, horizons):
         return log_value, normalized, np.ones(3, bool), None
 
-    monkeypatch.setattr(cli, "_horizon_batch", crafted)
+    monkeypatch.setattr(sweep_module, "_horizon_batch", crafted)
     text = sweep_text("--theta=0.6", "--m=1.0", "--x=0.5", "--alpha=-0.3", "--t=1:3", f"--format={fmt}")
     assert text == rendered(0.6, 1.0, 0.5, [complex(-0.3)], "1:3", fmt, batch=crafted)
     if fmt == "csv":

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 
 from ar1quad import ModelParams, TransformPoint, closed_form, domain_check, roots
-from ar1quad.spectral import SCALAR_OPS, _sequence_terms
+from ar1quad.spectral import RAW_INDEX_MAX, SCALAR_OPS, _int_power, _sequence_terms
 
 EPS = sys.float_info.epsilon
 
@@ -37,6 +37,21 @@ def alpha_grid_in_domain(theta: float, n_min: int = 50, include_complex: bool = 
     points = [a for a in candidates if domain_check(params, TransformPoint(a))]
     assert len(points) >= n_min, f"only {len(points)} in-domain points for theta={theta}"
     return points
+
+
+def raw_pi(spectral, params, s: int) -> complex:
+    """pi_s evaluated directly; cross-check use only, capped at small s."""
+    if not 0 <= s <= RAW_INDEX_MAX:
+        raise ValueError(f"raw pi evaluation is capped at index {RAW_INDEX_MAX}, got {s}")
+    return spectral.beta_plus * _int_power(spectral.lambda_plus, s + 1) + spectral.beta_minus * _int_power(
+        spectral.lambda_minus, s + 1
+    )
+
+
+def gauss_hermite_nodes(mean: float, variance: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights integrating against the N(mean, variance) density."""
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    return mean + math.sqrt(2.0 * variance) * nodes, weights / math.sqrt(math.pi)
 
 
 def count_calls(monkeypatch, module, *names):
