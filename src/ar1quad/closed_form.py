@@ -35,7 +35,10 @@ Every output comes from one evaluation in two stages, so the formulas live
 in one place and transform, normalized_transform, ergodic_constants and
 fit_convergence_rate agree bit for bit.  The alpha stage (_alpha_stage:
 roots, nu, A, mu*B, C, Lambda and the rate) depends only on (alpha, x); the
-horizon stage adds t.  Its text (_horizon: spectral._sequence_terms and
+horizon stage adds t.  The stages carry plain tuples, the roots as the
+tuple of spectral._roots, so a call builds no record but the one it
+returns: only the public spectral.roots() builds SpectralData.  The
+horizon stage's text (_horizon: spectral._sequence_terms and
 the log-domain assembly) is written once, over an operations namespace:
 SCALAR_OPS (cmath and math) at one t for the public functions, which never
 call numpy, and sweep.ARRAY_OPS over an array of t for a CLI sweep (see
@@ -52,8 +55,8 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, ParameterError, SingularConstantError
-from .model import ModelParams, check_finite
-from .spectral import SCALAR_OPS, SpectralData, TransformPoint, _log, _sequence_terms, raw_psi, roots
+from .model import ModelParams, check_finite, check_horizon
+from .spectral import SCALAR_OPS, TransformPoint, _log, _roots, _sequence_terms, raw_psi, roots
 
 _LOG_MAX = math.log(sys.float_info.max)  # ~709.78
 _LOG_MIN = -745.0  # below the smallest subnormal's log
@@ -105,13 +108,6 @@ class RateFit:
     n_points: int
 
 
-def _in_domain_roots(params: ModelParams, point: TransformPoint) -> SpectralData:
-    spectral = roots(params, point)
-    if not spectral.in_domain:
-        raise DomainError(f"alpha={point.alpha} is outside the validity domain")
-    return spectral
-
-
 def _constants(params: ModelParams, point: TransformPoint, x: float) -> tuple:
     """(nu, A, mu*B, C) at (alpha, x), with no pole at alpha = 0.  Requires a
     finite x; raises ParameterError when a constant overflows (|m| or |x|
@@ -142,18 +138,24 @@ def constants(params: ModelParams, point: TransformPoint, x: float) -> ClosedFor
     return ClosedFormConstants(nu=nu, A=a_const, B=b_const, C=c_const)
 
 
+def _outside(alpha: complex) -> DomainError:
+    return DomainError(f"alpha={alpha} is outside the validity domain")
+
+
 def _alpha_stage(params: ModelParams, point: TransformPoint, x: float) -> tuple:
     """(spectral, (nu, A, mu*B, C), Lambda, rate): the part of L_t that does
-    not depend on t, from one roots and one _constants evaluation.
+    not depend on t, from one _constants and one _roots evaluation, with
+    spectral the tuple of spectral._roots.
 
-    Raises DomainError for alpha outside D and ParameterError for a
-    non-finite x or constants.
+    Raises ParameterError for a non-finite x or constants, then DomainError
+    for alpha outside D.
     """
-    check_finite("x", x)
-    spectral = _in_domain_roots(params, point)
     cf = _constants(params, point, x)
-    drift = point.alpha * cf[1] - 0.5 * spectral.log_lambda_plus
-    return spectral, cf, drift, abs(params.theta / spectral.lambda_plus)
+    theta, alpha = params.theta, point.alpha
+    spectral = _roots(theta, alpha)
+    if not spectral[5]:
+        raise _outside(alpha)
+    return spectral, cf, alpha * cf[1] - 0.5 * spectral[4], abs(theta / spectral[0])
 
 
 def _overflow(what: str, params: ModelParams, x: float | None, alpha: complex, t: int | None) -> ParameterError:
@@ -176,7 +178,7 @@ def _assemble(theta, x, alpha, spectral, cf, q_t, inv_psi, log_correction) -> tu
     bounded = x * x + cf[2] * q_t + cf[3] * (theta - inv_psi)
     # the t-proportional parts of log(L_t) and t*Lambda cancel analytically
     # and are never formed (subtracting two O(t) logs would lose ~t*eps)
-    return bounded, -0.5 * (spectral.log_lambda_plus + log_correction) + alpha * bounded
+    return bounded, -0.5 * (spectral[4] + log_correction) + alpha * bounded
 
 
 def _horizon(ops, params: ModelParams, x: float, alpha: complex, stage: tuple, t) -> tuple:
@@ -194,10 +196,10 @@ def _horizon(ops, params: ModelParams, x: float, alpha: complex, stage: tuple, t
 
 def _scalar_horizon(params: ModelParams, x: float, alpha: complex, stage: tuple, t: int) -> tuple:
     """_horizon over SCALAR_OPS at one horizon t >= 0, from an alpha stage.
-    Raises ParameterError where log L_t is not finite (A*t beyond the
-    double range: |m| near 1e152 at t = 10^6)."""
-    if t < 0:
-        raise ValueError(f"horizon t must be >= 0, got {t}")
+    Raises ValueError unless t is an integer >= 0, and ParameterError where
+    log L_t is not finite (A*t beyond the double range: |m| near 1e152 at
+    t = 10^6)."""
+    t = check_horizon(t)
     terms = _horizon(SCALAR_OPS, params, x, alpha, stage, t)
     if not cmath.isfinite(terms[0]):
         raise _overflow("log L_t", params, x, alpha, t)
@@ -209,8 +211,9 @@ def _limit(params: ModelParams, x: float, alpha: complex, stage: tuple) -> compl
     stage: q_t -> theta/((1 - lambda_-)*lambda_+), 1/psi_{t+1} -> 0 and
     D_t -> beta_+ in the horizon formulas."""
     theta, spectral = params.theta, stage[0]
-    q = theta / ((1.0 - spectral.lambda_minus) * spectral.lambda_plus)
-    log_correction = _log(spectral.beta_plus, -spectral.beta_minus)
+    lam_plus, lam_minus, beta_plus, beta_minus = spectral[:4]
+    q = theta / ((1.0 - lam_minus) * lam_plus)
+    log_correction = _log(beta_plus, -beta_minus)
     log_f_check = _assemble(theta, x, alpha, spectral, stage[1], q, 0.0, log_correction)[1]
     return _exp(log_f_check, "f_check", params, x, alpha, None)
 
@@ -250,9 +253,12 @@ def sigma_via_recursion(params: ModelParams, point: TransformPoint, x: float, t:
     (raw psi overflows beyond).
     """
     check_finite("x", x)
-    if not 0 <= t <= RECURSION_MAX_T:
+    t = check_horizon(t)
+    if t > RECURSION_MAX_T:
         raise ValueError(f"recursion cross-check requires 0 <= t <= {RECURSION_MAX_T}, got {t}")
-    spectral = _in_domain_roots(params, point)
+    spectral = roots(params, point)  # raw_psi takes the public record
+    if not spectral.in_domain:
+        raise _outside(point.alpha)
     theta, m = params.theta, params.m
     psi = [raw_psi(spectral, params, s) for s in range(t + 2)]
     z_s = complex(x)
@@ -301,7 +307,7 @@ def fit_convergence_rate(
     alpha = point.alpha
     target = _limit(params, x, alpha, stage)
     points = []
-    for t in range(t_start, t_end + 1):
+    for t in range(check_horizon(t_start), check_horizon(t_end) + 1):
         log_normalized = _scalar_horizon(params, x, alpha, stage, t)[2]
         err = abs(_exp(log_normalized, "exp(-t*Lambda)*L_t", params, x, alpha, t) - target)
         if err > noise_floor:

@@ -16,6 +16,7 @@ callers account for it through a separate exp(alpha*x^2) factor.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -32,6 +33,18 @@ def check_finite(name: str, value: float) -> None:
         raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
+def check_horizon(t) -> int:
+    """t as an int; raise ValueError unless it is an integer (any value
+    operator.index accepts) >= 0.  A horizon of 10.5 has no transform."""
+    try:
+        horizon = operator.index(t)
+    except TypeError:
+        raise ValueError(f"horizon t must be an integer, got {t!r}") from None
+    if horizon < 0:
+        raise ValueError(f"horizon t must be >= 0, got {t}")
+    return horizon
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Process parameters: memory coefficient theta and level shift m.
@@ -43,10 +56,15 @@ class ModelParams:
     theta: float
     m: float = 0.0
 
-    def __post_init__(self):
-        if not 0.0 < abs(self.theta) < 1.0:
-            raise ParameterError(f"need 0 < |theta| < 1, got theta={self.theta!r}")
-        check_finite("m", self.m)
+    def __init__(self, theta: float, m: float = 0.0):
+        # each field is written once, straight into the instance dict: the
+        # frozen __setattr__ refuses it, and object.__setattr__ costs more
+        if not 0.0 < abs(theta) < 1.0:
+            raise ParameterError(f"need 0 < |theta| < 1, got theta={theta!r}")
+        check_finite("m", m)
+        fields = self.__dict__
+        fields["theta"] = theta
+        fields["m"] = m
 
 
 @dataclass(frozen=True)
@@ -70,8 +88,7 @@ def simulate_conditional(params: ModelParams, x: float, t: int, seed: int) -> Co
     """
     import numpy as np
     check_finite("x", x)
-    if t < 0:
-        raise ValueError(f"horizon t must be >= 0, got {t}")
+    t = check_horizon(t)
     innovations = np.random.default_rng(seed).standard_normal(t)
     dev = np.empty(t + 1)
     dev[0] = x - params.m
@@ -108,8 +125,7 @@ def conditional_covariance(params: ModelParams, t: int) -> np.ndarray:
     factor is a window view of the power table, so no index array is formed.
     """
     import numpy as np
-    if t < 0:
-        raise ValueError(f"horizon t must be >= 0, got {t}")
+    t = check_horizon(t)
     powers = params.theta ** np.arange(2 * t + 1)  # theta^k for every exponent used
     # row s of the windows, read in reverse, is theta^|s-u| for u = 1..t
     lags = np.concatenate((powers[t - 1 : 0 : -1], powers[:t]))

@@ -31,7 +31,7 @@ from typing import Literal
 
 from .closed_form import _LOG_MAX, _LOG_MIN, _exp, _overflow, quadratic_coefficients
 from .errors import ConvergenceError
-from .model import ModelParams, check_finite, conditional_covariance
+from .model import ModelParams, check_finite, check_horizon, conditional_covariance
 from .spectral import TransformPoint
 
 # O(t^3) factorization budget for the dense oracle.
@@ -67,7 +67,8 @@ def matrix_mgf(params: ModelParams, alpha: float, x: float, t: int) -> OracleRes
     a = float(alpha)
     check_finite("alpha", a)
     check_finite("x", x)
-    if not 0 <= t <= MATRIX_MAX_T:
+    t = check_horizon(t)
+    if t > MATRIX_MAX_T:
         raise ValueError(f"matrix oracle requires 0 <= t <= {MATRIX_MAX_T}, got {t}")
     mean = params.m + params.theta ** np.arange(1, t + 1) * (x - params.m)
     scale = float(np.abs(mean).max(initial=0.0)) or 1.0
@@ -113,8 +114,7 @@ def monte_carlo_mgf(
         raise ValueError(f"need alpha <= 0 for a bounded integrand, got {a}")
     if n < 2:
         raise ValueError(f"need n >= 2 samples, got {n}")
-    if t < 0:
-        raise ValueError(f"horizon t must be >= 0, got {t}")
+    t = check_horizon(t)
     rng = np.random.default_rng(seed)
     dev = np.full(n, x - params.m)
     total = np.full(n, x * x)

@@ -27,9 +27,12 @@ quantity is a difference of nearly equal numbers.  At t = 0 the anchors
 pi_0 = 1, r_0 = 1/psi_1 = theta and q_0 = 0 hold exactly.  Raw psi evaluation
 (raw_psi) is for cross-checks only and is capped at small indices.
 
-These formulas are written once, in _sequence_terms, over a small
-namespace of operations (exp, expm1, log from the excess, integer power,
-the singularity guard and the t = 0 anchor).  SCALAR_OPS (cmath and math,
+The roots and weights at one alpha travel as the plain tuple of _roots,
+(lambda_+, lambda_-, beta_+, beta_-, log lambda_+, in_domain): only the
+public roots() builds a SpectralData record from it, so an evaluation
+builds none.  The formulas are written once, in _sequence_terms, over a
+small namespace of operations (exp, expm1, log from the excess, integer
+power, the singularity guard and the t = 0 anchor).  SCALAR_OPS (cmath and math,
 no numpy) evaluates one horizon for every public function; sweep.py holds
 ARRAY_OPS, which evaluates an array of horizons for a sweep.
 """
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 from .errors import DomainBoundaryError, DomainError, ParameterError, SingularSequenceError
-from .model import ModelParams
+from .model import ModelParams, check_horizon
 
 # Strict-inequality margin for the root-modulus tests; boundary points are
 # rejected rather than guessed.
@@ -62,11 +65,13 @@ class TransformPoint:
 
     alpha: complex
 
-    def __post_init__(self):
-        alpha = complex(self.alpha)
+    def __init__(self, alpha: complex):
+        # the field is written once, straight into the instance dict: the
+        # frozen __setattr__ refuses it, and object.__setattr__ costs more
+        alpha = complex(alpha)
         if not cmath.isfinite(alpha):
             raise ParameterError(f"alpha must be finite, got {alpha!r}")
-        object.__setattr__(self, "alpha", alpha)
+        self.__dict__["alpha"] = alpha
 
     @property
     def mu(self) -> complex:
@@ -80,7 +85,9 @@ class SpectralData:
     lambda_plus is the root of larger modulus; beta_+/- satisfy
     beta_plus + beta_minus = 1 (since pi_0 = 1).  in_domain records whether
     |lambda_minus| < |theta| < |lambda_plus| holds strictly.  The derived
-    log_lambda_plus keeps full relative precision as alpha -> 0.
+    log_lambda_plus keeps full relative precision as alpha -> 0.  Only the
+    public roots() builds this record; the evaluation carries the tuple of
+    _roots.
     """
 
     lambda_plus: complex
@@ -91,7 +98,7 @@ class SpectralData:
     log_lambda_plus: complex = field(init=False)
 
     def __post_init__(self):
-        log_lambda_plus = _log(self.lambda_plus, self.beta_minus * (self.lambda_plus - self.lambda_minus))
+        log_lambda_plus = _log_lambda_plus(self.lambda_plus, self.lambda_minus, self.beta_minus)
         object.__setattr__(self, "log_lambda_plus", log_lambda_plus)
 
 
@@ -114,8 +121,15 @@ class SequenceRatios:
     log_correction: complex
 
 
-def roots(params: ModelParams, point: TransformPoint) -> SpectralData:
-    """Solve the characteristic quadratic and label the roots by modulus.
+def _log_lambda_plus(lam_plus: complex, lam_minus: complex, beta_minus: complex) -> complex:
+    """log(lambda_+) from its excess lambda_+ - 1 = beta_-*(lambda_+ - lambda_-),
+    free of the lambda_+ ~ 1 cancellation as alpha -> 0."""
+    return _log(lam_plus, beta_minus * (lam_plus - lam_minus))
+
+
+def _roots(theta: float, alpha: complex) -> tuple:
+    """(lambda_+, lambda_-, beta_+, beta_-, log lambda_+, in_domain): the
+    fields of roots() as a plain tuple, which the evaluation carries.
 
     The discriminant is evaluated in the factored form
     (-2*alpha + (theta+1)^2) * (-2*alpha + (theta-1)^2) and the smaller
@@ -123,9 +137,7 @@ def roots(params: ModelParams, point: TransformPoint) -> SpectralData:
     avoids cancellation.  Raises DomainBoundaryError when the two moduli
     coincide within DOMAIN_MARGIN (labelling would be arbitrary there).
     """
-    theta = params.theta
     theta2 = theta * theta
-    alpha = point.alpha
     b = -2.0 * alpha + theta2 + 1.0
     disc = (-2.0 * alpha + (theta + 1.0) ** 2) * (-2.0 * alpha + (theta - 1.0) ** 2)
     s = cmath.sqrt(disc)
@@ -133,7 +145,8 @@ def roots(params: ModelParams, point: TransformPoint) -> SpectralData:
         s = -s
     lam_plus = 0.5 * (b + s)
     lam_minus = theta2 / lam_plus
-    if abs(lam_plus) - abs(lam_minus) <= DOMAIN_MARGIN * abs(lam_plus):
+    abs_plus, abs_minus = abs(lam_plus), abs(lam_minus)
+    if abs_plus - abs_minus <= DOMAIN_MARGIN * abs_plus:
         raise DomainBoundaryError(
             f"|lambda_+| == |lambda_-| at alpha={alpha}: root labelling is ambiguous "
             "(boundary of the validity domain)"
@@ -144,10 +157,21 @@ def roots(params: ModelParams, point: TransformPoint) -> SpectralData:
     # subtraction cancels catastrophically as alpha -> 0 (lam_plus -> 1)
     beta_minus = -2.0 * alpha / ((1.0 - lam_minus) * denom)
     abs_theta = abs(theta)
-    in_domain = (
-        abs(lam_minus) < (1.0 - DOMAIN_MARGIN) * abs_theta
-        and abs(lam_plus) > (1.0 + DOMAIN_MARGIN) * abs_theta
-    )
+    in_domain = abs_minus < (1.0 - DOMAIN_MARGIN) * abs_theta and abs_plus > (1.0 + DOMAIN_MARGIN) * abs_theta
+    return lam_plus, lam_minus, beta_plus, beta_minus, _log_lambda_plus(lam_plus, lam_minus, beta_minus), in_domain
+
+
+def _spectral_tuple(spectral: SpectralData) -> tuple:
+    """A SpectralData record as the tuple of _roots."""
+    return (spectral.lambda_plus, spectral.lambda_minus, spectral.beta_plus, spectral.beta_minus,
+            spectral.log_lambda_plus, spectral.in_domain)
+
+
+def roots(params: ModelParams, point: TransformPoint) -> SpectralData:
+    """Solve the characteristic quadratic and label the roots by modulus
+    (see _roots): the public record of the tuple the evaluation carries.
+    Raises DomainBoundaryError where the two moduli coincide."""
+    lam_plus, lam_minus, beta_plus, beta_minus, _, in_domain = _roots(params.theta, point.alpha)
     return SpectralData(lam_plus, lam_minus, beta_plus, beta_minus, in_domain)
 
 
@@ -160,7 +184,7 @@ def domain_check(params: ModelParams, point: TransformPoint) -> bool:
     with ParameterError.
     """
     try:
-        return roots(params, point).in_domain
+        return _roots(params.theta, point.alpha)[5]
     except DomainBoundaryError:
         return False
 
@@ -221,9 +245,10 @@ def _at_zero(t: int, anchor: complex, value: complex) -> complex:
 SCALAR_OPS = SimpleNamespace(exp=cmath.exp, expm1=_expm1, log=_log, power=_int_power, guard=_guard, at_zero=_at_zero)
 
 
-def _sequence_terms(ops: SimpleNamespace, theta: float, spectral: SpectralData, t):
+def _sequence_terms(ops: SimpleNamespace, theta: float, spectral: tuple, t):
     """(q_t, 1/psi_{t+1}, log D_t, log pi_t, regular, w^t, D_t) at one
-    horizon t (SCALAR_OPS) or an array of them (sweep.ARRAY_OPS).
+    horizon t (SCALAR_OPS) or an array of them (sweep.ARRAY_OPS), from the
+    tuple of _roots.
 
     The one text of the closed forms in the module docstring.  At t = 0 the
     anchors pi_0 = 1 (log pi_0 = 0, log D_0 = -log lambda_+) and
@@ -232,8 +257,7 @@ def _sequence_terms(ops: SimpleNamespace, theta: float, spectral: SpectralData, 
     vanishing D_t or a non-finite result, the array guard returns the mask
     of rows where neither happened.
     """
-    lam_plus, lam_minus = spectral.lambda_plus, spectral.lambda_minus
-    beta_plus, beta_minus = spectral.beta_plus, spectral.beta_minus
+    lam_plus, lam_minus, beta_plus, beta_minus, log_lambda_plus = spectral[:5]
     # D_t needs w^t accurate when beta_+ is small (large |alpha|), q_t w^t - 1
     w = lam_minus / lam_plus
     t_log_w = t * cmath.log(w)
@@ -244,10 +268,10 @@ def _sequence_terms(ops: SimpleNamespace, theta: float, spectral: SpectralData, 
     log_correction = ops.log(d_t, beta_minus * (w * w_t_m1 + (w - 1.0)))
     q_t = -theta * w_t_m1 / ((lam_plus - lam_minus) * lam_plus * d_t)
     inv_psi = ops.power(theta / lam_plus, t + 1) / d_t
-    log_pi = (t + 1) * spectral.log_lambda_plus + log_correction
+    log_pi = (t + 1) * log_lambda_plus + log_correction
     regular = ops.guard(t, d_t, inv_psi, q_t, log_pi)
     inv_psi = ops.at_zero(t, complex(theta), inv_psi)
-    log_correction = ops.at_zero(t, -spectral.log_lambda_plus, log_correction)
+    log_correction = ops.at_zero(t, -log_lambda_plus, log_correction)
     log_pi = ops.at_zero(t, 0j, log_pi)
     return q_t, inv_psi, log_correction, log_pi, regular, w_t, d_t
 
@@ -260,19 +284,19 @@ def sequence_ratios(spectral: SpectralData, params: ModelParams, t: int) -> Sequ
     and theta - r_0 is exactly 0.  A vanishing D_t means pi_t and psi_{t+1}
     vanish and raises SingularSequenceError, as does any non-finite result.
     """
-    if t < 0:
-        raise ValueError(f"horizon t must be >= 0, got {t}")
+    t = check_horizon(t)
     if not spectral.in_domain:
         raise DomainError("sequence ratios are only defined inside the validity domain")
-    theta, lam_plus, lam_minus = params.theta, spectral.lambda_plus, spectral.lambda_minus
-    q_t, inv_psi, log_correction, log_pi, _, w_t, d_t = _sequence_terms(SCALAR_OPS, theta, spectral, t)
+    theta, stage = params.theta, _spectral_tuple(spectral)
+    lam_plus, lam_minus, beta_plus, beta_minus = stage[:4]
+    q_t, inv_psi, log_correction, log_pi, _, w_t, d_t = _sequence_terms(SCALAR_OPS, theta, stage, t)
     if t == 0:
         r = complex(theta)
     else:
-        r = theta * (spectral.beta_plus + spectral.beta_minus * w_t) / (lam_plus * d_t)
+        r = theta * (beta_plus + beta_minus * w_t) / (lam_plus * d_t)
         _guard(t, d_t, r)
     # mu = beta_-*(1 - lambda_-)*(lambda_+ - lambda_-), free of the lambda_+ ~ 1 cancellation
-    theta_minus_r = q_t * spectral.beta_minus * (1.0 - lam_minus) * (lam_plus - lam_minus)
+    theta_minus_r = q_t * beta_minus * (1.0 - lam_minus) * (lam_plus - lam_minus)
     return SequenceRatios(t, r, inv_psi, log_pi, theta_minus_r, log_correction)
 
 

@@ -1,7 +1,10 @@
 import cmath
+import contextlib
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ar1quad import (
@@ -10,18 +13,23 @@ from ar1quad import (
     ParameterError,
     SingularConstantError,
     TransformPoint,
+    conditional_covariance,
     constants,
     ergodic_constants,
     fit_convergence_rate,
+    matrix_mgf,
+    monte_carlo_mgf,
     normalized_transform,
     roots,
+    sequence_ratios,
     sigma_via_recursion,
+    simulate_conditional,
     transform,
     unconditional_transform,
 )
 from ar1quad import closed_form
 from ar1quad.cli import main
-from ar1quad.spectral import raw_psi
+from ar1quad.spectral import SpectralData, raw_psi
 
 from mp_reference import growth_rate_ref, log_transform_ref
 from util import alpha_grid_in_domain, count_calls, gauss_hermite_nodes, rel_err
@@ -79,8 +87,42 @@ def test_transform_rejects_negative_horizon():
         transform(ModelParams(0.5), TransformPoint(-0.5), 0.0, -1)
 
 
+def _horizon_callers(t):
+    """Every public function that takes a horizon t, as zero-argument calls."""
+    params, point = ModelParams(0.6, 1.0), TransformPoint(-0.3)
+    return {
+        "transform": lambda: transform(params, point, 0.5, t),
+        "normalized_transform": lambda: normalized_transform(params, point, 0.5, t),
+        "quadratic_coefficients": lambda: closed_form.quadratic_coefficients(params, point, t),
+        "fit_convergence_rate": lambda: fit_convergence_rate(params, point, 0.5, t_start=t),
+        "unconditional_transform": lambda: unconditional_transform(params, point, t),
+        "sequence_ratios": lambda: sequence_ratios(roots(params, point), params, t),
+        "sigma_via_recursion": lambda: sigma_via_recursion(params, point, 0.5, t),
+        "matrix_mgf": lambda: matrix_mgf(params, -0.3, 0.5, t),
+        "monte_carlo_mgf": lambda: monte_carlo_mgf(params, -0.3, 0.5, t, 100, 0),
+        "simulate_conditional": lambda: simulate_conditional(params, 0.5, t, 0),
+        "conditional_covariance": lambda: conditional_covariance(params, t),
+    }
+
+
+@pytest.mark.parametrize("t", [10.5, 10.0, "10", None])
+def test_non_integer_horizon_raises_value_error(t):
+    # a horizon of 10.5 has no transform: no function evaluates there, and
+    # none raises a bare TypeError
+    for name, call in _horizon_callers(t).items():
+        with pytest.raises(ValueError, match="horizon t must be an integer"):
+            call()
+            pytest.fail(f"{name} accepted the horizon {t!r}")
+
+
+def test_index_horizon_gives_the_int_result():
+    # any operator.index value is a horizon, with the result of the int
+    for name, call in _horizon_callers(np.int64(10)).items():
+        assert repr(call()) == repr(_horizon_callers(10)[name]()), name
+
+
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("alpha", [0.0, -0.3, complex(-0.3, 0.2)])
+@pytest.mark.parametrize("alpha", [0.0, -0.3, complex(-0.3, 0.2), 2.0])  # 2.0 is outside D
 def test_non_finite_start_raises_parameter_error(x, alpha):
     params, point = ModelParams(0.6, 1.0), TransformPoint(alpha)
     with pytest.raises(ParameterError):
@@ -96,9 +138,11 @@ def test_non_finite_start_raises_parameter_error(x, alpha):
 
 
 @pytest.mark.parametrize("m, x, alpha", [(1e200, 0.5, -0.3), (1.0, 1e200, -0.3),
-                                         (1e150, 0.5, -1e-300), (-1e200, 0.5, complex(-0.3, 0.2))])
+                                         (1e150, 0.5, -1e-300), (-1e200, 0.5, complex(-0.3, 0.2)),
+                                         (1e200, 0.5, 2.0)])
 def test_overflowing_constants_raise_parameter_error(m, x, alpha):
-    # m*nu or centred^2 leaves the double range: A, mu*B, C would be inf or NaN
+    # m*nu or centred^2 leaves the double range: A, mu*B, C would be inf or NaN;
+    # invalid input is reported before the domain is tested (alpha = 2 is outside D)
     params, point = ModelParams(0.6, m), TransformPoint(alpha)
     with pytest.raises(ParameterError, match="overflow"):
         constants(params, point, x)
@@ -369,30 +413,53 @@ def test_fitted_rate_runs_one_alpha_stage_with_unchanged_result(monkeypatch, the
     mean_t, mean_y = sum(p[0] for p in points) / n, sum(p[1] for p in points) / n
     sxy = sum((p[0] - mean_t) * (p[1] - mean_y) for p in points)
     sxx = sum((p[0] - mean_t) ** 2 for p in points)
-    counts = count_calls(monkeypatch, closed_form, "roots", "_constants")
+    counts = count_calls(monkeypatch, closed_form, "_roots", "_constants")
     fit = fit_convergence_rate(params, point, 0.5)
     assert (fit.ratio, fit.n_points) == (math.exp(sxy / sxx), n)
-    assert counts == {"roots": 1, "_constants": 1}
+    assert counts == {"_roots": 1, "_constants": 1}
 
 
 @pytest.mark.parametrize("theta, alpha, t", [(0.6, -0.3, 0), (-0.8, complex(-0.1, 0.1), 7), (0.95, -0.5, 10**6)])
 def test_quadratic_coefficients_evaluate_the_sequence_terms_once(monkeypatch, theta, alpha, t):
     params, point = ModelParams(theta, 1.0), TransformPoint(alpha)
     expected = closed_form.quadratic_coefficients(params, point, t)
-    counts = count_calls(monkeypatch, closed_form, "roots", "_constants", "_sequence_terms")
+    counts = count_calls(monkeypatch, closed_form, "_roots", "_constants", "_sequence_terms")
     g0, g1, c2 = closed_form.quadratic_coefficients(params, point, t)
     assert (g0, g1, c2) == expected
-    assert counts == {"roots": 1, "_constants": 1, "_sequence_terms": 1}
+    assert counts == {"_roots": 1, "_constants": 1, "_sequence_terms": 1}
     # g0 is log L_t at x = m, from the same terms
     monkeypatch.undo()
     assert g0 == transform(params, point, 1.0, t).log_value
 
 
+def test_scalar_path_builds_no_spectral_record(monkeypatch):
+    # the evaluation carries the tuple of spectral._roots: only the public
+    # roots() builds SpectralData, and its __post_init__ runs once per record
+    built = []
+    post_init = SpectralData.__post_init__
+    monkeypatch.setattr(SpectralData, "__post_init__", lambda self: built.append(post_init(self)))
+    params, real, cplx = ModelParams(0.6, 1.0), TransformPoint(-0.3), TransformPoint(complex(-0.3, 0.2))
+    roots(params, cplx)
+    assert len(built) == 1  # the counter sees a record
+    built.clear()
+    for point in (real, cplx):
+        transform(params, point, 0.5, 40000)
+        normalized_transform(params, point, 0.5, 10)
+        ergodic_constants(params, point, 0.5)
+        fit_convergence_rate(params, point, 0.5)
+        unconditional_transform(params, point, 10)
+    common = ["--theta=0.6", "--m=1", "--x=0.5", "--alpha=-0.3", "--alpha-im=0.2"]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["transform", *common, "--t=40000"]) == 0
+        assert main(["ergodic", *common]) == 0
+        assert main(["sweep", *common, "--t=0:300,40000"]) == 0
+    assert out.getvalue().count("\n") == 2 + 302
+    assert built == []
+
+
 def test_transform_valid_for_positive_alpha_inside_domain():
     # D reaches slightly past 0 on the real axis; the closed form must keep
     # matching the oracle there
-    from ar1quad import matrix_mgf
-
     for theta, alpha, m, x in [(0.5, 0.1, 1.0, 0.5), (0.3, 0.2, 1.5, -1.0)]:
         params = ModelParams(theta, m)
         point = TransformPoint(alpha)

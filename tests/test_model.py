@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,10 +8,12 @@ import pytest
 from ar1quad import (
     ModelParams,
     ParameterError,
+    TransformPoint,
     conditional_covariance,
     conditional_mean,
     simulate_conditional,
 )
+from ar1quad.model import check_horizon
 
 
 @pytest.mark.parametrize("theta", [0.0, 1.0, -1.0, 1.5, -2.0, float("nan")])
@@ -22,6 +25,57 @@ def test_invalid_theta_rejected(theta):
 def test_nonfinite_m_rejected():
     with pytest.raises(ParameterError):
         ModelParams(0.5, float("inf"))
+
+
+def test_model_params_keeps_the_dataclass_contract():
+    params = ModelParams(theta=0.6, m=1.0)
+    assert (params.theta, params.m) == (0.6, 1.0)
+    assert ModelParams(0.6).m == 0.0 and ModelParams(theta=-0.5).m == 0.0
+    assert [f.name for f in dataclasses.fields(ModelParams)] == ["theta", "m"]
+    assert repr(params) == "ModelParams(theta=0.6, m=1.0)"
+    assert params == ModelParams(0.6, 1.0) and hash(params) == hash(ModelParams(0.6, 1.0))
+    assert params != ModelParams(0.6, 2.0) and params != ModelParams(-0.6, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.theta = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.m = 2.0
+    assert dataclasses.replace(params, m=2.0) == ModelParams(0.6, 2.0)
+    # replace goes through __init__, so it validates as the constructor does
+    with pytest.raises(ParameterError, match=r"^need 0 < \|theta\| < 1, got theta=1\.5$"):
+        dataclasses.replace(params, theta=1.5)
+    with pytest.raises(ParameterError, match=r"^m must be finite, got nan$"):
+        dataclasses.replace(params, m=math.nan)
+
+
+def test_transform_point_keeps_the_dataclass_contract():
+    point = TransformPoint(alpha=-0.3)
+    assert type(point.alpha) is complex and point.alpha == complex(-0.3)
+    assert [f.name for f in dataclasses.fields(TransformPoint)] == ["alpha"]
+    assert repr(point) == "TransformPoint(alpha=(-0.3+0j))"
+    assert point == TransformPoint(complex(-0.3)) and hash(point) == hash(TransformPoint(complex(-0.3)))
+    assert point != TransformPoint(complex(-0.3, 0.1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        point.alpha = 0.5
+    assert dataclasses.replace(point, alpha=-1) == TransformPoint(-1.0)
+    with pytest.raises(ParameterError, match=r"^alpha must be finite, got \(nan\+0j\)$"):
+        dataclasses.replace(point, alpha=math.nan)
+    with pytest.raises(ParameterError, match=r"^alpha must be finite, got \(-0\.3\+infj\)$"):
+        TransformPoint(complex(-0.3, math.inf))
+
+
+@pytest.mark.parametrize("t", [0, 7, 10**6, np.int64(12), np.uint8(3), True])
+def test_check_horizon_accepts_integers(t):
+    horizon = check_horizon(t)
+    assert type(horizon) is int and horizon == t
+
+
+@pytest.mark.parametrize("t, message", [(-1, "must be >= 0, got -1"), (np.int64(-5), "must be >= 0, got -5"),
+                                        (10.5, "must be an integer, got 10.5"), (10.0, "must be an integer, got 10.0"),
+                                        (np.float64(3.0), "must be an integer"), ("10", "must be an integer, got '10'"),
+                                        (None, "must be an integer, got None"), (Fraction(21, 2), "must be an integer")])
+def test_check_horizon_rejects_other_values(t, message):
+    with pytest.raises(ValueError, match="^horizon t " + message):
+        check_horizon(t)
 
 
 def test_horizon_zero_path_is_start_only():

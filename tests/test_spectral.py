@@ -18,7 +18,7 @@ from ar1quad import (
     roots,
     sequence_ratios,
 )
-from ar1quad.spectral import _expm1, raw_psi
+from ar1quad.spectral import _expm1, _roots, _spectral_tuple, raw_psi
 from ar1quad.sweep import _array_expm1
 
 from mp_reference import sequence_ref
@@ -187,6 +187,31 @@ def test_wronskian_constant_small_index_strict():
                 spectral, params, s
             ) ** 2
             assert rel_err(lhs, target) < 1e-10
+
+
+def test_public_roots_hold_the_bits_of_the_stage_tuple():
+    # the record of roots() and the tuple the evaluation carries come from
+    # one text: every field, log_lambda_plus included, has the same bits
+    # (repr tells -0.0 from 0.0)
+    rng = np.random.default_rng(20261018)
+    alphas = [0j, complex(-0.0), complex(-1e-300), complex(-5e-324), complex(5e-324), complex(-1e-300, 1e-300),
+              complex(-1e-15), complex(-0.3, 0.4), complex(0.9), complex(2.0)]
+    alphas += [complex(re) for re in rng.uniform(-5.0, 1.0, 20)]
+    alphas += [complex(re, im) for re, im in zip(rng.uniform(-5.0, 1.0, 20), rng.uniform(-2.0, 2.0, 20))]
+    thetas = [0.6, -0.8, 0.95, -0.05, *rng.uniform(-0.99, 0.99, 6).tolist()]
+    compared = 0
+    for theta in thetas:
+        for alpha in alphas:
+            try:
+                stage = _roots(theta, alpha)
+            except DomainBoundaryError:
+                with pytest.raises(DomainBoundaryError):
+                    roots(ModelParams(theta), TransformPoint(alpha))
+                continue
+            assert repr(_spectral_tuple(roots(ModelParams(theta), TransformPoint(alpha)))) == repr(stage)
+            assert type(stage[5]) is bool
+            compared += 1
+    assert compared >= 0.9 * len(thetas) * len(alphas)
 
 
 def test_out_of_domain_sequence_request_raises():

@@ -31,6 +31,7 @@ from ar1quad import (
 from ar1quad import cli, closed_form
 from ar1quad import sweep as sweep_module
 from ar1quad.cli import main
+from ar1quad.spectral import _spectral_tuple
 from mp_reference import log_transform_ref
 from util import rel_err, term_sizes, within_conditioning
 
@@ -145,7 +146,7 @@ def test_vanishing_d_t_prints_an_error_row(monkeypatch):
     params = ModelParams(0.5, 0.0)
     with pytest.raises(SingularSequenceError):
         sequence_ratios(crafted, params, 1)
-    monkeypatch.setattr(closed_form, "roots", lambda params, point: crafted)
+    monkeypatch.setattr(closed_form, "_roots", lambda theta, alpha: _spectral_tuple(crafted))
     argv = ["--theta=0.5", "--m=0", "--x=0.5", "--alpha=-0.3", "--t=0:5"]
     code, rows, _ = sweep(*argv)
     assert code == 0
@@ -247,7 +248,7 @@ def test_sweep_output_with_a_vanishing_d_t_is_the_cell_by_cell_rendering(monkeyp
     # row at t = 1 among the template's rows of one chunk
     crafted = SpectralData(lambda_plus=complex(2.0), lambda_minus=complex(1.0),
                            beta_plus=complex(-1.0 / 3.0), beta_minus=complex(4.0 / 3.0), in_domain=True)
-    monkeypatch.setattr(closed_form, "roots", lambda params, point: crafted)
+    monkeypatch.setattr(closed_form, "_roots", lambda theta, alpha: _spectral_tuple(crafted))
     text = sweep_text("--theta=0.5", "--m=0", "--x=0.5", "--alpha=-0.3,-0.2", "--alpha-im=0,0.1", "--t=0:5",
                       f"--format={fmt}")
     assert "out_of_domain" in text

@@ -6,8 +6,8 @@ import sys
 
 import numpy as np
 
-from ar1quad import ModelParams, TransformPoint, closed_form, domain_check, roots
-from ar1quad.spectral import RAW_INDEX_MAX, SCALAR_OPS, _int_power, _sequence_terms
+from ar1quad import ModelParams, TransformPoint, closed_form, domain_check
+from ar1quad.spectral import RAW_INDEX_MAX, SCALAR_OPS, _int_power, _roots, _sequence_terms
 
 EPS = sys.float_info.epsilon
 
@@ -76,11 +76,11 @@ def term_sizes(params, point, x, t):
     cells differ by a few eps times these sizes.  They shrink with alpha:
     a relative loss of accuracy at small alpha does not hide below them;
     at alpha = 0 both are 0, and log L_t = 0, n = 1 must hold exactly."""
-    spectral = roots(params, point)
+    spectral = _roots(params.theta, point.alpha)
     q_t, inv_psi, log_correction = _sequence_terms(SCALAR_OPS, params.theta, spectral, t)[:3]
     _, a_const, mu_b, c_const = closed_form._constants(params, point, x)
     bounded = x * x + abs(mu_b * q_t) + abs(c_const * (params.theta - inv_psi))
-    log_lambda_plus, log_correction = abs(spectral.log_lambda_plus), abs(log_correction)
+    log_lambda_plus, log_correction = abs(spectral[4]), abs(log_correction)
     alpha = abs(point.alpha)
     return (0.5 * ((t + 1) * log_lambda_plus + log_correction) + alpha * (abs(a_const * t) + bounded),
             0.5 * (log_lambda_plus + log_correction) + alpha * bounded)
