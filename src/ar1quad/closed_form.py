@@ -110,9 +110,8 @@ class RateFit:
 
 def _constants(params: ModelParams, point: TransformPoint, x: float) -> tuple:
     """(nu, A, mu*B, C) at (alpha, x), with no pole at alpha = 0.  Requires a
-    finite x; raises ParameterError when a constant overflows (|m| or |x|
-    near 1e154)."""
-    check_finite("x", x)
+    finite x, which its callers check; raises ParameterError when a constant
+    overflows (|m| or |x| near 1e154)."""
     theta, m = params.theta, params.m
     mu = point.mu
     nu = m * (1.0 - theta) / (mu + (1.0 - theta) ** 2)
@@ -129,6 +128,7 @@ def constants(params: ModelParams, point: TransformPoint, x: float) -> ClosedFor
     """Evaluate nu, A, B = (mu*B)/mu, C at (alpha, x).  Requires a finite x
     and alpha != 0 (SingularConstantError); raises ParameterError when a
     constant overflows (|m| or |x| near 1e154, or B alone at a tiny alpha)."""
+    check_finite("x", x)
     nu, a_const, mu_b, c_const = _constants(params, point, x)
     if point.alpha == 0:
         raise SingularConstantError("B has a 1/(-2*alpha) pole at alpha == 0")
@@ -144,17 +144,20 @@ def _outside(alpha: complex) -> DomainError:
 
 def _alpha_stage(params: ModelParams, point: TransformPoint, x: float) -> tuple:
     """(spectral, (nu, A, mu*B, C), Lambda, rate): the part of L_t that does
-    not depend on t, from one _constants and one _roots evaluation, with
+    not depend on t, from one _roots and one _constants evaluation, with
     spectral the tuple of spectral._roots.
 
-    Raises ParameterError for a non-finite x or constants, then DomainError
-    for alpha outside D.
+    Raises ParameterError for a non-finite x, then DomainError for alpha
+    outside D (DomainBoundaryError where the moduli of the roots coincide,
+    which includes the pole of nu at mu = -(1-theta)^2), then
+    ParameterError for overflowing constants.
     """
-    cf = _constants(params, point, x)
+    check_finite("x", x)
     theta, alpha = params.theta, point.alpha
     spectral = _roots(theta, alpha)
     if not spectral[5]:
         raise _outside(alpha)
+    cf = _constants(params, point, x)
     return spectral, cf, alpha * cf[1] - 0.5 * spectral[4], abs(theta / spectral[0])
 
 

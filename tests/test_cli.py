@@ -240,6 +240,22 @@ def test_sweep_out_of_domain_row_best_effort(capsys):
     assert lines[2].endswith(",")  # healthy row, empty error cell
 
 
+# alpha = (1-theta)^2/2 is the boundary of D and the pole of nu; at alpha = 0.9,
+# outside D, the domain is reported before the overflowing constants
+@pytest.mark.parametrize("theta, m, alpha", [("0.5", "1", "0.125"), ("0.6", "1e200", "0.9")])
+def test_alpha_outside_domain_is_out_of_domain(capsys, theta, m, alpha):
+    point = ["--theta", theta, "--m", m, "--x", "0.3"]
+    for argv in (["transform", *point, "--alpha", alpha, "--t", "5"], ["ergodic", *point, "--alpha", alpha]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out) == {"error": "out_of_domain"} and err == ""
+    sweep = ["sweep", *point, "--alpha", alpha, "--t", "1:2", "--format", "csv"]
+    code, out, _ = run_cli(capsys, *sweep)
+    assert code == 0
+    assert [line.endswith("out_of_domain") for line in out.strip().splitlines()[1:]] == [True, True]
+    assert run_cli(capsys, *sweep, "--strict")[0] == 2
+
+
 def test_sweep_accepts_alpha_zero_rows(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--theta", "0.5", "--m", "1", "--x", "0.3",
@@ -358,7 +374,7 @@ def test_sweep_runs_roots_and_constants_once_per_alpha(monkeypatch):
         code = main(["sweep", "--theta", "0.6", "--m", "1", "--x", "0.5", "--alpha=-0.3,0.9,-0.3",
                      "--alpha-im=0,0,0.2", "--t", "40000:40999"])
     assert code == 0
-    assert counts == {"_roots": 3, "_constants": 3}
+    assert counts == {"_roots": 3, "_constants": 2}  # alpha = 0.9 stops at the domain test
 
 
 @pytest.mark.parametrize("level", [["--m", "1e200", "--x", "0.5"], ["--m", "1", "--x", "1e200"]])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ar1quad import (
+    DomainBoundaryError,
     DomainError,
     ModelParams,
     ParameterError,
@@ -122,7 +123,7 @@ def test_index_horizon_gives_the_int_result():
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("alpha", [0.0, -0.3, complex(-0.3, 0.2), 2.0])  # 2.0 is outside D
+@pytest.mark.parametrize("alpha", [0.0, -0.3, complex(-0.3, 0.2), 0.9])  # 0.9 is outside D
 def test_non_finite_start_raises_parameter_error(x, alpha):
     params, point = ModelParams(0.6, 1.0), TransformPoint(alpha)
     with pytest.raises(ParameterError):
@@ -138,11 +139,9 @@ def test_non_finite_start_raises_parameter_error(x, alpha):
 
 
 @pytest.mark.parametrize("m, x, alpha", [(1e200, 0.5, -0.3), (1.0, 1e200, -0.3),
-                                         (1e150, 0.5, -1e-300), (-1e200, 0.5, complex(-0.3, 0.2)),
-                                         (1e200, 0.5, 2.0)])
+                                         (1e150, 0.5, -1e-300), (-1e200, 0.5, complex(-0.3, 0.2))])
 def test_overflowing_constants_raise_parameter_error(m, x, alpha):
-    # m*nu or centred^2 leaves the double range: A, mu*B, C would be inf or NaN;
-    # invalid input is reported before the domain is tested (alpha = 2 is outside D)
+    # m*nu or centred^2 leaves the double range: A, mu*B, C would be inf or NaN
     params, point = ModelParams(0.6, m), TransformPoint(alpha)
     with pytest.raises(ParameterError, match="overflow"):
         constants(params, point, x)
@@ -162,6 +161,26 @@ def test_overflowing_constants_raise_parameter_error(m, x, alpha):
         ergodic_constants(params, point, x)
     with pytest.raises(ParameterError, match="overflow"):
         fit_convergence_rate(params, point, x)
+
+
+@pytest.mark.parametrize("theta, m, alpha", [(0.5, 0.0, 0.125), (0.5, 1.0, 0.125), (0.5, 1e200, 0.125),
+                                             (0.6, 1e200, 0.3), (0.6, 1e200, 0.9)])
+def test_alpha_outside_domain_is_tested_before_the_constants(theta, m, alpha):
+    # D excludes the real segment [(1-theta)^2/2, (1+theta)^2/2], where the roots have
+    # equal moduli; at its left end mu + (1-theta)^2 == 0 is also the pole of nu.  The
+    # domain is tested before the constants, so neither that division by zero nor the
+    # overflowing constants at m = 1e200 are reported (a non-finite x is, before the
+    # domain: test_non_finite_start_raises_parameter_error)
+    params, point = ModelParams(theta, m), TransformPoint(alpha)
+    calls = [lambda: transform(params, point, 0.5, 10),
+             lambda: normalized_transform(params, point, 0.5, 10),
+             lambda: ergodic_constants(params, point, 0.5),
+             lambda: fit_convergence_rate(params, point, 0.5),
+             lambda: unconditional_transform(params, point, 10),
+             lambda: closed_form.quadratic_coefficients(params, point, 10)]
+    for call in calls:
+        with pytest.raises(DomainBoundaryError):
+            call()
 
 
 @pytest.mark.parametrize("t_start", [-1, -3])
