@@ -89,6 +89,15 @@ class TransformValue:
     sigma_t: complex
     overflow: bool = False
 
+    def __init__(self, log_value: complex, value: complex, sigma_t: complex, overflow: bool = False):
+        # each field is written once, straight into the instance dict, as
+        # ModelParams does: the generated frozen __init__ costs more
+        fields = self.__dict__
+        fields["log_value"] = log_value
+        fields["value"] = value
+        fields["sigma_t"] = sigma_t
+        fields["overflow"] = overflow
+
 
 @dataclass(frozen=True)
 class ErgodicConstants:
@@ -98,6 +107,12 @@ class ErgodicConstants:
     lambda_of_alpha: complex
     f_check: complex
     rate: float
+
+    def __init__(self, lambda_of_alpha: complex, f_check: complex, rate: float):
+        fields = self.__dict__  # as TransformValue
+        fields["lambda_of_alpha"] = lambda_of_alpha
+        fields["f_check"] = f_check
+        fields["rate"] = rate
 
 
 @dataclass(frozen=True)
@@ -126,9 +141,13 @@ def _constants(params: ModelParams, point: TransformPoint, x: float) -> tuple:
 
 def constants(params: ModelParams, point: TransformPoint, x: float) -> ClosedFormConstants:
     """Evaluate nu, A, B = (mu*B)/mu, C at (alpha, x).  Requires a finite x
-    and alpha != 0 (SingularConstantError); raises ParameterError when a
-    constant overflows (|m| or |x| near 1e154, or B alone at a tiny alpha)."""
+    and alpha != 0 (SingularConstantError); raises DomainBoundaryError
+    where the moduli of the roots coincide (outside D: the real segment
+    [(1-theta)^2/2, (1+theta)^2/2], whose end (1-theta)^2/2 is the pole of
+    nu), and ParameterError when a constant overflows (|m| or |x| near
+    1e154, or B alone at a tiny alpha)."""
     check_finite("x", x)
+    _roots(params.theta, point.alpha)  # its boundary test covers the pole of nu
     nu, a_const, mu_b, c_const = _constants(params, point, x)
     if point.alpha == 0:
         raise SingularConstantError("B has a 1/(-2*alpha) pole at alpha == 0")

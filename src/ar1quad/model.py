@@ -33,15 +33,16 @@ def check_finite(name: str, value: float) -> None:
         raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
-def check_horizon(t) -> int:
-    """t as an int; raise ValueError unless it is an integer (any value
-    operator.index accepts) >= 0.  A horizon of 10.5 has no transform."""
+def check_horizon(t, name: str = "horizon t") -> int:
+    """t as an int; raise ValueError, naming t by `name`, unless it is an
+    integer (any value operator.index accepts) >= 0.  A horizon of 10.5 has
+    no transform, and a step index of 1.5 no conditional mean."""
     try:
         horizon = operator.index(t)
     except TypeError:
-        raise ValueError(f"horizon t must be an integer, got {t!r}") from None
+        raise ValueError(f"{name} must be an integer, got {t!r}") from None
     if horizon < 0:
-        raise ValueError(f"horizon t must be >= 0, got {t}")
+        raise ValueError(f"{name} must be >= 0, got {t}")
     return horizon
 
 
@@ -106,8 +107,7 @@ def conditional_mean(params: ModelParams, x: float, s: int) -> float:
     started from m_0 = x.
     """
     check_finite("x", x)
-    if s < 0:
-        raise ValueError(f"step index must be >= 0, got {s}")
+    s = check_horizon(s, "step index")
     if s == 0:
         return x  # recursion anchor, exact (m + (x - m) would round)
     return params.m + params.theta**s * (x - params.m)

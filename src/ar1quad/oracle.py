@@ -11,7 +11,11 @@ machinery:
   gives the determinant from its pivots and the solve from its last row.
 
 * monte_carlo_mgf: the empirical mean of exp(alpha*S_t) over simulated
-  paths, with its standard error.
+  paths, with its standard error.  The paths are cut into blocks of at
+  most MC_BLOCK, each driven by its own stream spawned from
+  SeedSequence(seed) and run on a worker thread (numpy releases the GIL
+  in the normal fill and the ufunc loops); the result depends on
+  (seed, n) only, never on the number of cores.
 
 unconditional_transform is the exact Gaussian integral of L_t(alpha, .)
 over the stationary start law N(m, 1/(1-theta^2)); it raises
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from dataclasses import dataclass
 from typing import Literal
 
@@ -36,6 +41,8 @@ from .spectral import TransformPoint
 
 # O(t^3) factorization budget for the dense oracle.
 MATRIX_MAX_T = 2000
+# Monte Carlo paths per block at most: each block has its own seed stream
+MC_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -103,10 +110,18 @@ def monte_carlo_mgf(
 
     Requires alpha <= 0 so the integrand is bounded by 1 and the estimator
     has finite variance; a non-finite alpha or x raises ParameterError.
-    Paths are driven by default_rng(seed) with one standard-normal vector
-    of length n per step, so results are deterministic given the seed.
+
+    Seed contract: the n paths are cut into K = ceil(n / MC_BLOCK) blocks,
+    block b holding paths n*b//K to n*(b+1)//K - 1.  Block b is driven by
+    default_rng(SeedSequence(seed).spawn(K)[b]), which draws one
+    standard-normal vector of the block's length per step.  The blocks run
+    on min(K, os.cpu_count()) worker threads, each filling its own slices
+    of shared arrays, and the mean and standard error are taken over all n
+    paths after the join; so the result depends on (seed, n) only, never
+    on the number of cores, and replays bit for bit.
     """
     import numpy as np
+    from concurrent.futures import ThreadPoolExecutor
     a = float(alpha)
     check_finite("alpha", a)
     check_finite("x", x)
@@ -115,18 +130,30 @@ def monte_carlo_mgf(
     if n < 2:
         raise ValueError(f"need n >= 2 samples, got {n}")
     t = check_horizon(t)
-    rng = np.random.default_rng(seed)
-    dev = np.full(n, x - params.m)
+    theta, m = params.theta, params.m
+    k = -(-n // MC_BLOCK)
+    streams = np.random.SeedSequence(seed).spawn(k)
+    dev = np.full(n, x - m)
     total = np.full(n, x * x)
     step = np.empty(n)  # the step's normals, then its squared levels
-    with np.errstate(over="ignore"):
-        for _ in range(t):
-            rng.standard_normal(out=step)
-            dev *= params.theta
-            dev += step
-            np.add(dev, params.m, out=step)
-            np.square(step, out=step)
-            total += step
+
+    def run_block(b: int) -> None:
+        cut = slice(n * b // k, n * (b + 1) // k)
+        rng = np.random.default_rng(streams[b])
+        block_dev, block_total, block_step = dev[cut], total[cut], step[cut]
+        with np.errstate(over="ignore"):  # errstate is per thread
+            for _ in range(t):
+                rng.standard_normal(out=block_step)
+                block_dev *= theta
+                block_dev += block_step
+                np.add(block_dev, m, out=block_step)
+                np.square(block_step, out=block_step)
+                block_total += block_step
+
+    # numpy releases the GIL in the normal fill and the ufunc loops, so the
+    # blocks overlap; list() re-raises a worker's exception here
+    with ThreadPoolExecutor(min(k, os.cpu_count() or 1)) as pool:
+        list(pool.map(run_block, range(k)))
     if not math.isfinite(total.max()):
         raise _overflow("a sampled S_t", params, x, a, t)
     np.multiply(total, a, out=total)

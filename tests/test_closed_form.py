@@ -1,5 +1,6 @@
 import cmath
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -53,6 +54,39 @@ def test_constants_centred_start_kills_c():
     cf = constants(ModelParams(0.5, 1.0), TransformPoint(-0.5), 0.2)
     assert cf.C == 0
     assert rel_err(cf.B, -0.5 * 0.4 * 0.4) < 1e-14
+
+
+def test_transform_value_keeps_the_dataclass_contract():
+    tv = closed_form.TransformValue(complex(-1.5), complex(0.25), complex(2.0))
+    assert [f.name for f in dataclasses.fields(closed_form.TransformValue)] == ["log_value", "value", "sigma_t",
+                                                                                "overflow"]
+    assert tv.overflow is False
+    assert repr(tv) == "TransformValue(log_value=(-1.5+0j), value=(0.25+0j), sigma_t=(2+0j), overflow=False)"
+    same = closed_form.TransformValue(log_value=complex(-1.5), value=complex(0.25), sigma_t=complex(2.0), overflow=False)
+    assert tv == same and hash(tv) == hash(same)
+    assert tv != dataclasses.replace(tv, overflow=True)
+    assert dataclasses.replace(tv, value=0j) == closed_form.TransformValue(complex(-1.5), 0j, complex(2.0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tv.value = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tv.overflow = True
+    # transform returns the record its fields describe
+    out = transform(ModelParams(0.6, 1.0), TransformPoint(-0.3), 0.5, 10)
+    assert out == closed_form.TransformValue(out.log_value, cmath.exp(out.log_value), out.sigma_t)
+
+
+def test_ergodic_constants_keep_the_dataclass_contract():
+    ec = closed_form.ErgodicConstants(complex(-0.5), complex(0.9), 0.3)
+    assert [f.name for f in dataclasses.fields(closed_form.ErgodicConstants)] == ["lambda_of_alpha", "f_check",
+                                                                                  "rate"]
+    assert repr(ec) == "ErgodicConstants(lambda_of_alpha=(-0.5+0j), f_check=(0.9+0j), rate=0.3)"
+    same = closed_form.ErgodicConstants(lambda_of_alpha=complex(-0.5), f_check=complex(0.9), rate=0.3)
+    assert ec == same and hash(ec) == hash(same)
+    assert dataclasses.replace(ec, rate=0.5) == closed_form.ErgodicConstants(complex(-0.5), complex(0.9), 0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ec.rate = 0.5
+    out = ergodic_constants(ModelParams(0.6, 1.0), TransformPoint(-0.3), 0.5)
+    assert out == closed_form.ErgodicConstants(out.lambda_of_alpha, out.f_check, out.rate)
 
 
 def test_constants_singular_at_alpha_zero():
@@ -177,10 +211,22 @@ def test_alpha_outside_domain_is_tested_before_the_constants(theta, m, alpha):
              lambda: ergodic_constants(params, point, 0.5),
              lambda: fit_convergence_rate(params, point, 0.5),
              lambda: unconditional_transform(params, point, 10),
-             lambda: closed_form.quadratic_coefficients(params, point, 10)]
+             lambda: closed_form.quadratic_coefficients(params, point, 10),
+             lambda: constants(params, point, 0.5)]
     for call in calls:
         with pytest.raises(DomainBoundaryError):
             call()
+
+
+@pytest.mark.parametrize("theta", [0.5, -0.5, 0.75])
+@pytest.mark.parametrize("m", [0.0, 1.0])
+def test_public_constants_refuse_the_pole_of_nu(theta, m):
+    # alpha = (1-theta)^2/2, exact in binary here: mu + (1-theta)^2 == 0 divides
+    # by an exact zero in nu, which raised a bare ZeroDivisionError
+    params, point = ModelParams(theta, m), TransformPoint((1.0 - theta) ** 2 / 2.0)
+    assert point.mu + (1.0 - theta) ** 2 == 0
+    with pytest.raises(DomainBoundaryError, match="boundary of the validity domain"):
+        constants(params, point, 0.3)
 
 
 @pytest.mark.parametrize("t_start", [-1, -3])

@@ -1,8 +1,9 @@
-"""numpy is loaded by the sweep and the matrix/Monte Carlo oracles only.
+"""numpy is loaded by the sweep and the matrix/Monte Carlo oracles only,
+and concurrent.futures by the Monte Carlo oracle only.
 
 Each entry point runs in a fresh interpreter, which then reports whether
-numpy was imported: the scalar closed form, the package import and the
-`transform`, `ergodic` and `verify` front ends must not pay for it.
+a module was imported: the scalar closed form, the package import and the
+`transform`, `ergodic` and `verify` front ends must not pay for either.
 """
 
 import os
@@ -18,10 +19,10 @@ CLI = "from ar1quad.cli import main; assert main({!r}) == 0"
 POINT = ["--theta", "0.6", "--m", "1", "--x", "0.5", "--alpha=-0.3"]
 
 
-def numpy_loaded_after(code: str) -> bool:
+def module_loaded_after(code: str, module: str = "numpy") -> bool:
     src = os.path.dirname(os.path.dirname(ar1quad.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    script = f"import sys\n{code}\nprint('numpy' in sys.modules)"
+    script = f"import sys\n{code}\nprint({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", script], check=True, env=env, capture_output=True, text=True).stdout
     return out.splitlines()[-1] == "True"  # the last line: a CLI command prints its result first
 
@@ -45,8 +46,17 @@ ENTRY_POINTS = {
 
 @pytest.mark.parametrize("code", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
 def test_scalar_entry_points_do_not_load_numpy(code):
-    assert not numpy_loaded_after(code)
+    assert not module_loaded_after(code)
 
 
 def test_sweep_loads_numpy():
-    assert numpy_loaded_after(CLI.format(["sweep", *POINT, "--t", "1:3"]))
+    assert module_loaded_after(CLI.format(["sweep", *POINT, "--t", "1:3"]))
+
+
+def test_scalar_entry_points_do_not_load_the_thread_pool():
+    # every entry point, one after another, in one interpreter
+    assert not module_loaded_after("\n".join(ENTRY_POINTS.values()), "concurrent.futures")
+
+
+def test_monte_carlo_loads_the_thread_pool():
+    assert module_loaded_after(SETUP + "monte_carlo_mgf(p, -0.3, 0.5, 2, 10, 0)", "concurrent.futures")

@@ -126,6 +126,19 @@ def test_non_finite_start_rejected(x):
         simulate_conditional(ModelParams(0.5, 1.0), x, 3, seed=0)
 
 
+@pytest.mark.parametrize("s, message", [(1.5, "must be an integer, got 1.5"), (2.0, "must be an integer, got 2.0"),
+                                        ("3", "must be an integer, got '3'"), (-1, "must be >= 0, got -1")])
+def test_conditional_mean_rejects_a_non_integer_step_index(s, message):
+    # at s = 1.5 it returned m + theta**1.5*(x - m) = 0.7676, silently
+    with pytest.raises(ValueError, match=f"^step index {message}$"):
+        conditional_mean(ModelParams(0.6, 1.0), 0.5, s)
+
+
+@pytest.mark.parametrize("s", [np.int64(3), np.uint8(3)])
+def test_conditional_mean_accepts_an_index_step(s):
+    assert conditional_mean(ModelParams(0.6, 1.0), 0.5, s) == conditional_mean(ModelParams(0.6, 1.0), 0.5, 3)
+
+
 def test_conditional_mean_anchors():
     assert conditional_mean(ModelParams(0.9, -3.0), 1.7, 0) == 1.7
     assert conditional_mean(ModelParams(0.5, 2.0), 0.0, 1) == 1.0

@@ -138,19 +138,67 @@ def test_monte_carlo_deterministic_given_seed():
     assert a.method == "monte_carlo" and a.n_samples == 10_000
 
 
-@pytest.mark.parametrize("t, n, seed", [(0, 2, 0), (1, 10, 5), (7, 1000, 42), (27, 20_000, 2**32 - 1)])
+def replay_blocks(theta, m, alpha, x, t, n, seed):
+    """The seed contract, serially: K = ceil(n / 2**16) blocks with edges n*b//K, block b
+    drawing one standard_normal per step from default_rng(SeedSequence(seed).spawn(K)[b])."""
+    k = -(-n // 2**16)
+    edges = [n * b // k for b in range(k + 1)]
+    total = np.empty(n)
+    for b, stream in enumerate(np.random.SeedSequence(seed).spawn(k)):
+        rng = np.random.default_rng(stream)
+        size = edges[b + 1] - edges[b]
+        dev = np.full(size, x - m)
+        block_total = np.full(size, x * x)
+        for _ in range(t):
+            dev = theta * dev + rng.standard_normal(size)
+            block_total += (dev + m) ** 2
+        total[edges[b]:edges[b + 1]] = block_total
+    values = np.exp(alpha * total)
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n))
+
+
+@pytest.mark.parametrize("t, n, seed", [(0, 2, 0), (1, 10, 5), (7, 1000, 42), (27, 20_000, 2**32 - 1),
+                                        (4, 2**16, 3), (3, 2**16 + 1, 8), (3, 150_001, 9)])
 @pytest.mark.parametrize("theta, m, alpha, x", [(0.6, 1.0, -0.2, 0.3), (-0.8, -1.5, -0.01, -2.0)])
 def test_monte_carlo_replays_the_documented_loop(theta, m, alpha, x, t, n, seed):
-    # the seed contract: one standard_normal(n) per step, consumed in order
-    rng = np.random.default_rng(seed)
-    dev = np.full(n, x - m)
-    total = np.full(n, x * x)
-    for _ in range(t):
-        dev = theta * dev + rng.standard_normal(n)
-        total += (dev + m) ** 2
-    values = np.exp(alpha * total)
+    # n <= 2**16 is one block; 2**16 + 1 is two and 150_001 three, of unequal sizes
     res = monte_carlo_mgf(ModelParams(theta, m), alpha, x, t, n, seed)
-    assert (res.value, res.stderr) == (float(values.mean()), float(values.std(ddof=1) / math.sqrt(n)))
+    assert (res.value, res.stderr) == replay_blocks(theta, m, alpha, x, t, n, seed)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 8, None])
+def test_monte_carlo_bits_do_not_depend_on_the_worker_count(monkeypatch, cores):
+    import concurrent.futures
+
+    params, n = ModelParams(0.6, 1.0), 600_000  # ten blocks
+    expected = replay_blocks(0.6, 1.0, -0.1, 0.4, 3, n, 17)
+    workers = []
+    pool_class = concurrent.futures.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        workers.append(max_workers)
+        return pool_class(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        res = monte_carlo_mgf(params, -0.1, 0.4, 3, n, 17)
+    finally:
+        sys.setswitchinterval(interval)
+    assert workers == [cores or 1]  # None: the core count is unknown
+    assert (res.value, res.stderr) == expected
+
+
+def test_monte_carlo_worker_error_reaches_the_caller(monkeypatch):
+    # an exception in a block is raised in the calling thread, not lost in the worker
+    def failing_rng(stream):
+        raise MemoryError("no room for the block")
+
+    monkeypatch.setattr(np.random, "default_rng", failing_rng)
+    with pytest.raises(MemoryError, match="no room for the block"):
+        monte_carlo_mgf(ModelParams(0.6, 1.0), -0.1, 0.4, 3, 150_001, 17)
 
 
 @pytest.mark.parametrize("m, x", [(1e200, 0.5), (0.0, 1e200)])
