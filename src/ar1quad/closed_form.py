@@ -42,9 +42,9 @@ horizon stage's text (_horizon: spectral._sequence_terms and
 the log-domain assembly) is written once, over an operations namespace:
 SCALAR_OPS (cmath and math) at one t for the public functions, which never
 call numpy, and sweep.ARRAY_OPS over an array of t for a CLI sweep (see
-sweep.py); _limit is its t -> inf limit, f_check.  A non-finite log L_t
-raises ParameterError, as does every value beyond the double range (_exp)
-but transform's, which is inf or 0 with its overflow flag set.
+sweep.py); _limit is its t -> inf limit, f_check, as E_t -> beta_+*lambda_+.
+A non-finite log L_t raises ParameterError, as does every value beyond the
+double range (_exp) but transform's: that is inf or 0, its overflow flag set.
 """
 
 from __future__ import annotations
@@ -195,12 +195,12 @@ def _exp(log_value: complex, what: str, params: ModelParams, x: float | None, al
     return cmath.exp(log_value)
 
 
-def _assemble(theta, x, alpha, spectral, cf, q_t, inv_psi, log_correction) -> tuple:
+def _assemble(theta, x, alpha, cf, q_t, inv_psi, log_e) -> tuple:
     """(Sigma_t - A*t, log(exp(-t*Lambda)*L_t)) from the sequence terms."""
     bounded = x * x + cf[2] * q_t + cf[3] * (theta - inv_psi)
     # the t-proportional parts of log(L_t) and t*Lambda cancel analytically
     # and are never formed (subtracting two O(t) logs would lose ~t*eps)
-    return bounded, -0.5 * (spectral[4] + log_correction) + alpha * bounded
+    return bounded, -0.5 * log_e + alpha * bounded
 
 
 def _horizon(ops, params: ModelParams, x: float, alpha: complex, stage: tuple, t) -> tuple:
@@ -210,8 +210,8 @@ def _horizon(ops, params: ModelParams, x: float, alpha: complex, stage: tuple, t
     `regular`."""
     spectral, cf = stage[0], stage[1]
     theta = params.theta
-    q_t, inv_psi, log_correction, log_pi, regular = _sequence_terms(ops, theta, spectral, t)[:5]
-    bounded, log_normalized = _assemble(theta, x, alpha, spectral, cf, q_t, inv_psi, log_correction)
+    q_t, inv_psi, log_e, log_pi, regular = _sequence_terms(ops, theta, spectral, t)[:5]
+    bounded, log_normalized = _assemble(theta, x, alpha, cf, q_t, inv_psi, log_e)
     sigma = cf[1] * t + bounded
     return -0.5 * log_pi + alpha * sigma, sigma, log_normalized, regular, q_t, inv_psi
 
@@ -231,12 +231,12 @@ def _scalar_horizon(params: ModelParams, x: float, alpha: complex, stage: tuple,
 def _limit(params: ModelParams, x: float, alpha: complex, stage: tuple) -> complex:
     """f_check, the t -> inf limit of exp(-t*Lambda)*L_t, from an alpha
     stage: q_t -> theta/((1 - lambda_-)*lambda_+), 1/psi_{t+1} -> 0 and
-    D_t -> beta_+ in the horizon formulas."""
-    theta, spectral = params.theta, stage[0]
-    lam_plus, lam_minus, beta_plus, beta_minus = spectral[:4]
+    E_t -> beta_+*lambda_+ = 1 - beta_-*lambda_- in the horizon formulas."""
+    theta = params.theta
+    lam_plus, lam_minus, beta_plus, beta_minus = stage[0][:4]
     q = theta / ((1.0 - lam_minus) * lam_plus)
-    log_correction = _log(beta_plus, -beta_minus)
-    log_f_check = _assemble(theta, x, alpha, spectral, stage[1], q, 0.0, log_correction)[1]
+    log_e = _log(beta_plus * lam_plus, -beta_minus * lam_minus)
+    log_f_check = _assemble(theta, x, alpha, stage[1], q, 0.0, log_e)[1]
     return _exp(log_f_check, "f_check", params, x, alpha, None)
 
 

@@ -21,21 +21,22 @@ unconditional_transform is the exact Gaussian integral of L_t(alpha, .)
 over the stationary start law N(m, 1/(1-theta^2)); it raises
 ParameterError where its value lies beyond the double range.
 
-The matrix oracle deliberately restricts alpha to real values: a complex
-determinant would reintroduce exactly the branch ambiguity the oracle is
-meant to arbitrate.
+Both oracles take a real alpha only (a complex one on the real axis is its
+real part, any other raises ParameterError): a complex determinant would
+reintroduce exactly the branch ambiguity the matrix oracle arbitrates.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Literal
 
 from .closed_form import _LOG_MAX, _LOG_MIN, _exp, _overflow, quadratic_coefficients
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ParameterError
 from .model import ModelParams, check_finite, check_horizon, conditional_covariance
 from .spectral import TransformPoint
 
@@ -55,6 +56,15 @@ class OracleResult:
     n_samples: int | None = None
 
 
+def _real_alpha(alpha) -> float:
+    """alpha as a finite float; a complex alpha must lie on the real axis."""
+    if getattr(alpha, "imag", 0.0) != 0.0:
+        raise ParameterError(f"the matrix and Monte Carlo oracles take a real alpha only, got {alpha!r}")
+    a = float(getattr(alpha, "real", alpha))
+    check_finite("alpha", a)
+    return a
+
+
 def matrix_mgf(params: ModelParams, alpha: float, x: float, t: int) -> OracleResult:
     """E[exp(alpha*S_t) | X_0 = x] via the dense quadratic-form identity.
 
@@ -67,12 +77,11 @@ def matrix_mgf(params: ModelParams, alpha: float, x: float, t: int) -> OracleRes
     exactly when M is not positive definite: the moment generating
     function diverges at this alpha (ConvergenceError).  It also keeps a
     huge mean finite: alpha = 0 gives 1 and alpha < 0 gives 0 where
-    mu' M^(-1) mu overflows.  A non-finite alpha or x, and a value beyond
-    the double range, raise ParameterError.
+    mu' M^(-1) mu overflows.  A non-finite alpha or x, a complex alpha off
+    the real axis, and a value beyond the double range raise ParameterError.
     """
     import numpy as np
-    a = float(alpha)
-    check_finite("alpha", a)
+    a = _real_alpha(alpha)
     check_finite("x", x)
     t = check_horizon(t)
     if t > MATRIX_MAX_T:
@@ -109,7 +118,8 @@ def monte_carlo_mgf(
     """Sample mean and standard error of exp(alpha*S_t) over n paths.
 
     Requires alpha <= 0 so the integrand is bounded by 1 and the estimator
-    has finite variance; a non-finite alpha or x raises ParameterError.
+    has finite variance, and an integer n >= 2 (ValueError); a non-finite
+    alpha or x, or a complex alpha off the real axis, raises ParameterError.
 
     Seed contract: the n paths are cut into K = ceil(n / MC_BLOCK) blocks,
     block b holding paths n*b//K to n*(b+1)//K - 1.  Block b is driven by
@@ -122,13 +132,16 @@ def monte_carlo_mgf(
     """
     import numpy as np
     from concurrent.futures import ThreadPoolExecutor
-    a = float(alpha)
-    check_finite("alpha", a)
+    a = _real_alpha(alpha)
     check_finite("x", x)
     if a > 0:
         raise ValueError(f"need alpha <= 0 for a bounded integrand, got {a}")
+    try:
+        n = operator.index(n)  # as check_horizon takes t
+    except TypeError:
+        raise ValueError(f"need an integer n >= 2 samples, got {n!r}") from None
     if n < 2:
-        raise ValueError(f"need n >= 2 samples, got {n}")
+        raise ValueError(f"need an integer n >= 2 samples, got {n!r}")
     t = check_horizon(t)
     theta, m = params.theta, params.m
     k = -(-n // MC_BLOCK)

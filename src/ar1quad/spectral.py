@@ -13,28 +13,28 @@ weights beta_+/- and the auxiliary sequences
 pi and psi grow geometrically, so raw values overflow long before the
 horizons of interest (t up to 10^6).  Public code only forms logs and
 ratios, each by one O(1) closed form.  With w = lambda_-/lambda_+ =
-(theta/lambda_+)^2 and one bounded factor D_t = beta_+ + beta_-*w^(t+1):
+(theta/lambda_+)^2 and one bounded factor E_t = pi_t/lambda_+^t:
 
-    log pi_t    = (t+1)*log(lambda_+) + log(D_t)
-    q_t         = (theta - r_t)/mu = theta*(1 - w^t) / ((lambda_+ - lambda_-)*lambda_+*D_t)
-    1/psi_{t+1} = (theta/lambda_+)^(t+1) / D_t,
+    log pi_t    = t*log(lambda_+) + log(E_t)
+    q_t         = (theta - r_t)/mu = theta*(1 - w^t) / ((lambda_+ - lambda_-)*E_t)
+    1/psi_{t+1} = theta*(theta/lambda_+)^t / E_t,
 
 with r_t = psi_t/psi_{t+1} and mu = -2*alpha: q_t has no pole at alpha = 0.
 beta_- vanishes like alpha and beta_+ + beta_- = 1, so near alpha = 0 the
 logs come through log1p from lambda_+ - 1 = beta_-*(lambda_+ - lambda_-)
-and D_t - 1 = beta_-*(w^(t+1) - 1), and 1 - w^t from expm1: no small
-quantity is a difference of nearly equal numbers.  At t = 0 the anchors
-pi_0 = 1, r_0 = 1/psi_1 = theta and q_0 = 0 hold exactly.  Raw psi evaluation
-(raw_psi) is for cross-checks only and is capped at small indices.
+and E_t - 1 = beta_-*lambda_-*(w^t - 1) (as pi_0 = 1), and 1 - w^t from
+expm1: no small quantity is a difference of nearly equal numbers.  E_0 = 1
+exactly, so the anchors pi_0 = 1, r_0 = 1/psi_1 = theta and q_0 = 0 need
+no special case.  Raw psi evaluation (raw_psi) is for cross-checks only.
 
 The roots and weights at one alpha travel as the plain tuple of _roots,
 (lambda_+, lambda_-, beta_+, beta_-, log lambda_+, in_domain): only the
 public roots() builds a SpectralData record from it, so an evaluation
 builds none.  The formulas are written once, in _sequence_terms, over a
 small namespace of operations (exp, expm1, log from the excess, integer
-power, the singularity guard and the t = 0 anchor).  SCALAR_OPS (cmath and math,
-no numpy) evaluates one horizon for every public function; sweep.py holds
-ARRAY_OPS, which evaluates an array of horizons for a sweep.
+power and the singularity guard).  SCALAR_OPS (cmath and math, no numpy)
+evaluates one horizon for every public function; sweep.py holds ARRAY_OPS,
+which evaluates an array of horizons for a sweep.
 """
 
 from __future__ import annotations
@@ -108,9 +108,9 @@ class SequenceRatios:
 
     r = psi_t/psi_{t+1}, inv_psi = 1/psi_{t+1}, theta_minus_r = theta - r_t
     (formed without the subtraction), log_pi = (t+1)*log(lambda_+) +
-    log_correction with log_correction = log(D_t).  For alpha on the
-    real-negative axis both log arguments are positive reals; branch
-    continuation off the principal branch is not attempted.
+    log_correction with log_correction = log(D_t) = log(E_t) - log(lambda_+).
+    For alpha on the real-negative axis both log arguments are positive
+    reals; branch continuation off the principal branch is not attempted.
     """
 
     t: int
@@ -228,76 +228,68 @@ def _log(value: complex, excess: complex) -> complex:
     return complex(0.5 * math.log1p(x * (2.0 + x) + y * y), math.atan2(y, 1.0 + x))
 
 
-def _guard(t: int, d_t: complex, *values: complex) -> bool:
-    """Raise SingularSequenceError where D_t vanishes or a value is not finite."""
-    if d_t == 0:
-        raise SingularSequenceError(f"pi_{t} and psi_{t + 1} vanish (D_{t} = 0)")
+def _guard(t: int, e_t: complex, *values: complex) -> bool:
+    """Raise SingularSequenceError where E_t vanishes or a value is not finite."""
+    if e_t == 0:
+        raise SingularSequenceError(f"pi_{t} and psi_{t + 1} vanish (E_{t} = 0)")
     if not all(map(cmath.isfinite, values)):
         raise SingularSequenceError(f"pi_{t} or psi_{t + 1} is not finite")
     return True
 
 
-def _at_zero(t: int, anchor: complex, value: complex) -> complex:
-    return anchor if t == 0 else value
-
-
 # The scalar operations of the horizon formulas (cmath and math, no numpy).
-SCALAR_OPS = SimpleNamespace(exp=cmath.exp, expm1=_expm1, log=_log, power=_int_power, guard=_guard, at_zero=_at_zero)
+SCALAR_OPS = SimpleNamespace(exp=cmath.exp, expm1=_expm1, log=_log, power=_int_power, guard=_guard)
 
 
 def _sequence_terms(ops: SimpleNamespace, theta: float, spectral: tuple, t):
-    """(q_t, 1/psi_{t+1}, log D_t, log pi_t, regular, w^t, D_t) at one
+    """(q_t, 1/psi_{t+1}, log E_t, log pi_t, regular, w^t, E_t) at one
     horizon t (SCALAR_OPS) or an array of them (sweep.ARRAY_OPS), from the
     tuple of _roots.
 
-    The one text of the closed forms in the module docstring.  At t = 0 the
-    anchors pi_0 = 1 (log pi_0 = 0, log D_0 = -log lambda_+) and
-    1/psi_1 = theta are exact, and q_0 is exactly 0.  `regular` is
-    the guard's verdict: the scalar guard raises SingularSequenceError for a
-    vanishing D_t or a non-finite result, the array guard returns the mask
-    of rows where neither happened.
+    The one text of the closed forms in the module docstring, whose anchors
+    log pi_0 = 0, 1/psi_1 = theta and q_0 = 0 come out exact since
+    E_0 - 1 = 0.  `regular` is the guard's verdict: the scalar guard raises
+    SingularSequenceError for a vanishing E_t or a non-finite result, the
+    array guard returns the mask of rows where neither happened.
     """
-    lam_plus, lam_minus, beta_plus, beta_minus, log_lambda_plus = spectral[:5]
-    # D_t needs w^t accurate when beta_+ is small (large |alpha|), q_t w^t - 1
-    w = lam_minus / lam_plus
-    t_log_w = t * cmath.log(w)
+    lam_plus, lam_minus, _, beta_minus, log_lambda_plus = spectral[:5]
+    # r_t needs w^t accurate when beta_+ is small (large |alpha|), E_t and q_t w^t - 1
+    t_log_w = t * cmath.log(lam_minus / lam_plus)
     w_t, w_t_m1 = ops.exp(t_log_w), ops.expm1(t_log_w)
-    d_t = beta_plus + beta_minus * w * w_t
-    ops.guard(t, d_t)
-    # D_t - 1 = beta_-*(w^(t+1) - 1); w*(w^t - 1) and w - 1 share a sign for real w
-    log_correction = ops.log(d_t, beta_minus * (w * w_t_m1 + (w - 1.0)))
-    q_t = -theta * w_t_m1 / ((lam_plus - lam_minus) * lam_plus * d_t)
-    inv_psi = ops.power(theta / lam_plus, t + 1) / d_t
-    log_pi = (t + 1) * log_lambda_plus + log_correction
-    regular = ops.guard(t, d_t, inv_psi, q_t, log_pi)
-    inv_psi = ops.at_zero(t, complex(theta), inv_psi)
-    log_correction = ops.at_zero(t, -log_lambda_plus, log_correction)
-    log_pi = ops.at_zero(t, 0j, log_pi)
-    return q_t, inv_psi, log_correction, log_pi, regular, w_t, d_t
+    excess = beta_minus * lam_minus * w_t_m1
+    e_t = 1.0 + excess
+    ops.guard(t, e_t)
+    log_e = ops.log(e_t, excess)
+    q_t = -theta * w_t_m1 / ((lam_plus - lam_minus) * e_t)
+    inv_psi = theta * ops.power(theta / lam_plus, t) / e_t
+    # (t+1)*log lambda_+ + log D_t keeps the last bit of a large log pi_t
+    log_pi = (t + 1) * log_lambda_plus + (log_e - log_lambda_plus)
+    regular = ops.guard(t, e_t, inv_psi, q_t, log_pi)
+    return q_t, inv_psi, log_e, log_pi, regular, w_t, e_t
 
 
 def sequence_ratios(spectral: SpectralData, params: ModelParams, t: int) -> SequenceRatios:
     """Compute r_t = psi_t/psi_{t+1}, theta - r_t, 1/psi_{t+1} and log(pi_t).
 
-    One O(1) closed form at every horizon, given in the module docstring.
-    At t = 0 the anchors r_0 = 1/psi_1 = theta and log(pi_0) = 0 are exact
-    and theta - r_0 is exactly 0.  A vanishing D_t means pi_t and psi_{t+1}
-    vanish and raises SingularSequenceError, as does any non-finite result.
+    One O(1) closed form at every horizon, given in the module docstring,
+    and r_0 = theta, whose numerator beta_+ + beta_-*w^t has no cancellation
+    at large |alpha|.  A vanishing E_t means pi_t and psi_{t+1} vanish and
+    raises SingularSequenceError, as does any non-finite result.
     """
     t = check_horizon(t)
     if not spectral.in_domain:
         raise DomainError("sequence ratios are only defined inside the validity domain")
     theta, stage = params.theta, _spectral_tuple(spectral)
-    lam_plus, lam_minus, beta_plus, beta_minus = stage[:4]
-    q_t, inv_psi, log_correction, log_pi, _, w_t, d_t = _sequence_terms(SCALAR_OPS, theta, stage, t)
+    lam_plus, lam_minus, beta_plus, beta_minus, log_lambda_plus = stage[:5]
+    q_t, inv_psi, log_e, log_pi, _, w_t, e_t = _sequence_terms(SCALAR_OPS, theta, stage, t)
     if t == 0:
         r = complex(theta)
     else:
-        r = theta * (beta_plus + beta_minus * w_t) / (lam_plus * d_t)
-        _guard(t, d_t, r)
+        r = theta * (beta_plus + beta_minus * w_t) / e_t
+        _guard(t, e_t, r)
     # mu = beta_-*(1 - lambda_-)*(lambda_+ - lambda_-), free of the lambda_+ ~ 1 cancellation
     theta_minus_r = q_t * beta_minus * (1.0 - lam_minus) * (lam_plus - lam_minus)
-    return SequenceRatios(t, r, inv_psi, log_pi, theta_minus_r, log_correction)
+    return SequenceRatios(t, r, inv_psi, log_pi, theta_minus_r, log_e - log_lambda_plus)
 
 
 def raw_psi(spectral: SpectralData, params: ModelParams, s: int) -> complex:

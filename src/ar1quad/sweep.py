@@ -6,10 +6,10 @@ ARRAY_OPS is spectral.SCALAR_OPS over numpy arrays: the one text of the
 horizon formulas (closed_form._horizon over spectral._sequence_terms)
 evaluates a chunk of horizons in one pass, with the same
 cancellation-free forms, a real base's powers kept real, and a vanishing
-or non-finite D_t returned as a mask of rows instead of raised.  numpy's
+or non-finite E_t returned as a mask of rows instead of raised.  numpy's
 exp and log differ from cmath's in the last bits, so a sweep row agrees
 with the scalar functions to a few eps of the size of the terms it sums,
-and exactly at t = 0.
+and exactly at t = 0, where E_0 = 1.
 
 The horizons (ranges and single values alike, in grid order) run in
 chunks of at most _SWEEP_CHUNK rows, each written as soon as it is
@@ -90,8 +90,8 @@ def _array_power(base: complex, n: np.ndarray) -> np.ndarray:
     return np.exp(n * cmath.log(base))
 
 
-def _array_guard(t: np.ndarray, d_t: np.ndarray, *values: np.ndarray):
-    """True where every value is finite (a vanishing D_t makes 1/psi_{t+1}
+def _array_guard(t: np.ndarray, e_t: np.ndarray, *values: np.ndarray):
+    """True where every value is finite (a vanishing E_t makes 1/psi_{t+1}
     non-finite), or True for no values."""
     regular = True
     for value in values:
@@ -106,20 +106,10 @@ def _array_exp(z: np.ndarray) -> np.ndarray:
     return np.exp(z)
 
 
-def _array_at_zero(t: np.ndarray, anchor: complex, value: np.ndarray) -> np.ndarray:
-    zero = t == 0
-    if np.count_nonzero(zero):
-        value = value.astype(complex, copy=False)
-        value[zero] = anchor
-    return value
-
-
 # The operations of spectral.SCALAR_OPS over numpy arrays of horizons;
 # callers silence floating-point warnings (np.errstate), since a singular
 # row is masked.
-ARRAY_OPS = SimpleNamespace(
-    exp=_array_exp, expm1=_array_expm1, log=_array_log, power=_array_power, guard=_array_guard, at_zero=_array_at_zero
-)
+ARRAY_OPS = SimpleNamespace(exp=_array_exp, expm1=_array_expm1, log=_array_log, power=_array_power, guard=_array_guard)
 
 
 def _horizon_batch(params: ModelParams, point: TransformPoint, x: float, stage: tuple, horizons: list[int]) -> tuple:
@@ -127,7 +117,7 @@ def _horizon_batch(params: ModelParams, point: TransformPoint, x: float, stage: 
 
     Returns (log L_t, exp(-t*Lambda)*L_t, regular, error).  The arrays
     cover the rows before the first one whose log L_t is not finite or
-    whose normalized value overflows; `regular` is False where D_t vanishes
+    whose normalized value overflows; `regular` is False where E_t vanishes
     (an error row); error is the ParameterError of that first row, for the
     caller to raise once it has used the rows before it, or None.
     """
@@ -214,7 +204,7 @@ def _bit_constant(column: list, values: np.ndarray) -> bool:
 def _sweep_chunk(templates, horizons: list[int], log_value, normalized, regular) -> str:
     """The lines of one evaluated chunk ("" for an empty one).
 
-    An error row where D_t vanishes; every other row through one
+    An error row where E_t vanishes; every other row through one
     %-template for the chunk (its cells are finite, and %.17g prints what
     _fmt does): the per-alpha row template split at its four value slots,
     with each value column whose cells all have the same bits (a converged

@@ -599,3 +599,23 @@ def test_telescoping_intermediate_identities():
         assert rel_err(a_plus + a_minus, (1 - theta) * cf.nu) < 1e-12
         assert rel_err(2 * a_plus * a_minus, -2 * theta * mu * cf.nu**2 / (mu + (1 + theta) ** 2)) < 1e-12
         assert rel_err(cf.A, m**2 * (1 - theta) ** 2 / (mu + (1 - theta) ** 2)) < 1e-12
+
+
+
+@pytest.mark.parametrize("theta, alpha", [(0.5, 1.5), (-0.8, 2.0), (0.3, 5.0)])
+def test_real_alpha_above_the_slit_is_the_limit_of_its_complex_neighbours(theta, alpha):
+    # above (1+|theta|)^2/2 the roots are negative reals and L_t is a
+    # continuation, not an expectation; wherever the limits from both sides
+    # of the real axis agree, L_t and exp(-t*Lambda)*L_t at the real point
+    # are that limit, not its negative
+    params, x = ModelParams(theta, 0.3), 0.5
+    sides = [TransformPoint(complex(alpha, im)) for im in (1e-300, -1e-300)]
+    agreeing = 0
+    for t in range(1, 12):
+        for f in (lambda point: transform(params, point, x, t).value,
+                  lambda point: normalized_transform(params, point, x, t)):
+            above, below = map(f, sides)
+            if rel_err(above, below) < 1e-12:
+                agreeing += 1
+                assert rel_err(f(TransformPoint(alpha)), below) < 1e-12
+    assert agreeing >= 6

@@ -326,6 +326,36 @@ def test_oracles_reject_non_finite_alpha(alpha):
         unconditional_transform(params, TransformPoint(alpha), 10)
 
 
+@pytest.mark.parametrize("n", [1e5, 100.0, "100", None, -1, 0, 1])
+def test_monte_carlo_rejects_a_sample_count_that_is_not_an_integer_of_at_least_two(n):
+    # a typed ValueError, as for a horizon t that is not an integer >= 0
+    with pytest.raises(ValueError, match="need an integer n >= 2 samples"):
+        monte_carlo_mgf(ModelParams(0.6, 1.0), -0.2, 0.0, 3, n, 1)
+
+
+def test_monte_carlo_takes_an_index_sample_count():
+    params = ModelParams(0.6, 1.0)
+    assert monte_carlo_mgf(params, -0.2, 0.0, 3, np.int64(1000), 1) == monte_carlo_mgf(params, -0.2, 0.0, 3, 1000, 1)
+
+
+@pytest.mark.parametrize("alpha", [complex(-0.3, 0.0), TransformPoint(-0.3).alpha, np.complex128(-0.3)])
+def test_oracles_take_a_complex_alpha_on_the_real_axis_as_its_real_part(alpha):
+    # TransformPoint.alpha is always complex: a real alpha in that type is the real value
+    params = ModelParams(0.6, 1.0)
+    assert matrix_mgf(params, alpha, 0.5, 10) == matrix_mgf(params, -0.3, 0.5, 10)
+    assert monte_carlo_mgf(params, alpha, 0.5, 10, 100, 1) == monte_carlo_mgf(params, -0.3, 0.5, 10, 100, 1)
+
+
+@pytest.mark.parametrize("alpha", [complex(-0.3, 0.2), complex(-0.3, -1e-300), complex(0.0, 1.0)])
+def test_oracles_reject_a_complex_alpha_off_the_real_axis(alpha):
+    # a complex determinant would bring back the branch ambiguity the oracles arbitrate
+    params = ModelParams(0.6, 1.0)
+    with pytest.raises(ParameterError, match="real alpha only"):
+        matrix_mgf(params, alpha, 0.5, 10)
+    with pytest.raises(ParameterError, match="real alpha only"):
+        monte_carlo_mgf(params, alpha, 0.5, 10, 100, 1)
+
+
 @pytest.mark.parametrize("m", [1e200, -1e200])
 def test_unconditional_rejects_overflowing_constants(m):
     with pytest.raises(ParameterError, match="overflow"):

@@ -224,27 +224,19 @@ def test_out_of_domain_sequence_request_raises():
         sequence_ratios(spectral, params, 3)
 
 
-def test_vanishing_pi_raises_singular_sequence():
-    # crafted weights put a zero of pi exactly at the requested index
-    params = ModelParams(0.5)
-    crafted = SpectralData(
-        lambda_plus=complex(2.0), lambda_minus=complex(0.125),
-        beta_plus=complex(-0.0625), beta_minus=complex(1.0), in_domain=True,
-    )
-    with pytest.raises(SingularSequenceError):
-        sequence_ratios(crafted, params, 0)
-
-
 def test_vanishing_d_t_beyond_horizon_zero_raises_singular_sequence():
-    # w = lambda_-/lambda_+ = 1/2 and beta_+ + beta_- = 1 with
-    # beta_- = 4/3: D_1 = beta_+ + beta_-*w^2 = 0, so pi_1 and psi_2 vanish
+    # w = lambda_-/lambda_+ = 1/2 with pi_0 = beta_+*lambda_+ + beta_-*lambda_- = 1
+    # and beta_+ + beta_- = 1: E_1 = 1 + beta_-*lambda_-*(w - 1) = D_1*lambda_+ = 0,
+    # so pi_1 vanishes (a zero of pi) and so does psi_2; t = 0 keeps its anchors
     params = ModelParams(0.5)
     crafted = SpectralData(
-        lambda_plus=complex(2.0), lambda_minus=complex(1.0),
+        lambda_plus=complex(3.0), lambda_minus=complex(1.5),
         beta_plus=complex(-1.0 / 3.0), beta_minus=complex(4.0 / 3.0), in_domain=True,
     )
-    sequence_ratios(crafted, params, 0)
-    with pytest.raises(SingularSequenceError):
+    assert raw_pi(crafted, params, 0) == 1 and raw_pi(crafted, params, 1) == 0
+    at_zero = sequence_ratios(crafted, params, 0)
+    assert at_zero.log_pi == 0 and at_zero.inv_psi == at_zero.r == 0.5 and at_zero.theta_minus_r == 0
+    with pytest.raises(SingularSequenceError, match="vanish"):
         sequence_ratios(crafted, params, 1)
 
 

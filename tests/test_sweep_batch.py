@@ -139,9 +139,9 @@ def test_list_grid_is_evaluated_in_chunks(monkeypatch):
 
 
 def test_vanishing_d_t_prints_an_error_row(monkeypatch):
-    # crafted roots (w = 1/2, beta_- = 4/3): D_1 = beta_+ + beta_-*w^2 = 0, so
-    # pi_1 and psi_2 vanish at t = 1 and nowhere else in 0..5
-    crafted = SpectralData(lambda_plus=complex(2.0), lambda_minus=complex(1.0),
+    # crafted roots (w = 1/2, pi_0 = 1, beta_- = 4/3): E_1 = 1 + beta_-*lambda_-*(w - 1)
+    # = 0, so pi_1 and psi_2 vanish at t = 1 and nowhere else in 0..5
+    crafted = SpectralData(lambda_plus=complex(3.0), lambda_minus=complex(1.5),
                            beta_plus=complex(-1.0 / 3.0), beta_minus=complex(4.0 / 3.0), in_domain=True)
     params = ModelParams(0.5, 0.0)
     with pytest.raises(SingularSequenceError):
@@ -246,7 +246,7 @@ def test_sweep_output_is_the_cell_by_cell_rendering(alphas, t_text, fmt):
 def test_sweep_output_with_a_vanishing_d_t_is_the_cell_by_cell_rendering(monkeypatch, fmt):
     # the crafted roots of test_vanishing_d_t_prints_an_error_row: an error
     # row at t = 1 among the template's rows of one chunk
-    crafted = SpectralData(lambda_plus=complex(2.0), lambda_minus=complex(1.0),
+    crafted = SpectralData(lambda_plus=complex(3.0), lambda_minus=complex(1.5),
                            beta_plus=complex(-1.0 / 3.0), beta_minus=complex(4.0 / 3.0), in_domain=True)
     monkeypatch.setattr(closed_form, "_roots", lambda theta, alpha: _spectral_tuple(crafted))
     text = sweep_text("--theta=0.5", "--m=0", "--x=0.5", "--alpha=-0.3,-0.2", "--alpha-im=0,0.1", "--t=0:5",

@@ -77,13 +77,13 @@ def term_sizes(params, point, x, t):
     a relative loss of accuracy at small alpha does not hide below them;
     at alpha = 0 both are 0, and log L_t = 0, n = 1 must hold exactly."""
     spectral = _roots(params.theta, point.alpha)
-    q_t, inv_psi, log_correction = _sequence_terms(SCALAR_OPS, params.theta, spectral, t)[:3]
+    q_t, inv_psi, log_e = _sequence_terms(SCALAR_OPS, params.theta, spectral, t)[:3]
     _, a_const, mu_b, c_const = closed_form._constants(params, point, x)
     bounded = x * x + abs(mu_b * q_t) + abs(c_const * (params.theta - inv_psi))
-    log_lambda_plus, log_correction = abs(spectral[4]), abs(log_correction)
-    alpha = abs(point.alpha)
-    return (0.5 * ((t + 1) * log_lambda_plus + log_correction) + alpha * (abs(a_const * t) + bounded),
-            0.5 * (log_lambda_plus + log_correction) + alpha * bounded)
+    log_lambda_plus, alpha = spectral[4], abs(point.alpha)
+    # log pi_t = (t+1)*log lambda_+ + (log E_t - log lambda_+), log n = -log E_t/2 + alpha*bounded
+    log_pi_size = (t + 1) * abs(log_lambda_plus) + abs(log_e - log_lambda_plus)
+    return 0.5 * log_pi_size + alpha * (abs(a_const * t) + bounded), 0.5 * abs(log_e) + alpha * bounded
 
 
 def within_conditioning(got, want, sizes) -> bool:
