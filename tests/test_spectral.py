@@ -224,6 +224,22 @@ def test_out_of_domain_sequence_request_raises():
         sequence_ratios(spectral, params, 3)
 
 
+def test_vanishing_pi_raises_singular_sequence():
+    # crafted roots put a zero of pi exactly at the requested index t = 2:
+    # w = 1/2, pi_0 = beta_+*lambda_+ + beta_-*lambda_- = -1/3 + 4/3 = 1 and
+    # beta_+ + beta_- = 1, so E_2 = 1 + beta_-*lambda_-*(w^2 - 1) = 0
+    params = ModelParams(0.5)
+    crafted = SpectralData(
+        lambda_plus=complex(7.0 / 3.0), lambda_minus=complex(7.0 / 6.0),
+        beta_plus=complex(-1.0 / 7.0), beta_minus=complex(8.0 / 7.0), in_domain=True,
+    )
+    assert raw_pi(crafted, params, 0) == 1 and raw_pi(crafted, params, 2) == 0
+    assert sequence_ratios(crafted, params, 0).log_pi == 0
+    assert cmath.isfinite(sequence_ratios(crafted, params, 1).log_pi)
+    with pytest.raises(SingularSequenceError, match="vanish"):
+        sequence_ratios(crafted, params, 2)
+
+
 def test_vanishing_d_t_beyond_horizon_zero_raises_singular_sequence():
     # w = lambda_-/lambda_+ = 1/2 with pi_0 = beta_+*lambda_+ + beta_-*lambda_- = 1
     # and beta_+ + beta_- = 1: E_1 = 1 + beta_-*lambda_-*(w - 1) = D_1*lambda_+ = 0,
