@@ -33,16 +33,16 @@ def check_finite(name: str, value: float) -> None:
         raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
-def check_horizon(t, name: str = "horizon t") -> int:
+def check_horizon(t, name: str = "horizon t", minimum: int = 0) -> int:
     """t as an int; raise ValueError, naming t by `name`, unless it is an
-    integer (any value operator.index accepts) >= 0.  A horizon of 10.5 has
-    no transform, and a step index of 1.5 no conditional mean."""
+    integer (any value operator.index accepts) >= minimum.  A horizon of
+    10.5 has no transform, and a step index of 1.5 no conditional mean."""
     try:
         horizon = operator.index(t)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {t!r}") from None
-    if horizon < 0:
-        raise ValueError(f"{name} must be >= 0, got {t}")
+    if horizon < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {t}")
     return horizon
 
 

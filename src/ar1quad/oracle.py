@@ -12,10 +12,10 @@ machinery:
 
 * monte_carlo_mgf: the empirical mean of exp(alpha*S_t) over simulated
   paths, with its standard error.  The paths are cut into blocks of at
-  most MC_BLOCK, each driven by its own stream spawned from
-  SeedSequence(seed) and run on a worker thread (numpy releases the GIL
-  in the normal fill and the ufunc loops); the result depends on
-  (seed, n) only, never on the number of cores.
+  most MC_BLOCK, each driven by an SFC64 generator on its own stream
+  spawned from SeedSequence(seed) and run on a worker thread (numpy
+  releases the GIL in the normal fill and the ufunc loops); the result
+  depends on (seed, n) only, never on the number of cores.
 
 unconditional_transform is the exact Gaussian integral of L_t(alpha, .)
 over the stationary start law N(m, 1/(1-theta^2)); it raises
@@ -123,8 +123,9 @@ def monte_carlo_mgf(
 
     Seed contract: the n paths are cut into K = ceil(n / MC_BLOCK) blocks,
     block b holding paths n*b//K to n*(b+1)//K - 1.  Block b is driven by
-    default_rng(SeedSequence(seed).spawn(K)[b]), which draws one
-    standard-normal vector of the block's length per step.  The blocks run
+    Generator(SFC64(SeedSequence(seed).spawn(K)[b])), which draws one
+    standard-normal vector of the block's length per step (SFC64 fills it
+    in about a fifth less time than default_rng's PCG64).  The blocks run
     on min(K, os.cpu_count()) worker threads, each filling its own slices
     of shared arrays, and the mean and standard error are taken over all n
     paths after the join; so the result depends on (seed, n) only, never
@@ -152,7 +153,7 @@ def monte_carlo_mgf(
 
     def run_block(b: int) -> None:
         cut = slice(n * b // k, n * (b + 1) // k)
-        rng = np.random.default_rng(streams[b])
+        rng = np.random.Generator(np.random.SFC64(streams[b]))
         block_dev, block_total, block_step = dev[cut], total[cut], step[cut]
         with np.errstate(over="ignore"):  # errstate is per thread
             for _ in range(t):

@@ -31,8 +31,8 @@ The roots and weights at one alpha travel as the plain tuple of _roots,
 (lambda_+, lambda_-, beta_+, beta_-, log lambda_+, in_domain): only the
 public roots() builds a SpectralData record from it, so an evaluation
 builds none.  The formulas are written once, in _sequence_terms, over a
-small namespace of operations (exp, expm1, log from the excess, integer
-power and the singularity guard).  SCALAR_OPS (cmath and math, no numpy)
+small namespace of operations (expm1, log from the excess, integer power
+and the singularity guard).  SCALAR_OPS (cmath and math, no numpy)
 evaluates one horizon for every public function; sweep.py holds ARRAY_OPS,
 which evaluates an array of horizons for a sweep.
 """
@@ -238,11 +238,11 @@ def _guard(t: int, e_t: complex, *values: complex) -> bool:
 
 
 # The scalar operations of the horizon formulas (cmath and math, no numpy).
-SCALAR_OPS = SimpleNamespace(exp=cmath.exp, expm1=_expm1, log=_log, power=_int_power, guard=_guard)
+SCALAR_OPS = SimpleNamespace(expm1=_expm1, log=_log, power=_int_power, guard=_guard)
 
 
 def _sequence_terms(ops: SimpleNamespace, theta: float, spectral: tuple, t):
-    """(q_t, 1/psi_{t+1}, log E_t, log pi_t, regular, w^t, E_t) at one
+    """(q_t, 1/psi_{t+1}, log E_t, log pi_t, regular, E_t) at one
     horizon t (SCALAR_OPS) or an array of them (sweep.ARRAY_OPS), from the
     tuple of _roots.
 
@@ -253,9 +253,7 @@ def _sequence_terms(ops: SimpleNamespace, theta: float, spectral: tuple, t):
     array guard returns the mask of rows where neither happened.
     """
     lam_plus, lam_minus, _, beta_minus, log_lambda_plus = spectral[:5]
-    # r_t needs w^t accurate when beta_+ is small (large |alpha|), E_t and q_t w^t - 1
-    t_log_w = t * cmath.log(lam_minus / lam_plus)
-    w_t, w_t_m1 = ops.exp(t_log_w), ops.expm1(t_log_w)
+    w_t_m1 = ops.expm1(t * cmath.log(lam_minus / lam_plus))  # w^t - 1
     excess = beta_minus * lam_minus * w_t_m1
     e_t = 1.0 + excess
     ops.guard(t, e_t)
@@ -265,7 +263,7 @@ def _sequence_terms(ops: SimpleNamespace, theta: float, spectral: tuple, t):
     # (t+1)*log lambda_+ + log D_t keeps the last bit of a large log pi_t
     log_pi = (t + 1) * log_lambda_plus + (log_e - log_lambda_plus)
     regular = ops.guard(t, e_t, inv_psi, q_t, log_pi)
-    return q_t, inv_psi, log_e, log_pi, regular, w_t, e_t
+    return q_t, inv_psi, log_e, log_pi, regular, e_t
 
 
 def sequence_ratios(spectral: SpectralData, params: ModelParams, t: int) -> SequenceRatios:
@@ -281,10 +279,12 @@ def sequence_ratios(spectral: SpectralData, params: ModelParams, t: int) -> Sequ
         raise DomainError("sequence ratios are only defined inside the validity domain")
     theta, stage = params.theta, _spectral_tuple(spectral)
     lam_plus, lam_minus, beta_plus, beta_minus, log_lambda_plus = stage[:5]
-    q_t, inv_psi, log_e, log_pi, _, w_t, e_t = _sequence_terms(SCALAR_OPS, theta, stage, t)
+    q_t, inv_psi, log_e, log_pi, _, e_t = _sequence_terms(SCALAR_OPS, theta, stage, t)
     if t == 0:
         r = complex(theta)
     else:
+        # w^t itself, accurate when beta_+ is small (large |alpha|)
+        w_t = cmath.exp(t * cmath.log(lam_minus / lam_plus))
         r = theta * (beta_plus + beta_minus * w_t) / e_t
         _guard(t, e_t, r)
     # mu = beta_-*(1 - lambda_-)*(lambda_+ - lambda_-), free of the lambda_+ ~ 1 cancellation

@@ -109,7 +109,7 @@ def _array_exp(z: np.ndarray) -> np.ndarray:
 # The operations of spectral.SCALAR_OPS over numpy arrays of horizons;
 # callers silence floating-point warnings (np.errstate), since a singular
 # row is masked.
-ARRAY_OPS = SimpleNamespace(exp=_array_exp, expm1=_array_expm1, log=_array_log, power=_array_power, guard=_array_guard)
+ARRAY_OPS = SimpleNamespace(expm1=_array_expm1, log=_array_log, power=_array_power, guard=_array_guard)
 
 
 def _horizon_batch(params: ModelParams, point: TransformPoint, x: float, stage: tuple, horizons: list[int]) -> tuple:
@@ -127,7 +127,7 @@ def _horizon_batch(params: ModelParams, point: TransformPoint, x: float, stage: 
         log_value, _, log_normalized, regular = _horizon(ARRAY_OPS, params, x, alpha, stage, t)[:4]
         log_finite = np.isfinite(log_value)
         overflow = regular & (~log_finite | (log_normalized.real > _LOG_MAX))
-        normalized = ARRAY_OPS.exp(log_normalized)
+        normalized = _array_exp(log_normalized)
     if not np.count_nonzero(overflow):
         return log_value, normalized, regular, None
     stop = int(overflow.argmax())

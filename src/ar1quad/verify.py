@@ -3,9 +3,11 @@
 Each check measures a worst-case error over a parameter grid and compares
 it to a tolerance; a non-finite error (NaN included) at any grid point
 fails its check.  The grid density scales with `grid_size`; size 1 is a
-minimal smoke run, and a size below 1 raises ValueError.  A user-supplied
-tolerance overrides the per-check defaults of the deterministic float
-checks (the Monte Carlo check stays statistical at 4 standard errors).
+minimal smoke run, and a size that is not an integer >= 1 raises
+ValueError.  A user-supplied tolerance overrides the per-check defaults of
+the deterministic float checks (the Monte Carlo check stays statistical at
+4 standard errors).  run_all rejects a bad argument (ValueError) before
+any check runs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .closed_form import (
     sigma_via_recursion,
     transform,
 )
-from .model import ModelParams
+from .model import ModelParams, check_horizon
 from .oracle import matrix_mgf, monte_carlo_mgf
 from .spectral import TransformPoint, domain_check, raw_psi, roots, sequence_ratios
 
@@ -65,8 +67,7 @@ def _worse(worst: float, *errors: float) -> float:
 
 
 def _grids(k: int):
-    if k < 1:
-        raise ValueError(f"grid size must be >= 1, got {k}")
+    k = check_horizon(k, "grid size", 1)
     return _THETA_POOL[:k], _ALPHA_POOL[: 2 * k], _X_POOL[:k], _M_POOL[:k]
 
 
@@ -231,7 +232,18 @@ def run_all(
     tolerance: float | None = None,
     mc_samples: int = 1_000_000,
 ) -> VerifyReport:
-    """Run every check; `tolerance` overrides the float-check defaults."""
+    """Run every check; `tolerance` overrides the float-check defaults.
+
+    Raises ValueError, before any check runs, for a grid size that is not
+    an integer >= 1, a tolerance that is not a finite number >= 0, a Monte
+    Carlo sample count that is not an integer >= 2, and a seed that is not
+    an integer >= 0.
+    """
+    _grids(grid_size)
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
+    check_horizon(mc_samples, "Monte Carlo sample count", 2)
+    check_horizon(seed, "Monte Carlo seed")
 
     def tol(default: float) -> float:
         return default if tolerance is None else tolerance

@@ -320,6 +320,22 @@ def test_verify_rejects_a_grid_size_below_one(capsys, size):
     assert err.startswith("ar1quad: error:") and f"grid size must be >= 1, got {size}" in err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tolerance", "nan", "tolerance must be a finite number >= 0, got nan"),
+    ("--tolerance", "-1", "tolerance must be a finite number >= 0, got -1.0"),
+    ("--tolerance", "inf", "tolerance must be a finite number >= 0, got inf"),
+    ("--mc-samples", "1", "Monte Carlo sample count must be >= 2, got 1"),
+    ("--seed", "-1", "Monte Carlo seed must be >= 0, got -1"),
+])
+def test_verify_rejects_a_bad_argument_before_any_check_runs(capsys, flag, value, message):
+    # a NaN or negative tolerance used to print six FAIL lines and exit 1;
+    # a bad sample count or seed exited 64 only once four checks had run
+    code, out, err = run_cli(capsys, "verify", "--grid-size", "1", flag, value)
+    assert code == 64
+    assert out == ""
+    assert err == f"ar1quad: error: {message}\n"
+
+
 def test_sweep_memory_does_not_grow_with_the_grid():
     # 5,000 rows are streamed: nothing proportional to the grid is held
     argv = ["sweep", "--theta", "0.6", "--m", "1", "--x", "0.5",

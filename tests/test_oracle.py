@@ -140,12 +140,12 @@ def test_monte_carlo_deterministic_given_seed():
 
 def replay_blocks(theta, m, alpha, x, t, n, seed):
     """The seed contract, serially: K = ceil(n / 2**16) blocks with edges n*b//K, block b
-    drawing one standard_normal per step from default_rng(SeedSequence(seed).spawn(K)[b])."""
+    drawing one standard_normal per step from Generator(SFC64(SeedSequence(seed).spawn(K)[b]))."""
     k = -(-n // 2**16)
     edges = [n * b // k for b in range(k + 1)]
     total = np.empty(n)
     for b, stream in enumerate(np.random.SeedSequence(seed).spawn(k)):
-        rng = np.random.default_rng(stream)
+        rng = np.random.Generator(np.random.SFC64(stream))
         size = edges[b + 1] - edges[b]
         dev = np.full(size, x - m)
         block_total = np.full(size, x * x)
@@ -193,10 +193,10 @@ def test_monte_carlo_bits_do_not_depend_on_the_worker_count(monkeypatch, cores):
 
 def test_monte_carlo_worker_error_reaches_the_caller(monkeypatch):
     # an exception in a block is raised in the calling thread, not lost in the worker
-    def failing_rng(stream):
+    def failing_bit_generator(stream):
         raise MemoryError("no room for the block")
 
-    monkeypatch.setattr(np.random, "default_rng", failing_rng)
+    monkeypatch.setattr(np.random, "SFC64", failing_bit_generator)
     with pytest.raises(MemoryError, match="no room for the block"):
         monte_carlo_mgf(ModelParams(0.6, 1.0), -0.1, 0.4, 3, 150_001, 17)
 

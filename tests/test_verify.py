@@ -1,4 +1,5 @@
-"""The self-verification checks fail on a NaN error, not only on a large one."""
+"""The self-verification checks fail on a NaN error, not only on a large one,
+and run_all rejects a bad argument before any check runs."""
 
 import math
 
@@ -25,3 +26,31 @@ def test_a_nan_at_one_grid_point_fails_its_check(monkeypatch, check):
     assert len(calls) > 2  # the grid points after the NaN do not clear it
     assert math.isnan(result.error) and not result.passed
 
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"tolerance": math.nan}, "tolerance must be a finite number >= 0, got nan"),
+    ({"tolerance": -1.0}, "tolerance must be a finite number >= 0, got -1.0"),
+    ({"tolerance": math.inf}, "tolerance must be a finite number >= 0, got inf"),
+    ({"mc_samples": 1}, "Monte Carlo sample count must be >= 2, got 1"),
+    ({"mc_samples": 2.5}, "Monte Carlo sample count must be an integer, got 2.5"),
+    ({"seed": -1}, "Monte Carlo seed must be >= 0, got -1"),
+    ({"grid_size": 0}, "grid size must be >= 1, got 0"),
+    ({"grid_size": 1.5}, "grid size must be an integer, got 1.5"),
+])
+def test_run_all_rejects_a_bad_argument_before_any_check_runs(monkeypatch, kwargs, message):
+    # a NaN or negative tolerance used to run every check and fail six of them;
+    # a bad sample count or seed was rejected only once four checks had run
+    ran = []
+    for name in ("check_spectral_identities", "check_wronskian", "check_sigma_recursion", "check_matrix_oracle",
+                 "check_monte_carlo", "check_convergence_rate", "check_exactness_anchors"):
+        monkeypatch.setattr(verify, name, lambda *args, name=name: ran.append(name))
+    with pytest.raises(ValueError) as exc:
+        verify.run_all(**kwargs)
+    assert str(exc.value) == message
+    assert ran == []
+
+
+def test_run_all_takes_a_zero_tolerance():
+    # zero is the strictest finite tolerance, not a bad argument
+    report = verify.run_all(grid_size=1, tolerance=0.0, mc_samples=20_000)
+    assert len(report.checks) == 7
