@@ -119,7 +119,8 @@ def cmd_verify(args) -> int:
     )
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
-        line = f"[{status}] {check.name:<22} error={check.error:.3e}  tolerance={check.tolerance:.3e}"
+        line = (f"[{status}] {check.name:<22} error={check.error:.3e}  tolerance={check.tolerance:.3e}"
+                f"  time={check.seconds * 1e3:.1f}ms")
         if check.detail:
             line += f"  ({check.detail})"
         print(line)

@@ -122,14 +122,17 @@ def conditional_covariance(params: ModelParams, t: int) -> np.ndarray:
 
     Built as min(w_s, w_u) * theta^|s-u| / (1 - theta^2): w_s = 1 - theta^(2s)
     never decreases with s, so the minimum is w_min(s,u), and the Toeplitz
-    factor is a window view of the power table, so no index array is formed.
+    factor is one strided view of the lag table (row s starts one element
+    before row s-1), so no index array and no window stack is formed.
     """
     import numpy as np
     t = check_horizon(t)
     powers = params.theta ** np.arange(2 * t + 1)  # theta^k for every exponent used
-    # row s of the windows, read in reverse, is theta^|s-u| for u = 1..t
+    # lags[t-1+k] = theta^|k| for |k| < t: row s of the view, u = 1..t, reads
+    # lags[t-s : 2t-s], which is theta^|s-u|
     lags = np.concatenate((powers[t - 1 : 0 : -1], powers[:t]))
-    toeplitz = np.lib.stride_tricks.sliding_window_view(lags, t)[::-1]
+    step = lags.itemsize
+    toeplitz = np.lib.stride_tricks.as_strided(lags[t - 1 :], (t, t), (-step, step), writeable=False)
     w = 1.0 - powers[2::2]
     cov = np.minimum.outer(w, w)
     cov *= toeplitz

@@ -32,6 +32,7 @@ import cmath
 import math
 import operator
 import os
+import sys
 from dataclasses import dataclass
 from typing import Literal
 
@@ -91,12 +92,12 @@ def matrix_mgf(params: ModelParams, alpha: float, x: float, t: int) -> OracleRes
     if not math.isfinite(scale):
         raise _overflow("the conditional mean", params, x, a, t)
     bordered = np.empty((t + 1, t + 1))
-    block = bordered[:t, :t]
-    np.multiply(conditional_covariance(params, t), -2.0 * a, out=block)
-    block.flat[:: t + 1] += 1.0  # the diagonal
+    np.multiply(conditional_covariance(params, t), -2.0 * a, out=bordered[:t, :t])
+    diagonal = bordered.reshape(-1)[: t * (t + 2) : t + 2]  # M's diagonal, a view
+    diagonal += 1.0
     np.divide(mean, scale, out=bordered[t, :t])
     bordered[:t, t] = bordered[t, :t]
-    bordered[t, t] = np.finfo(float).max
+    bordered[t, t] = sys.float_info.max
     try:
         factor = np.linalg.cholesky(bordered)
     except np.linalg.LinAlgError as exc:

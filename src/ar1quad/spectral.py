@@ -25,7 +25,8 @@ logs come through log1p from lambda_+ - 1 = beta_-*(lambda_+ - lambda_-)
 and E_t - 1 = beta_-*lambda_-*(w^t - 1) (as pi_0 = 1), and 1 - w^t from
 expm1: no small quantity is a difference of nearly equal numbers.  E_0 = 1
 exactly, so the anchors pi_0 = 1, r_0 = 1/psi_1 = theta and q_0 = 0 need
-no special case.  Raw psi evaluation (raw_psi) is for cross-checks only.
+no special case.  Raw psi evaluation (raw_psi) serves only the Wronskian
+check of verify.py and the tests.
 
 The roots and weights at one alpha travel as the plain tuple of _roots,
 (lambda_+, lambda_-, beta_+, beta_-, log lambda_+, in_domain): only the
@@ -51,8 +52,8 @@ from .model import ModelParams, check_horizon
 # rejected rather than guessed.
 DOMAIN_MARGIN = 1e-12
 
-# Raw psi/pi values overflow like |lambda_+/theta|^t; cross-checks at
-# horizon <= 50 need indices up to 51.
+# raw_psi serves only verify's check_wronskian (indices up to 21) and the
+# tests; its values overflow like |lambda_+/theta|^s, so it stops here.
 RAW_INDEX_MAX = 51
 
 
@@ -293,7 +294,8 @@ def sequence_ratios(spectral: SpectralData, params: ModelParams, t: int) -> Sequ
 
 
 def raw_psi(spectral: SpectralData, params: ModelParams, s: int) -> complex:
-    """psi_s evaluated directly; cross-check use only, capped at small s."""
+    """psi_s evaluated directly from the roots, for the Wronskian check and
+    the tests only; capped at s <= RAW_INDEX_MAX."""
     if not 0 <= s <= RAW_INDEX_MAX:
         raise ValueError(f"raw psi evaluation is capped at index {RAW_INDEX_MAX}, got {s}")
     z = spectral.lambda_plus / params.theta

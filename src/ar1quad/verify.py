@@ -7,13 +7,14 @@ minimal smoke run, and a size that is not an integer >= 1 raises
 ValueError.  A user-supplied tolerance overrides the per-check defaults of
 the deterministic float checks (the Monte Carlo check stays statistical at
 4 standard errors).  run_all rejects a bad argument (ValueError) before
-any check runs.
+any check runs, and records each check's wall time in its result.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import time
 from dataclasses import dataclass, field
 
 from .closed_form import (
@@ -37,11 +38,15 @@ _M_POOL = [0.0, 1.5, -0.7]
 
 @dataclass
 class CheckResult:
+    """One check's worst error against its tolerance; run_all sets
+    `seconds`, the check's wall time."""
+
     name: str
     error: float
     tolerance: float
     passed: bool
     detail: str = ""
+    seconds: float = 0.0
 
 
 @dataclass
@@ -134,8 +139,8 @@ def check_wronskian(grid_size: int, tol: float) -> CheckResult:
 
 
 def check_sigma_recursion(grid_size: int, tol: float) -> CheckResult:
-    """The weighted one-step recursion for Sigma_t agrees with the
-    telescoped closed form, t <= 50."""
+    """The root-free one-step recursion for Sigma_t, on the psi ratios,
+    agrees with the telescoped closed form, t <= 50."""
     thetas, alphas, xs, ms = _grids(grid_size)
     worst = 0.0
     for theta in thetas:
@@ -232,7 +237,8 @@ def run_all(
     tolerance: float | None = None,
     mc_samples: int = 1_000_000,
 ) -> VerifyReport:
-    """Run every check; `tolerance` overrides the float-check defaults.
+    """Run every check, timing each; `tolerance` overrides the float-check
+    defaults.
 
     Raises ValueError, before any check runs, for a grid size that is not
     an integer >= 1, a tolerance that is not a finite number >= 0, a Monte
@@ -248,12 +254,19 @@ def run_all(
     def tol(default: float) -> float:
         return default if tolerance is None else tolerance
 
+    runs = [
+        (check_spectral_identities, grid_size, tol(1e-12)),
+        (check_wronskian, grid_size, tol(1e-10)),
+        (check_sigma_recursion, grid_size, tol(1e-10)),
+        (check_matrix_oracle, grid_size, tol(1e-8)),
+        (check_monte_carlo, seed, mc_samples),
+        (check_convergence_rate, tol(0.05)),
+        (check_exactness_anchors, grid_size, tol(1e-14)),
+    ]
     report = VerifyReport()
-    report.checks.append(check_spectral_identities(grid_size, tol(1e-12)))
-    report.checks.append(check_wronskian(grid_size, tol(1e-10)))
-    report.checks.append(check_sigma_recursion(grid_size, tol(1e-10)))
-    report.checks.append(check_matrix_oracle(grid_size, tol(1e-8)))
-    report.checks.append(check_monte_carlo(seed, mc_samples))
-    report.checks.append(check_convergence_rate(tol(0.05)))
-    report.checks.append(check_exactness_anchors(grid_size, tol(1e-14)))
+    for check, *args in runs:
+        start = time.perf_counter()
+        result = check(*args)
+        result.seconds = time.perf_counter() - start
+        report.checks.append(result)
     return report

@@ -3,6 +3,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -291,6 +292,10 @@ def test_verify_default_run_passes(capsys):
     assert code == 0
     assert "7/7 checks passed" in out
     assert "[FAIL]" not in out
+    lines = out.splitlines()
+    assert len(lines) == 8 and lines[-1] == "7/7 checks passed"
+    for line in lines[:-1]:  # each check line carries its wall time
+        assert line.startswith("[PASS] ") and re.search(r"  time=\d+\.\dms(  |$)", line), line
 
 
 def test_verify_smoke_run_passes(capsys):

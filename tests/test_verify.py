@@ -1,5 +1,6 @@
 """The self-verification checks fail on a NaN error, not only on a large one,
-and run_all rejects a bad argument before any check runs."""
+run_all rejects a bad argument before any check runs, and it times each
+check."""
 
 import math
 
@@ -54,3 +55,11 @@ def test_run_all_takes_a_zero_tolerance():
     # zero is the strictest finite tolerance, not a bad argument
     report = verify.run_all(grid_size=1, tolerance=0.0, mc_samples=20_000)
     assert len(report.checks) == 7
+
+
+def test_run_all_times_every_check():
+    report = verify.run_all(grid_size=1, mc_samples=20_000)
+    assert [c.name for c in report.checks] == ["spectral_identities", "wronskian", "sigma_recursion", "matrix_oracle",
+                                               "monte_carlo", "convergence_rate", "exactness_anchors"]
+    for check in report.checks:
+        assert check.seconds > 0.0, check.name
