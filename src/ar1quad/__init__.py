@@ -23,11 +23,9 @@ from .errors import (
     SingularSequenceError,
 )
 from .model import (
-    ConditionalPath,
     ModelParams,
     conditional_covariance,
     conditional_mean,
-    simulate_conditional,
 )
 from .oracle import (
     OracleResult,
@@ -48,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClosedFormConstants",
-    "ConditionalPath",
     "ConvergenceError",
     "DomainBoundaryError",
     "DomainError",
@@ -75,7 +72,6 @@ __all__ = [
     "roots",
     "sequence_ratios",
     "sigma_via_recursion",
-    "simulate_conditional",
     "transform",
     "unconditional_transform",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ParameterError
@@ -66,38 +66,6 @@ class ModelParams:
         fields = self.__dict__
         fields["theta"] = theta
         fields["m"] = m
-
-
-@dataclass(frozen=True)
-class ConditionalPath:
-    """A simulated trajectory X_0..X_t given X_0 = x0, driven by `seed`."""
-
-    x0: float
-    values: np.ndarray = field(repr=False)
-    seed: int
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def simulate_conditional(params: ModelParams, x: float, t: int, seed: int) -> ConditionalPath:
-    """Simulate X_0..X_t conditionally on X_0 = x.
-
-    Seed contract: the innovations e_1..e_t are exactly
-    ``numpy.random.default_rng(seed).standard_normal(t)``, consumed in
-    order, so identical seeds replay identical paths bit for bit.
-    """
-    import numpy as np
-    check_finite("x", x)
-    t = check_horizon(t)
-    innovations = np.random.default_rng(seed).standard_normal(t)
-    dev = np.empty(t + 1)
-    dev[0] = x - params.m
-    for s in range(1, t + 1):
-        dev[s] = params.theta * dev[s - 1] + innovations[s - 1]
-    values = dev + params.m
-    values[0] = x  # exact, not (x - m) + m
-    return ConditionalPath(x0=x, values=values, seed=seed)
 
 
 def conditional_mean(params: ModelParams, x: float, s: int) -> float:

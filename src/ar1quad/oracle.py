@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -138,12 +137,7 @@ def monte_carlo_mgf(
     check_finite("x", x)
     if a > 0:
         raise ValueError(f"need alpha <= 0 for a bounded integrand, got {a}")
-    try:
-        n = operator.index(n)  # as check_horizon takes t
-    except TypeError:
-        raise ValueError(f"need an integer n >= 2 samples, got {n!r}") from None
-    if n < 2:
-        raise ValueError(f"need an integer n >= 2 samples, got {n!r}")
+    n = check_horizon(n, "Monte Carlo sample count", 2)
     t = check_horizon(t)
     theta, m = params.theta, params.m
     k = -(-n // MC_BLOCK)

@@ -108,10 +108,10 @@ class SequenceRatios:
     """Stably computed sequence quantities at horizon t.
 
     r = psi_t/psi_{t+1}, inv_psi = 1/psi_{t+1}, theta_minus_r = theta - r_t
-    (formed without the subtraction), log_pi = (t+1)*log(lambda_+) +
-    log_correction with log_correction = log(D_t) = log(E_t) - log(lambda_+).
-    For alpha on the real-negative axis both log arguments are positive
-    reals; branch continuation off the principal branch is not attempted.
+    (formed without the subtraction) and log_pi = log(pi_t) =
+    t*log(lambda_+) + log(E_t).  For alpha on the real-negative axis both
+    log arguments are positive reals; branch continuation off the
+    principal branch is not attempted.
     """
 
     t: int
@@ -119,7 +119,6 @@ class SequenceRatios:
     inv_psi: complex
     log_pi: complex
     theta_minus_r: complex
-    log_correction: complex
 
 
 def _log_lambda_plus(lam_plus: complex, lam_minus: complex, beta_minus: complex) -> complex:
@@ -279,8 +278,8 @@ def sequence_ratios(spectral: SpectralData, params: ModelParams, t: int) -> Sequ
     if not spectral.in_domain:
         raise DomainError("sequence ratios are only defined inside the validity domain")
     theta, stage = params.theta, _spectral_tuple(spectral)
-    lam_plus, lam_minus, beta_plus, beta_minus, log_lambda_plus = stage[:5]
-    q_t, inv_psi, log_e, log_pi, _, e_t = _sequence_terms(SCALAR_OPS, theta, stage, t)
+    lam_plus, lam_minus, beta_plus, beta_minus = stage[:4]
+    q_t, inv_psi, _, log_pi, _, e_t = _sequence_terms(SCALAR_OPS, theta, stage, t)
     if t == 0:
         r = complex(theta)
     else:
@@ -290,7 +289,7 @@ def sequence_ratios(spectral: SpectralData, params: ModelParams, t: int) -> Sequ
         _guard(t, e_t, r)
     # mu = beta_-*(1 - lambda_-)*(lambda_+ - lambda_-), free of the lambda_+ ~ 1 cancellation
     theta_minus_r = q_t * beta_minus * (1.0 - lam_minus) * (lam_plus - lam_minus)
-    return SequenceRatios(t, r, inv_psi, log_pi, theta_minus_r, log_e - log_lambda_plus)
+    return SequenceRatios(t, r, inv_psi, log_pi, theta_minus_r)
 
 
 def raw_psi(spectral: SpectralData, params: ModelParams, s: int) -> complex:

@@ -33,7 +33,8 @@ _THETA_POOL = [0.6, -0.8, 0.3, 0.8, -0.3]
 _ALPHA_POOL = [-0.5, -0.05, -2.0, complex(-0.3, 0.4), complex(-1.0, -0.25), -1e-3]
 _REAL_ALPHA_POOL = [-0.5, -0.05, -2.0]
 _X_POOL = [0.0, -1.0, 2.0, 0.3]
-_M_POOL = [0.0, 1.5, -0.7]
+# a grid of size 1 has x = 0, where m = 0 would make Sigma_t = 0 exactly
+_M_POOL = [1.5, 0.0, -0.7]
 
 
 @dataclass
@@ -112,12 +113,16 @@ def check_spectral_identities(grid_size: int, tol: float) -> CheckResult:
 
 
 def check_wronskian(grid_size: int, tol: float) -> CheckResult:
-    """psi_{s+1}*psi_{s-1} - psi_s^2 == beta_+*beta_-*(z - 1/z)^2, s = 1..20.
+    """psi's Casoratian (discrete Wronskian) psi_{s+1}*psi_{s-1} - psi_s^2
+    from the roots (raw_psi), s = 1..20, against its root-free value
+    psi_2*psi_0 - psi_1^2 = mu/theta^2 (mu = -2*alpha), and the anchors
+    psi_0 = 1 and theta*psi_1 = 1.
 
-    The left side is a difference of O(|z|^(2s)) products, so the error is
-    measured relative to the largest quantity formed; against the O(1)
-    constant alone, doubles cannot resolve the difference once
-    |z|^(2s)*eps exceeds it.
+    raw_psi's form gives beta_+*beta_-*(z - 1/z)^2 for any weights and z,
+    so only a root-free target catches wrong roots.  The left side is a
+    difference of O(|z|^(2s)) products, so the error is measured relative
+    to the largest quantity formed; against the O(1) constant alone,
+    doubles cannot resolve the difference once |z|^(2s)*eps exceeds it.
     """
     thetas, alphas, _, _ = _grids(grid_size)
     worst = 0.0
@@ -128,9 +133,9 @@ def check_wronskian(grid_size: int, tol: float) -> CheckResult:
             if not domain_check(params, point):
                 continue
             spectral = roots(params, point)
-            z = spectral.lambda_plus / theta
-            target = spectral.beta_plus * spectral.beta_minus * (z - 1.0 / z) ** 2
+            target = point.mu / (theta * theta)
             psi = [raw_psi(spectral, params, s) for s in range(22)]
+            worst = _worse(worst, abs(psi[0] - 1.0), abs(theta * psi[1] - 1.0))
             for s in range(1, 21):
                 outer = psi[s + 1] * psi[s - 1]
                 scale = max(abs(outer), abs(psi[s]) ** 2, abs(target))
@@ -250,6 +255,9 @@ def run_all(
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     check_horizon(mc_samples, "Monte Carlo sample count", 2)
     check_horizon(seed, "Monte Carlo seed")
+    # the oracles need numpy: loading it here keeps the import out of the
+    # time of the first check that calls one
+    import numpy  # noqa: F401
 
     def tol(default: float) -> float:
         return default if tolerance is None else tolerance

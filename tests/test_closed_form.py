@@ -25,7 +25,6 @@ from ar1quad import (
     roots,
     sequence_ratios,
     sigma_via_recursion,
-    simulate_conditional,
     transform,
     unconditional_transform,
 )
@@ -135,7 +134,6 @@ def _horizon_callers(t):
         "sigma_via_recursion": lambda: sigma_via_recursion(params, point, 0.5, t),
         "matrix_mgf": lambda: matrix_mgf(params, -0.3, 0.5, t),
         "monte_carlo_mgf": lambda: monte_carlo_mgf(params, -0.3, 0.5, t, 100, 0),
-        "simulate_conditional": lambda: simulate_conditional(params, 0.5, t, 0),
         "conditional_covariance": lambda: conditional_covariance(params, t),
     }
 

@@ -1,5 +1,7 @@
-"""numpy is loaded by the sweep and the matrix/Monte Carlo oracles only,
-and concurrent.futures by the Monte Carlo oracle only.
+"""The public surface of the package, and which modules its entry points
+import: numpy is loaded by the sweep, the matrix/Monte Carlo oracles and
+verify's run_all only, and concurrent.futures by the Monte Carlo oracle
+only.
 
 Each entry point runs in a fresh interpreter, which then reports whether
 a module was imported: the scalar closed form, the package import and the
@@ -60,3 +62,27 @@ def test_scalar_entry_points_do_not_load_the_thread_pool():
 
 def test_monte_carlo_loads_the_thread_pool():
     assert module_loaded_after(SETUP + "monte_carlo_mgf(p, -0.3, 0.5, 2, 10, 0)", "concurrent.futures")
+
+
+def test_verify_loads_numpy_before_it_times_the_first_check():
+    # the first check to call an oracle (matrix_oracle) used to carry the
+    # numpy import in its time: ~141 ms, of which ~20 ms was the check
+    stop_at_first_check = ("from ar1quad import verify\n"
+                           "class Stop(Exception): pass\n"
+                           "def stop(*args): raise Stop\n"
+                           "verify.check_spectral_identities = stop\n"
+                           "try:\n    verify.run_all()\nexcept Stop:\n    pass")
+    assert module_loaded_after(stop_at_first_check)
+
+
+def test_public_surface_is_pinned():
+    # an addition to or a removal from the public names is a deliberate edit here
+    assert sorted(ar1quad.__all__) == [
+        "ClosedFormConstants", "ConvergenceError", "DomainBoundaryError", "DomainError", "ErgodicConstants",
+        "ModelParams", "OracleResult", "ParameterError", "RateFit", "SequenceRatios", "SingularConstantError",
+        "SingularSequenceError", "SpectralData", "TransformPoint", "TransformValue", "conditional_covariance",
+        "conditional_mean", "constants", "domain_check", "ergodic_constants", "fit_convergence_rate", "matrix_mgf",
+        "monte_carlo_mgf", "normalized_transform", "roots", "sequence_ratios", "sigma_via_recursion", "transform",
+        "unconditional_transform",
+    ]
+    assert all(hasattr(ar1quad, name) for name in ar1quad.__all__)

@@ -11,7 +11,6 @@ from ar1quad import (
     TransformPoint,
     conditional_covariance,
     conditional_mean,
-    simulate_conditional,
 )
 from ar1quad.model import check_horizon
 
@@ -78,52 +77,10 @@ def test_check_horizon_rejects_other_values(t, message):
         check_horizon(t)
 
 
-def test_horizon_zero_path_is_start_only():
-    path = simulate_conditional(ModelParams(0.5), 1.0, 0, seed=3)
-    assert path.values.tolist() == [1.0]
-    assert path.x0 == 1.0
-
-
-def test_path_satisfies_defining_recursion():
-    params = ModelParams(0.5, 2.0)
-    seed, t = 99, 3
-    path = simulate_conditional(params, 2.0, t, seed)
-    innovations = np.random.default_rng(seed).standard_normal(t)
-    assert path.values[0] == 2.0
-    for s in range(1, t + 1):
-        step = params.theta * (path.values[s - 1] - params.m) + innovations[s - 1]
-        assert abs((path.values[s] - params.m) - step) < 1e-12
-
-
-def test_same_seed_is_bit_reproducible():
-    params = ModelParams(-0.7, 1.0)
-    a = simulate_conditional(params, 0.2, 200, seed=42)
-    b = simulate_conditional(params, 0.2, 200, seed=42)
-    assert np.array_equal(a.values, b.values)
-    c = simulate_conditional(params, 0.2, 200, seed=43)
-    assert not np.array_equal(a.values, c.values)
-
-
-def test_long_path_mean_near_stationary_level():
-    # law of large numbers against the stationary mean m
-    params = ModelParams(0.6, 1.0)
-    t = 10_000
-    path = simulate_conditional(params, 0.0, t, seed=2024)
-    values = path.values
-    assert abs(values.mean() - 1.0) <= 4.0 * values.std() / math.sqrt(t)
-
-
-def test_negative_horizon_rejected():
-    with pytest.raises(ValueError):
-        simulate_conditional(ModelParams(0.5), 0.0, -1, seed=0)
-
-
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_non_finite_start_rejected(x):
     with pytest.raises(ParameterError):
         conditional_mean(ModelParams(0.5, 1.0), x, 3)
-    with pytest.raises(ParameterError):
-        simulate_conditional(ModelParams(0.5, 1.0), x, 3, seed=0)
 
 
 @pytest.mark.parametrize("s, message", [(1.5, "must be an integer, got 1.5"), (2.0, "must be an integer, got 2.0"),
@@ -206,11 +163,16 @@ def test_covariance_equals_entrywise_formula_bit_for_bit(theta, t):
 
 
 def test_covariance_matches_sample_covariance():
+    # n paths of the defining recursion X_s - m = theta*(X_{s-1} - m) + e_s
+    # from X_0 = x, advanced together: one vector of n normals per step
     params = ModelParams(0.7, 1.0)
-    t, n = 4, 20_000
+    t, n, x = 4, 20_000, 0.5
+    rng = np.random.Generator(np.random.SFC64(10_000))
     paths = np.empty((n, t))
-    for i in range(n):
-        paths[i] = simulate_conditional(params, 0.5, t, seed=10_000 + i).values[1:]
+    dev = np.full(n, x - params.m)
+    for s in range(t):
+        dev = params.theta * dev + rng.standard_normal(n)
+        paths[:, s] = dev + params.m
     sample = np.cov(paths, rowvar=False)
     expected = conditional_covariance(params, t)
     # SE of a Gaussian covariance entry: sqrt((S_ii S_jj + S_ij^2) / n)

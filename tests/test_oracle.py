@@ -328,9 +328,11 @@ def test_oracles_reject_non_finite_alpha(alpha):
 
 @pytest.mark.parametrize("n", [1e5, 100.0, "100", None, -1, 0, 1])
 def test_monte_carlo_rejects_a_sample_count_that_is_not_an_integer_of_at_least_two(n):
-    # a typed ValueError, as for a horizon t that is not an integer >= 0
-    with pytest.raises(ValueError, match="need an integer n >= 2 samples"):
+    # a typed ValueError, with the message run_all gives for the same count
+    message = f"must be >= 2, got {n}" if isinstance(n, int) else f"must be an integer, got {n!r}"
+    with pytest.raises(ValueError) as exc:
         monte_carlo_mgf(ModelParams(0.6, 1.0), -0.2, 0.0, 3, n, 1)
+    assert str(exc.value) == "Monte Carlo sample count " + message
 
 
 def test_monte_carlo_takes_an_index_sample_count():

@@ -1,7 +1,9 @@
 """The self-verification checks fail on a NaN error, not only on a large one,
-run_all rejects a bad argument before any check runs, and it times each
-check."""
+each fails on a corrupted input, run_all rejects a bad argument before any
+check runs, and it times each check."""
 
+import cmath
+import dataclasses
 import math
 
 import pytest
@@ -63,3 +65,37 @@ def test_run_all_times_every_check():
                                                "monte_carlo", "convergence_rate", "exactness_anchors"]
     for check in report.checks:
         assert check.seconds > 0.0, check.name
+
+
+def _scaled(factor):
+    """A transform result off by `factor`, its log consistent with it."""
+    return lambda v: dataclasses.replace(v, log_value=v.log_value + cmath.log(factor), value=v.value * factor)
+
+
+def _shifted_root(spectral):
+    return dataclasses.replace(spectral, lambda_plus=1.37 * spectral.lambda_plus)
+
+
+# check -> (the name it reads in ar1quad.verify, a corruption of that name's result)
+CORRUPTIONS = {
+    "spectral_identities": ("roots", _shifted_root),
+    "wronskian": ("roots", _shifted_root),
+    "sigma_recursion": ("sigma_via_recursion", lambda sigma: sigma * (1.0 + 1e-6)),
+    "matrix_oracle": ("transform", _scaled(1.5)),
+    "monte_carlo": ("transform", _scaled(1.5)),
+    "convergence_rate": ("ergodic_constants", lambda e: dataclasses.replace(e, rate=1.2 * e.rate)),
+    "exactness_anchors": ("transform", _scaled(1.5)),
+}
+
+
+@pytest.mark.parametrize("check", CORRUPTIONS)
+def test_every_check_fails_on_a_corrupted_value(monkeypatch, check):
+    # a check that compares a quantity with itself passes whatever it is
+    # given: the Wronskian check, built from the roots on both sides, passed
+    # with lambda_+ scaled by 1.37
+    name, corrupt = CORRUPTIONS[check]
+    original = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: corrupt(original(*args)))
+    report = verify.run_all(grid_size=1, mc_samples=2_000)
+    result = {c.name: c for c in report.checks}[check]
+    assert result.passed is False, result
