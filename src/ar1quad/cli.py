@@ -164,7 +164,8 @@ def build_parser() -> _Parser:
     p_sw.set_defaults(func=cmd_sweep)
 
     p_vf = sub.add_parser("verify", help="run the self-verification suite")
-    p_vf.add_argument("--grid-size", type=int, default=3, help="values per parameter axis, >= 1 (1 = smoke run)")
+    p_vf.add_argument("--grid-size", type=int, default=3,
+                      help="values per parameter axis, >= 1 (1 = smoke run); sizes above 5 add nothing")
     p_vf.add_argument("--seed", type=int, default=20240901, help="Monte Carlo seed")
     p_vf.add_argument("--tolerance", type=float, default=None, help="override the float-check tolerances")
     p_vf.add_argument("--mc-samples", type=int, default=1_000_000, help="Monte Carlo sample count")

@@ -82,7 +82,11 @@ class TransformValue:
 
     `value` is exp(log_value); when Re(log_value) leaves the double
     exponent range, value is +/-inf or 0 and `overflow` is set.  sigma_t is
-    Sigma_t, a finite number at every alpha in D (alpha = 0 included).
+    Sigma_t, a finite number at every alpha in D (alpha = 0 included).  It
+    is assembled from telescoped terms, so where they cancel it can lose
+    about 5e-14 relative (4.8e-14 at theta = 0.911, alpha = -1.33e-30 +
+    1.81e-31j, t = 5, where sigma_via_recursion holds 1.9e-16); log_value
+    is unharmed there.
     """
 
     log_value: complex

@@ -2,9 +2,11 @@
 
 Each check measures a worst-case error over a parameter grid and compares
 it to a tolerance; a non-finite error (NaN included) at any grid point
-fails its check.  The grid density scales with `grid_size`; size 1 is a
-minimal smoke run, and a size that is not an integer >= 1 raises
-ValueError.  A user-supplied tolerance overrides the per-check defaults of
+fails its check.  The grid density scales with `grid_size` up to 5, where
+the fixed parameter pools run out: a larger size runs the size-5 grid,
+and the m values, the complex-plane alphas and the matrix oracle's
+alphas stop growing at size 3 already.  Size 1 is a minimal smoke run,
+and a size that is not an integer >= 1 raises ValueError.  A user-supplied tolerance overrides the per-check defaults of
 the deterministic float checks (the Monte Carlo check stays statistical at
 4 standard errors).  run_all rejects a bad argument (ValueError) before
 any check runs, and records each check's wall time in its result.
@@ -73,6 +75,9 @@ def _worse(worst: float, *errors: float) -> float:
 
 
 def _grids(k: int):
+    """The first k thetas, x values and m values and the first 2*k alphas
+    of the fixed pools: sizes above 5 (3 for the m values and the alphas)
+    take every entry and add nothing."""
     k = check_horizon(k, "grid size", 1)
     return _THETA_POOL[:k], _ALPHA_POOL[: 2 * k], _X_POOL[:k], _M_POOL[:k]
 
@@ -164,7 +169,9 @@ def check_sigma_recursion(grid_size: int, tol: float) -> CheckResult:
 
 
 def check_matrix_oracle(grid_size: int, tol: float) -> CheckResult:
-    """Closed form vs the dense quadratic-form oracle, real alpha < 0."""
+    """Closed form vs the quadratic-form oracle (the forward elimination of
+    L L' - 2*alpha*I), real alpha < 0; the first grid_size of three
+    alphas."""
     thetas, _, xs, ms = _grids(grid_size)
     worst = 0.0
     for theta in thetas:
@@ -255,8 +262,8 @@ def run_all(
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     check_horizon(mc_samples, "Monte Carlo sample count", 2)
     check_horizon(seed, "Monte Carlo seed")
-    # the oracles need numpy: loading it here keeps the import out of the
-    # time of the first check that calls one
+    # the Monte Carlo oracle needs numpy: loading it here keeps the import
+    # out of its check's time
     import numpy  # noqa: F401
 
     def tol(default: float) -> float:

@@ -86,3 +86,18 @@ def growth_rate_ref(theta: float, m: float, alpha: complex) -> complex:
         th, m, a = mpmath.mpf(theta), mpmath.mpf(m), _mp_alpha(alpha)
         lam_plus = _roots(th, a)[0]
         return _complex(a * m**2 * (1 - th) ** 2 / (-2 * a + (1 - th) ** 2) - mpmath.log(lam_plus) / 2)
+
+
+def tridiagonal_det_ref(theta: float, alpha: float, t: int):
+    """det(L L' - 2*alpha*I) at 60 digits, L the t x t unit lower-bidiagonal
+    matrix with -theta below the diagonal; it equals det(I - 2*alpha*Sigma).
+    The three-term recurrence D_s = c_s*D_{s-1} - theta^2*D_{s-2}, with
+    D_0 = 1, c_1 = 1 - 2*alpha and c_s = 1 + theta^2 - 2*alpha for s >= 2,
+    runs on the exact doubles theta and alpha; the result is an mpf."""
+    with mp.workdps(60):
+        theta_sq, two_alpha = mpmath.mpf(theta) ** 2, 2 * mpmath.mpf(alpha)
+        previous, current = mpmath.mpf(0), mpmath.mpf(1)
+        for s in range(1, t + 1):
+            c = 1 - two_alpha + (theta_sq if s > 1 else 0)
+            previous, current = current, c * current - theta_sq * previous
+        return current

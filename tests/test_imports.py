@@ -1,11 +1,12 @@
 """The public surface of the package, and which modules its entry points
-import: numpy is loaded by the sweep, the matrix/Monte Carlo oracles and
-verify's run_all only, and concurrent.futures by the Monte Carlo oracle
-only.
+import: numpy is loaded by the sweep, the Monte Carlo oracle,
+conditional_covariance and verify's run_all only, and concurrent.futures
+by the Monte Carlo oracle only.
 
 Each entry point runs in a fresh interpreter, which then reports whether
-a module was imported: the scalar closed form, the package import and the
-`transform`, `ergodic` and `verify` front ends must not pay for either.
+a module was imported: the scalar closed form, the matrix oracle, the
+package import and the `transform`, `ergodic` and `verify` front ends
+must not pay for either.
 """
 
 import os
@@ -38,6 +39,7 @@ ENTRY_POINTS = {
     "fit_convergence_rate": SETUP + "fit_convergence_rate(p, TransformPoint(-0.3), 0.5)",
     "unconditional_transform": SETUP + "unconditional_transform(p, a, 10)",
     "sigma_via_recursion": SETUP + "sigma_via_recursion(p, a, 0.5, 10)",
+    "matrix_mgf": SETUP + "matrix_mgf(p, -0.3, 0.5, 40)",
     "roots": SETUP + "roots(p, a)",
     "sequence_ratios": SETUP + "sequence_ratios(roots(p, a), p, 10)",
     "constants": SETUP + "constants(p, a, 0.5)",

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -21,6 +22,7 @@ from ar1quad import (
     unconditional_transform,
 )
 
+from mp_reference import log_transform_ref, tridiagonal_det_ref
 from util import gauss_hermite_nodes, rel_err
 
 
@@ -44,9 +46,12 @@ def test_matrix_matches_closed_form_at_reference_point():
     assert rel_err(closed, matrix_mgf(params, -0.2, 0.0, 10).value) < 1e-8
 
 
-def test_matrix_rejects_horizon_beyond_cap():
-    with pytest.raises(ValueError):
-        matrix_mgf(ModelParams(0.5), -0.5, 0.0, 2001)
+def test_matrix_has_no_horizon_cap():
+    # the O(t) elimination evaluates past the t = 2000 budget of the old dense factorization
+    params = ModelParams(0.5, 1.0)
+    for alpha, t in ((-1e-3, 2001), (-1e-4, 10**4)):
+        closed = transform(params, TransformPoint(alpha), 0.3, t).value.real
+        assert rel_err(matrix_mgf(params, alpha, 0.3, t).value, closed) <= 1e-12
 
 
 def test_matrix_divergent_alpha_raises():
@@ -96,14 +101,31 @@ def test_matrix_at_the_divergence_point(theta, t):
     pole = _divergence_point(params, t)
     alpha = 0.999999 * pole
     mat = np.eye(t) - 2.0 * alpha * conditional_covariance(params, t)
-    # the smallest eigenvalue of mat is ~1e-6 of its largest: two backward-stable
-    # factorizations of mat may differ by ~eps*cond(mat) ~ 2e-10 in log det
-    tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(mat))
-    assert rel_err(matrix_mgf(params, alpha, 0.0, t).value, _dense_conditional_mgf(params, alpha, 0.0, t)) <= tol
+    # the smallest eigenvalue of mat is ~1e-6 of its largest, so log det moves by
+    # ~eps*cond(mat) ~ 2e-10 under one rounding per entry; the reference is the
+    # exact value at these doubles theta and alpha (a dense LU of mat itself is
+    # up to 1.2x eps*cond(mat) off it)
+    tol = max(1e-12, 2.0 * np.finfo(float).eps * np.linalg.cond(mat))
+    reference = float(tridiagonal_det_ref(theta, alpha, t) ** -0.5)
+    assert rel_err(matrix_mgf(params, alpha, 0.0, t).value, reference) <= tol
     with pytest.raises(ConvergenceError):
         matrix_mgf(params, 1.000001 * pole, 0.0, t)
     with pytest.raises(ConvergenceError):
         matrix_mgf(ModelParams(theta, 1.5), 1.000001 * pole, 0.7, t)
+
+
+def test_matrix_matches_the_high_precision_reference():
+    # seeded draws up to t = 10^4 at real alpha < 0 with |alpha|*E[S_t] <= 600,
+    # so that log L_t >= -600 (Jensen) and the value is a normal double
+    rng = random.Random(20261019)
+    for _ in range(120):
+        theta, m, x = rng.uniform(-0.99, 0.99), rng.uniform(-3.0, 3.0), rng.uniform(-4.0, 4.0)
+        t = int(10 ** rng.uniform(0.0, 4.0))
+        mean_square = max(x * x, m * m) + 1.0 / (1.0 - theta * theta)
+        alpha = -(10 ** rng.uniform(-12.0, 0.0)) * min(1.0, 600.0 / (x * x + t * mean_square))
+        log_ref = log_transform_ref(theta, m, x, alpha, t).real
+        log_value = math.log(matrix_mgf(ModelParams(theta, m), alpha, x, t).value)
+        assert abs(log_value - log_ref) <= 1e-14 * max(1.0, abs(log_ref)), (theta, m, x, alpha, t)
 
 
 def test_matrix_huge_level_gives_the_limits():
@@ -128,6 +150,19 @@ def test_matrix_overflowing_value_raises_parameter_error():
 def test_matrix_overflowing_mean_raises_parameter_error(m, x):
     with pytest.raises(ParameterError, match="overflow"):
         matrix_mgf(ModelParams(0.6, m), -0.3, x, 3)
+
+
+def test_matrix_terms_beyond_the_double_range():
+    # -2*alpha = inf makes every pivot infinite: det B = inf and the value is 0,
+    # not the NaN of inf/inf in the pivot update; +2*alpha = inf is past the pole
+    params = ModelParams(0.6, 1.0)
+    assert matrix_mgf(params, -1e308, 0.5, 5).value == 0.0
+    with pytest.raises(ConvergenceError):
+        matrix_mgf(params, 1e308, 0.5, 5)
+    # alpha*x^2 and the quadratic form are finite, their sum is not: 0, not fsum's OverflowError
+    assert matrix_mgf(ModelParams(0.6, 0.0), -1.0, 1.3e154, 1).value == 0.0
+    with pytest.raises(ParameterError, match="overflow"):
+        matrix_mgf(ModelParams(0.6, 0.0), 0.1, 1.3e154, 1)
 
 
 def test_monte_carlo_deterministic_given_seed():
@@ -401,3 +436,4 @@ def test_unconditional_matches_stationary_start_monte_carlo():
     values = np.exp(alpha * total)
     stderr = values.std(ddof=1) / math.sqrt(n)
     assert abs(quad - values.mean()) <= 4.0 * stderr
+

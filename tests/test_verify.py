@@ -1,6 +1,6 @@
 """The self-verification checks fail on a NaN error, not only on a large one,
 each fails on a corrupted input, run_all rejects a bad argument before any
-check runs, and it times each check."""
+check runs, it times each check, and a grid size above 5 adds nothing."""
 
 import cmath
 import dataclasses
@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from ar1quad import TransformValue, transform, verify
+from ar1quad import OracleResult, TransformValue, transform, verify
 
 
 @pytest.mark.parametrize("check", [verify.check_sigma_recursion, verify.check_matrix_oracle,
@@ -99,3 +99,27 @@ def test_every_check_fails_on_a_corrupted_value(monkeypatch, check):
     report = verify.run_all(grid_size=1, mc_samples=2_000)
     result = {c.name: c for c in report.checks}[check]
     assert result.passed is False, result
+
+
+def test_grid_size_saturates_at_five(monkeypatch):
+    # the pools are fixed: a size above 5 runs the size-5 grid, and the m
+    # values, the complex-plane alphas and the matrix oracle's alphas stop
+    # growing at 3
+    assert verify._grids(10) == verify._grids(6) == verify._grids(5)
+    assert [len(axis) for axis in verify._grids(3)] == [3, 6, 3, 3]
+    assert [len(axis) for axis in verify._grids(5)] == [5, 6, 4, 3]
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return OracleResult(1.0, "matrix")
+
+    monkeypatch.setattr(verify, "matrix_mgf", record)
+    grids = {}
+    for size in (3, 4, 5, 10):
+        calls.clear()
+        verify.check_matrix_oracle(size, 1.0)
+        grids[size] = list(calls)
+    assert {alpha for _, alpha, _, _ in grids[3]} == {alpha for _, alpha, _, _ in grids[10]}
+    assert len(grids[3]) < len(grids[4]) < len(grids[5]) == len(grids[10])
+    assert grids[5] == grids[10]
