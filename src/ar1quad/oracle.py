@@ -14,12 +14,18 @@ machinery:
   w' B^(-1) w.  One forward elimination of B, O(t) in pure Python, gives
   both; no t x t matrix is formed.
 
-* monte_carlo_mgf: the empirical mean of exp(alpha*S_t) over simulated
-  paths, with its standard error.  The paths are cut into blocks of at
-  most MC_BLOCK, each driven by an SFC64 generator on its own stream
-  spawned from SeedSequence(seed) and run on a worker thread (numpy
-  releases the GIL in the normal fill and the ufunc loops); the result
-  depends on (seed, n) only, never on the number of cores.
+* monte_carlo_mgf: the empirical mean, with its standard error, of the
+  conditional expectation of exp(alpha*S_t) given the even steps
+  X_0 = x, X_2, X_4, ... of a simulated path.  Only the even steps are
+  drawn (an AR(1) with coefficient theta^2); each odd step is Gaussian
+  given its two neighbours, so its factor E[exp(alpha*X_s^2) | neighbours]
+  is integrated exactly.  That halves the normal draws and cannot raise
+  the variance (Rao-Blackwell); at t <= 1 nothing is drawn and the
+  estimate is the exact value.  The paths are cut into blocks of at most
+  MC_BLOCK, each driven by an SFC64 generator on its own stream spawned
+  from SeedSequence(seed) and run on a worker thread (numpy releases the
+  GIL in the normal fill and the ufunc loops); the result depends on
+  (seed, n) only, never on the number of cores.
 
 unconditional_transform is the exact Gaussian integral of L_t(alpha, .)
 over the stationary start law N(m, 1/(1-theta^2)); it raises
@@ -144,21 +150,39 @@ def matrix_mgf(params: ModelParams, alpha: float, x: float, t: int) -> OracleRes
 def monte_carlo_mgf(
     params: ModelParams, alpha: float, x: float, t: int, n: int, seed: int
 ) -> OracleResult:
-    """Sample mean and standard error of exp(alpha*S_t) over n paths.
+    """Sample mean and standard error of E[exp(alpha*S_t) | X_0, X_2, X_4, ...]
+    over n simulated even-step paths: an unbiased estimate of L_t(alpha, x).
 
     Requires alpha <= 0 so the integrand is bounded by 1 and the estimator
-    has finite variance, and an integer n >= 2 (ValueError); a non-finite
-    alpha or x, or a complex alpha off the real axis, raises ParameterError.
+    has finite variance, an integer n >= 2 and an integer seed >= 0
+    (ValueError).  A non-finite alpha or x, a complex alpha off the real
+    axis and a sampled sum beyond the double range raise ParameterError.
+
+    Only X_0 = x, X_2, X_4, ... are simulated.  With d = X - m they form an
+    AR(1) with coefficient theta^2, d_{s+1} = theta^2*d_{s-1} + q*Z with
+    q = sqrt(1 + theta^2), one standard normal Z per pair of steps.  Each
+    odd step s is integrated exactly given its neighbours: X_s is
+    N(mu_s, v_s) with mu_s = m + theta*(d_{s-1} + d_{s+1})/q^2 and
+    v_s = 1/q^2, or, for the last step of an odd t, mu_t = m + theta*d_{t-1}
+    and v_t = 1, so E[exp(alpha*X_s^2) | neighbours] =
+    (1 - 2*alpha*v_s)^(-1/2) * exp(alpha*mu_s^2/(1 - 2*alpha*v_s)).  Each
+    path's sum x^2 + sum_even X_s^2 + sum_odd mu_s^2/(1 - 2*alpha*v_s) is
+    accumulated as (sqrt(r_s)*mu_s)^2, r_s = 1/(1 - 2*alpha*v_s), and its
+    estimate is exp(alpha*sum + C) with the path-free C = -sum_odd
+    log1p(-2*alpha*v_s)/2, so alpha = 0 gives exactly 1.  Conditioning
+    halves the normal draws and, by Rao-Blackwell, cannot raise the
+    variance of a path's estimate; at t <= 1 nothing is drawn and every
+    path's estimate is the exact value.
 
     Seed contract: the n paths are cut into K = ceil(n / MC_BLOCK) blocks,
     block b holding paths n*b//K to n*(b+1)//K - 1.  Block b is driven by
     Generator(SFC64(SeedSequence(seed).spawn(K)[b])), which draws one
-    standard-normal vector of the block's length per step (SFC64 fills it
-    in about a fifth less time than default_rng's PCG64).  The blocks run
-    on min(K, os.cpu_count()) worker threads, each filling its own slices
-    of shared arrays, and the mean and standard error are taken over all n
-    paths after the join; so the result depends on (seed, n) only, never
-    on the number of cores, and replays bit for bit.
+    standard-normal vector of the block's length for each of the t//2 even
+    steps X_2, X_4, ..., in order, and nothing for the odd steps.  The
+    blocks run on min(K, os.cpu_count()) worker threads, each writing its
+    own slice of the shared sums, and the mean and standard error are taken
+    over all n paths after the join; so the result depends on (seed, n)
+    only, never on the number of cores, and replays bit for bit.
     """
     import numpy as np
     from concurrent.futures import ThreadPoolExecutor
@@ -167,34 +191,73 @@ def monte_carlo_mgf(
     if a > 0:
         raise ValueError(f"need alpha <= 0 for a bounded integrand, got {a}")
     n = check_horizon(n, "Monte Carlo sample count", 2)
+    seed = check_horizon(seed, "Monte Carlo seed")
     t = check_horizon(t)
     theta, m = params.theta, params.m
+    theta_sq = theta * theta
+    q_sq = 1.0 + theta_sq
+    q = math.sqrt(q_sq)
+    # an interior odd step (variance 1/q^2) and the last step of an odd t (variance 1)
+    inner = 1.0 / math.sqrt(1.0 - 2.0 * a / q_sq)
+    last = 1.0 / math.sqrt(1.0 - 2.0 * a)
+    inner_slope, inner_level = inner * (theta / q_sq), inner * m
+    last_slope, last_level = last * theta, last * m
+    # C over the t//2 interior odd steps and the last one; an absent step adds
+    # nothing, where 0*log1p(inf) would add a NaN at a huge |alpha|
+    log_factor = 0.0
+    if t > 1:
+        log_factor -= 0.5 * (t // 2) * math.log1p(-2.0 * a / q_sq)
+    if t % 2:
+        log_factor -= 0.5 * math.log1p(-2.0 * a)
     k = -(-n // MC_BLOCK)
+    workers = min(k, os.cpu_count() or 1)
     streams = np.random.SeedSequence(seed).spawn(k)
-    dev = np.full(n, x - m)
-    total = np.full(n, x * x)
-    step = np.empty(n)  # the step's normals, then its squared levels
+    total = np.empty(n)
+    # one block-long scratch set per worker, made here: arrays made in the
+    # worker threads stay resident in their per-thread malloc arenas
+    spare = [np.empty((3, -(-n // k))) for _ in range(workers)]
 
     def run_block(b: int) -> None:
         cut = slice(n * b // k, n * (b + 1) // k)
         rng = np.random.Generator(np.random.SFC64(streams[b]))
-        block_dev, block_total, block_step = dev[cut], total[cut], step[cut]
-        with np.errstate(over="ignore"):  # errstate is per thread
-            for _ in range(t):
-                rng.standard_normal(out=block_step)
-                block_dev *= theta
-                block_dev += block_step
-                np.add(block_dev, m, out=block_step)
-                np.square(block_step, out=block_step)
-                block_total += block_step
+        block_total = total[cut]
+        block_total.fill(x * x)
+        scratch = spare.pop()  # at most `workers` blocks run at once
+        dev, nxt, step = scratch[:, : block_total.size]  # d_{s-1}, d_{s+1}, the pair's normals
+        dev.fill(x - m)
+        # an overflow (or 0*inf, where the odd steps' weight underflows) leaves
+        # a non-finite sum, raised after the join; errstate is per thread
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(t // 2):
+                rng.standard_normal(out=step)
+                step *= q
+                np.multiply(dev, theta_sq, out=nxt)
+                nxt += step
+                dev += nxt
+                dev *= inner_slope
+                dev += inner_level
+                np.square(dev, out=dev)
+                block_total += dev
+                np.add(nxt, m, out=step)
+                np.square(step, out=step)
+                block_total += step
+                dev, nxt = nxt, dev
+            if t % 2:
+                dev *= last_slope
+                dev += last_level
+                np.square(dev, out=dev)
+                block_total += dev
+        spare.append(scratch)
 
     # numpy releases the GIL in the normal fill and the ufunc loops, so the
     # blocks overlap; list() re-raises a worker's exception here
-    with ThreadPoolExecutor(min(k, os.cpu_count() or 1)) as pool:
+    with ThreadPoolExecutor(workers) as pool:
         list(pool.map(run_block, range(k)))
     if not math.isfinite(total.max()):
         raise _overflow("a sampled S_t", params, x, a, t)
-    np.multiply(total, a, out=total)
+    with np.errstate(over="ignore"):  # alpha*sum past -inf: the estimate is 0
+        np.multiply(total, a, out=total)
+    total += log_factor
     values = np.exp(total, out=total)
     return OracleResult(
         value=float(values.mean()),

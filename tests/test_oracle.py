@@ -173,9 +173,10 @@ def test_monte_carlo_deterministic_given_seed():
     assert a.method == "monte_carlo" and a.n_samples == 10_000
 
 
-def replay_blocks(theta, m, alpha, x, t, n, seed):
-    """The seed contract, serially: K = ceil(n / 2**16) blocks with edges n*b//K, block b
-    drawing one standard_normal per step from Generator(SFC64(SeedSequence(seed).spawn(K)[b]))."""
+def plain_path_blocks(theta, m, alpha, x, t, n, seed):
+    """The plain estimator the conditioned one replaced, on the same blocks and
+    streams: every step X_1..X_t draws one standard_normal, and each path's
+    estimate is exp(alpha*S_t); the reference for its standard error."""
     k = -(-n // 2**16)
     edges = [n * b // k for b in range(k + 1)]
     total = np.empty(n)
@@ -189,6 +190,39 @@ def replay_blocks(theta, m, alpha, x, t, n, seed):
             block_total += (dev + m) ** 2
         total[edges[b]:edges[b + 1]] = block_total
     values = np.exp(alpha * total)
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n))
+
+
+def replay_blocks(theta, m, alpha, x, t, n, seed):
+    """The seed contract, serially: K = ceil(n / 2**16) blocks with edges n*b//K, block b
+    drawing, from Generator(SFC64(SeedSequence(seed).spawn(K)[b])), one standard_normal
+    vector per even step X_2, X_4, ..., X_{2*(t//2)}, in that order, and none for an odd
+    step, whose conditional factor given its neighbours is added exactly."""
+    k = -(-n // 2**16)
+    edges = [n * b // k for b in range(k + 1)]
+    q_sq = 1.0 + theta * theta
+    inner, last = 1.0 / math.sqrt(1.0 - 2.0 * alpha / q_sq), 1.0 / math.sqrt(1.0 - 2.0 * alpha)
+    total = np.empty(n)
+    for b, stream in enumerate(np.random.SeedSequence(seed).spawn(k)):
+        rng = np.random.Generator(np.random.SFC64(stream))
+        size = edges[b + 1] - edges[b]
+        dev = np.full(size, x - m)
+        block_total = np.full(size, x * x)
+        for _ in range(t // 2):
+            nxt = theta * theta * dev + math.sqrt(q_sq) * rng.standard_normal(size)
+            # sqrt(r)*mu for the odd step between, mu = m + theta*(dev + nxt)/q^2
+            block_total += (inner * (theta / q_sq) * (dev + nxt) + inner * m) ** 2
+            block_total += (nxt + m) ** 2
+            dev = nxt
+        if t % 2:  # the last step, mu = m + theta*dev, variance 1
+            block_total += (last * theta * dev + last * m) ** 2
+        total[edges[b]:edges[b + 1]] = block_total
+    log_factor = 0.0
+    if t > 1:
+        log_factor -= 0.5 * (t // 2) * math.log1p(-2.0 * alpha / q_sq)
+    if t % 2:
+        log_factor -= 0.5 * math.log1p(-2.0 * alpha)
+    values = np.exp(alpha * total + log_factor)
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n))
 
 
@@ -239,17 +273,129 @@ def test_monte_carlo_worker_error_reaches_the_caller(monkeypatch):
 @pytest.mark.parametrize("m, x", [(1e200, 0.5), (0.0, 1e200)])
 @pytest.mark.parametrize("alpha", [0.0, -0.3])
 def test_monte_carlo_overflowing_paths_raise_parameter_error(m, x, alpha):
-    # a sampled S_t beyond the double range, as the closed form's constants are there
-    with pytest.raises(ParameterError, match="overflow"):
-        monte_carlo_mgf(ModelParams(0.6, m), alpha, x, 5, 100, seed=1)
+    # a sampled S_t beyond the double range, as the closed form's constants are
+    # there; at t = 1 the overflowing square is the last step's conditional mean
+    for t in (1, 2, 5):
+        with pytest.raises(ParameterError, match="overflow"):
+            monte_carlo_mgf(ModelParams(0.6, m), alpha, x, t, 100, seed=1)
 
 
 def test_monte_carlo_exact_cases():
     params = ModelParams(0.6, 1.0)
-    at_zero = monte_carlo_mgf(params, 0.0, 0.4, 8, 1000, seed=1)
-    assert at_zero.value == 1.0 and at_zero.stderr == 0.0
+    for t in (1, 2, 8, 9):
+        at_zero = monte_carlo_mgf(params, 0.0, 0.4, t, 1000, seed=1)
+        assert at_zero.value == 1.0 and at_zero.stderr == 0.0
     no_noise = monte_carlo_mgf(params, -0.3, 0.4, 0, 1000, seed=1)
     assert no_noise.value == math.exp(-0.3 * 0.16) and no_noise.stderr == 0.0
+
+
+@pytest.mark.parametrize("theta, m, x, alpha", [(0.6, 1.0, 0.4, -0.3), (-0.9, -2.0, 3.5, -0.05),
+                                                (0.05, 1.7, -4.0, -1e-4), (0.95, 0.0, 0.0, -2.0)])
+def test_monte_carlo_one_step_is_the_exact_value(theta, m, x, alpha):
+    # X_1 given X_0 = x is integrated exactly: no normal is drawn, so no seed matters
+    params = ModelParams(theta, m)
+    exact = transform(params, TransformPoint(alpha), x, 1).value.real
+    first, second = (monte_carlo_mgf(params, alpha, x, 1, 3000, seed) for seed in (1, 2))
+    assert first == second
+    assert rel_err(first.value, exact) <= 1e-14
+    assert first.stderr <= 1e-15 * exact
+
+
+@pytest.mark.parametrize("t", [1, 2, 5])
+@pytest.mark.parametrize("alpha", [-1e300, -1e308])
+def test_monte_carlo_huge_negative_alpha_gives_zero(alpha, t):
+    # 1 - 2*alpha overflows at -1e308: the log factor is -inf and the estimate 0, not NaN
+    res = monte_carlo_mgf(ModelParams(0.6, 1.0), alpha, 0.4, t, 1000, seed=1)
+    assert res.value == 0.0 and res.stderr == 0.0
+    # x - m = -inf: inf, or 0*inf = NaN where the odd steps' weight is 0, raised
+    # as an overflow with no RuntimeWarning
+    with pytest.raises(ParameterError, match="overflow"):
+        monte_carlo_mgf(ModelParams(0.6, 1e308), alpha, -1e308, t, 1000, seed=1)
+
+
+@pytest.mark.parametrize("seed", [None, 1.5, "7", -1])
+def test_monte_carlo_rejects_a_seed_that_is_not_an_integer_of_at_least_zero(seed):
+    # no silent OS entropy for None: the typed ValueError and message run_all gives
+    message = f"must be >= 0, got {seed}" if isinstance(seed, int) else f"must be an integer, got {seed!r}"
+    with pytest.raises(ValueError) as exc:
+        monte_carlo_mgf(ModelParams(0.6, 1.0), -0.2, 0.0, 3, 100, seed)
+    assert str(exc.value) == "Monte Carlo seed " + message
+
+
+def _log_mgf_of_squares(rows, consts, beta):
+    """log E[exp(beta*||P e + w||^2)] for e ~ N(0, I): a Gaussian integral."""
+    gram = np.eye(rows.shape[1]) - 2.0 * beta * rows.T @ rows
+    sign, log_det = np.linalg.slogdet(gram)
+    assert sign > 0
+    pw = rows.T @ consts
+    return -0.5 * log_det + beta * consts @ consts + 2.0 * beta * beta * pw @ np.linalg.solve(gram, pw)
+
+
+def _conditioned_log_second_moment(theta, m, alpha, x, t):
+    """log E[g^2] for a path's conditioned estimate g = exp(alpha*T + C), t >= 2.
+
+    The even deviations d_{2j} = theta^(2j)*(x - m) + sum_{i<=j} q*theta^(2(j-i))*e_i
+    are affine in e ~ N(0, I_{t//2}), so T - x^2 is a sum of squares of affine forms
+    in e, one per even step (X_{2j}) and one per odd step (sqrt(r)*mu): a dense
+    Gaussian integral that shares no recursion with the oracle."""
+    k = t // 2
+    q_sq = 1.0 + theta * theta
+    j, i = np.arange(k + 1)[:, None], np.arange(1, k + 1)[None, :]
+    coef = np.where(i <= j, math.sqrt(q_sq) * theta ** (2.0 * np.maximum(j - i, 0)), 0.0)
+    mean = theta ** (2.0 * np.arange(k + 1)) * (x - m)
+    inner, last = (1.0 - 2.0 * alpha / q_sq) ** -0.5, (1.0 - 2.0 * alpha) ** -0.5
+    slope = inner * theta / q_sq
+    rows = [coef[1:], slope * (coef[:-1] + coef[1:])]
+    consts = [m + mean[1:], inner * m + slope * (mean[:-1] + mean[1:])]
+    log_factor = -0.5 * k * math.log1p(-2.0 * alpha / q_sq)
+    if t % 2:
+        rows.append(last * theta * coef[k:])
+        consts.append(last * (m + theta * mean[k:]))
+        log_factor -= 0.5 * math.log1p(-2.0 * alpha)
+    log_mgf = _log_mgf_of_squares(np.vstack(rows), np.concatenate(consts), 2.0 * alpha)
+    return 2.0 * (alpha * x * x + log_factor) + log_mgf
+
+
+def _oracles_like_draws(seed, count):
+    # the benchmark's Monte Carlo draws: |alpha|*E[S_t] <= 5, log-uniform alpha
+    rng = random.Random(seed)
+    for _ in range(count):
+        theta = rng.choice((-1, 1)) * rng.uniform(0.05, 0.95)
+        m, x, t = rng.uniform(-2.0, 2.0), rng.uniform(-4.0, 4.0), rng.randint(2, 50)
+        hi = min(1.0, 5.0 / ((t + 1) * (1.0 / (1.0 - theta * theta) + m * m)))
+        alpha = -(10 ** rng.uniform(math.log10(min(1e-4, hi / 10)), math.log10(hi)))
+        yield theta, m, alpha, x, t, rng.randrange(2**32)
+
+
+def test_monte_carlo_conditioning_keeps_the_precision():
+    # on 24 draws like the benchmark's, n = 10^5: the conditioned estimator's
+    # standard error is at most the plain loop's at the same (n, seed), its
+    # exact variance (a Gaussian integral) is below the plain one's
+    # L_t(2*alpha) - L_t(alpha)^2, and the sampled standard error matches it
+    n = 10**5
+    for theta, m, alpha, x, t, seed in _oracles_like_draws(20261019, 24):
+        params = ModelParams(theta, m)
+        res = monte_carlo_mgf(params, alpha, x, t, n, seed)
+        assert res.stderr <= plain_path_blocks(theta, m, alpha, x, t, n, seed)[1], (theta, m, alpha, x, t)
+        log_l = transform(params, TransformPoint(alpha), x, t).log_value.real
+        plain_rel_var = math.expm1(transform(params, TransformPoint(2.0 * alpha), x, t).log_value.real - 2.0 * log_l)
+        rel_var = math.expm1(_conditioned_log_second_moment(theta, m, alpha, x, t) - 2.0 * log_l)
+        assert 0.0 < rel_var < plain_rel_var, (theta, m, alpha, x, t)
+        assert abs(res.stderr / (math.exp(log_l) * math.sqrt(rel_var / n)) - 1.0) <= 0.05, (theta, m, alpha, x, t)
+
+
+@pytest.mark.parametrize("t", [7, 8])
+def test_monte_carlo_standard_scores_cover_the_exact_value(t):
+    # 200 seeds at n = 2000: the standard scores centre on 0 and few pass 2; an odd t
+    # checks the last step's conditional mean m + theta*(X_{t-1} - m)
+    params, alpha, x = ModelParams(-0.7, 1.5), -0.15, -0.5
+    exact = transform(params, TransformPoint(alpha), x, t).value.real
+    scores = []
+    for seed in range(200):
+        res = monte_carlo_mgf(params, alpha, x, t, 2000, seed)
+        scores.append((res.value - exact) / res.stderr)
+    assert abs(sum(scores) / len(scores)) <= 0.3
+    assert sum(abs(z) > 2.0 for z in scores) <= 0.08 * len(scores)
 
 
 def test_monte_carlo_agrees_with_closed_form():
@@ -373,6 +519,8 @@ def test_monte_carlo_rejects_a_sample_count_that_is_not_an_integer_of_at_least_t
 def test_monte_carlo_takes_an_index_sample_count():
     params = ModelParams(0.6, 1.0)
     assert monte_carlo_mgf(params, -0.2, 0.0, 3, np.int64(1000), 1) == monte_carlo_mgf(params, -0.2, 0.0, 3, 1000, 1)
+    # and an index seed, which the seed check takes as its int
+    assert monte_carlo_mgf(params, -0.2, 0.0, 3, 1000, np.uint32(7)) == monte_carlo_mgf(params, -0.2, 0.0, 3, 1000, 7)
 
 
 @pytest.mark.parametrize("alpha", [complex(-0.3, 0.0), TransformPoint(-0.3).alpha, np.complex128(-0.3)])
