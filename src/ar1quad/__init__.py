@@ -11,7 +11,6 @@ from .closed_form import (
     ergodic_constants,
     fit_convergence_rate,
     normalized_transform,
-    sigma_via_recursion,
     transform,
 )
 from .errors import (
@@ -31,6 +30,7 @@ from .oracle import (
     OracleResult,
     matrix_mgf,
     monte_carlo_mgf,
+    sigma_via_recursion,
     unconditional_transform,
 )
 from .spectral import (

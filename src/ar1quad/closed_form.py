@@ -61,10 +61,6 @@ from .spectral import SCALAR_OPS, TransformPoint, _log, _roots, _sequence_terms
 _LOG_MAX = math.log(sys.float_info.max)  # ~709.78
 _LOG_MIN = -745.0  # below the smallest subnormal's log
 
-# The horizon cap of sigma_via_recursion, a cross-check on the horizons verify
-# samples: its psi ratios stay bounded at any t, but the cap is its contract.
-RECURSION_MAX_T = 50
-
 
 @dataclass(frozen=True)
 class ClosedFormConstants:
@@ -85,8 +81,8 @@ class TransformValue:
     Sigma_t, a finite number at every alpha in D (alpha = 0 included).  It
     is assembled from telescoped terms, so where they cancel it can lose
     about 5e-14 relative (4.8e-14 at theta = 0.911, alpha = -1.33e-30 +
-    1.81e-31j, t = 5, where sigma_via_recursion holds 1.9e-16); log_value
-    is unharmed there.
+    1.81e-31j, t = 5); log_value is unharmed there.  sigma_via_recursion,
+    at any t >= 0, rebuilds it from matrix_mgf's elimination, with no root.
     """
 
     log_value: complex
@@ -268,46 +264,6 @@ def transform(params: ModelParams, point: TransformPoint, x: float, t: int) -> T
     overflow = not _LOG_MIN <= log_value.real <= _LOG_MAX
     value = (cmath.rect(math.inf, log_value.imag) if log_value.real > 0 else 0j) if overflow else cmath.exp(log_value)
     return TransformValue(log_value=log_value, value=value, sigma_t=sigma, overflow=overflow)
-
-
-def sigma_via_recursion(params: ModelParams, point: TransformPoint, x: float, t: int) -> complex:
-    """Sigma_t rebuilt from the one-step weighted recursion (cross-check).
-
-    psi obeys psi_{s+1} = c*psi_s - psi_{s-1}, c = (1 + theta^2 - 2*alpha)/theta,
-    from psi_0 = 1 and psi_1 = 1/theta, so its ratios r_s = psi_s/psi_{s+1}
-    follow r_0 = theta and r_s = 1/(c - r_{s-1}).  Iterates
-    z_s = r_{s-1}*z_{s-1} + (1-theta)*m from z_0 = x and sums
-    Sigma_t = x^2 + sum_{s=1..t} (r_s/theta)*z_s^2.  It uses neither the
-    roots nor the A, B, C telescoping, so agreement with
-    transform(...).sigma_t validates the closed form; the roots are solved
-    only to raise DomainError outside D (DomainBoundaryError on its
-    boundary), as transform does.
-
-    The ratios are carried by their excess d_s = theta - r_s (= mu*q_s),
-    d_0 = 0 and d_s = (mu + theta*d_{s-1})/((1 + mu)/theta + d_{s-1}): d_s
-    vanishes with alpha, so r_s keeps full precision as alpha -> 0, where
-    1/(c - r_{s-1}) would carry the rounding of c into every ratio (an
-    order of magnitude more error at theta near 1).  The ratios stay
-    bounded at any t (they tend to theta/lambda_+), so nothing overflows;
-    the cap t <= 50 (ValueError beyond) stays as the contract, the horizons
-    verify samples.
-    """
-    check_finite("x", x)
-    t = check_horizon(t)
-    if t > RECURSION_MAX_T:
-        raise ValueError(f"recursion cross-check requires 0 <= t <= {RECURSION_MAX_T}, got {t}")
-    theta, alpha, mu = params.theta, point.alpha, point.mu
-    if not _roots(theta, alpha)[5]:
-        raise _outside(alpha)
-    c_minus_theta = (1.0 + mu) / theta
-    drift = (1.0 - theta) * params.m
-    z_s, r_s, d_s, weighted = complex(x), complex(theta), 0j, 0j
-    for _ in range(t):
-        z_s = r_s * z_s + drift
-        d_s = (mu + theta * d_s) / (c_minus_theta + d_s)
-        r_s = theta - d_s
-        weighted += r_s * z_s * z_s
-    return x * x + weighted / theta
 
 
 def ergodic_constants(params: ModelParams, point: TransformPoint, x: float) -> ErgodicConstants:

@@ -11,8 +11,10 @@ machinery:
   diagonal), L*(X - mu) is standard normal, so Sigma = L^(-1) L^(-T) and
   both terms come from the tridiagonal B = L L' - 2*alpha*I and w = L*mu:
   det(I - 2*alpha*Sigma) = det B and mu'(I - 2*alpha*Sigma)^(-1) mu =
-  w' B^(-1) w.  One forward elimination of B, O(t) in pure Python, gives
-  both; no t x t matrix is formed.
+  w' B^(-1) w.  One forward elimination of B (_eliminate), O(t) in pure
+  Python, gives both; no t x t matrix is formed.  With det B = pi_t it
+  also gives sigma_via_recursion's Sigma_t = x^2 + w' B^(-1) w, at any
+  t >= 0 and any alpha in D, complex included, with no root.
 
 * monte_carlo_mgf: the empirical mean, with its standard error, of the
   conditional expectation of exp(alpha*S_t) given the even steps
@@ -21,11 +23,11 @@ machinery:
   given its two neighbours, so its factor E[exp(alpha*X_s^2) | neighbours]
   is integrated exactly.  That halves the normal draws and cannot raise
   the variance (Rao-Blackwell); at t <= 1 nothing is drawn and the
-  estimate is the exact value.  The paths are cut into blocks of at most
-  MC_BLOCK, each driven by an SFC64 generator on its own stream spawned
-  from SeedSequence(seed) and run on a worker thread (numpy releases the
-  GIL in the normal fill and the ufunc loops); the result depends on
-  (seed, n) only, never on the number of cores.
+  estimate is the exact value, with standard error 0.  The paths are cut
+  into blocks of at most MC_BLOCK, each driven by an SFC64 generator on
+  its own stream spawned from SeedSequence(seed) and run on a worker
+  thread (numpy releases the GIL in the normal fill and the ufunc loops);
+  the result depends on (seed, n) only, never on the number of cores.
 
 unconditional_transform is the exact Gaussian integral of L_t(alpha, .)
 over the stationary start law N(m, 1/(1-theta^2)); it raises
@@ -44,10 +46,10 @@ import os
 from dataclasses import dataclass
 from typing import Literal
 
-from .closed_form import _LOG_MAX, _LOG_MIN, _exp, _overflow, quadratic_coefficients
+from .closed_form import _LOG_MAX, _LOG_MIN, _exp, _outside, _overflow, quadratic_coefficients
 from .errors import ConvergenceError, ParameterError
 from .model import ModelParams, check_finite, check_horizon
-from .spectral import TransformPoint
+from .spectral import TransformPoint, _roots
 
 # Monte Carlo paths per block at most: each block has its own seed stream
 MC_BLOCK = 2**16
@@ -82,62 +84,77 @@ def _real_alpha(alpha) -> float:
     return a
 
 
-def matrix_mgf(params: ModelParams, alpha: float, x: float, t: int) -> OracleResult:
-    """E[exp(alpha*S_t) | X_0 = x] via the quadratic-form identity, in O(t).
+def _eliminate(params: ModelParams, alpha: complex, x: float, t: int) -> tuple:
+    """(scale, [u_1..u_t], [z_1^2/d_1..z_t^2/d_t]): the forward elimination of
+    B = L L' - 2*alpha*I, at a real or complex alpha, with no pivot test.
 
-    B = L L' - 2*alpha*I has diagonal 1 - 2*alpha, then 1 + theta^2 - 2*alpha,
-    and -theta beside it; w = L*mu = (mu_1, m*(1 - theta), ..., m*(1 - theta)).
-    Its pivots d_s = 1 + u_s are carried as offsets from 1, u_1 = -2*alpha
-    and u_s = theta^2*u_{s-1}/(1 + u_{s-1}) - 2*alpha, so that
-    log det B = fsum(log1p(u_s)) keeps a tiny |alpha|'s digits; theta^2 is
-    carried exactly, as a double and its rounding error.  The forward
-    substitution z_1 = w_1, z_s = w_s + theta*z_{s-1}/d_{s-1} gives
-    w' B^(-1) w = fsum(z_s^2/d_s), on w scaled by s = max(|mu_1|, |m|)
-    (1 if w is empty or zero): a huge mean stays finite, alpha = 0 gives 1
-    and alpha < 0 gives 0 where the quadratic form overflows.  log L_t =
-    alpha*x^2 - log det B/2 + alpha*w' B^(-1) w is rounded once.  B is
-    positive definite exactly when I - 2*alpha*Sigma is, so the first pivot
-    <= 0 means the moment generating function diverges at this alpha
-    (ConvergenceError).  At t = 0 the sums are empty and the value is
-    exp(alpha*x^2).  Near the divergence point the value stays within
-    2*eps*cond(I - 2*alpha*Sigma) of the exact value at the double inputs
-    (1.5*eps*cond at worst at 0.999999 of the pole, t <= 500).  A
-    non-finite alpha or x, a complex alpha off the real axis, an
-    overflowing mean and a value beyond the double range raise
+    B has diagonal 1 - 2*alpha, then 1 + theta^2 - 2*alpha, and -theta beside
+    it.  Its pivots d_s = 1 + u_s are carried as offsets, u_1 = -2*alpha and
+    u_s = theta^2*u_{s-1}/(1 + u_{s-1}) - 2*alpha, with theta^2 carried
+    exactly, as a double and its rounding error, so a tiny |alpha| keeps its
+    digits.  z_1 = w_1, z_s = w_s + theta*z_{s-1}/d_{s-1} runs on
+    w = L*mu = (mu_1, m*(1 - theta), ..., m*(1 - theta)) over scale =
+    max(|mu_1|, |m|) (1 if w is empty or zero), so a huge mean stays finite:
+    det B = prod(d_s) and w' B^(-1) w = scale^2*sum(z_s^2/d_s).  A pivot of
+    exactly 0 ends it with an infinite last term; an overflowing mean raises
     ParameterError.
     """
-    a = _real_alpha(alpha)
-    check_finite("x", x)
-    t = check_horizon(t)
     theta, m = params.theta, params.m
     mean_1 = m + theta * (x - m)
     # the largest |entry| of w is at most twice this (w is empty at t = 0)
     scale = max((abs(mean_1), abs(m))[:t], default=0.0) or 1.0
     if not math.isfinite(scale):
-        raise _overflow("the conditional mean", params, x, a, t)
+        raise _overflow("the conditional mean", params, x, alpha, t)
     theta_sq, theta_sq_err = _exact_square(theta)
-    a2 = 2.0 * a
+    a2 = 2.0 * alpha
     w = m / scale * (1.0 - theta)
     z, u = mean_1 / scale, -a2
-    logs, quads = [], []
-    for _ in range(t):
-        d = 1.0 + u
-        if not 0.0 < d < math.inf:
-            if d > 0.0:  # -2*alpha overflowed: every pivot, and det B, is infinite
-                return OracleResult(value=0.0, method="matrix")
-            raise ConvergenceError(
-                f"I - 2*alpha*Sigma is not positive definite at alpha={a}: "
-                "the moment generating function diverges"
-            )
-        logs.append(math.log1p(u))
-        quads.append(z * z / d)
-        r = u / d
-        u = theta_sq * r + (theta_sq_err * r - a2)
-        z = w + theta * z / d
+    offsets, quads = [], []
+    try:
+        for _ in range(t):
+            d = 1.0 + u
+            offsets.append(u)
+            quads.append(z * z / d)
+            r = u / d
+            u = theta_sq * r + (theta_sq_err * r - a2)
+            z = w + theta * z / d
+    except ZeroDivisionError:  # d = 0: w' B^(-1) w is infinite
+        quads.append(math.inf)
+    return scale, offsets, quads
+
+
+def matrix_mgf(params: ModelParams, alpha: float, x: float, t: int) -> OracleResult:
+    """E[exp(alpha*S_t) | X_0 = x] via the quadratic-form identity, in O(t).
+
+    log L_t = alpha*x^2 - log det B/2 + alpha*w' B^(-1) w from _eliminate,
+    with log det B = fsum(log1p(u_s)), rounded once: alpha = 0 gives 1, and
+    alpha < 0 gives 0 where the quadratic form overflows or (t >= 1) where
+    -2*alpha does.  B is positive definite exactly when I - 2*alpha*Sigma
+    is, so a pivot <= 0 means the moment generating function diverges
+    (ConvergenceError).  Near the divergence point the value stays within
+    2*eps*cond(I - 2*alpha*Sigma) of the exact value at the double inputs
+    (1.5*eps*cond at worst at 0.999999 of the pole, t <= 500).  A non-finite
+    alpha or x, a complex alpha off the real axis, an overflowing mean (at a
+    finite -2*alpha) and a value beyond the double range raise
+    ParameterError.
+    """
+    a = _real_alpha(alpha)
+    check_finite("x", x)
+    t = check_horizon(t)
+    if t and -2.0 * a == math.inf:  # every pivot, and det B, is infinite
+        return OracleResult(value=0.0, method="matrix")
+    scale, offsets, quads = _eliminate(params, a, x, t)
+    try:  # log1p raises where u <= -1, a pivot d = 1 + u <= 0; a NaN pivot gives NaN
+        log_det = math.fsum(map(math.log1p, offsets))
+    except ValueError:
+        log_det = math.nan
+    if math.isnan(log_det):
+        raise ConvergenceError(f"I - 2*alpha*Sigma is not positive definite at alpha={a}: "
+                               "the moment generating function diverges")
     # the three terms share alpha's sign; fsum rounds their sum once, where
     # two additions can land an ulp of log L_t off, a relative error of
     # |log L_t|*eps in the value
-    terms = (a * x * x, -0.5 * math.fsum(logs), (a * scale) * scale * math.fsum(quads))
+    terms = (a * x * x, -0.5 * log_det, (a * scale) * scale * math.fsum(quads))
     try:
         log_value = math.fsum(terms)
     except OverflowError:  # the sum passed the double range: +/-inf
@@ -145,6 +162,31 @@ def matrix_mgf(params: ModelParams, alpha: float, x: float, t: int) -> OracleRes
     if log_value > _LOG_MAX:
         raise _overflow("L_t", params, x, a, t)
     return OracleResult(value=math.exp(log_value), method="matrix")
+
+
+def sigma_via_recursion(params: ModelParams, point: TransformPoint, x: float, t: int) -> complex:
+    """Sigma_t = x^2 + w' B^(-1) w from matrix_mgf's elimination (_eliminate),
+    at any t >= 0 and any alpha in D, complex included, with the real and
+    the imaginary parts of sum(z_s^2/d_s) each summed by fsum.
+
+    It reads neither the roots nor the A, B, C telescoping, so agreement with
+    transform(...).sigma_t validates the closed form; the roots are solved
+    only to raise DomainError outside D (DomainBoundaryError on its
+    boundary), as transform does.  Raises ParameterError for a non-finite x
+    and wherever Sigma_t is not finite (|m| near 1e154, a zero pivot), and
+    ValueError unless t is an integer >= 0.
+    """
+    check_finite("x", x)
+    t = check_horizon(t)
+    alpha = point.alpha
+    if not _roots(params.theta, alpha)[5]:
+        raise _outside(alpha)
+    scale, _, quads = _eliminate(params, alpha, x, t)
+    real, imag = math.fsum([q.real for q in quads]), math.fsum([q.imag for q in quads])
+    sigma = complex(x * x + scale * (scale * real), scale * (scale * imag))
+    if not cmath.isfinite(sigma):
+        raise _overflow("Sigma_t", params, x, alpha, t)
+    return sigma
 
 
 def monte_carlo_mgf(
@@ -171,8 +213,8 @@ def monte_carlo_mgf(
     estimate is exp(alpha*sum + C) with the path-free C = -sum_odd
     log1p(-2*alpha*v_s)/2, so alpha = 0 gives exactly 1.  Conditioning
     halves the normal draws and, by Rao-Blackwell, cannot raise the
-    variance of a path's estimate; at t <= 1 nothing is drawn and every
-    path's estimate is the exact value.
+    variance of a path's estimate; at t <= 1 nothing is drawn, and the
+    exact value every path shares is returned with stderr 0.
 
     Seed contract: the n paths are cut into K = ceil(n / MC_BLOCK) blocks,
     block b holding paths n*b//K to n*(b+1)//K - 1.  Block b is driven by
@@ -259,6 +301,8 @@ def monte_carlo_mgf(
         np.multiply(total, a, out=total)
     total += log_factor
     values = np.exp(total, out=total)
+    if t <= 1:  # nothing drawn: every path's estimate is the same double
+        return OracleResult(value=float(values[0]), method="monte_carlo", stderr=0.0, n_samples=n)
     return OracleResult(
         value=float(values.mean()),
         method="monte_carlo",

@@ -22,11 +22,10 @@ from dataclasses import dataclass, field
 from .closed_form import (
     ergodic_constants,
     fit_convergence_rate,
-    sigma_via_recursion,
     transform,
 )
 from .model import ModelParams, check_horizon
-from .oracle import matrix_mgf, monte_carlo_mgf
+from .oracle import matrix_mgf, monte_carlo_mgf, sigma_via_recursion
 from .spectral import TransformPoint, domain_check, raw_psi, roots, sequence_ratios
 
 # -1e-3 probes the small-|alpha| regime here; the test suite checks alpha
@@ -149,8 +148,8 @@ def check_wronskian(grid_size: int, tol: float) -> CheckResult:
 
 
 def check_sigma_recursion(grid_size: int, tol: float) -> CheckResult:
-    """The root-free one-step recursion for Sigma_t, on the psi ratios,
-    agrees with the telescoped closed form, t <= 50."""
+    """sigma_via_recursion (matrix_mgf's root-free elimination, at any
+    t >= 0) agrees with the telescoped Sigma_t at t = 1, 5 and 50."""
     thetas, alphas, xs, ms = _grids(grid_size)
     worst = 0.0
     for theta in thetas:
@@ -262,9 +261,9 @@ def run_all(
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     check_horizon(mc_samples, "Monte Carlo sample count", 2)
     check_horizon(seed, "Monte Carlo seed")
-    # the Monte Carlo oracle needs numpy: loading it here keeps the import
-    # out of its check's time
-    import numpy  # noqa: F401
+    # the Monte Carlo oracle needs numpy.random, which numpy 2 loads on first
+    # use: loading it here keeps the import out of its check's time
+    import numpy.random  # noqa: F401
 
     def tol(default: float) -> float:
         return default if tolerance is None else tolerance

@@ -316,11 +316,6 @@ def test_sigma_recursion_matches_closed_form_examples():
         assert rel_err(direct, closed) < 1e-10
 
 
-def test_sigma_recursion_horizon_cap():
-    with pytest.raises(ValueError):
-        sigma_via_recursion(ModelParams(0.5), TransformPoint(-0.5), 0.0, 51)
-
-
 def test_ergodic_zero_mean_drift_is_half_log_root():
     params = ModelParams(0.5, 0.0)
     point = TransformPoint(-0.5)

@@ -66,15 +66,23 @@ def test_monte_carlo_loads_the_thread_pool():
     assert module_loaded_after(SETUP + "monte_carlo_mgf(p, -0.3, 0.5, 2, 10, 0)", "concurrent.futures")
 
 
+STOP_AT_FIRST_CHECK = ("from ar1quad import verify\n"
+                       "class Stop(Exception): pass\n"
+                       "def stop(*args): raise Stop\n"
+                       "verify.check_spectral_identities = stop\n"
+                       "try:\n    verify.run_all()\nexcept Stop:\n    pass")
+
+
 def test_verify_loads_numpy_before_it_times_the_first_check():
     # the first check to call an oracle (matrix_oracle) used to carry the
     # numpy import in its time: ~141 ms, of which ~20 ms was the check
-    stop_at_first_check = ("from ar1quad import verify\n"
-                           "class Stop(Exception): pass\n"
-                           "def stop(*args): raise Stop\n"
-                           "verify.check_spectral_identities = stop\n"
-                           "try:\n    verify.run_all()\nexcept Stop:\n    pass")
-    assert module_loaded_after(stop_at_first_check)
+    assert module_loaded_after(STOP_AT_FIRST_CHECK)
+
+
+def test_verify_loads_numpy_random_before_it_times_the_first_check():
+    # numpy 2 loads numpy.random on first use (~16 ms), which used to land in
+    # the monte_carlo check's time
+    assert module_loaded_after(STOP_AT_FIRST_CHECK, "numpy.random")
 
 
 def test_public_surface_is_pinned():

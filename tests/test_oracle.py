@@ -197,7 +197,8 @@ def replay_blocks(theta, m, alpha, x, t, n, seed):
     """The seed contract, serially: K = ceil(n / 2**16) blocks with edges n*b//K, block b
     drawing, from Generator(SFC64(SeedSequence(seed).spawn(K)[b])), one standard_normal
     vector per even step X_2, X_4, ..., X_{2*(t//2)}, in that order, and none for an odd
-    step, whose conditional factor given its neighbours is added exactly."""
+    step, whose conditional factor given its neighbours is added exactly; at t <= 1 the
+    one estimate every path shares, with standard error 0."""
     k = -(-n // 2**16)
     edges = [n * b // k for b in range(k + 1)]
     q_sq = 1.0 + theta * theta
@@ -223,6 +224,8 @@ def replay_blocks(theta, m, alpha, x, t, n, seed):
     if t % 2:
         log_factor -= 0.5 * math.log1p(-2.0 * alpha)
     values = np.exp(alpha * total + log_factor)
+    if t <= 1:  # nothing drawn: every path's estimate is the same double
+        return float(values[0]), 0.0
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n))
 
 
@@ -299,6 +302,18 @@ def test_monte_carlo_one_step_is_the_exact_value(theta, m, x, alpha):
     assert first == second
     assert rel_err(first.value, exact) <= 1e-14
     assert first.stderr <= 1e-15 * exact
+
+
+@pytest.mark.parametrize("t", [0, 1])
+def test_monte_carlo_without_draws_returns_the_one_estimate(t):
+    # every path's estimate is the same double: their mean can round an ulp or
+    # two off it, and their sampled spread is rounding, not a standard error
+    params = ModelParams(0.6, 1.0)
+    results = [monte_carlo_mgf(params, -0.3, 0.4, t, n, seed) for n, seed in ((1000, 1), (2, 5), (4097, 9))]
+    assert [r.stderr for r in results] == [0.0, 0.0, 0.0]
+    assert len({r.value for r in results}) == 1
+    exact = transform(params, TransformPoint(-0.3), 0.4, t).value.real
+    assert rel_err(results[0].value, exact) <= 4.5e-16
 
 
 @pytest.mark.parametrize("t", [1, 2, 5])

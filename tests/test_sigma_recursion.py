@@ -1,5 +1,6 @@
-"""sigma_via_recursion, the cross-check of the telescoped Sigma_t: it runs on
-the psi ratios alone, so it shares no root with the closed form it checks.
+"""sigma_via_recursion, the cross-check of the telescoped Sigma_t: it runs
+matrix_mgf's forward elimination of L L' - 2*alpha*I, at any t >= 0 and at
+a complex alpha too, so it shares no root with the closed form it checks.
 
 The hypothesis test is derandomized with a bounded example count, so the
 suite stays deterministic.
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ar1quad import DomainBoundaryError, DomainError, ModelParams, TransformPoint, sigma_via_recursion, spectral, transform
+from ar1quad import (ConvergenceError, DomainBoundaryError, DomainError, ModelParams, ParameterError, TransformPoint,
+                     matrix_mgf, sigma_via_recursion, spectral, transform)
 
 from util import rel_err
 
@@ -69,3 +71,38 @@ def test_sigma_recursion_matches_the_closed_form(theta, sign, m, x, log_r, phi, 
     params, point = ModelParams(sign * theta, m), TransformPoint(alpha)
     direct = sigma_via_recursion(params, point, x, t)
     assert rel_err(direct, transform(params, point, x, t).sigma_t) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [-0.3, complex(-0.3, 0.2), complex(-1.0, -0.25), -1e-8, complex(-1e-30, 1e-31)])
+@pytest.mark.parametrize("theta, m, x", [(0.6, 1.0, 0.5), (-0.8, -0.7, 2.0), (0.95, 1.5, -1.0)])
+def test_sigma_recursion_holds_at_long_horizons(theta, m, x, alpha):
+    # horizons past the t <= 50 that verify samples
+    params, point = ModelParams(theta, m), TransformPoint(alpha)
+    for t in (51, 1000, 10**4):
+        direct = sigma_via_recursion(params, point, x, t)
+        assert rel_err(direct, transform(params, point, x, t).sigma_t) <= 1e-12, t
+
+
+@pytest.mark.parametrize("m", [1e200, 1e155])
+@pytest.mark.parametrize("alpha", [-0.3, complex(-0.3, 0.2)])
+def test_sigma_recursion_raises_where_sigma_is_not_finite(m, alpha):
+    # Sigma_t ~ m^2 is beyond the double range: a typed error, not inf+nanj or
+    # nan+nanj; transform raises there too
+    params, point = ModelParams(0.6, m), TransformPoint(alpha)
+    for evaluate in (sigma_via_recursion, transform):
+        with pytest.raises(ParameterError, match="overflow"):
+            evaluate(params, point, 0.5, 10)
+
+
+def test_a_zero_pivot_is_a_typed_error(monkeypatch):
+    # at alpha = 1/2 the first pivot 1 - 2*alpha is exactly 0; the point lies
+    # outside D, so the domain check is made to pass it through
+    params, point = ModelParams(0.6, 1.0), TransformPoint(0.5)
+    with pytest.raises(ConvergenceError):
+        matrix_mgf(params, 0.5, 0.4, 3)
+    true_roots = spectral._roots
+    for module in list(sys.modules.values()):
+        if getattr(module, "_roots", None) is true_roots:
+            monkeypatch.setattr(module, "_roots", lambda theta, alpha: (0j, 0j, 0j, 0j, 0j, True))
+    with pytest.raises(ParameterError, match="Sigma_t"):
+        sigma_via_recursion(params, point, 0.4, 3)
