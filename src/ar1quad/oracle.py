@@ -17,17 +17,18 @@ machinery:
   t >= 0 and any alpha in D, complex included, with no root.
 
 * monte_carlo_mgf: the empirical mean, with its standard error, of the
-  conditional expectation of exp(alpha*S_t) given the even steps
-  X_0 = x, X_2, X_4, ... of a simulated path.  Only the even steps are
-  drawn (an AR(1) with coefficient theta^2); each odd step is Gaussian
-  given its two neighbours, so its factor E[exp(alpha*X_s^2) | neighbours]
-  is integrated exactly.  That halves the normal draws and cannot raise
-  the variance (Rao-Blackwell); at t <= 1 nothing is drawn and the
-  estimate is the exact value, with standard error 0.  The paths are cut
-  into blocks of at most MC_BLOCK, each driven by an SFC64 generator on
-  its own stream spawned from SeedSequence(seed) and run on a worker
-  thread (numpy releases the GIL in the normal fill and the ufunc loops);
-  the result depends on (seed, n) only, never on the number of cores.
+  conditional expectation of exp(alpha*S_t) given the skeleton
+  X_0 = x, X_4, X_8, ... of a simulated path.  Only every MC_STRIDE-th step
+  is drawn (an AR(1) with coefficient theta^4); the steps between two
+  skeleton points form a Gaussian bridge, and the steps after the last one
+  a Gaussian tail, so their factor E[exp(alpha*sum X_i^2) | ends] is
+  integrated exactly (_bridge).  That quarters the normal draws and cannot
+  raise the variance (Rao-Blackwell); at t < MC_STRIDE nothing is drawn and
+  the estimate is the exact value, with standard error 0.  The paths are cut
+  into blocks of at most MC_BLOCK, each driven by an SFC64 generator on its
+  own stream spawned from SeedSequence(seed) and run on a worker thread
+  (numpy releases the GIL in the normal fill and the ufunc loops); the
+  result depends on (seed, n) only, never on the number of cores.
 
 unconditional_transform is the exact Gaussian integral of L_t(alpha, .)
 over the stationary start law N(m, 1/(1-theta^2)); it raises
@@ -53,6 +54,8 @@ from .spectral import TransformPoint, _roots
 
 # Monte Carlo paths per block at most: each block has its own seed stream
 MC_BLOCK = 2**16
+# the Monte Carlo skeleton draws X_0 = x, X_4, X_8, ...; the steps between are integrated
+MC_STRIDE = 4
 
 
 @dataclass(frozen=True)
@@ -189,40 +192,107 @@ def sigma_via_recursion(params: ModelParams, point: TransformPoint, x: float, t:
     return sigma
 
 
+def _bridge(theta: float, m: float, alpha: float, p: int, pinned: bool) -> tuple:
+    """(c, q0, q1, q2, q3): the exact factor of p steps of the chain between
+    two skeleton points, for alpha <= 0:
+
+        log E[exp(alpha*sum_{i=1..p} X_i^2) | X_0 - m = a, X_{p+1} - m = b]
+            = c + alpha*(q0 + q1*(a + b) + q2*(a^2 + b^2) + q3*a*b).
+
+    A pinned bridge is conditioned on both ends; a free one (the tail after
+    the last skeleton point) on a only, and its b terms drop (q3 = 0, b = 0).
+
+    Given its ends, D = (X_1 - m, ..., X_p - m) is normal with precision J,
+    the tridiagonal with -theta beside the diagonal 1 + theta^2 (1 in the
+    last row of a free end), and mean J^(-1)*h, h = theta*(a*e_1 + b*e_p).
+    With M = J - 2*alpha*I the Gaussian integral is c = -log det(M*J^(-1))/2
+    plus alpha*v'M^(-1)*J*v, v = m*1 + J^(-1)*h: q0 = m^2*1'M^(-1)*J*1,
+    q1 = 2*m*theta*(M^(-1)*1)_1, q2 = theta^2*(M^(-1)*J^(-1))_11 and
+    q3 = 2*theta^2*(M^(-1)*J^(-1))_1p; the bridge is reversible, so a and b
+    share them.  Nothing is a difference of alpha-free parts: det(M*J^(-1))
+    is the product of the pivot ratios 1 + delta_s/dJ_s, whose offsets
+    delta_s = dM_s - dJ_s = -2*alpha + theta^2*delta_{s-1}/(dJ_{s-1}*dM_{s-1})
+    enter through log1p, and M^(-1)*J^(-1) is applied as two solves, never
+    formed as (J^(-1) - M^(-1))/(2*alpha).  So alpha = 0 gives c = 0, a tiny
+    |alpha| keeps its digits, and where -2*alpha overflows, M^(-1) = 0 and
+    c = -inf.  The q's come without their alpha: q0 + q1*(a + b) + ... >= 0
+    is the bridge's share of a conditioned S_t, which monte_carlo_mgf sums
+    before it multiplies by alpha, so an S_t past the double range
+    (ParameterError) stays apart from a huge |alpha| (estimate 0).
+    """
+    if -2.0 * alpha == math.inf:  # every pivot of M is infinite
+        return -math.inf, 0.0, 0.0, 0.0, 0.0
+    theta_sq = theta * theta
+    diag = [1.0 + theta_sq] * p
+    rows = [(1.0 - theta) ** 2] * p  # J*1, the row sums of J
+    rows[0] += theta
+    rows[-1] += theta
+    if not pinned:
+        diag[-1] = 1.0
+        rows[-1] = 1.0 - theta if p > 1 else 1.0
+    piv_j, piv_m, logs = [], [], []
+    offset = -2.0 * alpha
+    for s in range(p):
+        if s:
+            offset = theta_sq * (offset / piv_m[-1]) / piv_j[-1] - 2.0 * alpha
+        pivot = diag[s] - theta_sq / piv_j[-1] if s else diag[s]
+        piv_j.append(pivot)
+        piv_m.append(pivot + offset)
+        logs.append(math.log1p(offset / pivot))
+
+    def solve(pivots: list, rhs: list) -> list:
+        # the tridiagonal system with these pivots: forward, then back
+        z = [rhs[0]]
+        for s in range(1, p):
+            z.append(rhs[s] + theta * z[-1] / pivots[s - 1])
+        y = [z[-1] / pivots[-1]]
+        for s in range(p - 2, -1, -1):
+            y.append((z[s] + theta * y[-1]) / pivots[s])
+        return y[::-1]
+
+    w = solve(piv_m, solve(piv_j, [1.0] + [0.0] * (p - 1)))
+    q0 = m * m * math.fsum(solve(piv_m, rows))
+    q1 = 2.0 * m * theta * solve(piv_m, [1.0] * p)[0]
+    q3 = 2.0 * theta_sq * w[-1] if pinned else 0.0
+    return -0.5 * math.fsum(logs), q0, q1, theta_sq * w[0], q3
+
+
 def monte_carlo_mgf(
     params: ModelParams, alpha: float, x: float, t: int, n: int, seed: int
 ) -> OracleResult:
-    """Sample mean and standard error of E[exp(alpha*S_t) | X_0, X_2, X_4, ...]
-    over n simulated even-step paths: an unbiased estimate of L_t(alpha, x).
+    """Sample mean and standard error of E[exp(alpha*S_t) | X_0, X_4, X_8, ...]
+    over n simulated skeleton paths: an unbiased estimate of L_t(alpha, x).
 
     Requires alpha <= 0 so the integrand is bounded by 1 and the estimator
     has finite variance, an integer n >= 2 and an integer seed >= 0
     (ValueError).  A non-finite alpha or x, a complex alpha off the real
-    axis and a sampled sum beyond the double range raise ParameterError.
+    axis and a conditioned S_t beyond the double range raise ParameterError.
 
-    Only X_0 = x, X_2, X_4, ... are simulated.  With d = X - m they form an
-    AR(1) with coefficient theta^2, d_{s+1} = theta^2*d_{s-1} + q*Z with
-    q = sqrt(1 + theta^2), one standard normal Z per pair of steps.  Each
-    odd step s is integrated exactly given its neighbours: X_s is
-    N(mu_s, v_s) with mu_s = m + theta*(d_{s-1} + d_{s+1})/q^2 and
-    v_s = 1/q^2, or, for the last step of an odd t, mu_t = m + theta*d_{t-1}
-    and v_t = 1, so E[exp(alpha*X_s^2) | neighbours] =
-    (1 - 2*alpha*v_s)^(-1/2) * exp(alpha*mu_s^2/(1 - 2*alpha*v_s)).  Each
-    path's sum x^2 + sum_even X_s^2 + sum_odd mu_s^2/(1 - 2*alpha*v_s) is
-    accumulated as (sqrt(r_s)*mu_s)^2, r_s = 1/(1 - 2*alpha*v_s), and its
-    estimate is exp(alpha*sum + C) with the path-free C = -sum_odd
-    log1p(-2*alpha*v_s)/2, so alpha = 0 gives exactly 1.  Conditioning
-    halves the normal draws and, by Rao-Blackwell, cannot raise the
-    variance of a path's estimate; at t <= 1 nothing is drawn, and the
-    exact value every path shares is returned with stderr 0.
+    Only the skeleton P_j = X_{4j} - m, j = 0..k, k = t//4 (MC_STRIDE = 4),
+    is simulated: P_0 = x - m and P_j = theta^4*P_{j-1} + sigma*Z_j with
+    sigma^2 = 1 + theta^2 + theta^4 + theta^6, one standard normal Z per
+    skeleton step.  The three steps between P_{j-1} and P_j form a Gaussian
+    bridge and the t mod 4 steps after P_k a Gaussian tail, each integrated
+    exactly by _bridge: log E[exp(alpha*sum X_i^2) | ends] = c + alpha*Q with
+    Q = q0 + q1*(a + b) + q2*(a^2 + b^2) + q3*a*b (b = 0 for the tail).  A
+    path's estimate is exp(alpha*S + C): S = x^2 + sum_j X_{4j}^2 + the
+    bridges' and the tail's Q, a conditioned S_t, and the path-free C sums
+    their c, so alpha = 0 gives exactly 1.  S is summed point by point: the
+    terms in P_0 and every m^2 are path-free, and P_j adds
+    P_j*(A*P_j + B + q3*P_{j-1}), A = 1 + 2*q2 and B = 2*(m + q1) where two
+    bridges meet, A = 1 + q2 + q2_tail and B = 2*m + q1 + q1_tail at P_k.
+    Conditioning quarters the normal draws and, by Rao-Blackwell, cannot
+    raise the variance of a path's estimate.  At t < 4 nothing is drawn:
+    the exact value every path shares is returned with stderr 0, and no
+    seed stream, thread or n-long array is made.
 
     Seed contract: the n paths are cut into K = ceil(n / MC_BLOCK) blocks,
     block b holding paths n*b//K to n*(b+1)//K - 1.  Block b is driven by
     Generator(SFC64(SeedSequence(seed).spawn(K)[b])), which draws one
-    standard-normal vector of the block's length for each of the t//2 even
-    steps X_2, X_4, ..., in order, and nothing for the odd steps.  The
-    blocks run on min(K, os.cpu_count()) worker threads, each writing its
-    own slice of the shared sums, and the mean and standard error are taken
+    standard-normal vector of the block's length for each of the t//4
+    skeleton steps X_4, X_8, ..., in order, and nothing else.  The blocks
+    run on min(K, os.cpu_count()) worker threads, each writing its own
+    slice of the shared sums, and the mean and standard error are taken
     over all n paths after the join; so the result depends on (seed, n)
     only, never on the number of cores, and replays bit for bit.
     """
@@ -236,73 +306,73 @@ def monte_carlo_mgf(
     seed = check_horizon(seed, "Monte Carlo seed")
     t = check_horizon(t)
     theta, m = params.theta, params.m
-    theta_sq = theta * theta
-    q_sq = 1.0 + theta_sq
-    q = math.sqrt(q_sq)
-    # an interior odd step (variance 1/q^2) and the last step of an odd t (variance 1)
-    inner = 1.0 / math.sqrt(1.0 - 2.0 * a / q_sq)
-    last = 1.0 / math.sqrt(1.0 - 2.0 * a)
-    inner_slope, inner_level = inner * (theta / q_sq), inner * m
-    last_slope, last_level = last * theta, last * m
-    # C over the t//2 interior odd steps and the last one; an absent step adds
-    # nothing, where 0*log1p(inf) would add a NaN at a huge |alpha|
-    log_factor = 0.0
-    if t > 1:
-        log_factor -= 0.5 * (t // 2) * math.log1p(-2.0 * a / q_sq)
-    if t % 2:
-        log_factor -= 0.5 * math.log1p(-2.0 * a)
-    k = -(-n // MC_BLOCK)
-    workers = min(k, os.cpu_count() or 1)
-    streams = np.random.SeedSequence(seed).spawn(k)
+    k, tail = divmod(t, MC_STRIDE)
+    # C and the path-free part of S; an absent tail or bridge adds nothing,
+    # where 0*c would add a NaN at c = -inf
+    log_factor, fixed, q1_tail, q2_tail = 0.0, x * x, 0.0, 0.0
+    if tail:
+        log_factor, q0_tail, q1_tail, q2_tail, _ = _bridge(theta, m, a, tail, False)
+        fixed += q0_tail
+    q1, q2 = q1_tail, q2_tail  # the terms in P_0, of the tail where no bridge starts there
+    if k:
+        c, q0, q1, q2, q3 = _bridge(theta, m, a, MC_STRIDE - 1, True)
+        log_factor += k * c
+        fixed += k * (q0 + m * m)
+    first = x - m
+    fixed += first * (q2 * first + q1)
+    if not math.isfinite(fixed):
+        raise _overflow("a conditioned S_t", params, x, a, t)
+    if not k:  # nothing drawn: every path's estimate is this one double
+        value = math.exp(a * fixed + log_factor)
+        return OracleResult(value=value, method="monte_carlo", stderr=0.0, n_samples=n)
+    theta_4 = theta * theta * (theta * theta)
+    sigma = math.sqrt((1.0 + theta * theta) * (1.0 + theta_4))
+    inner = 1.0 + 2.0 * q2, 2.0 * (m + q1)  # (A, B) where two bridges meet
+    last = 1.0 + q2 + q2_tail, 2.0 * m + q1 + q1_tail  # (A, B) at P_k
+    blocks = -(-n // MC_BLOCK)
+    workers = min(blocks, os.cpu_count() or 1)
+    streams = np.random.SeedSequence(seed).spawn(blocks)
     total = np.empty(n)
     # one block-long scratch set per worker, made here: arrays made in the
     # worker threads stay resident in their per-thread malloc arenas
-    spare = [np.empty((3, -(-n // k))) for _ in range(workers)]
+    spare = [np.empty((3, -(-n // blocks))) for _ in range(workers)]
 
     def run_block(b: int) -> None:
-        cut = slice(n * b // k, n * (b + 1) // k)
+        cut = slice(n * b // blocks, n * (b + 1) // blocks)
         rng = np.random.Generator(np.random.SFC64(streams[b]))
         block_total = total[cut]
-        block_total.fill(x * x)
+        block_total.fill(fixed)
         scratch = spare.pop()  # at most `workers` blocks run at once
-        dev, nxt, step = scratch[:, : block_total.size]  # d_{s-1}, d_{s+1}, the pair's normals
-        dev.fill(x - m)
-        # an overflow (or 0*inf, where the odd steps' weight underflows) leaves
-        # a non-finite sum, raised after the join; errstate is per thread
+        dev, nxt, step = scratch[:, : block_total.size]  # P_{j-1}, P_j, the step's terms
+        dev.fill(first)
+        # an overflow (or 0*inf) leaves a non-finite sum, raised after the
+        # join; errstate is per thread
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(t // 2):
+            for j in range(1, k + 1):
                 rng.standard_normal(out=step)
-                step *= q
-                np.multiply(dev, theta_sq, out=nxt)
+                step *= sigma
+                np.multiply(dev, theta_4, out=nxt)
                 nxt += step
-                dev += nxt
-                dev *= inner_slope
-                dev += inner_level
-                np.square(dev, out=dev)
-                block_total += dev
-                np.add(nxt, m, out=step)
-                np.square(step, out=step)
+                coef_a, coef_b = last if j == k else inner
+                np.multiply(nxt, coef_a, out=step)
+                step += coef_b
+                dev *= q3
+                step += dev
+                step *= nxt
                 block_total += step
                 dev, nxt = nxt, dev
-            if t % 2:
-                dev *= last_slope
-                dev += last_level
-                np.square(dev, out=dev)
-                block_total += dev
         spare.append(scratch)
 
     # numpy releases the GIL in the normal fill and the ufunc loops, so the
     # blocks overlap; list() re-raises a worker's exception here
     with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(run_block, range(k)))
+        list(pool.map(run_block, range(blocks)))
     if not math.isfinite(total.max()):
-        raise _overflow("a sampled S_t", params, x, a, t)
-    with np.errstate(over="ignore"):  # alpha*sum past -inf: the estimate is 0
+        raise _overflow("a conditioned S_t", params, x, a, t)
+    with np.errstate(over="ignore"):  # alpha*S past -inf: the estimate is 0
         np.multiply(total, a, out=total)
     total += log_factor
     values = np.exp(total, out=total)
-    if t <= 1:  # nothing drawn: every path's estimate is the same double
-        return OracleResult(value=float(values[0]), method="monte_carlo", stderr=0.0, n_samples=n)
     return OracleResult(
         value=float(values.mean()),
         method="monte_carlo",

@@ -21,8 +21,9 @@ from ar1quad import (
     transform,
     unconditional_transform,
 )
+from ar1quad.oracle import _bridge
 
-from mp_reference import log_transform_ref, tridiagonal_det_ref
+from mp_reference import bridge_ref, log_transform_ref, tridiagonal_det_ref
 from util import gauss_hermite_nodes, rel_err
 
 
@@ -196,36 +197,41 @@ def plain_path_blocks(theta, m, alpha, x, t, n, seed):
 def replay_blocks(theta, m, alpha, x, t, n, seed):
     """The seed contract, serially: K = ceil(n / 2**16) blocks with edges n*b//K, block b
     drawing, from Generator(SFC64(SeedSequence(seed).spawn(K)[b])), one standard_normal
-    vector per even step X_2, X_4, ..., X_{2*(t//2)}, in that order, and none for an odd
-    step, whose conditional factor given its neighbours is added exactly; at t <= 1 the
-    one estimate every path shares, with standard error 0."""
-    k = -(-n // 2**16)
-    edges = [n * b // k for b in range(k + 1)]
-    q_sq = 1.0 + theta * theta
-    inner, last = 1.0 / math.sqrt(1.0 - 2.0 * alpha / q_sq), 1.0 / math.sqrt(1.0 - 2.0 * alpha)
+    vector per skeleton step X_4, X_8, ..., X_{4*(t//4)}, in that order, and nothing
+    else.  The bridges between skeleton points and the tail after the last one are
+    added exactly, from _bridge's coefficients: the terms in P_0 = x - m and every m^2
+    are path-free, and each P_j = X_{4j} - m adds P_j*(A*P_j + B + q3*P_{j-1}).  At
+    t < 4 the one exact estimate every path shares, with standard error 0."""
+    k, tail = divmod(t, 4)
+    c_t = q0_t = q1_t = q2_t = c = q0 = q1 = q2 = q3 = 0.0
+    if tail:
+        c_t, q0_t, q1_t, q2_t, _ = _bridge(theta, m, alpha, tail, False)
+    if k:
+        c, q0, q1, q2, q3 = _bridge(theta, m, alpha, 3, True)
+    first = x - m
+    q1_first, q2_first = (q1, q2) if k else (q1_t, q2_t)
+    fixed = x * x + q0_t + k * (q0 + m * m) + first * (q2_first * first + q1_first)
+    log_factor = c_t + k * c
+    if not k:
+        return math.exp(alpha * fixed + log_factor), 0.0
+    theta_sq = theta * theta
+    theta_4, sigma = theta_sq * theta_sq, math.sqrt((1.0 + theta_sq) * (1.0 + theta_sq * theta_sq))
+    blocks = -(-n // 2**16)
+    edges = [n * b // blocks for b in range(blocks + 1)]
     total = np.empty(n)
-    for b, stream in enumerate(np.random.SeedSequence(seed).spawn(k)):
+    for b, stream in enumerate(np.random.SeedSequence(seed).spawn(blocks)):
         rng = np.random.Generator(np.random.SFC64(stream))
         size = edges[b + 1] - edges[b]
-        dev = np.full(size, x - m)
-        block_total = np.full(size, x * x)
-        for _ in range(t // 2):
-            nxt = theta * theta * dev + math.sqrt(q_sq) * rng.standard_normal(size)
-            # sqrt(r)*mu for the odd step between, mu = m + theta*(dev + nxt)/q^2
-            block_total += (inner * (theta / q_sq) * (dev + nxt) + inner * m) ** 2
-            block_total += (nxt + m) ** 2
+        dev = np.full(size, first)
+        block_total = np.full(size, fixed)
+        for j in range(1, k + 1):
+            nxt = theta_4 * dev + sigma * rng.standard_normal(size)
+            # P_j's own square and the bridges that meet at it: two, or one and the tail
+            coef_a, coef_b = (1.0 + q2 + q2_t, 2.0 * m + q1 + q1_t) if j == k else (1.0 + 2.0 * q2, 2.0 * (m + q1))
+            block_total += nxt * (coef_a * nxt + coef_b + q3 * dev)
             dev = nxt
-        if t % 2:  # the last step, mu = m + theta*dev, variance 1
-            block_total += (last * theta * dev + last * m) ** 2
         total[edges[b]:edges[b + 1]] = block_total
-    log_factor = 0.0
-    if t > 1:
-        log_factor -= 0.5 * (t // 2) * math.log1p(-2.0 * alpha / q_sq)
-    if t % 2:
-        log_factor -= 0.5 * math.log1p(-2.0 * alpha)
     values = np.exp(alpha * total + log_factor)
-    if t <= 1:  # nothing drawn: every path's estimate is the same double
-        return float(values[0]), 0.0
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n))
 
 
@@ -242,8 +248,8 @@ def test_monte_carlo_replays_the_documented_loop(theta, m, alpha, x, t, n, seed)
 def test_monte_carlo_bits_do_not_depend_on_the_worker_count(monkeypatch, cores):
     import concurrent.futures
 
-    params, n = ModelParams(0.6, 1.0), 600_000  # ten blocks
-    expected = replay_blocks(0.6, 1.0, -0.1, 0.4, 3, n, 17)
+    params, n = ModelParams(0.6, 1.0), 600_001  # ten blocks, of unequal sizes
+    expected = replay_blocks(0.6, 1.0, -0.1, 0.4, 7, n, 17)
     workers = []
     pool_class = concurrent.futures.ThreadPoolExecutor
 
@@ -256,7 +262,7 @@ def test_monte_carlo_bits_do_not_depend_on_the_worker_count(monkeypatch, cores):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:
-        res = monte_carlo_mgf(params, -0.1, 0.4, 3, n, 17)
+        res = monte_carlo_mgf(params, -0.1, 0.4, 7, n, 17)
     finally:
         sys.setswitchinterval(interval)
     assert workers == [cores or 1]  # None: the core count is unknown
@@ -265,12 +271,13 @@ def test_monte_carlo_bits_do_not_depend_on_the_worker_count(monkeypatch, cores):
 
 def test_monte_carlo_worker_error_reaches_the_caller(monkeypatch):
     # an exception in a block is raised in the calling thread, not lost in the worker
+    # (t = 7: one skeleton step, so each block makes its generator)
     def failing_bit_generator(stream):
         raise MemoryError("no room for the block")
 
     monkeypatch.setattr(np.random, "SFC64", failing_bit_generator)
     with pytest.raises(MemoryError, match="no room for the block"):
-        monte_carlo_mgf(ModelParams(0.6, 1.0), -0.1, 0.4, 3, 150_001, 17)
+        monte_carlo_mgf(ModelParams(0.6, 1.0), -0.1, 0.4, 7, 150_001, 17)
 
 
 @pytest.mark.parametrize("m, x", [(1e200, 0.5), (0.0, 1e200)])
@@ -304,7 +311,7 @@ def test_monte_carlo_one_step_is_the_exact_value(theta, m, x, alpha):
     assert first.stderr <= 1e-15 * exact
 
 
-@pytest.mark.parametrize("t", [0, 1])
+@pytest.mark.parametrize("t", [0, 1, 2, 3])
 def test_monte_carlo_without_draws_returns_the_one_estimate(t):
     # every path's estimate is the same double: their mean can round an ulp or
     # two off it, and their sampled spread is rounding, not a standard error
@@ -322,7 +329,7 @@ def test_monte_carlo_huge_negative_alpha_gives_zero(alpha, t):
     # 1 - 2*alpha overflows at -1e308: the log factor is -inf and the estimate 0, not NaN
     res = monte_carlo_mgf(ModelParams(0.6, 1.0), alpha, 0.4, t, 1000, seed=1)
     assert res.value == 0.0 and res.stderr == 0.0
-    # x - m = -inf: inf, or 0*inf = NaN where the odd steps' weight is 0, raised
+    # x - m = -inf: inf, or 0*inf = NaN where the bridges' weight is 0, raised
     # as an overflow with no RuntimeWarning
     with pytest.raises(ParameterError, match="overflow"):
         monte_carlo_mgf(ModelParams(0.6, 1e308), alpha, -1e308, t, 1000, seed=1)
@@ -346,8 +353,9 @@ def _log_mgf_of_squares(rows, consts, beta):
     return -0.5 * log_det + beta * consts @ consts + 2.0 * beta * beta * pw @ np.linalg.solve(gram, pw)
 
 
-def _conditioned_log_second_moment(theta, m, alpha, x, t):
-    """log E[g^2] for a path's conditioned estimate g = exp(alpha*T + C), t >= 2.
+def _stride_2_log_second_moment(theta, m, alpha, x, t):
+    """log E[g^2] for the stride-2 estimator g = exp(alpha*T + C), t >= 2, which
+    draws the even steps and integrates each odd one given its neighbours.
 
     The even deviations d_{2j} = theta^(2j)*(x - m) + sum_{i<=j} q*theta^(2(j-i))*e_i
     are affine in e ~ N(0, I_{t//2}), so T - x^2 is a sum of squares of affine forms
@@ -369,6 +377,57 @@ def _conditioned_log_second_moment(theta, m, alpha, x, t):
         log_factor -= 0.5 * math.log1p(-2.0 * alpha)
     log_mgf = _log_mgf_of_squares(np.vstack(rows), np.concatenate(consts), 2.0 * alpha)
     return 2.0 * (alpha * x * x + log_factor) + log_mgf
+
+
+def _dense_bridge(theta, alpha, p, pinned):
+    """(G, R, c) for p steps after X_0 - m = a, pinned to X_{p+1} - m = b or free:
+    given the ends, (X_1 - m, ..., X_p - m) = G @ (a, b) + N(0, S), read off the
+    dense joint precision L'L of the innovations L*D = (D_i - theta*D_{i-1})_i, and
+    E[exp(alpha*||m + Y||^2)] = exp(c + alpha*||R (m + G @ (a, b))||^2) with
+    R = (I - 2*alpha*S)^(-1/2) and c = -log det(I - 2*alpha*S)/2, from S's eigenvalues."""
+    size = p + 2 if pinned else p + 1  # D_0, ..., D_p and, pinned, D_{p+1}
+    innovations = np.eye(size)[1:] - theta * np.eye(size)[:-1]
+    precision = innovations.T @ innovations
+    inside, ends = np.arange(1, p + 1), [0, size - 1] if pinned else [0]
+    gains = -np.linalg.solve(precision[np.ix_(inside, inside)], precision[np.ix_(inside, ends)])
+    if not pinned:
+        gains = np.column_stack([gains, np.zeros(p)])
+    lam, vec = np.linalg.eigh(np.linalg.inv(precision[np.ix_(inside, inside)]))
+    root = vec @ np.diag((1.0 - 2.0 * alpha * lam) ** -0.5) @ vec.T
+    return gains, root, -0.5 * float(np.sum(np.log1p(-2.0 * alpha * lam)))
+
+
+def _skeleton_log_moment(theta, m, alpha, x, t, order):
+    """log E[g^order] for a path's stride-4 estimate g = exp(alpha*S + C), t >= 4.
+
+    The skeleton deviations P_j = X_{4j} - m = theta^(4j)*(x - m) + sum_{i<=j}
+    sigma*theta^(4(j-i))*e_i are affine in e ~ N(0, I_{t//4}), and S - x^2 is a sum
+    of squares of affine forms in e: one per skeleton step (X_{4j}) and, through
+    _dense_bridge, three per bridge and t mod 4 for the tail.  So E[g^order] is a
+    dense Gaussian integral that shares no recursion with the oracle."""
+    k, tail = divmod(t, 4)
+    sigma = math.sqrt((1.0 + theta**2) * (1.0 + theta**4))
+    j, i = np.arange(k + 1)[:, None], np.arange(1, k + 1)[None, :]
+    coef = np.where(i <= j, sigma * theta ** (4.0 * np.maximum(j - i, 0)), 0.0)
+    mean = theta ** (4.0 * np.arange(k + 1)) * (x - m)
+    gains, root, c = _dense_bridge(theta, alpha, 3, True)
+    rows, consts, log_factor = [coef[1:]], [m + mean[1:]], k * c
+    for step in range(1, k + 1):
+        ends, end_means = coef[step - 1:step + 1], mean[step - 1:step + 1]
+        rows.append(root @ gains @ ends)
+        consts.append(root @ (m + gains @ end_means))
+    if tail:
+        gains, root, c = _dense_bridge(theta, alpha, tail, False)
+        rows.append(root @ np.outer(gains[:, 0], coef[k]))
+        consts.append(root @ (m + gains[:, 0] * mean[k]))
+        log_factor += c
+    log_mgf = _log_mgf_of_squares(np.vstack(rows), np.concatenate(consts), order * alpha)
+    return order * (alpha * x * x + log_factor) + log_mgf
+
+
+def _conditioned_log_second_moment(theta, m, alpha, x, t):
+    """log E[g^2] for a path's conditioned (stride-4) estimate, t >= 4."""
+    return _skeleton_log_moment(theta, m, alpha, x, t, 2)
 
 
 def _oracles_like_draws(seed, count):
@@ -399,10 +458,88 @@ def test_monte_carlo_conditioning_keeps_the_precision():
         assert abs(res.stderr / (math.exp(log_l) * math.sqrt(rel_var / n)) - 1.0) <= 0.05, (theta, m, alpha, x, t)
 
 
+def test_monte_carlo_skeleton_nests_the_stride_2_estimator():
+    # Rao-Blackwell on the 24 benchmark-like draws: the stride-4 estimate is the
+    # stride-2 one averaged over X_2, X_6, ... given the coarser skeleton, so its
+    # exact relative variance is at most stride 2's, which is below the plain
+    # estimator's.  The dense stride-4 moments belong to an unbiased estimator (the
+    # first is L_t), so a wrong bridge fails here instead of passing as a smaller variance
+    for theta, m, alpha, x, t, _ in _oracles_like_draws(20261019, 24):
+        params = ModelParams(theta, m)
+        log_l = transform(params, TransformPoint(alpha), x, t).log_value.real
+        assert abs(_skeleton_log_moment(theta, m, alpha, x, t, 1) - log_l) <= 1e-12 * max(1.0, abs(log_l))
+        stride_4 = math.expm1(_conditioned_log_second_moment(theta, m, alpha, x, t) - 2.0 * log_l)
+        stride_2 = math.expm1(_stride_2_log_second_moment(theta, m, alpha, x, t) - 2.0 * log_l)
+        plain = math.expm1(transform(params, TransformPoint(2.0 * alpha), x, t).log_value.real - 2.0 * log_l)
+        assert 0.0 < stride_4 <= stride_2 < plain, (theta, m, alpha, x, t)
+
+
+def _bridge_draws(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        theta = rng.choice((-1, 1)) * rng.uniform(0.05, 0.95)
+        alpha = -(10 ** rng.uniform(-300.0, math.log10(3.0)))
+        yield theta, rng.uniform(-2.0, 2.0), alpha, rng.randint(1, 6), rng.random() < 0.5
+
+
+def test_bridge_matches_the_dense_gaussian_integral():
+    # the coefficients of log E[exp(alpha*sum X_i^2) | ends] against the dense
+    # conditional law, alpha from -1e-300 to -3.  Each q is a form u' W v, which the
+    # dense route gives to eps*||u||*||v|| (||W|| <= 1); a pinned bridge's b end has
+    # the same q1 and q2 as its a end
+    for theta, m, alpha, p, pinned in _bridge_draws(20261020, 400):
+        gains, root, c = _dense_bridge(theta, alpha, p, pinned)
+        weight, ones = root @ root, np.ones(p)
+        got = _bridge(theta, m, alpha, p, pinned)
+        case = (theta, m, alpha, p, pinned)
+        assert rel_err(got[0], c) <= 4e-15, case
+        assert rel_err(got[1], m * m * (ones @ weight @ ones)) <= 1e-14, case
+        forms = [(2.0 * m, ones, gains[:, 0]), (1.0, gains[:, 0], gains[:, 0]), (2.0, gains[:, 0], gains[:, 1])]
+        if pinned:
+            forms += [(2.0 * m, ones, gains[:, 1]), (1.0, gains[:, 1], gains[:, 1])]
+        for value, (factor, u, v) in zip(got[2:] + got[2:4], forms):
+            bound = 1e-14 * abs(factor) * np.linalg.norm(u) * np.linalg.norm(v)
+            assert abs(value - factor * (u @ weight @ v)) <= bound, case
+        assert pinned or got[4] == 0.0, case
+
+
+def test_bridge_matches_the_high_precision_reference():
+    # each coefficient to a few ulps, the small q3 of a long bridge at a small
+    # |theta| included, where the dense double route keeps only its norm's digits
+    for case in _bridge_draws(20261022, 100):
+        for value, expected in zip(_bridge(*case), bridge_ref(*case)):
+            assert abs(value - expected) <= 4e-15 * abs(expected), case
+
+
+def test_bridge_of_one_step_is_the_stride_2_factor():
+    # p = 1: the interior odd step (variance 1/(1 + theta^2)) and the last step of
+    # an odd t (variance 1) of the stride-2 estimator, as it wrote them
+    for theta, m, alpha, _, _ in _bridge_draws(20261021, 200):
+        q_sq = 1.0 + theta * theta
+        inner, last = 1.0 / math.sqrt(1.0 - 2.0 * alpha / q_sq), 1.0 / math.sqrt(1.0 - 2.0 * alpha)
+        for pinned, scale, slope, log_factor in ((True, inner, theta / q_sq, math.log1p(-2.0 * alpha / q_sq)),
+                                                  (False, last, theta, math.log1p(-2.0 * alpha))):
+            level, gain = scale * m, scale * slope
+            want = (-0.5 * log_factor, level * level, 2.0 * level * gain, gain * gain,
+                    2.0 * gain * gain if pinned else 0.0)
+            got = _bridge(theta, m, alpha, 1, pinned)
+            for value, expected in zip(got, want):
+                assert abs(value - expected) <= 1e-15 * abs(expected), (theta, m, alpha, pinned)
+
+
+def test_bridge_limits():
+    # alpha = 0: no factor and the conditional mean's square; -2*alpha past the
+    # double range: the factor is 0, as (1 - 2*alpha*v)^(-1/2) is
+    for p, pinned in ((1, True), (3, True), (2, False)):
+        c, *path = _bridge(0.6, 1.0, 0.0, p, pinned)
+        assert c == 0.0 and min(path) >= 0.0 and path[0] > 0.0
+        assert _bridge(0.6, 1.0, -1e308, p, pinned) == (-math.inf, 0.0, 0.0, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("t", [7, 8])
 def test_monte_carlo_standard_scores_cover_the_exact_value(t):
-    # 200 seeds at n = 2000: the standard scores centre on 0 and few pass 2; an odd t
-    # checks the last step's conditional mean m + theta*(X_{t-1} - m)
+    # 200 seeds at n = 2000: the standard scores centre on 0 and few pass 2; t = 7
+    # ends in a three-step free tail after X_4, t = 8 on a skeleton point
     params, alpha, x = ModelParams(-0.7, 1.5), -0.15, -0.5
     exact = transform(params, TransformPoint(alpha), x, t).value.real
     scores = []
