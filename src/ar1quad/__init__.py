@@ -21,11 +21,7 @@ from .errors import (
     SingularConstantError,
     SingularSequenceError,
 )
-from .model import (
-    ModelParams,
-    conditional_covariance,
-    conditional_mean,
-)
+from .model import ModelParams, conditional_mean
 from .oracle import (
     OracleResult,
     matrix_mgf,
@@ -60,7 +56,6 @@ __all__ = [
     "SpectralData",
     "TransformPoint",
     "TransformValue",
-    "conditional_covariance",
     "conditional_mean",
     "constants",
     "domain_check",

@@ -8,9 +8,8 @@ x - m, so the conditional law is Gaussian with
     mean:  E[X_s | X_0 = x] = m + theta^s * (x - m)
     cov :  Cov(X_s, X_u | X_0) = theta^|s-u| * (1 - theta^(2*min(s,u))) / (1 - theta^2)
 
-The index-0 coordinate is deterministic under the conditioning and is
-excluded from the covariance matrix (it would make the matrix singular);
-callers account for it through a separate exp(alpha*x^2) factor.
+The index-0 coordinate is deterministic under the conditioning; the
+transform and its oracles carry it as a separate exp(alpha*x^2) factor.
 """
 
 from __future__ import annotations
@@ -18,12 +17,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import ParameterError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def check_finite(name: str, value: float) -> None:
@@ -79,30 +74,3 @@ def conditional_mean(params: ModelParams, x: float, s: int) -> float:
     if s == 0:
         return x  # recursion anchor, exact (m + (x - m) would round)
     return params.m + params.theta**s * (x - params.m)
-
-
-def conditional_covariance(params: ModelParams, t: int) -> np.ndarray:
-    """Covariance matrix of (X_1, ..., X_t) given X_0, shape (t, t).
-
-    Entry (s, u), indexed from 1, is
-    theta^|s-u| * (1 - theta^(2*min(s,u))) / (1 - theta^2).
-    t = 0 returns an empty (0, 0) matrix.
-
-    Built as min(w_s, w_u) * theta^|s-u| / (1 - theta^2): w_s = 1 - theta^(2s)
-    never decreases with s, so the minimum is w_min(s,u), and the Toeplitz
-    factor is one strided view of the lag table (row s starts one element
-    before row s-1), so no index array and no window stack is formed.
-    """
-    import numpy as np
-    t = check_horizon(t)
-    powers = params.theta ** np.arange(2 * t + 1)  # theta^k for every exponent used
-    # lags[t-1+k] = theta^|k| for |k| < t: row s of the view, u = 1..t, reads
-    # lags[t-s : 2t-s], which is theta^|s-u|
-    lags = np.concatenate((powers[t - 1 : 0 : -1], powers[:t]))
-    step = lags.itemsize
-    toeplitz = np.lib.stride_tricks.as_strided(lags[t - 1 :], (t, t), (-step, step), writeable=False)
-    w = 1.0 - powers[2::2]
-    cov = np.minimum.outer(w, w)
-    cov *= toeplitz
-    cov /= 1.0 - params.theta * params.theta
-    return cov

@@ -12,9 +12,11 @@ machinery:
   both terms come from the tridiagonal B = L L' - 2*alpha*I and w = L*mu:
   det(I - 2*alpha*Sigma) = det B and mu'(I - 2*alpha*Sigma)^(-1) mu =
   w' B^(-1) w.  One forward elimination of B (_eliminate), O(t) in pure
-  Python, gives both; no t x t matrix is formed.  With det B = pi_t it
-  also gives sigma_via_recursion's Sigma_t = x^2 + w' B^(-1) w, at any
-  t >= 0 and any alpha in D, complex included, with no root.
+  Python, gives both; no t x t matrix is formed.  With det B = pi_t and
+  Sigma_t = x^2 + w' B^(-1) w they are the two factors of the paper's
+  L_t = pi_t^(-1/2)*exp(alpha*Sigma_t), at a real or complex alpha:
+  _log_mgf forms log L_t (matrix_mgf is its real face), and
+  sigma_via_recursion Sigma_t, with no root and no log.
 
 * monte_carlo_mgf: the empirical mean, with its standard error, of the
   conditional expectation of exp(alpha*S_t) given the skeleton
@@ -35,8 +37,10 @@ over the stationary start law N(m, 1/(1-theta^2)); it raises
 ParameterError where its value lies beyond the double range.
 
 Both oracles take a real alpha only (a complex one on the real axis is its
-real part, any other raises ParameterError): a complex determinant would
-reintroduce exactly the branch ambiguity the matrix oracle arbitrates.
+real part, any other raises ParameterError).  At a complex alpha log det B
+is a sum of principal logs, equal to the closed form's log pi_t only modulo
+2*pi*i: it took the closed form's branch on 13,450 seeded draws against a
+60-digit reference, a measurement, not a proof, so it stays private.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from typing import Literal
 from .closed_form import _LOG_MAX, _LOG_MIN, _exp, _outside, _overflow, quadratic_coefficients
 from .errors import ConvergenceError, ParameterError
 from .model import ModelParams, check_finite, check_horizon
-from .spectral import TransformPoint, _roots
+from .spectral import TransformPoint, _log, _roots
 
 # Monte Carlo paths per block at most: each block has its own seed stream
 MC_BLOCK = 2**16
@@ -87,9 +91,23 @@ def _real_alpha(alpha) -> float:
     return a
 
 
+def _fsum(values: list) -> float:
+    """fsum(values), or the plain sum, +/-inf, where a sum of finite values
+    passes the double range (fsum raises OverflowError)."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return sum(values)
+
+
+def _csum(values: list) -> complex:
+    """The sum, its real and imaginary parts each by _fsum."""
+    return complex(_fsum([v.real for v in values]), _fsum([v.imag for v in values]))
+
+
 def _eliminate(params: ModelParams, alpha: complex, x: float, t: int) -> tuple:
-    """(scale, [u_1..u_t], [z_1^2/d_1..z_t^2/d_t]): the forward elimination of
-    B = L L' - 2*alpha*I, at a real or complex alpha, with no pivot test.
+    """(scale, [u_1..u_t], quad = sum(z_s^2/d_s)): the forward elimination
+    of B = L L' - 2*alpha*I, at a real or complex alpha, with no pivot test.
 
     B has diagonal 1 - 2*alpha, then 1 + theta^2 - 2*alpha, and -theta beside
     it.  Its pivots d_s = 1 + u_s are carried as offsets, u_1 = -2*alpha and
@@ -98,9 +116,9 @@ def _eliminate(params: ModelParams, alpha: complex, x: float, t: int) -> tuple:
     digits.  z_1 = w_1, z_s = w_s + theta*z_{s-1}/d_{s-1} runs on
     w = L*mu = (mu_1, m*(1 - theta), ..., m*(1 - theta)) over scale =
     max(|mu_1|, |m|) (1 if w is empty or zero), so a huge mean stays finite:
-    det B = prod(d_s) and w' B^(-1) w = scale^2*sum(z_s^2/d_s).  A pivot of
-    exactly 0 ends it with an infinite last term; an overflowing mean raises
-    ParameterError.
+    det B = prod(d_s) and w' B^(-1) w = scale^2*quad, quad rounded once.  A
+    pivot of exactly 0 ends it with an infinite last term; an overflowing
+    mean raises ParameterError.
     """
     theta, m = params.theta, params.m
     mean_1 = m + theta * (x - m)
@@ -123,45 +141,58 @@ def _eliminate(params: ModelParams, alpha: complex, x: float, t: int) -> tuple:
             z = w + theta * z / d
     except ZeroDivisionError:  # d = 0: w' B^(-1) w is infinite
         quads.append(math.inf)
-    return scale, offsets, quads
+    return scale, offsets, _csum(quads) if isinstance(alpha, complex) else math.fsum(quads)
+
+
+def _log_mgf(alpha: complex, x: float, elimination: tuple) -> complex:
+    """log L_t = alpha*x^2 - log det B/2 + alpha*w' B^(-1) w from _eliminate's
+    (scale, offsets, quad).  Each pivot log comes from its offset: log1p(u_s)
+    at a real alpha (a complex one on the real axis is its real part),
+    spectral._log(1 + u_s, u_s) at any other; each sum is rounded once.  A
+    pivot <= 0 or NaN raises ConvergenceError."""
+    scale, offsets, quad = elimination
+    if isinstance(alpha, complex) and not alpha.imag:
+        alpha, offsets, quad = alpha.real, [u.real for u in offsets], quad.real
+    try:  # log1p raises at a pivot d = 1 + u <= 0, log at d = 0; a NaN pivot gives NaN
+        log_det = _csum([_log(1.0 + u, u) for u in offsets]) if alpha.imag else math.fsum(map(math.log1p, offsets))
+    except ValueError:
+        log_det = math.nan
+    if cmath.isnan(log_det):
+        raise ConvergenceError(f"I - 2*alpha*Sigma is not positive definite at alpha={alpha}: "
+                               "the moment generating function diverges")
+    # at a real alpha the three terms share its sign; fsum rounds their sum
+    # once, where two additions can land an ulp of log L_t off, a relative
+    # error of |log L_t|*eps in the value
+    terms = (alpha * x * x, -0.5 * log_det, (alpha * scale) * scale * quad)
+    return _csum(terms) if alpha.imag else complex(_fsum(terms))
+
+
+def _sigma(x: float, elimination: tuple) -> complex:
+    """Sigma_t = x^2 + scale^2*quad from _eliminate's (scale, offsets, quad)."""
+    scale, _, quad = elimination
+    return complex(x * x + scale * (scale * quad.real), scale * (scale * quad.imag))
 
 
 def matrix_mgf(params: ModelParams, alpha: float, x: float, t: int) -> OracleResult:
     """E[exp(alpha*S_t) | X_0 = x] via the quadratic-form identity, in O(t).
 
-    log L_t = alpha*x^2 - log det B/2 + alpha*w' B^(-1) w from _eliminate,
-    with log det B = fsum(log1p(u_s)), rounded once: alpha = 0 gives 1, and
-    alpha < 0 gives 0 where the quadratic form overflows or (t >= 1) where
-    -2*alpha does.  B is positive definite exactly when I - 2*alpha*Sigma
-    is, so a pivot <= 0 means the moment generating function diverges
-    (ConvergenceError).  Near the divergence point the value stays within
-    2*eps*cond(I - 2*alpha*Sigma) of the exact value at the double inputs
-    (1.5*eps*cond at worst at 0.999999 of the pole, t <= 500).  A non-finite
-    alpha or x, a complex alpha off the real axis, an overflowing mean (at a
-    finite -2*alpha) and a value beyond the double range raise
-    ParameterError.
+    exp(_log_mgf) on _eliminate, log det B and log L_t each rounded once:
+    alpha = 0 gives 1, and alpha < 0 gives 0 where the quadratic form
+    overflows or (t >= 1) where -2*alpha does.  B is positive definite
+    exactly when I - 2*alpha*Sigma is, so a pivot <= 0 means the moment
+    generating function diverges (ConvergenceError).  Near the divergence
+    point the value stays within 2*eps*cond(I - 2*alpha*Sigma) of the exact
+    value at the double inputs (1.5*eps*cond at worst at 0.999999 of the
+    pole, t <= 500).  A non-finite alpha or x, a complex alpha off the real
+    axis, an overflowing mean (at a finite -2*alpha) and a value beyond the
+    double range raise ParameterError.
     """
     a = _real_alpha(alpha)
     check_finite("x", x)
     t = check_horizon(t)
     if t and -2.0 * a == math.inf:  # every pivot, and det B, is infinite
         return OracleResult(value=0.0, method="matrix")
-    scale, offsets, quads = _eliminate(params, a, x, t)
-    try:  # log1p raises where u <= -1, a pivot d = 1 + u <= 0; a NaN pivot gives NaN
-        log_det = math.fsum(map(math.log1p, offsets))
-    except ValueError:
-        log_det = math.nan
-    if math.isnan(log_det):
-        raise ConvergenceError(f"I - 2*alpha*Sigma is not positive definite at alpha={a}: "
-                               "the moment generating function diverges")
-    # the three terms share alpha's sign; fsum rounds their sum once, where
-    # two additions can land an ulp of log L_t off, a relative error of
-    # |log L_t|*eps in the value
-    terms = (a * x * x, -0.5 * log_det, (a * scale) * scale * math.fsum(quads))
-    try:
-        log_value = math.fsum(terms)
-    except OverflowError:  # the sum passed the double range: +/-inf
-        log_value = sum(terms)
+    log_value = _log_mgf(a, x, _eliminate(params, a, x, t)).real
     if log_value > _LOG_MAX:
         raise _overflow("L_t", params, x, a, t)
     return OracleResult(value=math.exp(log_value), method="matrix")
@@ -169,8 +200,7 @@ def matrix_mgf(params: ModelParams, alpha: float, x: float, t: int) -> OracleRes
 
 def sigma_via_recursion(params: ModelParams, point: TransformPoint, x: float, t: int) -> complex:
     """Sigma_t = x^2 + w' B^(-1) w from matrix_mgf's elimination (_eliminate),
-    at any t >= 0 and any alpha in D, complex included, with the real and
-    the imaginary parts of sum(z_s^2/d_s) each summed by fsum.
+    at any t >= 0 and any alpha in D, complex included; it takes no log.
 
     It reads neither the roots nor the A, B, C telescoping, so agreement with
     transform(...).sigma_t validates the closed form; the roots are solved
@@ -184,9 +214,7 @@ def sigma_via_recursion(params: ModelParams, point: TransformPoint, x: float, t:
     alpha = point.alpha
     if not _roots(params.theta, alpha)[5]:
         raise _outside(alpha)
-    scale, _, quads = _eliminate(params, alpha, x, t)
-    real, imag = math.fsum([q.real for q in quads]), math.fsum([q.imag for q in quads])
-    sigma = complex(x * x + scale * (scale * real), scale * (scale * imag))
+    sigma = _sigma(x, _eliminate(params, alpha, x, t))
     if not cmath.isfinite(sigma):
         raise _overflow("Sigma_t", params, x, alpha, t)
     return sigma

@@ -4,12 +4,14 @@ Each check measures a worst-case error over a parameter grid and compares
 it to a tolerance; a non-finite error (NaN included) at any grid point
 fails its check.  The grid density scales with `grid_size` up to 5, where
 the fixed parameter pools run out: a larger size runs the size-5 grid,
-and the m values, the complex-plane alphas and the matrix oracle's
-alphas stop growing at size 3 already.  Size 1 is a minimal smoke run,
-and a size that is not an integer >= 1 raises ValueError.  A user-supplied tolerance overrides the per-check defaults of
-the deterministic float checks (the Monte Carlo check stays statistical at
-4 standard errors).  run_all rejects a bad argument (ValueError) before
-any check runs, and records each check's wall time in its result.
+and the m values and the alphas stop growing at size 3 already; every
+grid check draws its alphas, real and complex, from the one pool.  Size 1
+is a minimal smoke run, and a size that is not an integer >= 1 raises
+ValueError.  A user-supplied tolerance overrides the per-check defaults
+of the deterministic float checks (the Monte Carlo check stays
+statistical at 4 standard errors).  run_all rejects a bad argument
+(ValueError) before any check runs, and records each check's wall time
+in its result.
 """
 
 from __future__ import annotations
@@ -25,14 +27,13 @@ from .closed_form import (
     transform,
 )
 from .model import ModelParams, check_horizon
-from .oracle import matrix_mgf, monte_carlo_mgf, sigma_via_recursion
+from .oracle import _eliminate, _log_mgf, _sigma, monte_carlo_mgf
 from .spectral import TransformPoint, domain_check, raw_psi, roots, sequence_ratios
 
 # -1e-3 probes the small-|alpha| regime here; the test suite checks alpha
 # down to -1e-300 against a high-precision reference
 _THETA_POOL = [0.6, -0.8, 0.3, 0.8, -0.3]
 _ALPHA_POOL = [-0.5, -0.05, -2.0, complex(-0.3, 0.4), complex(-1.0, -0.25), -1e-3]
-_REAL_ALPHA_POOL = [-0.5, -0.05, -2.0]
 _X_POOL = [0.0, -1.0, 2.0, 0.3]
 # a grid of size 1 has x = 0, where m = 0 would make Sigma_t = 0 exactly
 _M_POOL = [1.5, 0.0, -0.7]
@@ -74,9 +75,9 @@ def _worse(worst: float, *errors: float) -> float:
 
 
 def _grids(k: int):
-    """The first k thetas, x values and m values and the first 2*k alphas
-    of the fixed pools: sizes above 5 (3 for the m values and the alphas)
-    take every entry and add nothing."""
+    """The first k thetas, x values and m values and the first 2*k alphas,
+    real and complex, of the fixed pools: sizes above 5 (3 for the m values
+    and the alphas) take every entry and add nothing."""
     k = check_horizon(k, "grid size", 1)
     return _THETA_POOL[:k], _ALPHA_POOL[: 2 * k], _X_POOL[:k], _M_POOL[:k]
 
@@ -147,9 +148,12 @@ def check_wronskian(grid_size: int, tol: float) -> CheckResult:
     return CheckResult("wronskian", worst, tol, worst <= tol)
 
 
-def check_sigma_recursion(grid_size: int, tol: float) -> CheckResult:
-    """sigma_via_recursion (matrix_mgf's root-free elimination, at any
-    t >= 0) agrees with the telescoped Sigma_t at t = 1, 5 and 50."""
+def check_matrix_oracle(grid_size: int, tol: float) -> CheckResult:
+    """Closed form vs the root-free forward elimination of
+    B = L L' - 2*alpha*I (oracle._eliminate), run once per grid point for
+    both factors of L_t = pi_t^(-1/2)*exp(alpha*Sigma_t): log L_t, its
+    error relative to max(1, |log L_t|), and Sigma_t, relative, at t = 1, 5
+    and 50, complex alpha included."""
     thetas, alphas, xs, ms = _grids(grid_size)
     worst = 0.0
     for theta in thetas:
@@ -161,28 +165,11 @@ def check_sigma_recursion(grid_size: int, tol: float) -> CheckResult:
                     continue
                 for x in xs:
                     for t in (1, 5, 50):
-                        direct = sigma_via_recursion(params, point, x, t)
-                        closed = transform(params, point, x, t).sigma_t
-                        worst = _worse(worst, abs(direct - closed) / max(abs(closed), 1e-30))
-    return CheckResult("sigma_recursion", worst, tol, worst <= tol)
-
-
-def check_matrix_oracle(grid_size: int, tol: float) -> CheckResult:
-    """Closed form vs the quadratic-form oracle (the forward elimination of
-    L L' - 2*alpha*I), real alpha < 0; the first grid_size of three
-    alphas."""
-    thetas, _, xs, ms = _grids(grid_size)
-    worst = 0.0
-    for theta in thetas:
-        for m in ms:
-            params = ModelParams(theta, m)
-            for alpha in _REAL_ALPHA_POOL[:grid_size]:
-                point = TransformPoint(alpha)
-                for x in xs:
-                    for t in (1, 5, 50):
-                        closed = transform(params, point, x, t).value.real
-                        reference = matrix_mgf(params, alpha, x, t).value
-                        worst = _worse(worst, abs(closed - reference) / reference)
+                        elimination = _eliminate(params, point.alpha, x, t)
+                        closed = transform(params, point, x, t)
+                        log_value, sigma = _log_mgf(point.alpha, x, elimination), _sigma(x, elimination)
+                        worst = _worse(worst, abs(log_value - closed.log_value) / max(1.0, abs(closed.log_value)),
+                                       abs(sigma - closed.sigma_t) / max(abs(closed.sigma_t), 1e-30))
     return CheckResult("matrix_oracle", worst, tol, worst <= tol)
 
 
@@ -271,8 +258,7 @@ def run_all(
     runs = [
         (check_spectral_identities, grid_size, tol(1e-12)),
         (check_wronskian, grid_size, tol(1e-10)),
-        (check_sigma_recursion, grid_size, tol(1e-10)),
-        (check_matrix_oracle, grid_size, tol(1e-8)),
+        (check_matrix_oracle, grid_size, tol(1e-10)),
         (check_monte_carlo, seed, mc_samples),
         (check_convergence_rate, tol(0.05)),
         (check_exactness_anchors, grid_size, tol(1e-14)),

@@ -290,10 +290,10 @@ def test_sweep_strict_exits_2(capsys):
 def test_verify_default_run_passes(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0
-    assert "7/7 checks passed" in out
+    assert "6/6 checks passed" in out
     assert "[FAIL]" not in out
     lines = out.splitlines()
-    assert len(lines) == 8 and lines[-1] == "7/7 checks passed"
+    assert len(lines) == 7 and lines[-1] == "6/6 checks passed"
     for line in lines[:-1]:  # each check line carries its wall time
         assert line.startswith("[PASS] ") and re.search(r"  time=\d+\.\dms(  |$)", line), line
 

@@ -15,7 +15,6 @@ from ar1quad import (
     ParameterError,
     SingularConstantError,
     TransformPoint,
-    conditional_covariance,
     constants,
     ergodic_constants,
     fit_convergence_rate,
@@ -33,7 +32,7 @@ from ar1quad.cli import main
 from ar1quad.spectral import SpectralData, raw_psi
 
 from mp_reference import growth_rate_ref, log_transform_ref
-from util import alpha_grid_in_domain, count_calls, gauss_hermite_nodes, rel_err
+from util import alpha_grid_in_domain, conditional_covariance, count_calls, gauss_hermite_nodes, rel_err
 
 
 def test_constants_vanish_at_zero_mean():

@@ -1,7 +1,6 @@
 """The public surface of the package, and which modules its entry points
-import: numpy is loaded by the sweep, the Monte Carlo oracle,
-conditional_covariance and verify's run_all only, and concurrent.futures
-by the Monte Carlo oracle only.
+import: numpy is loaded by the sweep, the Monte Carlo oracle and verify's
+run_all only, and concurrent.futures by the Monte Carlo oracle only.
 
 Each entry point runs in a fresh interpreter, which then reports whether
 a module was imported: the scalar closed form, the matrix oracle, the
@@ -90,9 +89,9 @@ def test_public_surface_is_pinned():
     assert sorted(ar1quad.__all__) == [
         "ClosedFormConstants", "ConvergenceError", "DomainBoundaryError", "DomainError", "ErgodicConstants",
         "ModelParams", "OracleResult", "ParameterError", "RateFit", "SequenceRatios", "SingularConstantError",
-        "SingularSequenceError", "SpectralData", "TransformPoint", "TransformValue", "conditional_covariance",
-        "conditional_mean", "constants", "domain_check", "ergodic_constants", "fit_convergence_rate", "matrix_mgf",
-        "monte_carlo_mgf", "normalized_transform", "roots", "sequence_ratios", "sigma_via_recursion", "transform",
+        "SingularSequenceError", "SpectralData", "TransformPoint", "TransformValue", "conditional_mean",
+        "constants", "domain_check", "ergodic_constants", "fit_convergence_rate", "matrix_mgf", "monte_carlo_mgf",
+        "normalized_transform", "roots", "sequence_ratios", "sigma_via_recursion", "transform",
         "unconditional_transform",
     ]
     assert all(hasattr(ar1quad, name) for name in ar1quad.__all__)

@@ -9,10 +9,11 @@ from ar1quad import (
     ModelParams,
     ParameterError,
     TransformPoint,
-    conditional_covariance,
     conditional_mean,
 )
 from ar1quad.model import check_horizon
+
+from util import conditional_covariance
 
 
 @pytest.mark.parametrize("theta", [0.0, 1.0, -1.0, 1.5, -2.0, float("nan")])

@@ -8,11 +8,10 @@ import math
 
 import pytest
 
-from ar1quad import OracleResult, TransformValue, transform, verify
+from ar1quad import TransformValue, transform, verify
 
 
-@pytest.mark.parametrize("check", [verify.check_sigma_recursion, verify.check_matrix_oracle,
-                                   verify.check_exactness_anchors])
+@pytest.mark.parametrize("check", [verify.check_matrix_oracle, verify.check_exactness_anchors])
 def test_a_nan_at_one_grid_point_fails_its_check(monkeypatch, check):
     # max(worst, nan) is worst: a NaN value at one grid point used to pass
     calls = []
@@ -41,11 +40,12 @@ def test_a_nan_at_one_grid_point_fails_its_check(monkeypatch, check):
     ({"grid_size": 1.5}, "grid size must be an integer, got 1.5"),
 ])
 def test_run_all_rejects_a_bad_argument_before_any_check_runs(monkeypatch, kwargs, message):
-    # a NaN or negative tolerance used to run every check and fail six of them;
-    # a bad sample count or seed was rejected only once four checks had run
+    # a NaN or negative tolerance used to run every check and fail all but
+    # the Monte Carlo one; a bad sample count or seed was rejected only once
+    # the checks before the Monte Carlo one had run
     ran = []
-    for name in ("check_spectral_identities", "check_wronskian", "check_sigma_recursion", "check_matrix_oracle",
-                 "check_monte_carlo", "check_convergence_rate", "check_exactness_anchors"):
+    for name in ("check_spectral_identities", "check_wronskian", "check_matrix_oracle", "check_monte_carlo",
+                 "check_convergence_rate", "check_exactness_anchors"):
         monkeypatch.setattr(verify, name, lambda *args, name=name: ran.append(name))
     with pytest.raises(ValueError) as exc:
         verify.run_all(**kwargs)
@@ -56,13 +56,13 @@ def test_run_all_rejects_a_bad_argument_before_any_check_runs(monkeypatch, kwarg
 def test_run_all_takes_a_zero_tolerance():
     # zero is the strictest finite tolerance, not a bad argument
     report = verify.run_all(grid_size=1, tolerance=0.0, mc_samples=20_000)
-    assert len(report.checks) == 7
+    assert len(report.checks) == 6
 
 
 def test_run_all_times_every_check():
     report = verify.run_all(grid_size=1, mc_samples=20_000)
-    assert [c.name for c in report.checks] == ["spectral_identities", "wronskian", "sigma_recursion", "matrix_oracle",
-                                               "monte_carlo", "convergence_rate", "exactness_anchors"]
+    assert [c.name for c in report.checks] == ["spectral_identities", "wronskian", "matrix_oracle", "monte_carlo",
+                                               "convergence_rate", "exactness_anchors"]
     for check in report.checks:
         assert check.seconds > 0.0, check.name
 
@@ -76,24 +76,32 @@ def _shifted_root(spectral):
     return dataclasses.replace(spectral, lambda_plus=1.37 * spectral.lambda_plus)
 
 
-# check -> (the name it reads in ar1quad.verify, a corruption of that name's result)
+def _sigma_off(v):
+    """A transform result whose Sigma_t alone is off by 1e-6, relative."""
+    return dataclasses.replace(v, sigma_t=v.sigma_t * (1.0 + 1e-6))
+
+
+# check[-variant] -> (the name it reads in ar1quad.verify, a corruption of
+# that name's result); the matrix oracle check compares both factors of
+# L_t, log L_t and Sigma_t, so each alone must fail it
 CORRUPTIONS = {
     "spectral_identities": ("roots", _shifted_root),
     "wronskian": ("roots", _shifted_root),
-    "sigma_recursion": ("sigma_via_recursion", lambda sigma: sigma * (1.0 + 1e-6)),
     "matrix_oracle": ("transform", _scaled(1.5)),
+    "matrix_oracle-sigma_t": ("transform", _sigma_off),
     "monte_carlo": ("transform", _scaled(1.5)),
     "convergence_rate": ("ergodic_constants", lambda e: dataclasses.replace(e, rate=1.2 * e.rate)),
     "exactness_anchors": ("transform", _scaled(1.5)),
 }
 
 
-@pytest.mark.parametrize("check", CORRUPTIONS)
-def test_every_check_fails_on_a_corrupted_value(monkeypatch, check):
+@pytest.mark.parametrize("case", CORRUPTIONS)
+def test_every_check_fails_on_a_corrupted_value(monkeypatch, case):
     # a check that compares a quantity with itself passes whatever it is
     # given: the Wronskian check, built from the roots on both sides, passed
     # with lambda_+ scaled by 1.37
-    name, corrupt = CORRUPTIONS[check]
+    check = case.split("-")[0]
+    name, corrupt = CORRUPTIONS[case]
     original = getattr(verify, name)
     monkeypatch.setattr(verify, name, lambda *args: corrupt(original(*args)))
     report = verify.run_all(grid_size=1, mc_samples=2_000)
@@ -103,8 +111,7 @@ def test_every_check_fails_on_a_corrupted_value(monkeypatch, check):
 
 def test_grid_size_saturates_at_five(monkeypatch):
     # the pools are fixed: a size above 5 runs the size-5 grid, and the m
-    # values, the complex-plane alphas and the matrix oracle's alphas stop
-    # growing at 3
+    # values and the alphas, complex ones included, stop growing at 3
     assert verify._grids(10) == verify._grids(6) == verify._grids(5)
     assert [len(axis) for axis in verify._grids(3)] == [3, 6, 3, 3]
     assert [len(axis) for axis in verify._grids(5)] == [5, 6, 4, 3]
@@ -112,9 +119,9 @@ def test_grid_size_saturates_at_five(monkeypatch):
 
     def record(*args):
         calls.append(args)
-        return OracleResult(1.0, "matrix")
+        return 1.0, [], 0.0  # (scale, offsets, quad) of an empty elimination
 
-    monkeypatch.setattr(verify, "matrix_mgf", record)
+    monkeypatch.setattr(verify, "_eliminate", record)
     grids = {}
     for size in (3, 4, 5, 10):
         calls.clear()

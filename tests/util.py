@@ -7,6 +7,7 @@ import sys
 import numpy as np
 
 from ar1quad import ModelParams, TransformPoint, closed_form, domain_check
+from ar1quad.model import check_horizon
 from ar1quad.spectral import RAW_INDEX_MAX, SCALAR_OPS, _int_power, _roots, _sequence_terms
 
 EPS = sys.float_info.epsilon
@@ -95,3 +96,30 @@ def within_conditioning(got, want, sizes) -> bool:
     (got_log_l, got_n), (log_l, n) = got, want
     return (abs(got_log_l - log_l) <= 4 * EPS * sizes[0]
             and abs(got_n - n) <= 4 * EPS * max(abs(n), sys.float_info.min) * max(1.0, sizes[1]))
+
+
+def conditional_covariance(params: ModelParams, t: int) -> np.ndarray:
+    """Covariance matrix of (X_1, ..., X_t) given X_0, shape (t, t): the
+    dense reference of the matrix oracle's tests.
+
+    Entry (s, u), indexed from 1, is
+    theta^|s-u| * (1 - theta^(2*min(s,u))) / (1 - theta^2).
+    t = 0 returns an empty (0, 0) matrix.
+
+    Built as min(w_s, w_u) * theta^|s-u| / (1 - theta^2): w_s = 1 - theta^(2s)
+    never decreases with s, so the minimum is w_min(s,u), and the Toeplitz
+    factor is one strided view of the lag table (row s starts one element
+    before row s-1), so no index array and no window stack is formed.
+    """
+    t = check_horizon(t)
+    powers = params.theta ** np.arange(2 * t + 1)  # theta^k for every exponent used
+    # lags[t-1+k] = theta^|k| for |k| < t: row s of the view, u = 1..t, reads
+    # lags[t-s : 2t-s], which is theta^|s-u|
+    lags = np.concatenate((powers[t - 1 : 0 : -1], powers[:t]))
+    step = lags.itemsize
+    toeplitz = np.lib.stride_tricks.as_strided(lags[t - 1 :], (t, t), (-step, step), writeable=False)
+    w = 1.0 - powers[2::2]
+    cov = np.minimum.outer(w, w)
+    cov *= toeplitz
+    cov /= 1.0 - params.theta * params.theta
+    return cov
