@@ -28,9 +28,13 @@ machinery:
   raise the variance (Rao-Blackwell); at t < MC_STRIDE nothing is drawn and
   the estimate is the exact value, with standard error 0.  The paths are cut
   into blocks of at most MC_BLOCK, each driven by an SFC64 generator on its
-  own stream spawned from SeedSequence(seed) and run on a worker thread
-  (numpy releases the GIL in the normal fill and the ufunc loops); the
-  result depends on (seed, n) only, never on the number of cores.
+  own stream spawned from SeedSequence(seed).  Two or more blocks run on
+  the module's one pool of os.cpu_count() threads, made by the first such
+  call and kept for the life of the process; a forked child, which has
+  none of its parent's threads, makes its own (numpy releases the GIL in
+  the normal fill and the ufunc loops).  Each block finishes its own
+  estimates, exp included, and the caller takes their mean and standard
+  error: the result depends on (seed, n) only, never on the number of cores.
 
 unconditional_transform is the exact Gaussian integral of L_t(alpha, .)
 over the stationary start law N(m, 1/(1-theta^2)); it raises
@@ -48,6 +52,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import Literal
 
@@ -60,6 +65,33 @@ from .spectral import TransformPoint, _log, _roots
 MC_BLOCK = 2**16
 # the Monte Carlo skeleton draws X_0 = x, X_4, X_8, ...; the steps between are integrated
 MC_STRIDE = 4
+
+# the Monte Carlo worker pool, (executor, its thread count), made on first use
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # a forked child has none of its parent's threads, and maybe a held lock:
+    # it makes its own pool
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # not on Windows, which has no fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _executor() -> tuple:
+    """The process's one Monte Carlo pool of os.cpu_count() threads, made
+    once, even by two first callers at the same time."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            workers = os.cpu_count() or 1
+            _pool = ThreadPoolExecutor(workers), workers
+        return _pool
 
 
 @dataclass(frozen=True)
@@ -318,14 +350,14 @@ def monte_carlo_mgf(
     block b holding paths n*b//K to n*(b+1)//K - 1.  Block b is driven by
     Generator(SFC64(SeedSequence(seed).spawn(K)[b])), which draws one
     standard-normal vector of the block's length for each of the t//4
-    skeleton steps X_4, X_8, ..., in order, and nothing else.  The blocks
-    run on min(K, os.cpu_count()) worker threads, each writing its own
-    slice of the shared sums, and the mean and standard error are taken
+    skeleton steps X_4, X_8, ..., in order, and nothing else.  One block
+    runs in the calling thread; more run on the module's pool (see the
+    module docstring), each writing its own slice of the n estimates,
+    exp(alpha*S + C) included, and the mean and standard error are taken
     over all n paths after the join; so the result depends on (seed, n)
-    only, never on the number of cores, and replays bit for bit.
+    only, never on the number of cores or the pool, and replays bit for bit.
     """
     import numpy as np
-    from concurrent.futures import ThreadPoolExecutor
     a = _real_alpha(alpha)
     check_finite("x", x)
     if a > 0:
@@ -358,23 +390,25 @@ def monte_carlo_mgf(
     inner = 1.0 + 2.0 * q2, 2.0 * (m + q1)  # (A, B) where two bridges meet
     last = 1.0 + q2 + q2_tail, 2.0 * m + q1 + q1_tail  # (A, B) at P_k
     blocks = -(-n // MC_BLOCK)
-    workers = min(blocks, os.cpu_count() or 1)
+    pool, workers = _executor() if blocks > 1 else (None, 1)
     streams = np.random.SeedSequence(seed).spawn(blocks)
     total = np.empty(n)
     # one block-long scratch set per worker, made here: arrays made in the
     # worker threads stay resident in their per-thread malloc arenas
-    spare = [np.empty((3, -(-n // blocks))) for _ in range(workers)]
+    spare = [np.empty((3, -(-n // blocks))) for _ in range(min(blocks, workers))]
 
-    def run_block(b: int) -> None:
+    def run_block(b: int) -> bool:
+        # the block's conditioned S, then its estimates exp(alpha*S + C) in
+        # place; returns whether every S was finite
         cut = slice(n * b // blocks, n * (b + 1) // blocks)
         rng = np.random.Generator(np.random.SFC64(streams[b]))
         block_total = total[cut]
         block_total.fill(fixed)
-        scratch = spare.pop()  # at most `workers` blocks run at once
+        scratch = spare.pop()  # at most min(blocks, workers) blocks of this call run at once
         dev, nxt, step = scratch[:, : block_total.size]  # P_{j-1}, P_j, the step's terms
         dev.fill(first)
         # an overflow (or 0*inf) leaves a non-finite sum, raised after the
-        # join; errstate is per thread
+        # join; alpha*S past -inf gives the estimate 0; errstate is per thread
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(1, k + 1):
                 rng.standard_normal(out=step)
@@ -389,22 +423,29 @@ def monte_carlo_mgf(
                 step *= nxt
                 block_total += step
                 dev, nxt = nxt, dev
+            finite = math.isfinite(block_total.max())
+            block_total *= a
+            block_total += log_factor
+            np.exp(block_total, out=block_total)
         spare.append(scratch)
+        return finite
 
-    # numpy releases the GIL in the normal fill and the ufunc loops, so the
-    # blocks overlap; list() re-raises a worker's exception here
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(run_block, range(blocks)))
-    if not math.isfinite(total.max()):
+    if pool is None:
+        finite = [run_block(0)]
+    else:
+        # numpy releases the GIL in the normal fill and the ufunc loops, so
+        # the blocks overlap; every block ends before result() re-raises a
+        # worker's exception here
+        from concurrent.futures import wait
+        runs = [pool.submit(run_block, b) for b in range(blocks)]
+        wait(runs)
+        finite = [run.result() for run in runs]
+    if not all(finite):
         raise _overflow("a conditioned S_t", params, x, a, t)
-    with np.errstate(over="ignore"):  # alpha*S past -inf: the estimate is 0
-        np.multiply(total, a, out=total)
-    total += log_factor
-    values = np.exp(total, out=total)
     return OracleResult(
-        value=float(values.mean()),
+        value=float(total.mean()),
         method="monte_carlo",
-        stderr=float(values.std(ddof=1) / math.sqrt(n)),
+        stderr=float(total.std(ddof=1) / math.sqrt(n)),
         n_samples=n,
     )
 

@@ -1,8 +1,13 @@
 import math
 import os
 import random
+import signal
+import struct
 import subprocess
 import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from ar1quad import (
     transform,
     unconditional_transform,
 )
+from ar1quad import oracle
 from ar1quad.oracle import _bridge, _eliminate, _log_mgf
 
 from mp_reference import bridge_ref, log_transform_ref, tridiagonal_det_ref
@@ -271,20 +277,37 @@ def test_monte_carlo_replays_the_documented_loop(theta, m, alpha, x, t, n, seed)
     assert (res.value, res.stderr) == replay_blocks(theta, m, alpha, x, t, n, seed)
 
 
-@pytest.mark.parametrize("cores", [1, 2, 8, None])
-def test_monte_carlo_bits_do_not_depend_on_the_worker_count(monkeypatch, cores):
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """The Monte Carlo pool made anew by the test's first multi-block call, and shut down after it."""
+    monkeypatch.setattr(oracle, "_pool", None)
+    yield
+    if oracle._pool is not None:
+        oracle._pool[0].shutdown()
+
+
+def recorded_pools(monkeypatch, pause=0.0):
+    """The thread counts the Monte Carlo pools are built with, one entry per
+    pool; each build first sleeps `pause` seconds, which widens a race."""
     import concurrent.futures
 
-    params, n = ModelParams(0.6, 1.0), 600_001  # ten blocks, of unequal sizes
-    expected = replay_blocks(0.6, 1.0, -0.1, 0.4, 7, n, 17)
     workers = []
     pool_class = concurrent.futures.ThreadPoolExecutor
 
     def recording_pool(max_workers):
+        time.sleep(pause)
         workers.append(max_workers)
         return pool_class(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
+    return workers
+
+
+@pytest.mark.parametrize("cores", [1, 2, 8, None])
+def test_monte_carlo_bits_do_not_depend_on_the_worker_count(fresh_pool, monkeypatch, cores):
+    params, n = ModelParams(0.6, 1.0), 600_001  # ten blocks, of unequal sizes
+    expected = replay_blocks(0.6, 1.0, -0.1, 0.4, 7, n, 17)
+    workers = recorded_pools(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
@@ -296,15 +319,94 @@ def test_monte_carlo_bits_do_not_depend_on_the_worker_count(monkeypatch, cores):
     assert (res.value, res.stderr) == expected
 
 
+def failing_bit_generator(stream):
+    raise MemoryError("no room for the block")
+
+
 def test_monte_carlo_worker_error_reaches_the_caller(monkeypatch):
     # an exception in a block is raised in the calling thread, not lost in the worker
     # (t = 7: one skeleton step, so each block makes its generator)
-    def failing_bit_generator(stream):
-        raise MemoryError("no room for the block")
-
     monkeypatch.setattr(np.random, "SFC64", failing_bit_generator)
     with pytest.raises(MemoryError, match="no room for the block"):
         monte_carlo_mgf(ModelParams(0.6, 1.0), -0.1, 0.4, 7, 150_001, 17)
+
+
+def test_monte_carlo_worker_error_does_not_poison_the_pool(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "SFC64", failing_bit_generator)
+        with pytest.raises(MemoryError, match="no room for the block"):
+            monte_carlo_mgf(ModelParams(0.6, 1.0), -0.1, 0.4, 7, 150_001, 17)
+    res = monte_carlo_mgf(ModelParams(0.6, 1.0), -0.1, 0.4, 7, 150_001, 17)
+    assert (res.value, res.stderr) == replay_blocks(0.6, 1.0, -0.1, 0.4, 7, 150_001, 17)
+
+
+def test_monte_carlo_first_calls_from_two_threads_share_one_pool(fresh_pool, monkeypatch):
+    # both threads make their first call at once: one pool is built, and each
+    # call replays its own blocks
+    workers = recorded_pools(monkeypatch, pause=0.05)
+    cases = [(0.6, 1.0, -0.1, 0.4, 7, 150_001, 17), (-0.8, -1.5, -0.01, -2.0, 13, 200_003, 5)]
+    results = [None] * len(cases)
+    start = threading.Barrier(len(cases))
+
+    def call(i):
+        theta, m, alpha, x, t, n, seed = cases[i]
+        start.wait()
+        res = monte_carlo_mgf(ModelParams(theta, m), alpha, x, t, n, seed)
+        results[i] = res.value, res.stderr
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(workers) == 1
+    assert results == [replay_blocks(*case) for case in cases]
+
+
+def test_monte_carlo_calls_reuse_one_pool(fresh_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    params = ModelParams(0.6, 1.0)
+    monte_carlo_mgf(params, -0.1, 0.4, 7, 600_001, 17)  # ten blocks start both threads
+    pool, threads = oracle._pool, threading.active_count()
+    for seed in range(20):
+        monte_carlo_mgf(params, -0.1, 0.4, 7, 150_001, seed)
+    assert oracle._pool is pool
+    assert threading.active_count() <= threads
+
+
+def test_monte_carlo_in_a_forked_child_gives_the_parents_bits():
+    # the parent's pool threads do not exist in a forked child, where reusing
+    # the pool hangs: the child must make its own and return in time
+    args = (ModelParams(0.6, 1.0), -0.1, 0.4, 7, 150_001, 17)  # three blocks: the pool is live
+    parent = monte_carlo_mgf(*args)
+    read, write = os.pipe()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # Python >= 3.12: a fork with threads running
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            signal.alarm(30)  # a hung child is killed, so the parent's waitpid returns
+            res = monte_carlo_mgf(*args)
+            os.write(write, struct.pack("2d", res.value, res.stderr))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    try:
+        _, status = os.waitpid(pid, 0)
+        data = os.read(read, 16)
+    finally:
+        os.close(read)
+    assert os.waitstatus_to_exitcode(status) == 0  # -14: SIGALRM, the child hung
+    assert struct.unpack("2d", data) == (parent.value, parent.stderr)
 
 
 @pytest.mark.parametrize("m, x", [(1e200, 0.5), (0.0, 1e200)])
