@@ -28,13 +28,14 @@ machinery:
   raise the variance (Rao-Blackwell); at t < MC_STRIDE nothing is drawn and
   the estimate is the exact value, with standard error 0.  The paths are cut
   into blocks of at most MC_BLOCK, each driven by an SFC64 generator on its
-  own stream spawned from SeedSequence(seed).  Two or more blocks run on
-  the module's one pool of os.cpu_count() threads, made by the first such
-  call and kept for the life of the process; a forked child, which has
-  none of its parent's threads, makes its own (numpy releases the GIL in
-  the normal fill and the ufunc loops).  Each block finishes its own
-  estimates, exp included, and the caller takes their mean and standard
-  error: the result depends on (seed, n) only, never on the number of cores.
+  own stream spawned from SeedSequence(seed).  Every call that draws runs
+  its blocks on the module's one pool of os.cpu_count() threads, made by
+  the first such call and kept for the life of the process; a forked
+  child, which has none of its parent's threads, makes its own (numpy
+  releases the GIL in the normal fill and the ufunc loops).  Each block
+  finishes its own estimates, exp included, and the caller takes their
+  mean and standard error: the result depends on (seed, n) only, never on
+  the number of cores.
 
 unconditional_transform is the exact Gaussian integral of L_t(alpha, .)
 over the stationary start law N(m, 1/(1-theta^2)); it raises
@@ -350,12 +351,13 @@ def monte_carlo_mgf(
     block b holding paths n*b//K to n*(b+1)//K - 1.  Block b is driven by
     Generator(SFC64(SeedSequence(seed).spawn(K)[b])), which draws one
     standard-normal vector of the block's length for each of the t//4
-    skeleton steps X_4, X_8, ..., in order, and nothing else.  One block
-    runs in the calling thread; more run on the module's pool (see the
-    module docstring), each writing its own slice of the n estimates,
-    exp(alpha*S + C) included, and the mean and standard error are taken
-    over all n paths after the join; so the result depends on (seed, n)
-    only, never on the number of cores or the pool, and replays bit for bit.
+    skeleton steps X_4, X_8, ..., in order, and nothing else.  The blocks
+    run on the module's pool (see the module docstring), each writing its
+    own slice of the n estimates, exp(alpha*S + C) included, under numpy's
+    errstate(all="ignore") whatever the caller's np.seterr, and the mean
+    and standard error are taken over all n paths after the join; so the
+    result depends on (seed, n) only, never on the number of cores or the
+    pool, and replays bit for bit.
     """
     import numpy as np
     a = _real_alpha(alpha)
@@ -390,7 +392,7 @@ def monte_carlo_mgf(
     inner = 1.0 + 2.0 * q2, 2.0 * (m + q1)  # (A, B) where two bridges meet
     last = 1.0 + q2 + q2_tail, 2.0 * m + q1 + q1_tail  # (A, B) at P_k
     blocks = -(-n // MC_BLOCK)
-    pool, workers = _executor() if blocks > 1 else (None, 1)
+    pool, workers = _executor()
     streams = np.random.SeedSequence(seed).spawn(blocks)
     total = np.empty(n)
     # one block-long scratch set per worker, made here: arrays made in the
@@ -408,8 +410,8 @@ def monte_carlo_mgf(
         dev, nxt, step = scratch[:, : block_total.size]  # P_{j-1}, P_j, the step's terms
         dev.fill(first)
         # an overflow (or 0*inf) leaves a non-finite sum, raised after the
-        # join; alpha*S past -inf gives the estimate 0; errstate is per thread
-        with np.errstate(over="ignore", invalid="ignore"):
+        # join; alpha*S past -inf gives the estimate 0 (an underflow)
+        with np.errstate(all="ignore"):
             for j in range(1, k + 1):
                 rng.standard_normal(out=step)
                 step *= sigma
@@ -430,17 +432,13 @@ def monte_carlo_mgf(
         spare.append(scratch)
         return finite
 
-    if pool is None:
-        finite = [run_block(0)]
-    else:
-        # numpy releases the GIL in the normal fill and the ufunc loops, so
-        # the blocks overlap; every block ends before result() re-raises a
-        # worker's exception here
-        from concurrent.futures import wait
-        runs = [pool.submit(run_block, b) for b in range(blocks)]
-        wait(runs)
-        finite = [run.result() for run in runs]
-    if not all(finite):
+    # numpy releases the GIL in the normal fill and the ufunc loops, so the
+    # blocks overlap; every block ends before result() re-raises a worker's
+    # exception here
+    from concurrent.futures import wait
+    runs = [pool.submit(run_block, b) for b in range(blocks)]
+    wait(runs)
+    if not all([run.result() for run in runs]):
         raise _overflow("a conditioned S_t", params, x, a, t)
     return OracleResult(
         value=float(total.mean()),

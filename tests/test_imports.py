@@ -1,7 +1,7 @@
 """The public surface of the package, and which modules its entry points
 import: numpy is loaded by the sweep, the Monte Carlo oracle and verify's
-run_all only, and concurrent.futures by a Monte Carlo call of two or more
-blocks only.
+run_all only, and concurrent.futures by a Monte Carlo call that draws
+only.
 
 Each entry point runs in a fresh interpreter, which then reports whether
 a module was imported: the scalar closed form, the matrix oracle, the
@@ -63,8 +63,8 @@ def test_scalar_entry_points_do_not_load_the_thread_pool():
 
 
 def test_monte_carlo_loads_the_thread_pool():
-    # t = 7 draws one skeleton step, and 2**16 + 1 paths are two blocks, which run in the pool
-    assert module_loaded_after(SETUP + "monte_carlo_mgf(p, -0.3, 0.5, 7, 2**16 + 1, 0)", "concurrent.futures")
+    # t = 7 draws one skeleton step: its one block runs in the pool (t < 4 draws nothing)
+    assert module_loaded_after(SETUP + "monte_carlo_mgf(p, -0.3, 0.5, 7, 10, 0)", "concurrent.futures")
 
 
 STOP_AT_FIRST_CHECK = ("from ar1quad import verify\n"

@@ -279,7 +279,7 @@ def test_monte_carlo_replays_the_documented_loop(theta, m, alpha, x, t, n, seed)
 
 @pytest.fixture
 def fresh_pool(monkeypatch):
-    """The Monte Carlo pool made anew by the test's first multi-block call, and shut down after it."""
+    """The Monte Carlo pool made anew by the test's first call that draws, and shut down after it."""
     monkeypatch.setattr(oracle, "_pool", None)
     yield
     if oracle._pool is not None:
@@ -317,6 +317,17 @@ def test_monte_carlo_bits_do_not_depend_on_the_worker_count(fresh_pool, monkeypa
         sys.setswitchinterval(interval)
     assert workers == [cores or 1]  # None: the core count is unknown
     assert (res.value, res.stderr) == expected
+
+
+@pytest.mark.parametrize("n", [1000, 150_001])  # one block, three blocks
+def test_monte_carlo_bits_do_not_depend_on_the_callers_error_state(n):
+    # at alpha = -800 most estimates underflow to 0: a caller that raises on
+    # every floating-point event gets the same bits as one that ignores them
+    expected = replay_blocks(0.6, 1.0, -800.0, 0.4, 7, n, 3)
+    with np.errstate(all="raise"):
+        res = monte_carlo_mgf(ModelParams(0.6, 1.0), -800.0, 0.4, 7, n, 3)
+    assert (res.value, res.stderr) == expected
+    assert 0.0 < res.value < 1e-3
 
 
 def failing_bit_generator(stream):
