@@ -23,7 +23,10 @@ from .errors import ParameterError
 
 def check_finite(name: str, value: float) -> None:
     """Raise ParameterError unless value (the level m, a start value x, an
-    oracle's alpha) is finite."""
+    oracle's alpha) is real and finite; a complex value raises, even on the
+    real axis."""
+    if isinstance(value, complex):
+        raise ParameterError(f"{name} must be real, got {value!r}")
     if not math.isfinite(value):
         raise ParameterError(f"{name} must be finite, got {value!r}")
 
@@ -55,6 +58,8 @@ class ModelParams:
     def __init__(self, theta: float, m: float = 0.0):
         # each field is written once, straight into the instance dict: the
         # frozen __setattr__ refuses it, and object.__setattr__ costs more
+        if isinstance(theta, complex):  # abs() would take its modulus
+            raise ParameterError(f"theta must be real, got {theta!r}")
         if not 0.0 < abs(theta) < 1.0:
             raise ParameterError(f"need 0 < |theta| < 1, got theta={theta!r}")
         check_finite("m", m)

@@ -20,22 +20,21 @@ machinery:
 
 * monte_carlo_mgf: the empirical mean, with its standard error, of the
   conditional expectation of exp(alpha*S_t) given the skeleton
-  X_0 = x, X_4, X_8, ... of a simulated path.  Only every MC_STRIDE-th step
-  is drawn (an AR(1) with coefficient theta^4); the steps between two
-  skeleton points form a Gaussian bridge, and the steps after the last one
-  a Gaussian tail, so their factor E[exp(alpha*sum X_i^2) | ends] is
-  integrated exactly (_bridge).  That quarters the normal draws and cannot
-  raise the variance (Rao-Blackwell); at t < MC_STRIDE nothing is drawn and
-  the estimate is the exact value, with standard error 0.  The paths are cut
-  into blocks of at most MC_BLOCK, each driven by an SFC64 generator on its
-  own stream spawned from SeedSequence(seed).  Every call that draws runs
-  its blocks on the module's one pool of os.cpu_count() threads, made by
-  the first such call and kept for the life of the process; a forked
-  child, which has none of its parent's threads, makes its own (numpy
-  releases the GIL in the normal fill and the ufunc loops).  Each block
-  finishes its own estimates, exp included, and the caller takes their
-  mean and standard error: the result depends on (seed, n) only, never on
-  the number of cores.
+  X_0 = x, X_4, X_8, ... of a simulated path, the steps between integrated
+  exactly (_bridge), over blocks of at most MC_BLOCK paths, each on its own
+  SFC64 stream from SeedSequence(seed) (see monte_carlo_mgf).  Every call
+  that draws runs its blocks on the module's one pool, a thread per CPU the
+  process may run on, made by the first such call and kept for the life of
+  the process; a forked child, which has none of its parent's threads,
+  makes its own (numpy releases the GIL in the normal fill and the ufunc
+  loops).  The estimates and the workers' scratch sit in a workspace from
+  the module's free list, handed back after the join, also when the call
+  raises: one per call running at once, each grown to the largest call it
+  served (n + 3*min(K, workers)*ceil(n/K) doubles, 11 MB after n = 10^6)
+  and never freed, so a repeated call faults in no fresh memory.  Each
+  block finishes its own estimates, exp included, and the caller takes
+  their mean and standard error in place: the result depends on (seed, n)
+  only, never on the number of cores.
 
 unconditional_transform is the exact Gaussian integral of L_t(alpha, .)
 over the stationary start law N(m, 1/(1-theta^2)); it raises
@@ -70,6 +69,8 @@ MC_STRIDE = 4
 # the Monte Carlo worker pool, (executor, its thread count), made on first use
 _pool = None
 _pool_lock = threading.Lock()
+# the Monte Carlo workspaces no call holds, one float64 array each
+_spaces = []
 
 
 def _forget_pool() -> None:
@@ -83,14 +84,20 @@ if hasattr(os, "register_at_fork"):  # not on Windows, which has no fork
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _cpu_count() -> int | None:
+    """The CPUs this process may run on, None if unknown (under a cpuset
+    os.cpu_count() counts every CPU of the host)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
 def _executor() -> tuple:
-    """The process's one Monte Carlo pool of os.cpu_count() threads, made
+    """The process's one Monte Carlo pool of _cpu_count() threads, made
     once, even by two first callers at the same time."""
     global _pool
     with _pool_lock:
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor
-            workers = os.cpu_count() or 1
+            workers = _cpu_count() or 1
             _pool = ThreadPoolExecutor(workers), workers
         return _pool
 
@@ -345,17 +352,18 @@ def monte_carlo_mgf(
     Conditioning quarters the normal draws and, by Rao-Blackwell, cannot
     raise the variance of a path's estimate.  At t < 4 nothing is drawn:
     the exact value every path shares is returned with stderr 0, and no
-    seed stream, thread or n-long array is made.
+    seed stream, thread, workspace or n-long array is made.
 
     Seed contract: the n paths are cut into K = ceil(n / MC_BLOCK) blocks,
     block b holding paths n*b//K to n*(b+1)//K - 1.  Block b is driven by
     Generator(SFC64(SeedSequence(seed).spawn(K)[b])), which draws one
     standard-normal vector of the block's length for each of the t//4
     skeleton steps X_4, X_8, ..., in order, and nothing else.  The blocks
-    run on the module's pool (see the module docstring), each writing its
-    own slice of the n estimates, exp(alpha*S + C) included, under numpy's
-    errstate(all="ignore") whatever the caller's np.seterr, and the mean
-    and standard error are taken over all n paths after the join; so the
+    run on the module's pool, in a kept workspace (see the module
+    docstring), each writing its own slice of the n estimates,
+    exp(alpha*S + C) included, under numpy's errstate(all="ignore") whatever
+    the caller's np.seterr, and the mean and standard error are taken over
+    all n paths after the join, in ndarray.std(ddof=1)'s operations; so the
     result depends on (seed, n) only, never on the number of cores or the
     pool, and replays bit for bit.
     """
@@ -394,10 +402,16 @@ def monte_carlo_mgf(
     blocks = -(-n // MC_BLOCK)
     pool, workers = _executor()
     streams = np.random.SeedSequence(seed).spawn(blocks)
-    total = np.empty(n)
-    # one block-long scratch set per worker, made here: arrays made in the
-    # worker threads stay resident in their per-thread malloc arenas
-    spare = [np.empty((3, -(-n // blocks))) for _ in range(min(blocks, workers))]
+    # the n estimates, then a block-long scratch set per worker the call can
+    # busy, in a free kept workspace (made here where none is large enough:
+    # arrays made in the worker threads stay in their per-thread malloc arenas)
+    size, sets = -(-n // blocks), min(blocks, workers)
+    with _pool_lock:
+        space = _spaces.pop() if _spaces else np.empty(0)
+    if space.size < n + 3 * size * sets:
+        space = np.empty(n + 3 * size * sets)
+    total = space[:n]
+    spare = list(space[n:n + 3 * size * sets].reshape(sets, 3, size))
 
     def run_block(b: int) -> bool:
         # the block's conditioned S, then its estimates exp(alpha*S + C) in
@@ -406,7 +420,7 @@ def monte_carlo_mgf(
         rng = np.random.Generator(np.random.SFC64(streams[b]))
         block_total = total[cut]
         block_total.fill(fixed)
-        scratch = spare.pop()  # at most min(blocks, workers) blocks of this call run at once
+        scratch = spare.pop()  # one set per worker: at most `sets` blocks of this call run at once
         dev, nxt, step = scratch[:, : block_total.size]  # P_{j-1}, P_j, the step's terms
         dev.fill(first)
         # an overflow (or 0*inf) leaves a non-finite sum, raised after the
@@ -434,18 +448,26 @@ def monte_carlo_mgf(
 
     # numpy releases the GIL in the normal fill and the ufunc loops, so the
     # blocks overlap; every block ends before result() re-raises a worker's
-    # exception here
+    # exception here and before the workspace is handed back (a call stopped
+    # in wait drops it)
     from concurrent.futures import wait
     runs = [pool.submit(run_block, b) for b in range(blocks)]
     wait(runs)
-    if not all([run.result() for run in runs]):
-        raise _overflow("a conditioned S_t", params, x, a, t)
-    return OracleResult(
-        value=float(total.mean()),
-        method="monte_carlo",
-        stderr=float(total.std(ddof=1) / math.sqrt(n)),
-        n_samples=n,
-    )
+    try:
+        if not all([run.result() for run in runs]):
+            raise _overflow("a conditioned S_t", params, x, a, t)
+        # the mean, then the standard error in place, in ndarray.std(ddof=1)'s
+        # own operations and so with its bits; a tiny mean or a deviation's
+        # square may underflow, whatever the caller's np.seterr
+        with np.errstate(all="ignore"):
+            mean = np.add.reduce(total) / n
+            total -= mean
+            np.multiply(total, total, out=total)
+            variance = np.add.reduce(total) / (n - 1)
+    finally:
+        with _pool_lock:
+            _spaces.append(space)
+    return OracleResult(value=float(mean), method="monte_carlo", stderr=math.sqrt(variance) / math.sqrt(n), n_samples=n)
 
 
 def unconditional_transform(params: ModelParams, point: TransformPoint, t: int) -> complex:

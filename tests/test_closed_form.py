@@ -15,6 +15,7 @@ from ar1quad import (
     ParameterError,
     SingularConstantError,
     TransformPoint,
+    conditional_mean,
     constants,
     ergodic_constants,
     fit_convergence_rate,
@@ -167,6 +168,28 @@ def test_non_finite_start_raises_parameter_error(x, alpha):
         constants(params, point, x)
     with pytest.raises(ParameterError):
         sigma_via_recursion(params, point, x, 10)
+
+
+@pytest.mark.parametrize("x", [0.5j, complex(0.5, 0.0), np.complex128(0.5 + 0.1j)])
+def test_complex_start_raises_parameter_error(x):
+    # math.isfinite raised a bare TypeError here (and took a numpy complex
+    # by its real part, with a warning)
+    params, point = ModelParams(0.6, 1.0), TransformPoint(-0.3)
+    calls = {
+        "transform": lambda: transform(params, point, x, 10),
+        "normalized_transform": lambda: normalized_transform(params, point, x, 10),
+        "ergodic_constants": lambda: ergodic_constants(params, point, x),
+        "constants": lambda: constants(params, point, x),
+        "fit_convergence_rate": lambda: fit_convergence_rate(params, point, x),
+        "conditional_mean": lambda: conditional_mean(params, x, 3),
+        "sigma_via_recursion": lambda: sigma_via_recursion(params, point, x, 10),
+        "matrix_mgf": lambda: matrix_mgf(params, -0.3, x, 10),
+        "monte_carlo_mgf": lambda: monte_carlo_mgf(params, -0.3, x, 10, 100, 0),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ParameterError, match=r"^x must be real, got "):
+            call()
+            pytest.fail(f"{name} accepted the start {x!r}")
 
 
 @pytest.mark.parametrize("m, x, alpha", [(1e200, 0.5, -0.3), (1.0, 1e200, -0.3),

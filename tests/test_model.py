@@ -27,6 +27,18 @@ def test_nonfinite_m_rejected():
         ModelParams(0.5, float("inf"))
 
 
+@pytest.mark.parametrize("value", [0.5j, complex(0.5, 0.0), np.complex128(0.5 + 0.1j)])
+def test_complex_theta_or_m_rejected(value):
+    # abs(0.5j) is 0.5: a complex theta passed, and transform, ergodic_constants,
+    # unconditional_transform and conditional_mean returned complex values
+    with pytest.raises(ParameterError, match=r"^theta must be real, got "):
+        ModelParams(value, 1.0)
+    with pytest.raises(ParameterError, match=r"^theta must be real, got "):
+        dataclasses.replace(ModelParams(0.6, 1.0), theta=value)
+    with pytest.raises(ParameterError, match=r"^m must be real, got "):  # was a bare TypeError
+        ModelParams(0.6, value)
+
+
 def test_model_params_keeps_the_dataclass_contract():
     params = ModelParams(theta=0.6, m=1.0)
     assert (params.theta, params.m) == (0.6, 1.0)

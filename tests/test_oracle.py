@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -308,7 +309,7 @@ def test_monte_carlo_bits_do_not_depend_on_the_worker_count(fresh_pool, monkeypa
     params, n = ModelParams(0.6, 1.0), 600_001  # ten blocks, of unequal sizes
     expected = replay_blocks(0.6, 1.0, -0.1, 0.4, 7, n, 17)
     workers = recorded_pools(monkeypatch)
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: cores)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:
@@ -328,6 +329,15 @@ def test_monte_carlo_bits_do_not_depend_on_the_callers_error_state(n):
         res = monte_carlo_mgf(ModelParams(0.6, 1.0), -800.0, 0.4, 7, n, 3)
     assert (res.value, res.stderr) == expected
     assert 0.0 < res.value < 1e-3
+
+
+def test_monte_carlo_underflowing_standard_error_ignores_the_callers_error_state():
+    # at alpha = -2500 the estimates are near 1e-187 and their squared
+    # deviations underflow: a caller under all="raise" got FloatingPointError
+    expected = replay_blocks(0.6, 1.0, -2500.0, 0.4, 7, 1000, 3)
+    with np.errstate(all="raise"):
+        res = monte_carlo_mgf(ModelParams(0.6, 1.0), -2500.0, 0.4, 7, 1000, 3)
+    assert (res.value, res.stderr) == expected
 
 
 def failing_bit_generator(stream):
@@ -381,7 +391,7 @@ def test_monte_carlo_first_calls_from_two_threads_share_one_pool(fresh_pool, mon
 
 
 def test_monte_carlo_calls_reuse_one_pool(fresh_pool, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
     params = ModelParams(0.6, 1.0)
     monte_carlo_mgf(params, -0.1, 0.4, 7, 600_001, 17)  # ten blocks start both threads
     pool, threads = oracle._pool, threading.active_count()
@@ -389,6 +399,86 @@ def test_monte_carlo_calls_reuse_one_pool(fresh_pool, monkeypatch):
         monte_carlo_mgf(params, -0.1, 0.4, 7, 150_001, seed)
     assert oracle._pool is pool
     assert threading.active_count() <= threads
+
+
+def test_monte_carlo_pool_has_a_thread_per_cpu_the_process_may_use(fresh_pool, monkeypatch):
+    # under a cpuset os.cpu_count() counts every CPU of the host
+    workers = recorded_pools(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monte_carlo_mgf(ModelParams(0.6, 1.0), -0.1, 0.4, 7, 1000, 17)
+    assert workers == [1]
+
+
+def traced_peak(call) -> int:
+    """The peak, in bytes, of the memory tracemalloc sees allocated during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_monte_carlo_call_of_a_served_size_allocates_nothing_n_sized(monkeypatch):
+    # the estimates, the scratch and the standard error's deviations all sit
+    # in the kept workspace: a new one was 4.0 MB at n = 10^5
+    monkeypatch.setattr(oracle, "_spaces", [])
+    params = ModelParams(0.6, 1.0)
+    monte_carlo_mgf(params, -0.1, 0.4, 8, 10**5, 1)
+    assert traced_peak(lambda: monte_carlo_mgf(params, -0.1, 0.4, 8, 10**5, 2)) < 100_000
+
+
+@pytest.mark.parametrize("failure", ["worker", "overflow"])
+def test_monte_carlo_failed_call_hands_its_workspace_back(monkeypatch, failure):
+    # a worker's exception and an S_t that overflows only in the drawn paths
+    # (theta = 0.95, x = 8e153: the path-free part is 9.1e307) are raised after
+    # the join; the next call still finds the workspace
+    monkeypatch.setattr(oracle, "_spaces", [])
+    params = ModelParams(0.6, 1.0)
+    monte_carlo_mgf(params, -0.1, 0.4, 8, 10**5, 1)
+    with monkeypatch.context() as patch:
+        if failure == "worker":
+            patch.setattr(np.random, "SFC64", failing_bit_generator)
+            with pytest.raises(MemoryError, match="no room for the block"):
+                monte_carlo_mgf(params, -0.1, 0.4, 8, 10**5, 2)
+        else:
+            with pytest.raises(ParameterError, match="overflow"):
+                monte_carlo_mgf(ModelParams(0.95, 0.0), -0.3, 8e153, 4, 10**5, 2)
+    assert len(oracle._spaces) == 1
+    assert traced_peak(lambda: monte_carlo_mgf(params, -0.1, 0.4, 8, 10**5, 3)) < 100_000
+
+
+def test_monte_carlo_calls_at_once_hold_their_own_workspaces(fresh_pool, monkeypatch):
+    # each call's one block waits in the pool for the other's, so both calls
+    # hold a workspace at the same time; one is kept from an earlier call
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(oracle, "_spaces", [])
+    cases = [(0.6, 1.0, -0.1, 0.4, 13, 60_000, 17), (-0.8, -1.5, -0.01, -2.0, 9, 50_000, 5)]
+    expected = [replay_blocks(*case) for case in cases]
+    monte_carlo_mgf(ModelParams(0.6, 1.0), -0.1, 0.4, 13, 60_000, 3)
+    meeting, bit_generator = threading.Barrier(len(cases)), np.random.SFC64
+
+    def meeting_bit_generator(stream):
+        meeting.wait(timeout=30)
+        return bit_generator(stream)
+
+    monkeypatch.setattr(np.random, "SFC64", meeting_bit_generator)
+    results = [None] * len(cases)
+
+    def call(i):
+        theta, m, alpha, x, t, n, seed = cases[i]
+        res = monte_carlo_mgf(ModelParams(theta, m), alpha, x, t, n, seed)
+        results[i] = res.value, res.stderr
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(len(cases))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == expected
+    assert len(oracle._spaces) == 2 and not np.shares_memory(*oracle._spaces)
 
 
 def test_monte_carlo_in_a_forked_child_gives_the_parents_bits():
