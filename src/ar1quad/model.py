@@ -21,12 +21,21 @@ from dataclasses import dataclass
 from .errors import ParameterError
 
 
+def _check_real(name: str, value) -> None:
+    """Raise ParameterError if value is a number that is not real: a complex,
+    numpy's complexfloating included, even on the real axis (math.isfinite
+    takes a numpy complex by its real part, with only a warning)."""
+    import numbers  # only off the float/int fast path of the callers
+    if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be real, got {value!r}")
+
+
 def check_finite(name: str, value: float) -> None:
     """Raise ParameterError unless value (the level m, a start value x, an
     oracle's alpha) is real and finite; a complex value raises, even on the
     real axis."""
-    if isinstance(value, complex):
-        raise ParameterError(f"{name} must be real, got {value!r}")
+    if type(value) is not float and type(value) is not int:
+        _check_real(name, value)
     if not math.isfinite(value):
         raise ParameterError(f"{name} must be finite, got {value!r}")
 
@@ -58,8 +67,8 @@ class ModelParams:
     def __init__(self, theta: float, m: float = 0.0):
         # each field is written once, straight into the instance dict: the
         # frozen __setattr__ refuses it, and object.__setattr__ costs more
-        if isinstance(theta, complex):  # abs() would take its modulus
-            raise ParameterError(f"theta must be real, got {theta!r}")
+        if type(theta) is not float and type(theta) is not int:  # abs() takes a complex's modulus
+            _check_real("theta", theta)
         if not 0.0 < abs(theta) < 1.0:
             raise ParameterError(f"need 0 < |theta| < 1, got theta={theta!r}")
         check_finite("m", m)

@@ -10,6 +10,7 @@ from ar1quad import (
     ParameterError,
     TransformPoint,
     conditional_mean,
+    transform,
 )
 from ar1quad.model import check_horizon
 
@@ -37,6 +38,29 @@ def test_complex_theta_or_m_rejected(value):
         dataclasses.replace(ModelParams(0.6, 1.0), theta=value)
     with pytest.raises(ParameterError, match=r"^m must be real, got "):  # was a bare TypeError
         ModelParams(0.6, value)
+
+
+@pytest.mark.parametrize("value", [np.complex64(0.5j), np.complex64(0.5), np.clongdouble(0.5 + 0.1j)])
+def test_numpy_complex_parameters_rejected(value):
+    # numpy's complex64 and clongdouble are not Python complex: ModelParams
+    # took a complex64 theta, and transform returned a complex64 log_value;
+    # math.isfinite took a complex64 m or x by its real part, with a warning
+    with pytest.raises(ParameterError, match=r"^theta must be real, got "):
+        ModelParams(value, 1.0)
+    with pytest.raises(ParameterError, match=r"^m must be real, got "):
+        ModelParams(0.6, value)
+    with pytest.raises(ParameterError, match=r"^x must be real, got "):
+        transform(ModelParams(0.6, 1.0), TransformPoint(-0.3), value, 10)
+    with pytest.raises(ParameterError, match=r"^x must be real, got "):
+        conditional_mean(ModelParams(0.6, 1.0), value, 3)
+
+
+@pytest.mark.parametrize("value", [np.float32(0.5), np.float64(-0.5), np.int64(0), Fraction(1, 2), True])
+def test_real_number_types_accepted(value):
+    theta = value if 0.0 < abs(value) < 1.0 else 0.5
+    params = ModelParams(theta, value)
+    assert (params.theta, params.m) == (theta, value)
+    assert conditional_mean(params, value, 0) == value
 
 
 def test_model_params_keeps_the_dataclass_contract():

@@ -1,3 +1,4 @@
+import collections
 import math
 import os
 import random
@@ -26,11 +27,11 @@ from ar1quad import (
     transform,
     unconditional_transform,
 )
-from ar1quad import oracle
-from ar1quad.oracle import _bridge, _eliminate, _log_mgf
+from ar1quad import oracle, verify
+from ar1quad.oracle import _bridge, _eliminate, _log_mgf, _sigma
 
 from mp_reference import bridge_ref, log_transform_ref, tridiagonal_det_ref
-from util import conditional_covariance, gauss_hermite_nodes, rel_err
+from util import conditional_covariance, eliminate_every_step, gauss_hermite_nodes, rel_err
 
 
 def test_matrix_horizon_zero_is_gaussian_factor():
@@ -54,7 +55,9 @@ def test_matrix_matches_closed_form_at_reference_point():
 
 
 def test_matrix_has_no_horizon_cap():
-    # the O(t) elimination evaluates past the t = 2000 budget of the old dense factorization
+    # the elimination evaluates past the t = 2000 budget of the old dense
+    # factorization; stopped at its floating-point cycle, with the repeated
+    # tail added exactly, it costs its transient (57 steps here), not t
     params = ModelParams(0.5, 1.0)
     for alpha, t in ((-1e-3, 2001), (-1e-4, 10**4)):
         closed = transform(params, TransformPoint(alpha), 0.3, t).value.real
@@ -161,6 +164,107 @@ def test_elimination_log_mgf_at_complex_alpha_matches_the_high_precision_referen
         log_value = _log_mgf(point.alpha, x, _eliminate(params, point.alpha, x, t))
         assert abs(log_value - log_ref) <= 1e-14 * max(1.0, abs(log_ref)), (theta, m, x, alpha, t)
     assert positive >= 30
+
+
+def _attempt(call) -> str:
+    """repr(call()), or the type name of the error it raises."""
+    try:
+        return repr(call())
+    except (ValueError, ArithmeticError) as exc:  # every error the package raises
+        return type(exc).__name__
+
+
+def _elimination_outputs(params, alpha, x, t) -> tuple:
+    """_log_mgf, _sigma and matrix_mgf at one point, each as _attempt gives
+    it, all through oracle._eliminate, so a patched one serves all three."""
+    try:
+        elimination = oracle._eliminate(params, alpha, x, t)
+    except (ValueError, ArithmeticError) as exc:
+        outputs = [type(exc).__name__] * 2
+    else:
+        outputs = [_attempt(lambda: _log_mgf(alpha, x, elimination)), _attempt(lambda: _sigma(x, elimination))]
+    return (*outputs, _attempt(lambda: matrix_mgf(params, alpha, x, t)))
+
+
+def _stop_rule_cases():
+    rng = random.Random(20261027)
+    # the benchmark's matrix_mgf draws: t in [50, 500], real alpha < 0 keeping
+    # |alpha|*E[S_t] <= 200
+    for _ in range(1000):
+        theta = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 0.95)
+        m, x, t = rng.uniform(-2.0, 2.0), rng.uniform(-4.0, 4.0), 50 + rng.randrange(451)
+        hi = min(1.0, 200.0 / ((t + 1) * (1.0 / (1.0 - theta * theta) + m * m)))
+        yield ModelParams(theta, m), -math.exp(rng.uniform(math.log(min(1e-4, hi / 10.0)), math.log(hi))), x, t
+    # verify's pools, complex alphas included (as verify passes them)
+    thetas, alphas, xs, ms = verify._grids(5)
+    for _ in range(1000):
+        params, point = ModelParams(rng.choice(thetas), rng.choice(ms)), TransformPoint(rng.choice(alphas))
+        yield params, point.alpha, rng.choice(xs), int(10 ** rng.uniform(0.0, 3.0))
+    # the edges: signed zeros, a tiny and a huge alpha, the slit's lower edge
+    # from both sides, complex alphas with +-0 parts; t = 777 is past the
+    # transient at theta = 0.6, t = 10^4 at -0.95 too
+    for theta, horizons in ((0.6, (0, 1, 2, 3, 7, 50, 777)), (-0.95, (0, 1, 2, 3, 7, 50, 777, 10**4))):
+        slit = (1.0 - abs(theta)) ** 2 / 2.0
+        for alpha in (0.0, -0.0, -1e-300, -1e10, math.nextafter(slit, 0.0), math.nextafter(slit, 1.0),
+                      slit * (1.0 - 1e-9), slit * (1.0 + 1e-9), complex(0.0, 0.0), complex(-0.0, -0.0),
+                      complex(-0.3, 0.0), complex(-0.3, -0.0), complex(0.0, 0.3), complex(-0.0, -0.3)):
+            for m in (0.0, -0.0, 1e150):
+                for x in (0.0, -0.0, 1e150):
+                    for t in horizons:
+                        yield ModelParams(theta, m), alpha, x, t
+
+
+def test_elimination_stop_rule_keeps_every_bit(monkeypatch):
+    # the elimination stops at the first state equal, bit for bit, to the
+    # state it keeps every 8 steps and adds the repeated tail exactly:
+    # log L_t, Sigma_t and matrix_mgf carry the bits, or raise the errors,
+    # of the loop run to t (util.eliminate_every_step).  Most 2-cycles differ
+    # in the last bit of z_s only, so a count moved between their terms
+    # shifts quad by about an ulp of one term, which its one rounding mostly
+    # absorbs: 3 of these points see it
+    cases = list(_stop_rule_cases())
+    got = [_elimination_outputs(*case) for case in cases]
+    # the draws reach the tail, on cycles of period 1, 2 and longer
+    periods = collections.Counter(len(oracle._eliminate(*case)[2]) for case in cases[:2000])
+    assert periods[1] + periods[2] >= 1000 and periods[2] >= 100, periods
+    assert sum(count for period, count in periods.items() if period > 2) >= 3, periods
+    monkeypatch.setattr(oracle, "_eliminate", eliminate_every_step)
+    want = [_elimination_outputs(*case) for case in cases]
+    wrong = [(case, g, w) for case, g, w in zip(cases, got, want) if g != w]
+    assert not wrong, (len(wrong), wrong[:3])
+
+
+@pytest.mark.parametrize("alpha", [-0.3, complex(-0.3, 0.4)])
+def test_elimination_steps_are_bounded_by_the_transient(alpha):
+    # latency flat in t: at t = 10^6 the loop runs some 40 steps, and the
+    # repeated tail counts the rest
+    _, offsets, repeats, _ = _eliminate(ModelParams(0.6, 1.0), alpha, 0.5, 10**6)
+    assert len(offsets) < 200
+    assert len(offsets) + sum(repeats) == 10**6
+
+
+def test_closed_form_matches_the_elimination_at_long_horizons():
+    # the closed form against the root-free elimination at t = 10^4 and
+    # 10^6, real and complex alpha: log L_t within 1e-12 of max(1, |log L_t|)
+    # and Sigma_t within 1e-12 relative
+    rng = random.Random(20261028)
+    draws = 0
+    while draws < 400:
+        theta = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 0.95)
+        m, x = rng.uniform(-2.0, 2.0), rng.uniform(-4.0, 4.0)
+        alpha = -(10 ** rng.uniform(-3.0, 0.5))
+        if draws % 2:
+            alpha = complex(alpha, rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-3.0, -0.3))
+        params, point = ModelParams(theta, m), TransformPoint(alpha)
+        if not domain_check(params, point):
+            continue
+        draws += 1
+        for t in (10**4, 10**6):
+            closed = transform(params, point, x, t)
+            elimination = _eliminate(params, point.alpha, x, t)
+            log_value, sigma = _log_mgf(point.alpha, x, elimination), _sigma(x, elimination)
+            assert abs(log_value - closed.log_value) <= 1e-12 * max(1.0, abs(closed.log_value)), (theta, m, x, alpha, t)
+            assert abs(sigma - closed.sigma_t) <= 1e-12 * abs(closed.sigma_t), (theta, m, x, alpha, t)
 
 
 def test_matrix_huge_level_gives_the_limits():
@@ -427,6 +531,20 @@ def test_monte_carlo_call_of_a_served_size_allocates_nothing_n_sized(monkeypatch
     params = ModelParams(0.6, 1.0)
     monte_carlo_mgf(params, -0.1, 0.4, 8, 10**5, 1)
     assert traced_peak(lambda: monte_carlo_mgf(params, -0.1, 0.4, 8, 10**5, 2)) < 100_000
+
+
+def test_monte_carlo_calls_fault_in_almost_no_fresh_memory():
+    # after one warm-up call, ten calls at n = 10^5 run in the kept workspace:
+    # a new 4 MB per call was 6,900-7,700 minor page faults in all, which
+    # tracemalloc (allocations, not faults) cannot see
+    resource = pytest.importorskip("resource")  # not on Windows
+    params = ModelParams(0.6, 1.0)
+    monte_carlo_mgf(params, -0.1, 0.4, 8, 10**5, 0)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for seed in range(1, 11):
+        monte_carlo_mgf(params, -0.1, 0.4, 8, 10**5, seed)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 1000, faults
 
 
 @pytest.mark.parametrize("failure", ["worker", "overflow"])

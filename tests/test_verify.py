@@ -5,6 +5,7 @@ check runs, it times each check, and a grid size above 5 adds nothing."""
 import cmath
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -109,6 +110,14 @@ def test_every_check_fails_on_a_corrupted_value(monkeypatch, case):
     assert result.passed is False, result
 
 
+def test_default_verify_monte_carlo_standard_error_is_below_8e_05():
+    # a default `ar1quad verify`, at its default seed: the stride-4 skeleton
+    # reads 6.789e-05, the stride-2 estimator read 9.607e-05
+    check = {c.name: c for c in verify.run_all().checks}["monte_carlo"]
+    stderr = re.search(r"stderr=([0-9.e+-]+)$", check.detail)
+    assert check.passed and stderr and float(stderr.group(1)) < 8e-05, check
+
+
 def test_grid_size_saturates_at_five(monkeypatch):
     # the pools are fixed: a size above 5 runs the size-5 grid, and the m
     # values and the alphas, complex ones included, stop growing at 3
@@ -119,7 +128,7 @@ def test_grid_size_saturates_at_five(monkeypatch):
 
     def record(*args):
         calls.append(args)
-        return 1.0, [], 0.0  # (scale, offsets, quad) of an empty elimination
+        return 1.0, [], (), 0.0  # (scale, offsets, repeats, quad) of an empty elimination
 
     monkeypatch.setattr(verify, "_eliminate", record)
     grids = {}

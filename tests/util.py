@@ -123,3 +123,32 @@ def conditional_covariance(params: ModelParams, t: int) -> np.ndarray:
     cov *= toeplitz
     cov /= 1.0 - params.theta * params.theta
     return cov
+
+
+def eliminate_every_step(params: ModelParams, alpha: complex, x: float, t: int) -> tuple:
+    """oracle._eliminate as it was before its stop rule: one interpreted
+    step for every s = 1..t, each term written out, the same
+    (scale, offsets, repeats, quad) with nothing repeated.  The reference of
+    the stop rule's bit-identity test."""
+    from ar1quad.oracle import _csum, _exact_square
+    theta, m = params.theta, params.m
+    mean_1 = m + theta * (x - m)
+    scale = max((abs(mean_1), abs(m))[:t], default=0.0) or 1.0
+    if not math.isfinite(scale):
+        raise closed_form._overflow("the conditional mean", params, x, alpha, t)
+    theta_sq, theta_sq_err = _exact_square(theta)
+    a2 = 2.0 * alpha
+    w = m / scale * (1.0 - theta)
+    z, u = mean_1 / scale, -a2
+    offsets, quads = [], []
+    try:
+        for _ in range(t):
+            d = 1.0 + u
+            offsets.append(u)
+            quads.append(z * z / d)
+            r = u / d
+            u = theta_sq * r + (theta_sq_err * r - a2)
+            z = w + theta * z / d
+    except ZeroDivisionError:
+        quads.append(math.inf)
+    return scale, offsets, (), _csum(quads) if isinstance(alpha, complex) else math.fsum(quads)
