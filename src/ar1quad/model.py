@@ -23,10 +23,12 @@ from .errors import ParameterError
 
 def _check_real(name: str, value) -> None:
     """Raise ParameterError if value is a number that is not real: a complex,
-    numpy's complexfloating included, even on the real axis (math.isfinite
-    takes a numpy complex by its real part, with only a warning)."""
+    numpy's complexfloating and complex arrays, 0-d ones included, even on
+    the real axis (math.isfinite takes a numpy complex by its real part, with
+    only a warning, and a 0-d complex array raises TypeError)."""
     import numbers  # only off the float/int fast path of the callers
-    if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
+    if ((isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real))
+            or getattr(getattr(value, "dtype", None), "kind", None) == "c"):
         raise ParameterError(f"{name} must be real, got {value!r}")
 
 

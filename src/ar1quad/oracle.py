@@ -23,8 +23,9 @@ machinery:
 
 * monte_carlo_mgf: the empirical mean, with its standard error, of the
   conditional expectation of exp(alpha*S_t) given the skeleton
-  X_0 = x, X_4, X_8, ... of a simulated path, the steps between integrated
-  exactly (_bridge), over blocks of at most MC_BLOCK paths, each on its own
+  X_0 = x, X_8, X_16, ..., X_{8(k-1)}, X_t (k = ceil(t/8)) of a simulated
+  path, the steps between integrated exactly as bridges pinned at both ends
+  (_bridge), over blocks of at most MC_BLOCK paths, each on its own
   SFC64 stream from SeedSequence(seed) (see monte_carlo_mgf).  Every call
   that draws runs its blocks on the module's one pool, a thread per CPU the
   process may run on, made by the first such call and kept for the life of
@@ -35,8 +36,9 @@ machinery:
   raises: one per call running at once, each grown to the largest call it
   served (n + 3*min(K, workers)*ceil(n/K) doubles, 11 MB after n = 10^6)
   and never freed, so a repeated call faults in no fresh memory.  Each
-  block finishes its own estimates, exp included, and the caller takes
-  their mean and standard error in place: the result depends on (seed, n)
+  block finishes its own estimates, exp included, and finds their largest;
+  the caller takes their mean, and their standard error on the deviations
+  over the largest estimate, in place: the result depends on (seed, n)
   only, never on the number of cores.
 
 unconditional_transform is the exact Gaussian integral of L_t(alpha, .)
@@ -66,8 +68,8 @@ from .spectral import TransformPoint, _log, _roots
 
 # Monte Carlo paths per block at most: each block has its own seed stream
 MC_BLOCK = 2**16
-# the Monte Carlo skeleton draws X_0 = x, X_4, X_8, ...; the steps between are integrated
-MC_STRIDE = 4
+# the Monte Carlo skeleton draws X_8, X_16, ... and X_t; the steps between are integrated
+MC_STRIDE = 8
 
 # the Monte Carlo worker pool, (executor, its thread count), made on first use
 _pool = None
@@ -312,25 +314,23 @@ def sigma_via_recursion(params: ModelParams, point: TransformPoint, x: float, t:
     return sigma
 
 
-def _bridge(theta: float, m: float, alpha: float, p: int, pinned: bool) -> tuple:
-    """(c, q0, q1, q2, q3): the exact factor of p steps of the chain between
-    two skeleton points, for alpha <= 0:
+def _bridge(theta: float, m: float, alpha: float, p: int) -> tuple:
+    """(c, q0, q1, q2, q3): the exact factor of the p steps of the chain
+    between two skeleton points, for alpha <= 0:
 
         log E[exp(alpha*sum_{i=1..p} X_i^2) | X_0 - m = a, X_{p+1} - m = b]
             = c + alpha*(q0 + q1*(a + b) + q2*(a^2 + b^2) + q3*a*b).
 
-    A pinned bridge is conditioned on both ends; a free one (the tail after
-    the last skeleton point) on a only, and its b terms drop (q3 = 0, b = 0).
-
-    Given its ends, D = (X_1 - m, ..., X_p - m) is normal with precision J,
-    the tridiagonal with -theta beside the diagonal 1 + theta^2 (1 in the
-    last row of a free end), and mean J^(-1)*h, h = theta*(a*e_1 + b*e_p).
-    With M = J - 2*alpha*I the Gaussian integral is c = -log det(M*J^(-1))/2
-    plus alpha*v'M^(-1)*J*v, v = m*1 + J^(-1)*h: q0 = m^2*1'M^(-1)*J*1,
-    q1 = 2*m*theta*(M^(-1)*1)_1, q2 = theta^2*(M^(-1)*J^(-1))_11 and
-    q3 = 2*theta^2*(M^(-1)*J^(-1))_1p; the bridge is reversible, so a and b
-    share them.  Nothing is a difference of alpha-free parts: det(M*J^(-1))
-    is the product of the pivot ratios 1 + delta_s/dJ_s, whose offsets
+    A bridge of 0 steps is the zero factor, (0, 0, 0, 0, 0).  Given its ends,
+    D = (X_1 - m, ..., X_p - m) is normal with precision J, the tridiagonal
+    with -theta beside the diagonal 1 + theta^2, and mean J^(-1)*h,
+    h = theta*(a*e_1 + b*e_p).  With M = J - 2*alpha*I the Gaussian integral
+    is c = -log det(M*J^(-1))/2 plus alpha*v'M^(-1)*J*v, v = m*1 + J^(-1)*h:
+    q0 = m^2*1'M^(-1)*J*1, q1 = 2*m*theta*(M^(-1)*1)_1,
+    q2 = theta^2*(M^(-1)*J^(-1))_11 and q3 = 2*theta^2*(M^(-1)*J^(-1))_1p;
+    the bridge is reversible, so a and b share them.  Nothing is a
+    difference of alpha-free parts: det(M*J^(-1)) is the product of the
+    pivot ratios 1 + delta_s/dJ_s, whose offsets
     delta_s = dM_s - dJ_s = -2*alpha + theta^2*delta_{s-1}/(dJ_{s-1}*dM_{s-1})
     enter through log1p, and M^(-1)*J^(-1) is applied as two solves, never
     formed as (J^(-1) - M^(-1))/(2*alpha).  So alpha = 0 gives c = 0, a tiny
@@ -340,22 +340,21 @@ def _bridge(theta: float, m: float, alpha: float, p: int, pinned: bool) -> tuple
     before it multiplies by alpha, so an S_t past the double range
     (ParameterError) stays apart from a huge |alpha| (estimate 0).
     """
+    if not p:
+        return 0.0, 0.0, 0.0, 0.0, 0.0
     if -2.0 * alpha == math.inf:  # every pivot of M is infinite
         return -math.inf, 0.0, 0.0, 0.0, 0.0
     theta_sq = theta * theta
-    diag = [1.0 + theta_sq] * p
+    diag = 1.0 + theta_sq
     rows = [(1.0 - theta) ** 2] * p  # J*1, the row sums of J
     rows[0] += theta
     rows[-1] += theta
-    if not pinned:
-        diag[-1] = 1.0
-        rows[-1] = 1.0 - theta if p > 1 else 1.0
     piv_j, piv_m, logs = [], [], []
     offset = -2.0 * alpha
     for s in range(p):
         if s:
             offset = theta_sq * (offset / piv_m[-1]) / piv_j[-1] - 2.0 * alpha
-        pivot = diag[s] - theta_sq / piv_j[-1] if s else diag[s]
+        pivot = diag - theta_sq / piv_j[-1] if s else diag
         piv_j.append(pivot)
         piv_m.append(pivot + offset)
         logs.append(math.log1p(offset / pivot))
@@ -373,51 +372,69 @@ def _bridge(theta: float, m: float, alpha: float, p: int, pinned: bool) -> tuple
     w = solve(piv_m, solve(piv_j, [1.0] + [0.0] * (p - 1)))
     q0 = m * m * math.fsum(solve(piv_m, rows))
     q1 = 2.0 * m * theta * solve(piv_m, [1.0] * p)[0]
-    q3 = 2.0 * theta_sq * w[-1] if pinned else 0.0
-    return -0.5 * math.fsum(logs), q0, q1, theta_sq * w[0], q3
+    return -0.5 * math.fsum(logs), q0, q1, theta_sq * w[0], 2.0 * theta_sq * w[-1]
+
+
+def _skeleton_step(theta: float, m: float, lag: int, ending: tuple, starting: tuple) -> tuple:
+    """(theta^lag, sigma_lag, A, B, q3) of a skeleton point P_j = X_s - m at
+    lag steps after the one before: P_j = theta^lag*P_{j-1} + sigma_lag*Z,
+    sigma_lag^2 = sum_{i<lag} theta^(2i), and P_j adds P_j*(A*P_j + B +
+    q3*P_{j-1}) to S, its own square's share and that of the bridges (_bridge
+    factors) ending and starting at it: A = 1 + q2 + q2', B = 2*m + q1 + q1',
+    q3 that of the bridge ending there."""
+    _, _, q1, q2, q3 = ending
+    _, _, q1_next, q2_next, _ = starting
+    theta_sq = theta * theta
+    sigma = math.sqrt(math.fsum([theta_sq**i for i in range(lag)]))
+    return theta**lag, sigma, 1.0 + q2 + q2_next, 2.0 * m + q1 + q1_next, q3
 
 
 def monte_carlo_mgf(
     params: ModelParams, alpha: float, x: float, t: int, n: int, seed: int
 ) -> OracleResult:
-    """Sample mean and standard error of E[exp(alpha*S_t) | X_0, X_4, X_8, ...]
-    over n simulated skeleton paths: an unbiased estimate of L_t(alpha, x).
+    """Sample mean and standard error of E[exp(alpha*S_t) | X_0, X_8, X_16, ...,
+    X_t] over n simulated skeleton paths: an unbiased estimate of L_t(alpha, x).
 
     Requires alpha <= 0 so the integrand is bounded by 1 and the estimator
     has finite variance, an integer n >= 2 and an integer seed >= 0
     (ValueError).  A non-finite alpha or x, a complex alpha off the real
     axis and a conditioned S_t beyond the double range raise ParameterError.
 
-    Only the skeleton P_j = X_{4j} - m, j = 0..k, k = t//4 (MC_STRIDE = 4),
-    is simulated: P_0 = x - m and P_j = theta^4*P_{j-1} + sigma*Z_j with
-    sigma^2 = 1 + theta^2 + theta^4 + theta^6, one standard normal Z per
-    skeleton step.  The three steps between P_{j-1} and P_j form a Gaussian
-    bridge and the t mod 4 steps after P_k a Gaussian tail, each integrated
-    exactly by _bridge: log E[exp(alpha*sum X_i^2) | ends] = c + alpha*Q with
-    Q = q0 + q1*(a + b) + q2*(a^2 + b^2) + q3*a*b (b = 0 for the tail).  A
-    path's estimate is exp(alpha*S + C): S = x^2 + sum_j X_{4j}^2 + the
-    bridges' and the tail's Q, a conditioned S_t, and the path-free C sums
-    their c, so alpha = 0 gives exactly 1.  S is summed point by point: the
-    terms in P_0 and every m^2 are path-free, and P_j adds
-    P_j*(A*P_j + B + q3*P_{j-1}), A = 1 + 2*q2 and B = 2*(m + q1) where two
-    bridges meet, A = 1 + q2 + q2_tail and B = 2*m + q1 + q1_tail at P_k.
-    Conditioning quarters the normal draws and, by Rao-Blackwell, cannot
-    raise the variance of a path's estimate.  At t < 4 nothing is drawn:
-    the exact value every path shares is returned with stderr 0, and no
+    Only the skeleton is simulated: X_8, X_16, ..., X_{8(k-1)} and X_t,
+    k = ceil(t/8) points (MC_STRIDE = 8), the last at lag r = t - 8(k-1) in
+    [1, 8] after the one before.  With P_0 = x - m and P_j the j-th point
+    minus m, P_j = theta^lag*P_{j-1} + sigma_lag*Z_j, sigma_lag^2 =
+    sum_{i<lag} theta^(2i), one standard normal Z per point.  The steps
+    between two points form a Gaussian bridge pinned at both ends, 7 steps
+    inside the skeleton and r - 1 before X_t, each integrated exactly by
+    _bridge: log E[exp(alpha*sum X_i^2) | ends] = c + alpha*Q with
+    Q = q0 + q1*(a + b) + q2*(a^2 + b^2) + q3*a*b.  A path's estimate is
+    exp(alpha*S + C): S = x^2 + the points' squares + the bridges' Q, a
+    conditioned S_t, and the path-free C sums their c, so alpha = 0 gives
+    exactly 1.  S is summed point by point: the terms in P_0 and every m^2
+    are path-free, and P_j adds P_j*(A*P_j + B + q3*P_{j-1}) (_skeleton_step),
+    each point's (theta^lag, sigma_lag, A, B, q3) from a list made once per
+    call.  Conditioning draws ceil(t/8) normals a path where the plain
+    estimator draws t and, by Rao-Blackwell, cannot raise the variance of a
+    path's estimate against any finer skeleton that contains this one.  Only
+    t = 0 draws nothing: exp(alpha*x^2) is returned with stderr 0, and no
     seed stream, thread, workspace or n-long array is made.
 
     Seed contract: the n paths are cut into K = ceil(n / MC_BLOCK) blocks,
     block b holding paths n*b//K to n*(b+1)//K - 1.  Block b is driven by
     Generator(SFC64(SeedSequence(seed).spawn(K)[b])), which draws one
-    standard-normal vector of the block's length for each of the t//4
-    skeleton steps X_4, X_8, ..., in order, and nothing else.  The blocks
-    run on the module's pool, in a kept workspace (see the module
-    docstring), each writing its own slice of the n estimates,
-    exp(alpha*S + C) included, under numpy's errstate(all="ignore") whatever
-    the caller's np.seterr, and the mean and standard error are taken over
-    all n paths after the join, in ndarray.std(ddof=1)'s operations; so the
-    result depends on (seed, n) only, never on the number of cores or the
-    pool, and replays bit for bit.
+    standard-normal vector of the block's length for each skeleton point
+    X_8, X_16, ..., X_t, in order, and nothing else.  The blocks run on the
+    module's pool, in a kept workspace (see the module docstring), each
+    writing its own slice of the n estimates, exp(alpha*S + C) included,
+    under numpy's errstate(all="ignore") whatever the caller's np.seterr,
+    and reporting its largest estimate.  After the join the mean is taken
+    over all n paths, and the standard error is the largest estimate G times
+    ndarray.std(ddof=1)'s operations on the deviations over G, each in
+    [-1, 1], divided by sqrt(n) (0 where G is 0), so the squared deviations
+    of estimates near 1e-187 do not underflow.  So the result depends on
+    (seed, n) only, never on the number of cores or the pool, and replays
+    bit for bit.
     """
     import numpy as np
     a = _real_alpha(alpha)
@@ -428,29 +445,30 @@ def monte_carlo_mgf(
     seed = check_horizon(seed, "Monte Carlo seed")
     t = check_horizon(t)
     theta, m = params.theta, params.m
-    k, tail = divmod(t, MC_STRIDE)
-    # C and the path-free part of S; an absent tail or bridge adds nothing,
-    # where 0*c would add a NaN at c = -inf
-    log_factor, fixed, q1_tail, q2_tail = 0.0, x * x, 0.0, 0.0
-    if tail:
-        log_factor, q0_tail, q1_tail, q2_tail, _ = _bridge(theta, m, a, tail, False)
-        fixed += q0_tail
-    q1, q2 = q1_tail, q2_tail  # the terms in P_0, of the tail where no bridge starts there
-    if k:
-        c, q0, q1, q2, q3 = _bridge(theta, m, a, MC_STRIDE - 1, True)
-        log_factor += k * c
-        fixed += k * (q0 + m * m)
+    if not t:  # nothing drawn: every path's estimate is exp(alpha*x^2)
+        if not math.isfinite(x * x):
+            raise _overflow("a conditioned S_t", params, x, a, t)
+        return OracleResult(value=math.exp(a * (x * x)), method="monte_carlo", stderr=0.0, n_samples=n)
+    k = -(-t // MC_STRIDE)
+    lag = t - MC_STRIDE * (k - 1)
+    # the skeleton points' steps, C and the path-free part of S: a bridge of
+    # MC_STRIDE - 1 steps ends at each point but X_t, whose bridge has lag - 1
+    # and after which none starts (the zero factor of 0 steps)
+    last = _bridge(theta, m, a, lag - 1)
+    steps = [_skeleton_step(theta, m, lag, last, _bridge(theta, m, a, 0))]
+    log_factor, fixed, first_bridge = last[0], x * x + (last[1] + m * m), last
+    if k > 1:
+        inner = _bridge(theta, m, a, MC_STRIDE - 1)
+        steps[:0] = ([_skeleton_step(theta, m, MC_STRIDE, inner, inner)] * (k - 2)
+                     + [_skeleton_step(theta, m, MC_STRIDE, inner, last)])
+        log_factor += (k - 1) * inner[0]
+        fixed += (k - 1) * (inner[1] + m * m)
+        first_bridge = inner
     first = x - m
+    _, _, q1, q2, _ = first_bridge
     fixed += first * (q2 * first + q1)
     if not math.isfinite(fixed):
         raise _overflow("a conditioned S_t", params, x, a, t)
-    if not k:  # nothing drawn: every path's estimate is this one double
-        value = math.exp(a * fixed + log_factor)
-        return OracleResult(value=value, method="monte_carlo", stderr=0.0, n_samples=n)
-    theta_4 = theta * theta * (theta * theta)
-    sigma = math.sqrt((1.0 + theta * theta) * (1.0 + theta_4))
-    inner = 1.0 + 2.0 * q2, 2.0 * (m + q1)  # (A, B) where two bridges meet
-    last = 1.0 + q2 + q2_tail, 2.0 * m + q1 + q1_tail  # (A, B) at P_k
     blocks = -(-n // MC_BLOCK)
     pool, workers = _executor()
     streams = np.random.SeedSequence(seed).spawn(blocks)
@@ -465,9 +483,9 @@ def monte_carlo_mgf(
     total = space[:n]
     spare = list(space[n:n + 3 * size * sets].reshape(sets, 3, size))
 
-    def run_block(b: int) -> bool:
+    def run_block(b: int) -> tuple:
         # the block's conditioned S, then its estimates exp(alpha*S + C) in
-        # place; returns whether every S was finite
+        # place; returns whether every S was finite, and the largest estimate
         cut = slice(n * b // blocks, n * (b + 1) // blocks)
         rng = np.random.Generator(np.random.SFC64(streams[b]))
         block_total = total[cut]
@@ -478,12 +496,11 @@ def monte_carlo_mgf(
         # an overflow (or 0*inf) leaves a non-finite sum, raised after the
         # join; alpha*S past -inf gives the estimate 0 (an underflow)
         with np.errstate(all="ignore"):
-            for j in range(1, k + 1):
+            for gain, sigma, coef_a, coef_b, q3 in steps:
                 rng.standard_normal(out=step)
                 step *= sigma
-                np.multiply(dev, theta_4, out=nxt)
+                np.multiply(dev, gain, out=nxt)
                 nxt += step
-                coef_a, coef_b = last if j == k else inner
                 np.multiply(nxt, coef_a, out=step)
                 step += coef_b
                 dev *= q3
@@ -496,7 +513,7 @@ def monte_carlo_mgf(
             block_total += log_factor
             np.exp(block_total, out=block_total)
         spare.append(scratch)
-        return finite
+        return finite, float(block_total.max())
 
     # numpy releases the GIL in the normal fill and the ufunc loops, so the
     # blocks overlap; every block ends before result() re-raises a worker's
@@ -506,20 +523,26 @@ def monte_carlo_mgf(
     runs = [pool.submit(run_block, b) for b in range(blocks)]
     wait(runs)
     try:
-        if not all([run.result() for run in runs]):
+        ends = [run.result() for run in runs]
+        if not all(finite for finite, _ in ends):
             raise _overflow("a conditioned S_t", params, x, a, t)
+        largest = max(top for _, top in ends)
         # the mean, then the standard error in place, in ndarray.std(ddof=1)'s
-        # own operations and so with its bits; a tiny mean or a deviation's
-        # square may underflow, whatever the caller's np.seterr
+        # own operations on the deviations over the largest estimate, each in
+        # [-1, 1]; a tiny mean or a scaled deviation's square may still
+        # underflow, whatever the caller's np.seterr
         with np.errstate(all="ignore"):
             mean = np.add.reduce(total) / n
-            total -= mean
-            np.multiply(total, total, out=total)
-            variance = np.add.reduce(total) / (n - 1)
+            spread = 0.0
+            if largest:
+                total -= mean
+                total /= largest
+                np.multiply(total, total, out=total)
+                spread = largest * math.sqrt(np.add.reduce(total) / (n - 1))
     finally:
         with _pool_lock:
             _spaces.append(space)
-    return OracleResult(value=float(mean), method="monte_carlo", stderr=math.sqrt(variance) / math.sqrt(n), n_samples=n)
+    return OracleResult(value=float(mean), method="monte_carlo", stderr=spread / math.sqrt(n), n_samples=n)
 
 
 def unconditional_transform(params: ModelParams, point: TransformPoint, t: int) -> complex:

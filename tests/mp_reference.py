@@ -103,18 +103,18 @@ def tridiagonal_det_ref(theta: float, alpha: float, t: int):
         return current
 
 
-def bridge_ref(theta: float, m: float, alpha: float, p: int, pinned: bool) -> tuple:
+def bridge_ref(theta: float, m: float, alpha: float, p: int) -> tuple:
     """(c, q0, q1, q2, q3) of log E[exp(alpha*sum_{i=1..p} X_i^2) | ends] =
     c + alpha*(q0 + q1*(a + b) + q2*(a^2 + b^2) + q3*a*b), from the dense
-    conditional law of the p steps between X_0 - m = a and X_{p+1} - m = b
-    (pinned) or after X_0 - m = a (free): precision J, the interior block of
+    conditional law of the p >= 1 steps between X_0 - m = a and
+    X_{p+1} - m = b: precision J, the interior block of
     the innovations' L'L, mean J^(-1)*h.  With K = (I - 2*alpha*J^(-1))^(-1),
     c = -log det(I - 2*alpha*J^(-1))/2 and the path part is v'K v,
     v = m*1 + J^(-1)*h; the digits grow with -log10|alpha| so that c keeps
     BASE_DIGITS.  Returns floats."""
     with mp.workdps(BASE_DIGITS + 10 + int(max(0.0, -math.log10(abs(alpha))))):
         th, a = mpmath.mpf(theta), mpmath.mpf(alpha)
-        size = p + 2 if pinned else p + 1
+        size = p + 2
         precision = mpmath.zeros(size, size)
         for i in range(1, size):  # the innovation D_i - theta*D_{i-1}
             precision[i, i] += 1
@@ -124,7 +124,7 @@ def bridge_ref(theta: float, m: float, alpha: float, p: int, pinned: bool) -> tu
         inside = precision[1:p + 1, 1:p + 1]
         cov = inside**-1
         gain_a = -(cov * precision[1:p + 1, 0])
-        gain_b = -(cov * precision[1:p + 1, size - 1]) if pinned else mpmath.zeros(p, 1)
+        gain_b = -(cov * precision[1:p + 1, size - 1])
         weight = (mpmath.eye(p) - 2 * a * cov) ** -1
         ones = mpmath.ones(p, 1)
 

@@ -63,7 +63,7 @@ def test_scalar_entry_points_do_not_load_the_thread_pool():
 
 
 def test_monte_carlo_loads_the_thread_pool():
-    # t = 7 draws one skeleton step: its one block runs in the pool (t < 4 draws nothing)
+    # t = 7 draws one skeleton point: its one block runs in the pool (t = 0 draws nothing)
     assert module_loaded_after(SETUP + "monte_carlo_mgf(p, -0.3, 0.5, 7, 10, 0)", "concurrent.futures")
 
 

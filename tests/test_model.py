@@ -40,11 +40,14 @@ def test_complex_theta_or_m_rejected(value):
         ModelParams(0.6, value)
 
 
-@pytest.mark.parametrize("value", [np.complex64(0.5j), np.complex64(0.5), np.clongdouble(0.5 + 0.1j)])
+@pytest.mark.parametrize("value", [np.complex64(0.5j), np.complex64(0.5), np.clongdouble(0.5 + 0.1j),
+                                   np.array(0.5j), np.array(0.5, dtype=np.complex64)])
 def test_numpy_complex_parameters_rejected(value):
     # numpy's complex64 and clongdouble are not Python complex: ModelParams
     # took a complex64 theta, and transform returned a complex64 log_value;
-    # math.isfinite took a complex64 m or x by its real part, with a warning
+    # math.isfinite took a complex64 m or x by its real part, with a warning.
+    # A 0-d complex array is not even a numbers.Complex: ModelParams took it
+    # as theta, and as x it raised a bare TypeError
     with pytest.raises(ParameterError, match=r"^theta must be real, got "):
         ModelParams(value, 1.0)
     with pytest.raises(ParameterError, match=r"^m must be real, got "):
