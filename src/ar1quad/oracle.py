@@ -22,24 +22,12 @@ machinery:
   sigma_via_recursion Sigma_t, with no root and no log.
 
 * monte_carlo_mgf: the empirical mean, with its standard error, of the
-  conditional expectation of exp(alpha*S_t) given the skeleton
-  X_0 = x, X_8, X_16, ..., X_{8(k-1)}, X_t (k = ceil(t/8)) of a simulated
-  path, the steps between integrated exactly as bridges pinned at both ends
-  (_bridge), over blocks of at most MC_BLOCK paths, each on its own
-  SFC64 stream from SeedSequence(seed) (see monte_carlo_mgf).  Every call
-  that draws runs its blocks on the module's one pool, a thread per CPU the
-  process may run on, made by the first such call and kept for the life of
-  the process; a forked child, which has none of its parent's threads,
-  makes its own (numpy releases the GIL in the normal fill and the ufunc
-  loops).  The estimates and the workers' scratch sit in a workspace from
-  the module's free list, handed back after the join, also when the call
-  raises: one per call running at once, each grown to the largest call it
-  served (n + 3*min(K, workers)*ceil(n/K) doubles, 11 MB after n = 10^6)
-  and never freed, so a repeated call faults in no fresh memory.  Each
-  block finishes its own estimates, exp included, and finds their largest;
-  the caller takes their mean, and their standard error on the deviations
-  over the largest estimate, in place: the result depends on (seed, n)
-  only, never on the number of cores.
+  conditional expectation of exp(alpha*S_t) given X_0 = x and X_t of a
+  simulated path.  The t - 1 steps between are one Gaussian bridge pinned
+  at both ends and integrated exactly (_bridge), so each path draws one
+  standard normal; the n of them are one vector from Generator(SFC64(seed)),
+  drawn in the calling thread, and the result depends on (seed, n) only
+  (see monte_carlo_mgf).
 
 unconditional_transform is the exact Gaussian integral of L_t(alpha, .)
 over the stationary start law N(m, 1/(1-theta^2)); it raises
@@ -56,8 +44,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Literal
 
@@ -65,47 +51,6 @@ from .closed_form import _LOG_MAX, _LOG_MIN, _exp, _outside, _overflow, quadrati
 from .errors import ConvergenceError, ParameterError
 from .model import ModelParams, check_finite, check_horizon
 from .spectral import TransformPoint, _log, _roots
-
-# Monte Carlo paths per block at most: each block has its own seed stream
-MC_BLOCK = 2**16
-# the Monte Carlo skeleton draws X_8, X_16, ... and X_t; the steps between are integrated
-MC_STRIDE = 8
-
-# the Monte Carlo worker pool, (executor, its thread count), made on first use
-_pool = None
-_pool_lock = threading.Lock()
-# the Monte Carlo workspaces no call holds, one float64 array each
-_spaces = []
-
-
-def _forget_pool() -> None:
-    # a forked child has none of its parent's threads, and maybe a held lock:
-    # it makes its own pool
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # not on Windows, which has no fork
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _cpu_count() -> int | None:
-    """The CPUs this process may run on, None if unknown (under a cpuset
-    os.cpu_count() counts every CPU of the host)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-
-
-def _executor() -> tuple:
-    """The process's one Monte Carlo pool of _cpu_count() threads, made
-    once, even by two first callers at the same time."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            workers = _cpu_count() or 1
-            _pool = ThreadPoolExecutor(workers), workers
-        return _pool
-
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -316,7 +261,7 @@ def sigma_via_recursion(params: ModelParams, point: TransformPoint, x: float, t:
 
 def _bridge(theta: float, m: float, alpha: float, p: int) -> tuple:
     """(c, q0, q1, q2, q3): the exact factor of the p steps of the chain
-    between two skeleton points, for alpha <= 0:
+    between two pinned ends, for alpha <= 0, in O(p) steps:
 
         log E[exp(alpha*sum_{i=1..p} X_i^2) | X_0 - m = a, X_{p+1} - m = b]
             = c + alpha*(q0 + q1*(a + b) + q2*(a^2 + b^2) + q3*a*b).
@@ -336,7 +281,7 @@ def _bridge(theta: float, m: float, alpha: float, p: int) -> tuple:
     formed as (J^(-1) - M^(-1))/(2*alpha).  So alpha = 0 gives c = 0, a tiny
     |alpha| keeps its digits, and where -2*alpha overflows, M^(-1) = 0 and
     c = -inf.  The q's come without their alpha: q0 + q1*(a + b) + ... >= 0
-    is the bridge's share of a conditioned S_t, which monte_carlo_mgf sums
+    is the bridge's share of a conditioned S_t, which monte_carlo_mgf forms
     before it multiplies by alpha, so an S_t past the double range
     (ParameterError) stays apart from a huge |alpha| (estimate 0).
     """
@@ -375,66 +320,43 @@ def _bridge(theta: float, m: float, alpha: float, p: int) -> tuple:
     return -0.5 * math.fsum(logs), q0, q1, theta_sq * w[0], 2.0 * theta_sq * w[-1]
 
 
-def _skeleton_step(theta: float, m: float, lag: int, ending: tuple, starting: tuple) -> tuple:
-    """(theta^lag, sigma_lag, A, B, q3) of a skeleton point P_j = X_s - m at
-    lag steps after the one before: P_j = theta^lag*P_{j-1} + sigma_lag*Z,
-    sigma_lag^2 = sum_{i<lag} theta^(2i), and P_j adds P_j*(A*P_j + B +
-    q3*P_{j-1}) to S, its own square's share and that of the bridges (_bridge
-    factors) ending and starting at it: A = 1 + q2 + q2', B = 2*m + q1 + q1',
-    q3 that of the bridge ending there."""
-    _, _, q1, q2, q3 = ending
-    _, _, q1_next, q2_next, _ = starting
-    theta_sq = theta * theta
-    sigma = math.sqrt(math.fsum([theta_sq**i for i in range(lag)]))
-    return theta**lag, sigma, 1.0 + q2 + q2_next, 2.0 * m + q1 + q1_next, q3
-
-
 def monte_carlo_mgf(
     params: ModelParams, alpha: float, x: float, t: int, n: int, seed: int
 ) -> OracleResult:
-    """Sample mean and standard error of E[exp(alpha*S_t) | X_0, X_8, X_16, ...,
-    X_t] over n simulated skeleton paths: an unbiased estimate of L_t(alpha, x).
+    """Sample mean and standard error of E[exp(alpha*S_t) | X_0 = x, X_t]
+    over n simulated values of X_t: an unbiased estimate of L_t(alpha, x).
 
     Requires alpha <= 0 so the integrand is bounded by 1 and the estimator
     has finite variance, an integer n >= 2 and an integer seed >= 0
     (ValueError).  A non-finite alpha or x, a complex alpha off the real
     axis and a conditioned S_t beyond the double range raise ParameterError.
 
-    Only the skeleton is simulated: X_8, X_16, ..., X_{8(k-1)} and X_t,
-    k = ceil(t/8) points (MC_STRIDE = 8), the last at lag r = t - 8(k-1) in
-    [1, 8] after the one before.  With P_0 = x - m and P_j the j-th point
-    minus m, P_j = theta^lag*P_{j-1} + sigma_lag*Z_j, sigma_lag^2 =
-    sum_{i<lag} theta^(2i), one standard normal Z per point.  The steps
-    between two points form a Gaussian bridge pinned at both ends, 7 steps
-    inside the skeleton and r - 1 before X_t, each integrated exactly by
-    _bridge: log E[exp(alpha*sum X_i^2) | ends] = c + alpha*Q with
-    Q = q0 + q1*(a + b) + q2*(a^2 + b^2) + q3*a*b.  A path's estimate is
-    exp(alpha*S + C): S = x^2 + the points' squares + the bridges' Q, a
-    conditioned S_t, and the path-free C sums their c, so alpha = 0 gives
-    exactly 1.  S is summed point by point: the terms in P_0 and every m^2
-    are path-free, and P_j adds P_j*(A*P_j + B + q3*P_{j-1}) (_skeleton_step),
-    each point's (theta^lag, sigma_lag, A, B, q3) from a list made once per
-    call.  Conditioning draws ceil(t/8) normals a path where the plain
-    estimator draws t and, by Rao-Blackwell, cannot raise the variance of a
-    path's estimate against any finer skeleton that contains this one.  Only
-    t = 0 draws nothing: exp(alpha*x^2) is returned with stderr 0, and no
-    seed stream, thread, workspace or n-long array is made.
+    Only X_t is simulated: X_t - m = theta^t*(x - m) + sigma_t*Z,
+    sigma_t^2 = sum_{i<t} theta^(2i), one standard normal Z per path.  The
+    t - 1 steps between X_0 and X_t form one Gaussian bridge pinned at both
+    ends, integrated exactly by _bridge: log E[exp(alpha*sum X_i^2) | ends]
+    = c + alpha*Q with Q = q0 + q1*(a + b) + q2*(a^2 + b^2) + q3*a*b.  So the
+    conditioned S_t = x^2 + X_t^2 + Q is a quadratic F + a1*Z + a2*Z^2 whose
+    coefficients are made once per call, taken with its square completed,
+    S = floor + a2*(Z + shift)^2 (a2 = sigma_t^2*(1 + q2) >= 1), and a
+    path's estimate is exp(c + alpha*S):
+    alpha = 0 gives exactly 1.  Conditioning on X_t alone draws one normal a
+    path where the plain estimator draws t, its relative variance is flat in
+    t, and by Rao-Blackwell it is at most that of any skeleton X_0, ..., X_t
+    that contains this one.  The bridge costs O(t) pure-Python steps, the
+    draws O(n) whatever t, in one n-long array.  Only t = 0 draws nothing:
+    exp(alpha*x^2) is returned with stderr 0, and no generator or n-long
+    array is made.
 
-    Seed contract: the n paths are cut into K = ceil(n / MC_BLOCK) blocks,
-    block b holding paths n*b//K to n*(b+1)//K - 1.  Block b is driven by
-    Generator(SFC64(SeedSequence(seed).spawn(K)[b])), which draws one
-    standard-normal vector of the block's length for each skeleton point
-    X_8, X_16, ..., X_t, in order, and nothing else.  The blocks run on the
-    module's pool, in a kept workspace (see the module docstring), each
-    writing its own slice of the n estimates, exp(alpha*S + C) included,
-    under numpy's errstate(all="ignore") whatever the caller's np.seterr,
-    and reporting its largest estimate.  After the join the mean is taken
-    over all n paths, and the standard error is the largest estimate G times
-    ndarray.std(ddof=1)'s operations on the deviations over G, each in
-    [-1, 1], divided by sqrt(n) (0 where G is 0), so the squared deviations
-    of estimates near 1e-187 do not underflow.  So the result depends on
-    (seed, n) only, never on the number of cores or the pool, and replays
-    bit for bit.
+    Seed contract: path i's Z is entry i of
+    Generator(SFC64(seed)).standard_normal(n), drawn in the calling thread,
+    and nothing else is drawn.  The estimates are formed in place under
+    numpy's errstate(all="ignore"), whatever the caller's np.seterr.  The
+    mean is taken over all n paths, and the standard error is the largest
+    estimate G times ndarray.std(ddof=1)'s operations on the deviations over
+    G, each in [-1, 1], divided by sqrt(n) (0 where G is 0), so the squared
+    deviations of estimates near 1e-187 do not underflow.  So the result
+    depends on (seed, n) only and replays bit for bit.
     """
     import numpy as np
     a = _real_alpha(alpha)
@@ -449,99 +371,42 @@ def monte_carlo_mgf(
         if not math.isfinite(x * x):
             raise _overflow("a conditioned S_t", params, x, a, t)
         return OracleResult(value=math.exp(a * (x * x)), method="monte_carlo", stderr=0.0, n_samples=n)
-    k = -(-t // MC_STRIDE)
-    lag = t - MC_STRIDE * (k - 1)
-    # the skeleton points' steps, C and the path-free part of S: a bridge of
-    # MC_STRIDE - 1 steps ends at each point but X_t, whose bridge has lag - 1
-    # and after which none starts (the zero factor of 0 steps)
-    last = _bridge(theta, m, a, lag - 1)
-    steps = [_skeleton_step(theta, m, lag, last, _bridge(theta, m, a, 0))]
-    log_factor, fixed, first_bridge = last[0], x * x + (last[1] + m * m), last
-    if k > 1:
-        inner = _bridge(theta, m, a, MC_STRIDE - 1)
-        steps[:0] = ([_skeleton_step(theta, m, MC_STRIDE, inner, inner)] * (k - 2)
-                     + [_skeleton_step(theta, m, MC_STRIDE, inner, last)])
-        log_factor += (k - 1) * inner[0]
-        fixed += (k - 1) * (inner[1] + m * m)
-        first_bridge = inner
+    log_factor, q0, q1, q2, q3 = _bridge(theta, m, a, t - 1)
     first = x - m
-    _, _, q1, q2, _ = first_bridge
-    fixed += first * (q2 * first + q1)
-    if not math.isfinite(fixed):
-        raise _overflow("a conditioned S_t", params, x, a, t)
-    blocks = -(-n // MC_BLOCK)
-    pool, workers = _executor()
-    streams = np.random.SeedSequence(seed).spawn(blocks)
-    # the n estimates, then a block-long scratch set per worker the call can
-    # busy, in a free kept workspace (made here where none is large enough:
-    # arrays made in the worker threads stay in their per-thread malloc arenas)
-    size, sets = -(-n // blocks), min(blocks, workers)
-    with _pool_lock:
-        space = _spaces.pop() if _spaces else np.empty(0)
-    if space.size < n + 3 * size * sets:
-        space = np.empty(n + 3 * size * sets)
-    total = space[:n]
-    spare = list(space[n:n + 3 * size * sets].reshape(sets, 3, size))
-
-    def run_block(b: int) -> tuple:
-        # the block's conditioned S, then its estimates exp(alpha*S + C) in
-        # place; returns whether every S was finite, and the largest estimate
-        cut = slice(n * b // blocks, n * (b + 1) // blocks)
-        rng = np.random.Generator(np.random.SFC64(streams[b]))
-        block_total = total[cut]
-        block_total.fill(fixed)
-        scratch = spare.pop()  # one set per worker: at most `sets` blocks of this call run at once
-        dev, nxt, step = scratch[:, : block_total.size]  # P_{j-1}, P_j, the step's terms
-        dev.fill(first)
-        # an overflow (or 0*inf) leaves a non-finite sum, raised after the
-        # join; alpha*S past -inf gives the estimate 0 (an underflow)
-        with np.errstate(all="ignore"):
-            for gain, sigma, coef_a, coef_b, q3 in steps:
-                rng.standard_normal(out=step)
-                step *= sigma
-                np.multiply(dev, gain, out=nxt)
-                nxt += step
-                np.multiply(nxt, coef_a, out=step)
-                step += coef_b
-                dev *= q3
-                step += dev
-                step *= nxt
-                block_total += step
-                dev, nxt = nxt, dev
-            finite = math.isfinite(block_total.max())
-            block_total *= a
-            block_total += log_factor
-            np.exp(block_total, out=block_total)
-        spare.append(scratch)
-        return finite, float(block_total.max())
-
-    # numpy releases the GIL in the normal fill and the ufunc loops, so the
-    # blocks overlap; every block ends before result() re-raises a worker's
-    # exception here and before the workspace is handed back (a call stopped
-    # in wait drops it)
-    from concurrent.futures import wait
-    runs = [pool.submit(run_block, b) for b in range(blocks)]
-    wait(runs)
-    try:
-        ends = [run.result() for run in runs]
-        if not all(finite for finite, _ in ends):
+    # b = X_t - m = centre + sigma*Z, and S = rest + b*(linear + square*b),
+    # X_t^2 and the bridge's terms in b, then all the path-free ones; its
+    # square completed, S = floor + a2*(Z + shift)^2
+    centre = theta**t * first
+    sigma = math.sqrt(math.fsum([(theta * theta) ** i for i in range(t)]))
+    square, linear = 1.0 + q2, 2.0 * m + q1 + q3 * first
+    rest = x * x + m * m + q0 + first * (q2 * first + q1)
+    vertex = linear / (2.0 * square)  # S is least at b = -vertex
+    floor, shift, a2 = rest - 0.5 * linear * vertex, (centre + vertex) / sigma, sigma * (sigma * square)
+    # an overflow (or 0*inf), path-free or not, leaves a non-finite S, raised
+    # below; alpha*S past -inf gives the estimate 0 (an underflow); a tiny
+    # mean or a scaled deviation's square may underflow too, whatever the
+    # caller's np.seterr
+    with np.errstate(all="ignore"):
+        total = np.random.Generator(np.random.SFC64(seed)).standard_normal(n)
+        total += shift
+        np.multiply(total, total, out=total)
+        total *= a2
+        total += floor
+        if not math.isfinite(total.max()):
             raise _overflow("a conditioned S_t", params, x, a, t)
-        largest = max(top for _, top in ends)
+        total *= a
+        total += log_factor
+        np.exp(total, out=total)
         # the mean, then the standard error in place, in ndarray.std(ddof=1)'s
-        # own operations on the deviations over the largest estimate, each in
-        # [-1, 1]; a tiny mean or a scaled deviation's square may still
-        # underflow, whatever the caller's np.seterr
-        with np.errstate(all="ignore"):
-            mean = np.add.reduce(total) / n
-            spread = 0.0
-            if largest:
-                total -= mean
-                total /= largest
-                np.multiply(total, total, out=total)
-                spread = largest * math.sqrt(np.add.reduce(total) / (n - 1))
-    finally:
-        with _pool_lock:
-            _spaces.append(space)
+        # own operations on the deviations over the largest estimate
+        mean = np.add.reduce(total) / n
+        largest = float(total.max())
+        spread = 0.0
+        if largest:
+            total -= mean
+            total /= largest
+            np.multiply(total, total, out=total)
+            spread = largest * math.sqrt(np.add.reduce(total) / (n - 1))
     return OracleResult(value=float(mean), method="monte_carlo", stderr=spread / math.sqrt(n), n_samples=n)
 
 

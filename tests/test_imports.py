@@ -1,7 +1,6 @@
 """The public surface of the package, and which modules its entry points
 import: numpy is loaded by the sweep, the Monte Carlo oracle and verify's
-run_all only, and concurrent.futures by a Monte Carlo call that draws
-only.
+run_all only, and concurrent.futures by none of them.
 
 Each entry point runs in a fresh interpreter, which then reports whether
 a module was imported: the scalar closed form, the matrix oracle, the
@@ -62,9 +61,15 @@ def test_scalar_entry_points_do_not_load_the_thread_pool():
     assert not module_loaded_after("\n".join(ENTRY_POINTS.values()), "concurrent.futures")
 
 
-def test_monte_carlo_loads_the_thread_pool():
-    # t = 7 draws one skeleton point: its one block runs in the pool (t = 0 draws nothing)
-    assert module_loaded_after(SETUP + "monte_carlo_mgf(p, -0.3, 0.5, 7, 10, 0)", "concurrent.futures")
+def test_monte_carlo_loads_no_thread_pool_and_starts_no_thread():
+    # the draws and the estimates run in the calling thread: a thread started
+    # anywhere in the call raises, and none is left running after it
+    code = (SETUP + "import threading\n"
+            "def refuse(self): raise AssertionError('a thread was started')\n"
+            "threading.Thread.start = refuse\n"
+            "monte_carlo_mgf(p, -0.3, 0.5, 7, 200_000, 0)\n"
+            "assert threading.active_count() == 1, threading.enumerate()")
+    assert not module_loaded_after(code, "concurrent.futures")
 
 
 STOP_AT_FIRST_CHECK = ("from ar1quad import verify\n"

@@ -2,14 +2,8 @@ import collections
 import math
 import os
 import random
-import signal
-import struct
 import subprocess
 import sys
-import threading
-import time
-import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -312,72 +306,32 @@ def test_monte_carlo_deterministic_given_seed():
     assert a.method == "monte_carlo" and a.n_samples == 10_000
 
 
-def plain_path_blocks(theta, m, alpha, x, t, n, seed):
-    """The plain estimator the conditioned one replaced, on the same blocks and
-    streams: every step X_1..X_t draws one standard_normal, and each path's
-    estimate is exp(alpha*S_t); the reference for its standard error."""
-    k = -(-n // 2**16)
-    edges = [n * b // k for b in range(k + 1)]
-    total = np.empty(n)
-    for b, stream in enumerate(np.random.SeedSequence(seed).spawn(k)):
-        rng = np.random.Generator(np.random.SFC64(stream))
-        size = edges[b + 1] - edges[b]
-        dev = np.full(size, x - m)
-        block_total = np.full(size, x * x)
-        for _ in range(t):
-            dev = theta * dev + rng.standard_normal(size)
-            block_total += (dev + m) ** 2
-        total[edges[b]:edges[b + 1]] = block_total
-    values = np.exp(alpha * total)
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n))
+def one_point_coefficients(theta, m, alpha, x, t):
+    """(c, floor, shift, a2), t >= 1: the conditioned S_t = x^2 + X_t^2 + Q of the
+    bridge pinned at X_0 = x and X_t, as floor + a2*(Z + shift)^2 in the one normal Z
+    of X_t - m = theta^t*(x - m) + sigma_t*Z, and c the bridge's log factor, from
+    _bridge's coefficients in the oracle's own operations."""
+    c, q0, q1, q2, q3 = _bridge(theta, m, alpha, t - 1)
+    first = x - m
+    centre = theta**t * first
+    sigma = math.sqrt(math.fsum([(theta * theta) ** i for i in range(t)]))
+    square, linear = 1.0 + q2, 2.0 * m + q1 + q3 * first
+    rest = x * x + m * m + q0 + first * (q2 * first + q1)
+    vertex = linear / (2.0 * square)
+    return c, rest - 0.5 * linear * vertex, (centre + vertex) / sigma, sigma * (sigma * square)
 
 
-def replay_blocks(theta, m, alpha, x, t, n, seed):
-    """The seed contract, serially: K = ceil(n / 2**16) blocks with edges n*b//K, block b
-    drawing, from Generator(SFC64(SeedSequence(seed).spawn(K)[b])), one standard_normal
-    vector per skeleton point X_8, X_16, ..., X_{8(k-1)}, X_t, k = ceil(t/8), in that
-    order, and nothing else.  The pinned bridges between skeleton points, 7 steps and
-    r - 1 before X_t (r = t - 8(k-1)), are added exactly, from _bridge's coefficients:
-    the terms in P_0 = x - m and every m^2 are path-free, and each P_j adds
-    P_j*(A*P_j + B + q3*P_{j-1}).  The standard error is taken on the deviations over
-    the largest estimate.  At t = 0 the one exact estimate, with standard error 0."""
+def replay(theta, m, alpha, x, t, n, seed):
+    """The seed contract, serially: path i draws Z_i, entry i of
+    Generator(SFC64(seed)).standard_normal(n), and nothing else, and its estimate is
+    exp(c + alpha*(floor + a2*(Z_i + shift)^2)) (one_point_coefficients).  The
+    standard error is taken on the deviations over the largest estimate.  At t = 0
+    the one exact estimate, with standard error 0."""
     if not t:
         return math.exp(alpha * (x * x)), 0.0
-    k = -(-t // 8)
-    lag = t - 8 * (k - 1)
-    last = _bridge(theta, m, alpha, lag - 1)
-    inner = _bridge(theta, m, alpha, 7) if k > 1 else None
-    first = x - m
-    _, _, q1_first, q2_first, _ = inner if k > 1 else last
-    fixed = x * x + (last[1] + m * m)
-    log_factor = last[0]
-    if k > 1:
-        log_factor += (k - 1) * inner[0]
-        fixed += (k - 1) * (inner[1] + m * m)
-    fixed += first * (q2_first * first + q1_first)
-    # bridge j ends at P_j; no bridge starts at P_k
-    bridges = [inner] * (k - 1) + [last] + [(0.0,) * 5]
-    steps = []
-    for j in range(k):
-        step_lag = 8 if j < k - 1 else lag
-        (_, _, q1, q2, q3), (_, _, q1_next, q2_next, _) = bridges[j], bridges[j + 1]
-        sigma = math.sqrt(math.fsum([(theta * theta) ** i for i in range(step_lag)]))
-        steps.append((theta**step_lag, sigma, 1.0 + q2 + q2_next, 2.0 * m + q1 + q1_next, q3))
-    blocks = -(-n // 2**16)
-    edges = [n * b // blocks for b in range(blocks + 1)]
-    total = np.empty(n)
-    for b, stream in enumerate(np.random.SeedSequence(seed).spawn(blocks)):
-        rng = np.random.Generator(np.random.SFC64(stream))
-        size = edges[b + 1] - edges[b]
-        dev = np.full(size, first)
-        block_total = np.full(size, fixed)
-        for gain, sigma, coef_a, coef_b, q3 in steps:
-            nxt = gain * dev + sigma * rng.standard_normal(size)
-            # P_j's own square and the bridges that end and start at it
-            block_total += nxt * (coef_a * nxt + coef_b + q3 * dev)
-            dev = nxt
-        total[edges[b]:edges[b + 1]] = block_total
-    values = np.exp(alpha * total + log_factor)
+    c, floor, shift, a2 = one_point_coefficients(theta, m, alpha, x, t)
+    z = np.random.Generator(np.random.SFC64(seed)).standard_normal(n) + shift
+    values = np.exp(alpha * (a2 * (z * z) + floor) + c)
     largest = float(values.max())
     mean = values.mean()
     if not largest:
@@ -390,58 +344,15 @@ def replay_blocks(theta, m, alpha, x, t, n, seed):
                                         (4, 2**16, 3), (3, 2**16 + 1, 8), (3, 150_001, 9)])
 @pytest.mark.parametrize("theta, m, alpha, x", [(0.6, 1.0, -0.2, 0.3), (-0.8, -1.5, -0.01, -2.0)])
 def test_monte_carlo_replays_the_documented_loop(theta, m, alpha, x, t, n, seed):
-    # n <= 2**16 is one block; 2**16 + 1 is two and 150_001 three, of unequal sizes
     res = monte_carlo_mgf(ModelParams(theta, m), alpha, x, t, n, seed)
-    assert (res.value, res.stderr) == replay_blocks(theta, m, alpha, x, t, n, seed)
+    assert (res.value, res.stderr) == replay(theta, m, alpha, x, t, n, seed)
 
 
-@pytest.fixture
-def fresh_pool(monkeypatch):
-    """The Monte Carlo pool made anew by the test's first call that draws, and shut down after it."""
-    monkeypatch.setattr(oracle, "_pool", None)
-    yield
-    if oracle._pool is not None:
-        oracle._pool[0].shutdown()
-
-
-def recorded_pools(monkeypatch, pause=0.0):
-    """The thread counts the Monte Carlo pools are built with, one entry per
-    pool; each build first sleeps `pause` seconds, which widens a race."""
-    import concurrent.futures
-
-    workers = []
-    pool_class = concurrent.futures.ThreadPoolExecutor
-
-    def recording_pool(max_workers):
-        time.sleep(pause)
-        workers.append(max_workers)
-        return pool_class(max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
-    return workers
-
-
-@pytest.mark.parametrize("cores", [1, 2, 8, None])
-def test_monte_carlo_bits_do_not_depend_on_the_worker_count(fresh_pool, monkeypatch, cores):
-    params, n = ModelParams(0.6, 1.0), 600_001  # ten blocks, of unequal sizes
-    expected = replay_blocks(0.6, 1.0, -0.1, 0.4, 7, n, 17)
-    workers = recorded_pools(monkeypatch)
-    monkeypatch.setattr(oracle, "_cpu_count", lambda: cores)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
-    try:
-        res = monte_carlo_mgf(params, -0.1, 0.4, 7, n, 17)
-    finally:
-        sys.setswitchinterval(interval)
-    assert workers == [cores or 1]  # None: the core count is unknown
-    assert (res.value, res.stderr) == expected
-
-
-@pytest.mark.parametrize("n", [1000, 150_001])  # one block, three blocks
+@pytest.mark.parametrize("n", [1000, 150_001])
 def test_monte_carlo_bits_do_not_depend_on_the_callers_error_state(n):
     # at alpha = -800 most estimates underflow to 0: a caller that raises on
     # every floating-point event gets the same bits as one that ignores them
-    expected = replay_blocks(0.6, 1.0, -800.0, 0.4, 7, n, 3)
+    expected = replay(0.6, 1.0, -800.0, 0.4, 7, n, 3)
     with np.errstate(all="raise"):
         res = monte_carlo_mgf(ModelParams(0.6, 1.0), -800.0, 0.4, 7, n, 3)
     assert (res.value, res.stderr) == expected
@@ -451,7 +362,7 @@ def test_monte_carlo_bits_do_not_depend_on_the_callers_error_state(n):
 def test_monte_carlo_underflowing_standard_error_ignores_the_callers_error_state():
     # at alpha = -2500 the estimates are near 1e-187 and their squared
     # deviations underflow: a caller under all="raise" got FloatingPointError
-    expected = replay_blocks(0.6, 1.0, -2500.0, 0.4, 7, 1000, 3)
+    expected = replay(0.6, 1.0, -2500.0, 0.4, 7, 1000, 3)
     with np.errstate(all="raise"):
         res = monte_carlo_mgf(ModelParams(0.6, 1.0), -2500.0, 0.4, 7, 1000, 3)
     assert (res.value, res.stderr) == expected
@@ -467,99 +378,22 @@ def test_monte_carlo_standard_error_of_tiny_estimates_does_not_underflow():
     assert abs(res.value - exact) <= 6.0 * res.stderr, (res, exact)
 
 
-def failing_bit_generator(stream):
-    raise MemoryError("no room for the block")
+def failing_bit_generator(seed):
+    raise MemoryError("no room for the draws")
 
 
 def test_monte_carlo_worker_error_reaches_the_caller(monkeypatch):
-    # an exception in a block is raised in the calling thread, not lost in the worker
-    # (t = 7: one skeleton step, so each block makes its generator)
+    # the draws run in the calling thread: an exception there is the caller's
     monkeypatch.setattr(np.random, "SFC64", failing_bit_generator)
-    with pytest.raises(MemoryError, match="no room for the block"):
+    with pytest.raises(MemoryError, match="no room for the draws"):
         monte_carlo_mgf(ModelParams(0.6, 1.0), -0.1, 0.4, 7, 150_001, 17)
 
 
-def test_monte_carlo_worker_error_does_not_poison_the_pool(monkeypatch):
-    with monkeypatch.context() as patch:
-        patch.setattr(np.random, "SFC64", failing_bit_generator)
-        with pytest.raises(MemoryError, match="no room for the block"):
-            monte_carlo_mgf(ModelParams(0.6, 1.0), -0.1, 0.4, 7, 150_001, 17)
-    res = monte_carlo_mgf(ModelParams(0.6, 1.0), -0.1, 0.4, 7, 150_001, 17)
-    assert (res.value, res.stderr) == replay_blocks(0.6, 1.0, -0.1, 0.4, 7, 150_001, 17)
-
-
-def test_monte_carlo_first_calls_from_two_threads_share_one_pool(fresh_pool, monkeypatch):
-    # both threads make their first call at once: one pool is built, and each
-    # call replays its own blocks
-    workers = recorded_pools(monkeypatch, pause=0.05)
-    cases = [(0.6, 1.0, -0.1, 0.4, 7, 150_001, 17), (-0.8, -1.5, -0.01, -2.0, 13, 200_003, 5)]
-    results = [None] * len(cases)
-    start = threading.Barrier(len(cases))
-
-    def call(i):
-        theta, m, alpha, x, t, n, seed = cases[i]
-        start.wait()
-        res = monte_carlo_mgf(ModelParams(theta, m), alpha, x, t, n, seed)
-        results[i] = res.value, res.stderr
-
-    threads = [threading.Thread(target=call, args=(i,)) for i in range(len(cases))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert len(workers) == 1
-    assert results == [replay_blocks(*case) for case in cases]
-
-
-def test_monte_carlo_calls_reuse_one_pool(fresh_pool, monkeypatch):
-    monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
-    params = ModelParams(0.6, 1.0)
-    monte_carlo_mgf(params, -0.1, 0.4, 7, 600_001, 17)  # ten blocks start both threads
-    pool, threads = oracle._pool, threading.active_count()
-    for seed in range(20):
-        monte_carlo_mgf(params, -0.1, 0.4, 7, 150_001, seed)
-    assert oracle._pool is pool
-    assert threading.active_count() <= threads
-
-
-def test_monte_carlo_pool_has_a_thread_per_cpu_the_process_may_use(fresh_pool, monkeypatch):
-    # under a cpuset os.cpu_count() counts every CPU of the host
-    workers = recorded_pools(monkeypatch)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
-    monte_carlo_mgf(ModelParams(0.6, 1.0), -0.1, 0.4, 7, 1000, 17)
-    assert workers == [1]
-
-
-def traced_peak(call) -> int:
-    """The peak, in bytes, of the memory tracemalloc sees allocated during call()."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_monte_carlo_call_of_a_served_size_allocates_nothing_n_sized(monkeypatch):
-    # the estimates, the scratch and the standard error's deviations all sit
-    # in the kept workspace: a new one was 4.0 MB at n = 10^5
-    monkeypatch.setattr(oracle, "_spaces", [])
-    params = ModelParams(0.6, 1.0)
-    monte_carlo_mgf(params, -0.1, 0.4, 8, 10**5, 1)
-    assert traced_peak(lambda: monte_carlo_mgf(params, -0.1, 0.4, 8, 10**5, 2)) < 100_000
-
-
 def test_monte_carlo_calls_fault_in_almost_no_fresh_memory():
-    # after one warm-up call, ten calls at n = 10^5 run in the kept workspace:
-    # a new 4 MB per call was 6,900-7,700 minor page faults in all, which
-    # tracemalloc (allocations, not faults) cannot see
+    # after one warm-up call, ten calls at n = 10^5 reuse the memory the
+    # allocator kept from the one before: two n-long arrays a call faulted
+    # about 3,600 minor pages in all in a fresh interpreter, and a fresh
+    # 4 MB a call 6,900-7,700
     resource = pytest.importorskip("resource")  # not on Windows
     params = ModelParams(0.6, 1.0)
     monte_carlo_mgf(params, -0.1, 0.4, 8, 10**5, 0)
@@ -570,85 +404,26 @@ def test_monte_carlo_calls_fault_in_almost_no_fresh_memory():
     assert faults < 1000, faults
 
 
-@pytest.mark.parametrize("failure", ["worker", "overflow"])
-def test_monte_carlo_failed_call_hands_its_workspace_back(monkeypatch, failure):
-    # a worker's exception and an S_t that overflows only in the drawn paths
-    # (theta = 0.95, x = 8e153: the path-free part is 9.4e307) are raised after
-    # the join; the next call still finds the workspace
-    monkeypatch.setattr(oracle, "_spaces", [])
-    params = ModelParams(0.6, 1.0)
-    monte_carlo_mgf(params, -0.1, 0.4, 8, 10**5, 1)
-    with monkeypatch.context() as patch:
-        if failure == "worker":
-            patch.setattr(np.random, "SFC64", failing_bit_generator)
-            with pytest.raises(MemoryError, match="no room for the block"):
-                monte_carlo_mgf(params, -0.1, 0.4, 8, 10**5, 2)
-        else:
-            with pytest.raises(ParameterError, match="overflow"):
-                monte_carlo_mgf(ModelParams(0.95, 0.0), -0.3, 8e153, 4, 10**5, 2)
-    assert len(oracle._spaces) == 1
-    assert traced_peak(lambda: monte_carlo_mgf(params, -0.1, 0.4, 8, 10**5, 3)) < 100_000
-
-
-def test_monte_carlo_calls_at_once_hold_their_own_workspaces(fresh_pool, monkeypatch):
-    # each call's one block waits in the pool for the other's, so both calls
-    # hold a workspace at the same time; one is kept from an earlier call
-    monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(oracle, "_spaces", [])
-    cases = [(0.6, 1.0, -0.1, 0.4, 13, 60_000, 17), (-0.8, -1.5, -0.01, -2.0, 9, 50_000, 5)]
-    expected = [replay_blocks(*case) for case in cases]
-    monte_carlo_mgf(ModelParams(0.6, 1.0), -0.1, 0.4, 13, 60_000, 3)
-    meeting, bit_generator = threading.Barrier(len(cases)), np.random.SFC64
-
-    def meeting_bit_generator(stream):
-        meeting.wait(timeout=30)
-        return bit_generator(stream)
-
-    monkeypatch.setattr(np.random, "SFC64", meeting_bit_generator)
-    results = [None] * len(cases)
-
-    def call(i):
-        theta, m, alpha, x, t, n, seed = cases[i]
-        res = monte_carlo_mgf(ModelParams(theta, m), alpha, x, t, n, seed)
-        results[i] = res.value, res.stderr
-
-    threads = [threading.Thread(target=call, args=(i,)) for i in range(len(cases))]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-    assert not any(thread.is_alive() for thread in threads)
-    assert results == expected
-    assert len(oracle._spaces) == 2 and not np.shares_memory(*oracle._spaces)
-
-
-def test_monte_carlo_in_a_forked_child_gives_the_parents_bits():
-    # the parent's pool threads do not exist in a forked child, where reusing
-    # the pool hangs: the child must make its own and return in time
-    args = (ModelParams(0.6, 1.0), -0.1, 0.4, 7, 150_001, 17)  # three blocks: the pool is live
-    parent = monte_carlo_mgf(*args)
-    read, write = os.pipe()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)  # Python >= 3.12: a fork with threads running
-        pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            signal.signal(signal.SIGALRM, signal.SIG_DFL)
-            signal.alarm(30)  # a hung child is killed, so the parent's waitpid returns
-            res = monte_carlo_mgf(*args)
-            os.write(write, struct.pack("2d", res.value, res.stderr))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
-    try:
-        _, status = os.waitpid(pid, 0)
-        data = os.read(read, 16)
-    finally:
-        os.close(read)
-    assert os.waitstatus_to_exitcode(status) == 0  # -14: SIGALRM, the child hung
-    assert struct.unpack("2d", data) == (parent.value, parent.stderr)
+def test_monte_carlo_error_bar_holds_at_long_horizons():
+    # theta = 0.6, m = 1, x = 0, alpha = -0.2, n = 10^5: the plain and skeleton
+    # estimators' relative variance grew exponentially in t, and the stride-8
+    # skeleton's standard scores read -9.05 at t = 400 and down to -4.7e5 at
+    # t = 1000 behind a confident error bar.  Conditioned on X_t alone the relative standard error stays
+    # that of t = 10, and the estimate covers L_t
+    params, alpha, x, n = ModelParams(0.6, 1.0), -0.2, 0.0, 10**5
+    for seed in range(3):
+        near = monte_carlo_mgf(params, alpha, x, 10, n, seed)
+        near_rel = near.stderr / transform(params, TransformPoint(alpha), x, 10).value.real
+        for t in (400, 1000):
+            exact = transform(params, TransformPoint(alpha), x, t).value.real
+            res = monte_carlo_mgf(params, alpha, x, t, n, seed)
+            assert abs(res.value - exact) <= 4.0 * res.stderr, (t, seed, res, exact)
+            assert 0.5 <= (res.stderr / exact) / near_rel <= 2.0, (t, seed, res, exact)
+    # t = 10^4 at alpha = -0.02, where L_t is near 1e-197 (at -0.2 it is e^-2677,
+    # below the double range, and every estimate is 0)
+    exact = transform(params, TransformPoint(-0.02), x, 10**4).value.real
+    res = monte_carlo_mgf(params, -0.02, x, 10**4, n, 0)
+    assert res.stderr > 0.0 and abs(res.value - exact) <= 4.0 * res.stderr, (res, exact)
 
 
 @pytest.mark.parametrize("m, x", [(1e200, 0.5), (0.0, 1e200)])
@@ -673,9 +448,8 @@ def test_monte_carlo_exact_cases():
 @pytest.mark.parametrize("theta, m, x, alpha", [(0.6, 1.0, 0.4, -0.3), (-0.9, -2.0, 3.5, -0.05),
                                                 (0.05, 1.7, -4.0, -1e-4), (0.95, 0.0, 0.0, -2.0)])
 def test_monte_carlo_short_horizons_cover_the_exact_value(theta, m, x, alpha):
-    # t = 1..3 draw X_t, their one skeleton point, and integrate the steps
-    # before it: 100 seeds at n = 2000 each, whose standard scores centre on 0
-    # and few pass 2
+    # t = 1..3 draw X_t and integrate the steps before it: 100 seeds at
+    # n = 2000 each, whose standard scores centre on 0 and few pass 2
     params = ModelParams(theta, m)
     for t in (1, 2, 3):
         exact = transform(params, TransformPoint(alpha), x, t).value.real
@@ -774,17 +548,18 @@ def _dense_bridge(theta, alpha, p):
     return gains, root, -0.5 * float(np.sum(np.log1p(-2.0 * alpha * lam)))
 
 
-def _skeleton_log_moment(theta, m, alpha, x, t, order):
-    """log E[g^order] for a path's estimate g = exp(alpha*S + C), t >= 1.
+def _skeleton_log_moment(theta, m, alpha, x, t, order, stride=8):
+    """log E[g^order] for a path's estimate g = exp(alpha*S + C), t >= 1, given the
+    skeleton X_0, X_stride, X_2stride, ..., X_t (stride >= t: X_0 and X_t alone).
 
-    The skeleton points s_0 = 0, 8, 16, ..., 8(k-1), s_k = t (k = ceil(t/8)) have
-    deviations P_j = X_{s_j} - m = theta^(s_j)*(x - m) + sum_{i<=j} sd_i*theta^(s_j - s_i)*e_i,
+    The skeleton points s_0 = 0, stride, ..., stride*(k-1), s_k = t (k = ceil(t/stride))
+    have deviations P_j = X_{s_j} - m = theta^(s_j)*(x - m) + sum_{i<=j} sd_i*theta^(s_j - s_i)*e_i,
     sd_i^2 = (1 - theta^(2*lag_i))/(1 - theta^2), affine in e ~ N(0, I_k), and S - x^2 is
     a sum of squares of affine forms in e: one per skeleton point and, through
     _dense_bridge, one per step of each pinned bridge between two points.  So E[g^order]
     is a dense Gaussian integral that shares no recursion with the oracle."""
-    k = -(-t // 8)
-    points = np.array([8 * j for j in range(k)] + [t])
+    k = -(-t // stride)
+    points = np.array([stride * j for j in range(k)] + [t])
     lags = np.diff(points)
     sd = np.sqrt((1.0 - theta ** (2 * lags)) / (1.0 - theta * theta))
     j, i = points[:, None], points[None, 1:]
@@ -812,69 +587,87 @@ def _oracles_like_draws(seed, count):
         yield theta, m, alpha, x, t, rng.randrange(2**32)
 
 
+def _one_point_log_second_moment(theta, m, alpha, x, t):
+    """log E[g^2] for the one-point estimate g = exp(c + alpha*(F + a1*Z + a2*Z^2)),
+    Z standard normal: 2c + 2*alpha*F - log(1 - 4*alpha*a2)/2 + 2*alpha^2*a1^2/(1 - 4*alpha*a2),
+    with F = floor + a2*shift^2 and a1 = 2*a2*shift."""
+    c, floor, shift, a2 = one_point_coefficients(theta, m, alpha, x, t)
+    fixed, a1 = floor + a2 * shift * shift, 2.0 * a2 * shift
+    q = 1.0 - 4.0 * alpha * a2
+    return 2.0 * (c + alpha * fixed) - 0.5 * math.log(q) + 2.0 * alpha * alpha * a1 * a1 / q
+
+
 def test_monte_carlo_conditioning_keeps_the_precision():
-    # on 24 draws like the benchmark's, n = 10^5: at every draw the conditioned
-    # estimator's standard error is at most the plain loop's at the same
-    # (n, seed), its exact variance (a Gaussian integral) is below the plain
-    # one's L_t(2*alpha) - L_t(alpha)^2, and the sampled standard error matches it
+    # on 24 draws like the benchmark's, n = 10^5: the one-point estimate's exact
+    # second moment, from its coefficients, is the dense Gaussian integral's;
+    # its relative variance is below the plain one's L_t(2*alpha)/L_t(alpha)^2 - 1,
+    # and the sampled standard error matches it
     n = 10**5
     for theta, m, alpha, x, t, seed in _oracles_like_draws(20261019, 24):
-        params = ModelParams(theta, m)
+        params, case = ModelParams(theta, m), (theta, m, alpha, x, t)
         res = monte_carlo_mgf(params, alpha, x, t, n, seed)
-        assert res.stderr <= plain_path_blocks(theta, m, alpha, x, t, n, seed)[1], (theta, m, alpha, x, t)
         log_l = transform(params, TransformPoint(alpha), x, t).log_value.real
         plain_rel_var = math.expm1(transform(params, TransformPoint(2.0 * alpha), x, t).log_value.real - 2.0 * log_l)
-        rel_var = math.expm1(_skeleton_log_moment(theta, m, alpha, x, t, 2) - 2.0 * log_l)
-        assert 0.0 < rel_var < plain_rel_var, (theta, m, alpha, x, t)
-        assert abs(res.stderr / (math.exp(log_l) * math.sqrt(rel_var / n)) - 1.0) <= 0.05, (theta, m, alpha, x, t)
+        moment = _one_point_log_second_moment(theta, m, alpha, x, t)
+        dense = _skeleton_log_moment(theta, m, alpha, x, t, 2, stride=t)
+        assert abs(moment - dense) <= 1e-12 * max(1.0, abs(dense)), case
+        rel_var = math.expm1(moment - 2.0 * log_l)
+        assert 0.0 < rel_var < plain_rel_var, case
+        assert abs(res.stderr / (math.exp(log_l) * math.sqrt(rel_var / n)) - 1.0) <= 0.05, case
 
 
 def test_monte_carlo_skeleton_nests_the_stride_2_estimator():
     # the dense moments belong to an unbiased estimator (the first is L_t at
     # every draw), so a wrong bridge fails here instead of passing as a smaller
-    # variance.  Rao-Blackwell at even t, where X_8, X_16, ..., X_t are among
-    # the stride-2 points X_2, X_4, ...: the estimate is the stride-2 one
-    # averaged over the other points given this skeleton, so its exact
-    # relative variance is at most stride 2's, which is below the plain one's
+    # variance.  Rao-Blackwell at even t, where X_t is among the stride-8
+    # points X_8, X_16, ..., X_t, and those among the stride-2 points X_2, X_4,
+    # ...: each estimate is the finer one averaged over the other points given
+    # its own, so the one-point estimate's exact relative variance is at most
+    # stride 8's, at most stride 2's, which is below the plain one's
     nested = 0
     for theta, m, alpha, x, t, _ in _oracles_like_draws(20261019, 48):
-        params = ModelParams(theta, m)
+        params, case = ModelParams(theta, m), (theta, m, alpha, x, t)
         log_l = transform(params, TransformPoint(alpha), x, t).log_value.real
-        assert abs(_skeleton_log_moment(theta, m, alpha, x, t, 1) - log_l) <= 1e-12 * max(1.0, abs(log_l))
+        for stride in (8, t):
+            first = _skeleton_log_moment(theta, m, alpha, x, t, 1, stride)
+            assert abs(first - log_l) <= 1e-12 * max(1.0, abs(log_l)), (case, stride)
         if t % 2:
             continue
+        one_point = math.expm1(_skeleton_log_moment(theta, m, alpha, x, t, 2, stride=t) - 2.0 * log_l)
         stride_8 = math.expm1(_skeleton_log_moment(theta, m, alpha, x, t, 2) - 2.0 * log_l)
         stride_2 = math.expm1(_stride_2_log_second_moment(theta, m, alpha, x, t) - 2.0 * log_l)
         plain = math.expm1(transform(params, TransformPoint(2.0 * alpha), x, t).log_value.real - 2.0 * log_l)
-        assert 0.0 < stride_8 <= stride_2 < plain, (theta, m, alpha, x, t)
+        assert 0.0 < one_point <= stride_8 <= stride_2 < plain, case
         nested += 1
     assert nested >= 20
 
 
-def _bridge_draws(seed, count):
+def _bridge_draws(seed, count, longest=7):
     rng = random.Random(seed)
     for _ in range(count):
         theta = rng.choice((-1, 1)) * rng.uniform(0.05, 0.95)
         alpha = -(10 ** rng.uniform(-300.0, math.log10(3.0)))
-        yield theta, rng.uniform(-2.0, 2.0), alpha, rng.randint(1, 7)
+        yield theta, rng.uniform(-2.0, 2.0), alpha, rng.randint(1, longest)
 
 
 def test_bridge_matches_the_dense_gaussian_integral():
     # the coefficients of log E[exp(alpha*sum X_i^2) | ends] against the dense
-    # conditional law, alpha from -1e-300 to -3.  Each q is a form u' W v, which the
-    # dense route gives to eps*||u||*||v|| (||W|| <= 1); the b end has the same q1
-    # and q2 as the a end
-    for theta, m, alpha, p in _bridge_draws(20261020, 400):
+    # conditional law, alpha from -1e-300 to -3, p up to 60 (the benchmark's
+    # horizons reach 50).  Each q is a form u' W v, which the dense route gives to
+    # eps*||u||*||v|| (||W|| <= 1); the b end has the same q1 and q2 as the a end.
+    # Past 7 steps the bounds grow with p, as the rounding of p pivots does
+    draws = [*_bridge_draws(20261020, 400), *_bridge_draws(20261023, 100, longest=60)]
+    for theta, m, alpha, p in draws:
         gains, root, c = _dense_bridge(theta, alpha, p)
         weight, ones = root @ root, np.ones(p)
         got = _bridge(theta, m, alpha, p)
-        case = (theta, m, alpha, p)
-        assert rel_err(got[0], c) <= 4e-15, case
-        assert rel_err(got[1], m * m * (ones @ weight @ ones)) <= 1e-14, case
+        case, grow = (theta, m, alpha, p), max(1.0, p / 7)
+        assert rel_err(got[0], c) <= 4e-15 * grow, case
+        assert rel_err(got[1], m * m * (ones @ weight @ ones)) <= 1e-14 * grow, case
         forms = [(2.0 * m, ones, gains[:, 0]), (1.0, gains[:, 0], gains[:, 0]), (2.0, gains[:, 0], gains[:, 1]),
                  (2.0 * m, ones, gains[:, 1]), (1.0, gains[:, 1], gains[:, 1])]
         for value, (factor, u, v) in zip(got[2:] + got[2:4], forms):
-            bound = 1e-14 * abs(factor) * np.linalg.norm(u) * np.linalg.norm(v)
+            bound = 1e-14 * grow * abs(factor) * np.linalg.norm(u) * np.linalg.norm(v)
             assert abs(value - factor * (u @ weight @ v)) <= bound, case
 
 
@@ -915,8 +708,7 @@ def test_bridge_limits():
 @pytest.mark.parametrize("t", [7, 8, 9, 16])
 def test_monte_carlo_standard_scores_cover_the_exact_value(t):
     # 200 seeds at n = 2000: the standard scores centre on 0 and few pass 2;
-    # t = 7 and 8 draw one point, X_t, after a 6- and a 7-step bridge, t = 9
-    # X_8 and X_9 one step after it, and t = 16 X_8 and X_16, two 7-step bridges
+    # each t draws X_t alone, after a bridge of t - 1 steps
     params, alpha, x = ModelParams(-0.7, 1.5), -0.15, -0.5
     exact = transform(params, TransformPoint(alpha), x, t).value.real
     scores = []
