@@ -22,12 +22,15 @@ machinery:
   sigma_via_recursion Sigma_t, with no root and no log.
 
 * monte_carlo_mgf: the empirical mean, with its standard error, of the
-  conditional expectation of exp(alpha*S_t) given X_0 = x and X_t of a
-  simulated path.  The t - 1 steps between are one Gaussian bridge pinned
-  at both ends and integrated exactly (_bridge), so each path draws one
-  standard normal; the n of them are one vector from Generator(SFC64(seed)),
-  drawn in the calling thread, and the result depends on (seed, n) only
-  (see monte_carlo_mgf).
+  one-step form of the transform.  The process is Markov, so
+  L_t(alpha, x) = exp(alpha*x^2)*E[L_{t-1}(alpha, X_1) | X_0 = x], and
+  log L_{t-1}(alpha, y) is a quadratic in y that _log_mgf on _eliminate
+  gives, exactly up to rounding, at three points.  So each path draws X_1
+  alone, one standard normal; the n of them are one vector from
+  Generator(SFC64(seed)), drawn in the calling thread, and the result
+  depends on (seed, n) only (see monte_carlo_mgf).  _eliminate is the one
+  tridiagonal elimination of both oracles, and the Monte Carlo cost too is
+  bounded by its transient, not by t.
 
 unconditional_transform is the exact Gaussian integral of L_t(alpha, .)
 over the stationary start law N(m, 1/(1-theta^2)); it raises
@@ -137,14 +140,14 @@ def _eliminate(params: ModelParams, alpha: complex, x: float, t: int) -> tuple:
 
     Each step is a function of the state (u_s, z_s) alone, which in doubles
     settles on a short cycle (d_s -> lambda_+, z_s at the rate
-    |theta/lambda_+|).  The state is kept every 8 steps; the loop stops the
+    |theta/lambda_+|).  The state is kept every 16 steps; the loop stops the
     first time the state equals the kept one, bit for bit, and every later
-    step repeats the p <= 8 since, whose terms repeats counts and _tail adds
+    step repeats the p <= 16 since, whose terms repeats counts and _tail adds
     exactly.  So the sums keep the bits of all t steps, and the loop runs
     about 37/ln|lambda_+/theta| steps: 41 at theta = 0.6, alpha = -0.3, 700
     at |theta| = 0.95 and 30,000 at 0.999 as alpha -> 0.  A state that never
-    repeats within 8 steps (a NaN pivot, a real alpha on or beyond the slit,
-    a complex alpha on a longer cycle) runs to t.
+    repeats within 16 steps (a NaN pivot, a real alpha on or beyond the
+    slit, a complex alpha on a longer cycle) runs to t.
     """
     theta, m = params.theta, params.m
     mean_1 = m + theta * (x - m)
@@ -165,7 +168,7 @@ def _eliminate(params: ModelParams, alpha: complex, x: float, t: int) -> tuple:
                 rounds, rest = divmod(t - s, s - kept)
                 repeats = [rounds + 1] * rest + [rounds] * (s - kept - rest)
                 break
-            if not s & 7:
+            if not s & 15:
                 kept, kept_u, kept_z = s, u, z
             d = 1.0 + u
             offsets.append(u)
@@ -259,94 +262,31 @@ def sigma_via_recursion(params: ModelParams, point: TransformPoint, x: float, t:
     return sigma
 
 
-def _bridge(theta: float, m: float, alpha: float, p: int) -> tuple:
-    """(c, q0, q1, q2, q3): the exact factor of the p steps of the chain
-    between two pinned ends, for alpha <= 0, in O(p) steps:
-
-        log E[exp(alpha*sum_{i=1..p} X_i^2) | X_0 - m = a, X_{p+1} - m = b]
-            = c + alpha*(q0 + q1*(a + b) + q2*(a^2 + b^2) + q3*a*b).
-
-    A bridge of 0 steps is the zero factor, (0, 0, 0, 0, 0).  Given its ends,
-    D = (X_1 - m, ..., X_p - m) is normal with precision J, the tridiagonal
-    with -theta beside the diagonal 1 + theta^2, and mean J^(-1)*h,
-    h = theta*(a*e_1 + b*e_p).  With M = J - 2*alpha*I the Gaussian integral
-    is c = -log det(M*J^(-1))/2 plus alpha*v'M^(-1)*J*v, v = m*1 + J^(-1)*h:
-    q0 = m^2*1'M^(-1)*J*1, q1 = 2*m*theta*(M^(-1)*1)_1,
-    q2 = theta^2*(M^(-1)*J^(-1))_11 and q3 = 2*theta^2*(M^(-1)*J^(-1))_1p;
-    the bridge is reversible, so a and b share them.  Nothing is a
-    difference of alpha-free parts: det(M*J^(-1)) is the product of the
-    pivot ratios 1 + delta_s/dJ_s, whose offsets
-    delta_s = dM_s - dJ_s = -2*alpha + theta^2*delta_{s-1}/(dJ_{s-1}*dM_{s-1})
-    enter through log1p, and M^(-1)*J^(-1) is applied as two solves, never
-    formed as (J^(-1) - M^(-1))/(2*alpha).  So alpha = 0 gives c = 0, a tiny
-    |alpha| keeps its digits, and where -2*alpha overflows, M^(-1) = 0 and
-    c = -inf.  The q's come without their alpha: q0 + q1*(a + b) + ... >= 0
-    is the bridge's share of a conditioned S_t, which monte_carlo_mgf forms
-    before it multiplies by alpha, so an S_t past the double range
-    (ParameterError) stays apart from a huge |alpha| (estimate 0).
-    """
-    if not p:
-        return 0.0, 0.0, 0.0, 0.0, 0.0
-    if -2.0 * alpha == math.inf:  # every pivot of M is infinite
-        return -math.inf, 0.0, 0.0, 0.0, 0.0
-    theta_sq = theta * theta
-    diag = 1.0 + theta_sq
-    rows = [(1.0 - theta) ** 2] * p  # J*1, the row sums of J
-    rows[0] += theta
-    rows[-1] += theta
-    piv_j, piv_m, logs = [], [], []
-    offset = -2.0 * alpha
-    for s in range(p):
-        if s:
-            offset = theta_sq * (offset / piv_m[-1]) / piv_j[-1] - 2.0 * alpha
-        pivot = diag - theta_sq / piv_j[-1] if s else diag
-        piv_j.append(pivot)
-        piv_m.append(pivot + offset)
-        logs.append(math.log1p(offset / pivot))
-
-    def solve(pivots: list, rhs: list) -> list:
-        # the tridiagonal system with these pivots: forward, then back
-        z = [rhs[0]]
-        for s in range(1, p):
-            z.append(rhs[s] + theta * z[-1] / pivots[s - 1])
-        y = [z[-1] / pivots[-1]]
-        for s in range(p - 2, -1, -1):
-            y.append((z[s] + theta * y[-1]) / pivots[s])
-        return y[::-1]
-
-    w = solve(piv_m, solve(piv_j, [1.0] + [0.0] * (p - 1)))
-    q0 = m * m * math.fsum(solve(piv_m, rows))
-    q1 = 2.0 * m * theta * solve(piv_m, [1.0] * p)[0]
-    return -0.5 * math.fsum(logs), q0, q1, theta_sq * w[0], 2.0 * theta_sq * w[-1]
-
-
 def monte_carlo_mgf(
     params: ModelParams, alpha: float, x: float, t: int, n: int, seed: int
 ) -> OracleResult:
-    """Sample mean and standard error of E[exp(alpha*S_t) | X_0 = x, X_t]
-    over n simulated values of X_t: an unbiased estimate of L_t(alpha, x).
+    """Sample mean and standard error of exp(alpha*x^2)*L_{t-1}(alpha, X_1)
+    over n simulated values of X_1: an unbiased estimate of L_t(alpha, x).
 
     Requires alpha <= 0 so the integrand is bounded by 1 and the estimator
     has finite variance, an integer n >= 2 and an integer seed >= 0
     (ValueError).  A non-finite alpha or x, a complex alpha off the real
-    axis and a conditioned S_t beyond the double range raise ParameterError.
+    axis and an alpha-free part beyond the double range (x^2, X_1^2 at its
+    conditional mean, or the elimination's Sigma_{t-1} at a point of the
+    fit) raise ParameterError, alpha = 0 included.
 
-    Only X_t is simulated: X_t - m = theta^t*(x - m) + sigma_t*Z,
-    sigma_t^2 = sum_{i<t} theta^(2i), one standard normal Z per path.  The
-    t - 1 steps between X_0 and X_t form one Gaussian bridge pinned at both
-    ends, integrated exactly by _bridge: log E[exp(alpha*sum X_i^2) | ends]
-    = c + alpha*Q with Q = q0 + q1*(a + b) + q2*(a^2 + b^2) + q3*a*b.  So the
-    conditioned S_t = x^2 + X_t^2 + Q is a quadratic F + a1*Z + a2*Z^2 whose
-    coefficients are made once per call, taken with its square completed,
-    S = floor + a2*(Z + shift)^2 (a2 = sigma_t^2*(1 + q2) >= 1), and a
-    path's estimate is exp(c + alpha*S):
-    alpha = 0 gives exactly 1.  Conditioning on X_t alone draws one normal a
-    path where the plain estimator draws t, its relative variance is flat in
-    t, and by Rao-Blackwell it is at most that of any skeleton X_0, ..., X_t
-    that contains this one.  The bridge costs O(t) pure-Python steps, the
-    draws O(n) whatever t, in one n-long array.  Only t = 0 draws nothing:
-    exp(alpha*x^2) is returned with stderr 0, and no generator or n-long
-    array is made.
+    Only X_1 = centre + Z is simulated, centre = m + theta*(x - m), one
+    standard normal Z per path: log L_{t-1}(alpha, centre + Z) is exactly
+    quadratic in Z, its coefficients from _log_mgf on _eliminate at
+    Z = -1, 0 and 1, up to rounding.  A path's estimate is
+    exp(floor + a2*(Z + shift)^2), that quadratic plus alpha*x^2 with its
+    square completed: alpha = 0 gives exactly 1.  By Rao-Blackwell its
+    variance is at most the plain estimator's, and its relative variance is
+    flat in t.  The eliminations cost what their transient does, the draws
+    O(n) whatever t, in one n-long array.  Nothing is drawn at t = 0, whose
+    estimate exp(alpha*x^2) is returned with stderr 0, nor where -2*alpha or
+    log L_{t-1} at a point of the fit overflows: every estimate is then 0
+    (but on a set of chance below 1e-150), returned with stderr 0.
 
     Seed contract: path i's Z is entry i of
     Generator(SFC64(seed)).standard_normal(n), drawn in the calling thread,
@@ -366,36 +306,37 @@ def monte_carlo_mgf(
     n = check_horizon(n, "Monte Carlo sample count", 2)
     seed = check_horizon(seed, "Monte Carlo seed")
     t = check_horizon(t)
-    theta, m = params.theta, params.m
+    centre = params.m + params.theta * (x - params.m)
+    if not math.isfinite(x * x + (centre * centre if t else 0.0)):
+        raise _overflow("a conditioned S_t", params, x, a, t)
     if not t:  # nothing drawn: every path's estimate is exp(alpha*x^2)
-        if not math.isfinite(x * x):
-            raise _overflow("a conditioned S_t", params, x, a, t)
         return OracleResult(value=math.exp(a * (x * x)), method="monte_carlo", stderr=0.0, n_samples=n)
-    log_factor, q0, q1, q2, q3 = _bridge(theta, m, a, t - 1)
-    first = x - m
-    # b = X_t - m = centre + sigma*Z, and S = rest + b*(linear + square*b),
-    # X_t^2 and the bridge's terms in b, then all the path-free ones; its
-    # square completed, S = floor + a2*(Z + shift)^2
-    centre = theta**t * first
-    sigma = math.sqrt(math.fsum([(theta * theta) ** i for i in range(t)]))
-    square, linear = 1.0 + q2, 2.0 * m + q1 + q3 * first
-    rest = x * x + m * m + q0 + first * (q2 * first + q1)
-    vertex = linear / (2.0 * square)  # S is least at b = -vertex
-    floor, shift, a2 = rest - 0.5 * linear * vertex, (centre + vertex) / sigma, sigma * (sigma * square)
-    # an overflow (or 0*inf), path-free or not, leaves a non-finite S, raised
-    # below; alpha*S past -inf gives the estimate 0 (an underflow); a tiny
-    # mean or a scaled deviation's square may underflow too, whatever the
-    # caller's np.seterr
+    # log L_{t-1} at X_1 = centre - 1, centre, centre + 1; none where every
+    # pivot is infinite
+    logs = []
+    if -2.0 * a < math.inf:
+        for y in (centre - 1.0, centre, centre + 1.0):
+            elimination = _eliminate(params, a, y, t - 1)
+            if not cmath.isfinite(_sigma(y, elimination)):
+                raise _overflow("a conditioned S_t", params, x, a, t)
+            logs.append(_log_mgf(a, y, elimination).real)
+    if not logs or min(logs) == -math.inf:  # every estimate is 0
+        return OracleResult(value=0.0, method="monte_carlo", stderr=0.0, n_samples=n)
+    # the quadratic in Z from its three values, in halves that cannot
+    # overflow, with its square completed: floor + a2*(Z + shift)^2 (a
+    # constant where a2 = 0, as at alpha = 0)
+    high, low = 0.5 * logs[2], 0.5 * logs[0]
+    linear, a2 = high - low, (high - logs[1]) + low
+    shift = 0.5 * linear / a2 if a2 else 0.0
+    floor = a * (x * x) + logs[1] - 0.5 * linear * shift
+    # an estimate's exponent may underflow, and a tiny mean or a scaled
+    # deviation's square too, whatever the caller's np.seterr
     with np.errstate(all="ignore"):
         total = np.random.Generator(np.random.SFC64(seed)).standard_normal(n)
         total += shift
         np.multiply(total, total, out=total)
         total *= a2
         total += floor
-        if not math.isfinite(total.max()):
-            raise _overflow("a conditioned S_t", params, x, a, t)
-        total *= a
-        total += log_factor
         np.exp(total, out=total)
         # the mean, then the standard error in place, in ndarray.std(ddof=1)'s
         # own operations on the deviations over the largest estimate

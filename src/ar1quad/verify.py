@@ -2,10 +2,11 @@
 
 Each check measures a worst-case error over a parameter grid and compares
 it to a tolerance; a non-finite error (NaN included) at any grid point
-fails its check.  The grid density scales with `grid_size` up to 5, where
-the fixed parameter pools run out: a larger size runs the size-5 grid,
-and the m values and the alphas stop growing at size 3 already; every
-grid check draws its alphas, real and complex, from the one pool.  Size 1
+fails its check, whose detail names the parameter point of its worst
+error.  The grid density scales with `grid_size` up to 5, where the fixed
+parameter pools run out: a larger size runs the size-5 grid, and the m
+values and the alphas stop growing at size 3 already; every grid check
+draws its alphas, real and complex, from the one pool.  Size 1
 is a minimal smoke run, and a size that is not an integer >= 1 raises
 ValueError.  A user-supplied tolerance overrides the per-check defaults
 of the deterministic float checks (the Monte Carlo check stays
@@ -65,13 +66,21 @@ def _rel(a: complex, b: complex) -> float:
     return abs(a - b) / max(abs(b), 1e-300)
 
 
-def _worse(worst: float, *errors: float) -> float:
-    """The largest of worst and errors, NaN once any is NaN: max() keeps its
-    first argument against a NaN, which would let a NaN error pass."""
+def _worse(worst: tuple, errors, **where) -> tuple:
+    """(error, where) of the largest of worst's error and errors, NaN once
+    any is NaN (max() keeps its first argument against a NaN, which would
+    let a NaN error pass); where is the parameter point of errors."""
     for error in errors:
-        if math.isnan(error) or error > worst:
-            worst = error
+        if error > worst[0] or math.isnan(error) and not math.isnan(worst[0]):
+            worst = error, where
     return worst
+
+
+def _result(name: str, worst: tuple, tol: float) -> CheckResult:
+    """The check's result, its detail naming the point of its worst error."""
+    error, where = worst
+    detail = "worst at " + ", ".join(f"{key}={value!r}" for key, value in where.items()) if where else ""
+    return CheckResult(name, error, tol, error <= tol, detail)
 
 
 def _grids(k: int):
@@ -87,7 +96,7 @@ def check_spectral_identities(grid_size: int, tol: float) -> CheckResult:
     the beta product/sum forms, on a theta x alpha grid including complex
     alpha."""
     thetas, alphas, _, _ = _grids(grid_size)
-    worst = 0.0
+    worst = 0.0, {}
     for theta in thetas:
         params = ModelParams(theta)
         for alpha in alphas:
@@ -113,8 +122,8 @@ def check_spectral_identities(grid_size: int, tol: float) -> CheckResult:
                 ),
                 (spectral.beta_plus + spectral.beta_minus, complex(1.0)),
             ]
-            worst = _worse(worst, *(_rel(a, b) for a, b in pairs))
-    return CheckResult("spectral_identities", worst, tol, worst <= tol)
+            worst = _worse(worst, [_rel(a, b) for a, b in pairs], theta=theta, alpha=alpha)
+    return _result("spectral_identities", worst, tol)
 
 
 def check_wronskian(grid_size: int, tol: float) -> CheckResult:
@@ -130,7 +139,7 @@ def check_wronskian(grid_size: int, tol: float) -> CheckResult:
     doubles cannot resolve the difference once |z|^(2s)*eps exceeds it.
     """
     thetas, alphas, _, _ = _grids(grid_size)
-    worst = 0.0
+    worst = 0.0, {}
     for theta in thetas:
         params = ModelParams(theta)
         for alpha in alphas:
@@ -140,12 +149,12 @@ def check_wronskian(grid_size: int, tol: float) -> CheckResult:
             spectral = roots(params, point)
             target = point.mu / (theta * theta)
             psi = [raw_psi(spectral, params, s) for s in range(22)]
-            worst = _worse(worst, abs(psi[0] - 1.0), abs(theta * psi[1] - 1.0))
+            worst = _worse(worst, [abs(psi[0] - 1.0), abs(theta * psi[1] - 1.0)], theta=theta, alpha=alpha, s=0)
             for s in range(1, 21):
                 outer = psi[s + 1] * psi[s - 1]
                 scale = max(abs(outer), abs(psi[s]) ** 2, abs(target))
-                worst = _worse(worst, abs(outer - psi[s] ** 2 - target) / scale)
-    return CheckResult("wronskian", worst, tol, worst <= tol)
+                worst = _worse(worst, [abs(outer - psi[s] ** 2 - target) / scale], theta=theta, alpha=alpha, s=s)
+    return _result("wronskian", worst, tol)
 
 
 def check_matrix_oracle(grid_size: int, tol: float) -> CheckResult:
@@ -155,7 +164,7 @@ def check_matrix_oracle(grid_size: int, tol: float) -> CheckResult:
     error relative to max(1, |log L_t|), and Sigma_t, relative, at t = 1, 5
     and 50, complex alpha included."""
     thetas, alphas, xs, ms = _grids(grid_size)
-    worst = 0.0
+    worst = 0.0, {}
     for theta in thetas:
         for m in ms:
             params = ModelParams(theta, m)
@@ -168,9 +177,10 @@ def check_matrix_oracle(grid_size: int, tol: float) -> CheckResult:
                         elimination = _eliminate(params, point.alpha, x, t)
                         closed = transform(params, point, x, t)
                         log_value, sigma = _log_mgf(point.alpha, x, elimination), _sigma(x, elimination)
-                        worst = _worse(worst, abs(log_value - closed.log_value) / max(1.0, abs(closed.log_value)),
-                                       abs(sigma - closed.sigma_t) / max(abs(closed.sigma_t), 1e-30))
-    return CheckResult("matrix_oracle", worst, tol, worst <= tol)
+                        errors = (abs(log_value - closed.log_value) / max(1.0, abs(closed.log_value)),
+                                  abs(sigma - closed.sigma_t) / max(abs(closed.sigma_t), 1e-30))
+                        worst = _worse(worst, errors, theta=theta, m=m, alpha=alpha, x=x, t=t)
+    return _result("matrix_oracle", worst, tol)
 
 
 def check_monte_carlo(seed: int, n_samples: int) -> CheckResult:
@@ -210,7 +220,7 @@ def check_exactness_anchors(grid_size: int, tol: float) -> CheckResult:
     """L_0 = exp(alpha*x^2), L_t(0, x) = 1 exactly, and the t = 0 sequence
     anchors r_0 = theta, 1/psi_1 = theta, log(pi_0) = 0."""
     thetas, alphas, xs, _ = _grids(grid_size)
-    worst = 0.0
+    worst = 0.0, {}
     for theta in thetas:
         params = ModelParams(theta, 0.5)
         zero = transform(params, TransformPoint(0.0), 1.3, 7)
@@ -222,11 +232,12 @@ def check_exactness_anchors(grid_size: int, tol: float) -> CheckResult:
                 continue
             spectral = roots(params, point)
             seq = sequence_ratios(spectral, params, 0)
-            worst = _worse(worst, abs(seq.r - theta), abs(seq.inv_psi - theta), abs(seq.log_pi))
+            errors = abs(seq.r - theta), abs(seq.inv_psi - theta), abs(seq.log_pi)
+            worst = _worse(worst, errors, theta=theta, alpha=alpha, t=0)
             for x in xs:
-                value = transform(params, point, x, 0).value
-                worst = _worse(worst, _rel(value, cmath.exp(alpha * x * x)))
-    return CheckResult("exactness_anchors", worst, tol, worst <= tol)
+                error = _rel(transform(params, point, x, 0).value, cmath.exp(alpha * x * x))
+                worst = _worse(worst, [error], theta=theta, m=params.m, alpha=alpha, x=x, t=0)
+    return _result("exactness_anchors", worst, tol)
 
 
 def run_all(

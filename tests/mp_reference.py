@@ -101,37 +101,3 @@ def tridiagonal_det_ref(theta: float, alpha: float, t: int):
             c = 1 - two_alpha + (theta_sq if s > 1 else 0)
             previous, current = current, c * current - theta_sq * previous
         return current
-
-
-def bridge_ref(theta: float, m: float, alpha: float, p: int) -> tuple:
-    """(c, q0, q1, q2, q3) of log E[exp(alpha*sum_{i=1..p} X_i^2) | ends] =
-    c + alpha*(q0 + q1*(a + b) + q2*(a^2 + b^2) + q3*a*b), from the dense
-    conditional law of the p >= 1 steps between X_0 - m = a and
-    X_{p+1} - m = b: precision J, the interior block of
-    the innovations' L'L, mean J^(-1)*h.  With K = (I - 2*alpha*J^(-1))^(-1),
-    c = -log det(I - 2*alpha*J^(-1))/2 and the path part is v'K v,
-    v = m*1 + J^(-1)*h; the digits grow with -log10|alpha| so that c keeps
-    BASE_DIGITS.  Returns floats."""
-    with mp.workdps(BASE_DIGITS + 10 + int(max(0.0, -math.log10(abs(alpha))))):
-        th, a = mpmath.mpf(theta), mpmath.mpf(alpha)
-        size = p + 2
-        precision = mpmath.zeros(size, size)
-        for i in range(1, size):  # the innovation D_i - theta*D_{i-1}
-            precision[i, i] += 1
-            precision[i - 1, i - 1] += th**2
-            precision[i, i - 1] -= th
-            precision[i - 1, i] -= th
-        inside = precision[1:p + 1, 1:p + 1]
-        cov = inside**-1
-        gain_a = -(cov * precision[1:p + 1, 0])
-        gain_b = -(cov * precision[1:p + 1, size - 1])
-        weight = (mpmath.eye(p) - 2 * a * cov) ** -1
-        ones = mpmath.ones(p, 1)
-
-        def form(u, v):
-            return (u.T * weight * v)[0]
-
-        c = -mpmath.log(mpmath.det(mpmath.eye(p) - 2 * a * cov)) / 2
-        coefficients = (c, mpmath.mpf(m) ** 2 * form(ones, ones), 2 * mpmath.mpf(m) * form(ones, gain_a),
-                        form(gain_a, gain_a), 2 * form(gain_a, gain_b))
-        return tuple(float(value) for value in coefficients)

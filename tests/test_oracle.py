@@ -21,10 +21,10 @@ from ar1quad import (
     transform,
     unconditional_transform,
 )
-from ar1quad import oracle, verify
-from ar1quad.oracle import _bridge, _eliminate, _log_mgf, _sigma
+from ar1quad import closed_form, oracle, verify
+from ar1quad.oracle import _eliminate, _log_mgf, _sigma
 
-from mp_reference import bridge_ref, log_transform_ref, tridiagonal_det_ref
+from mp_reference import log_transform_ref, tridiagonal_det_ref
 from util import conditional_covariance, eliminate_every_step, gauss_hermite_nodes, rel_err
 
 
@@ -210,7 +210,7 @@ def _stop_rule_cases():
 
 def test_elimination_stop_rule_keeps_every_bit(monkeypatch):
     # the elimination stops at the first state equal, bit for bit, to the
-    # state it keeps every 8 steps and adds the repeated tail exactly:
+    # state it keeps every 16 steps and adds the repeated tail exactly:
     # log L_t, Sigma_t and matrix_mgf carry the bits, or raise the errors,
     # of the loop run to t (util.eliminate_every_step).  Most 2-cycles differ
     # in the last bit of z_s only, so a count moved between their terms
@@ -235,6 +235,15 @@ def test_elimination_steps_are_bounded_by_the_transient(alpha):
     _, offsets, repeats, _ = _eliminate(ModelParams(0.6, 1.0), alpha, 0.5, 10**6)
     assert len(offsets) < 200
     assert len(offsets) + sum(repeats) == 10**6
+
+
+def test_elimination_stops_on_a_cycle_of_nine_steps():
+    # this complex alpha's state settles on a cycle of period 9: a state kept
+    # every 8 steps never recurs, and the loop ran all 10^5 steps
+    params, alpha = ModelParams(-0.8969566705606153, 1.0), complex(-0.03952122095723014, 0.05810670083243488)
+    _, offsets, repeats, _ = _eliminate(params, alpha, 0.5, 10**5)
+    assert len(offsets) < 1000 and len(repeats) == 9
+    assert len(offsets) + sum(repeats) == 10**5
 
 
 def test_closed_form_matches_the_elimination_at_long_horizons():
@@ -306,32 +315,37 @@ def test_monte_carlo_deterministic_given_seed():
     assert a.method == "monte_carlo" and a.n_samples == 10_000
 
 
-def one_point_coefficients(theta, m, alpha, x, t):
-    """(c, floor, shift, a2), t >= 1: the conditioned S_t = x^2 + X_t^2 + Q of the
-    bridge pinned at X_0 = x and X_t, as floor + a2*(Z + shift)^2 in the one normal Z
-    of X_t - m = theta^t*(x - m) + sigma_t*Z, and c the bridge's log factor, from
-    _bridge's coefficients in the oracle's own operations."""
-    c, q0, q1, q2, q3 = _bridge(theta, m, alpha, t - 1)
-    first = x - m
-    centre = theta**t * first
-    sigma = math.sqrt(math.fsum([(theta * theta) ** i for i in range(t)]))
-    square, linear = 1.0 + q2, 2.0 * m + q1 + q3 * first
-    rest = x * x + m * m + q0 + first * (q2 * first + q1)
-    vertex = linear / (2.0 * square)
-    return c, rest - 0.5 * linear * vertex, (centre + vertex) / sigma, sigma * (sigma * square)
+def one_step_coefficients(theta, m, alpha, x, t):
+    """(floor, shift, a2), t >= 1: alpha*x^2 + log L_{t-1}(alpha, X_1) as
+    floor + a2*(Z + shift)^2 in the one normal Z of X_1 = m + theta*(x - m) + Z,
+    from _log_mgf on _eliminate at Z = -1, 0, 1 in the oracle's own operations;
+    None where every estimate is 0 (-2*alpha or one of the three logs is -inf)."""
+    params, centre = ModelParams(theta, m), m + theta * (x - m)
+    if -2.0 * alpha == math.inf:
+        return None
+    logs = [_log_mgf(alpha, y, _eliminate(params, alpha, y, t - 1)).real for y in (centre - 1.0, centre, centre + 1.0)]
+    if min(logs) == -math.inf:
+        return None
+    high, low = 0.5 * logs[2], 0.5 * logs[0]
+    linear, a2 = high - low, (high - logs[1]) + low
+    shift = 0.5 * linear / a2 if a2 else 0.0
+    return alpha * (x * x) + logs[1] - 0.5 * linear * shift, shift, a2
 
 
 def replay(theta, m, alpha, x, t, n, seed):
     """The seed contract, serially: path i draws Z_i, entry i of
     Generator(SFC64(seed)).standard_normal(n), and nothing else, and its estimate is
-    exp(c + alpha*(floor + a2*(Z_i + shift)^2)) (one_point_coefficients).  The
-    standard error is taken on the deviations over the largest estimate.  At t = 0
-    the one exact estimate, with standard error 0."""
+    exp(floor + a2*(Z_i + shift)^2) (one_step_coefficients).  The standard error is
+    taken on the deviations over the largest estimate.  At t = 0 the one exact
+    estimate, and where every estimate is 0 that 0, each with standard error 0."""
     if not t:
         return math.exp(alpha * (x * x)), 0.0
-    c, floor, shift, a2 = one_point_coefficients(theta, m, alpha, x, t)
+    coefficients = one_step_coefficients(theta, m, alpha, x, t)
+    if coefficients is None:
+        return 0.0, 0.0
+    floor, shift, a2 = coefficients
     z = np.random.Generator(np.random.SFC64(seed)).standard_normal(n) + shift
-    values = np.exp(alpha * (a2 * (z * z) + floor) + c)
+    values = np.exp(a2 * (z * z) + floor)
     largest = float(values.max())
     mean = values.mean()
     if not largest:
@@ -404,12 +418,12 @@ def test_monte_carlo_calls_fault_in_almost_no_fresh_memory():
     assert faults < 1000, faults
 
 
-def test_monte_carlo_error_bar_holds_at_long_horizons():
+def test_monte_carlo_error_bar_holds_at_long_horizons(monkeypatch):
     # theta = 0.6, m = 1, x = 0, alpha = -0.2, n = 10^5: the plain and skeleton
     # estimators' relative variance grew exponentially in t, and the stride-8
     # skeleton's standard scores read -9.05 at t = 400 and down to -4.7e5 at
-    # t = 1000 behind a confident error bar.  Conditioned on X_t alone the relative standard error stays
-    # that of t = 10, and the estimate covers L_t
+    # t = 1000 behind a confident error bar.  Conditioned on X_1 alone the
+    # relative standard error stays that of t = 10, and the estimate covers L_t
     params, alpha, x, n = ModelParams(0.6, 1.0), -0.2, 0.0, 10**5
     for seed in range(3):
         near = monte_carlo_mgf(params, alpha, x, 10, n, seed)
@@ -424,6 +438,21 @@ def test_monte_carlo_error_bar_holds_at_long_horizons():
     exact = transform(params, TransformPoint(-0.02), x, 10**4).value.real
     res = monte_carlo_mgf(params, -0.02, x, 10**4, n, 0)
     assert res.stderr > 0.0 and abs(res.value - exact) <= 4.0 * res.stderr, (res, exact)
+    # t = 10^6 at alpha = -2e-4 (log L_t = -511.8): the call runs three
+    # eliminations of t - 1 steps, each stopped at its transient
+    steps = []
+
+    def counted(*args):
+        elimination = _eliminate(*args)
+        steps.append((args[3], len(elimination[1])))
+        return elimination
+
+    monkeypatch.setattr(oracle, "_eliminate", counted)
+    t = 10**6
+    exact = transform(params, TransformPoint(-2e-4), x, t).value.real
+    res = monte_carlo_mgf(params, -2e-4, x, t, n, 0)
+    assert res.stderr > 0.0 and abs(res.value - exact) <= 4.0 * res.stderr, (res, exact)
+    assert len(steps) == 3 and all(horizon == t - 1 and run < 1000 for horizon, run in steps), steps
 
 
 @pytest.mark.parametrize("m, x", [(1e200, 0.5), (0.0, 1e200)])
@@ -448,7 +477,7 @@ def test_monte_carlo_exact_cases():
 @pytest.mark.parametrize("theta, m, x, alpha", [(0.6, 1.0, 0.4, -0.3), (-0.9, -2.0, 3.5, -0.05),
                                                 (0.05, 1.7, -4.0, -1e-4), (0.95, 0.0, 0.0, -2.0)])
 def test_monte_carlo_short_horizons_cover_the_exact_value(theta, m, x, alpha):
-    # t = 1..3 draw X_t and integrate the steps before it: 100 seeds at
+    # t = 1..3 draw X_1 and integrate the steps after it: 100 seeds at
     # n = 2000 each, whose standard scores centre on 0 and few pass 2
     params = ModelParams(theta, m)
     for t in (1, 2, 3):
@@ -480,8 +509,8 @@ def test_monte_carlo_huge_negative_alpha_gives_zero(alpha, t):
     # 1 - 2*alpha overflows at -1e308: the log factor is -inf and the estimate 0, not NaN
     res = monte_carlo_mgf(ModelParams(0.6, 1.0), alpha, 0.4, t, 1000, seed=1)
     assert res.value == 0.0 and res.stderr == 0.0
-    # x - m = -inf: inf, or 0*inf = NaN where the bridges' weight is 0, raised
-    # as an overflow with no RuntimeWarning
+    # x - m = -inf: x^2 and X_1^2 are inf, raised as an overflow before the
+    # zero of a huge -2*alpha, with no RuntimeWarning
     with pytest.raises(ParameterError, match="overflow"):
         monte_carlo_mgf(ModelParams(0.6, 1e308), alpha, -1e308, t, 1000, seed=1)
 
@@ -495,87 +524,6 @@ def test_monte_carlo_rejects_a_seed_that_is_not_an_integer_of_at_least_zero(seed
     assert str(exc.value) == "Monte Carlo seed " + message
 
 
-def _log_mgf_of_squares(rows, consts, beta):
-    """log E[exp(beta*||P e + w||^2)] for e ~ N(0, I): a Gaussian integral."""
-    gram = np.eye(rows.shape[1]) - 2.0 * beta * rows.T @ rows
-    sign, log_det = np.linalg.slogdet(gram)
-    assert sign > 0
-    pw = rows.T @ consts
-    return -0.5 * log_det + beta * consts @ consts + 2.0 * beta * beta * pw @ np.linalg.solve(gram, pw)
-
-
-def _stride_2_log_second_moment(theta, m, alpha, x, t):
-    """log E[g^2] for the stride-2 estimator g = exp(alpha*T + C), t >= 2, which
-    draws the even steps and integrates each odd one given its neighbours.
-
-    The even deviations d_{2j} = theta^(2j)*(x - m) + sum_{i<=j} q*theta^(2(j-i))*e_i
-    are affine in e ~ N(0, I_{t//2}), so T - x^2 is a sum of squares of affine forms
-    in e, one per even step (X_{2j}) and one per odd step (sqrt(r)*mu): a dense
-    Gaussian integral that shares no recursion with the oracle."""
-    k = t // 2
-    q_sq = 1.0 + theta * theta
-    j, i = np.arange(k + 1)[:, None], np.arange(1, k + 1)[None, :]
-    coef = np.where(i <= j, math.sqrt(q_sq) * theta ** (2.0 * np.maximum(j - i, 0)), 0.0)
-    mean = theta ** (2.0 * np.arange(k + 1)) * (x - m)
-    inner, last = (1.0 - 2.0 * alpha / q_sq) ** -0.5, (1.0 - 2.0 * alpha) ** -0.5
-    slope = inner * theta / q_sq
-    rows = [coef[1:], slope * (coef[:-1] + coef[1:])]
-    consts = [m + mean[1:], inner * m + slope * (mean[:-1] + mean[1:])]
-    log_factor = -0.5 * k * math.log1p(-2.0 * alpha / q_sq)
-    if t % 2:
-        rows.append(last * theta * coef[k:])
-        consts.append(last * (m + theta * mean[k:]))
-        log_factor -= 0.5 * math.log1p(-2.0 * alpha)
-    log_mgf = _log_mgf_of_squares(np.vstack(rows), np.concatenate(consts), 2.0 * alpha)
-    return 2.0 * (alpha * x * x + log_factor) + log_mgf
-
-
-def _dense_bridge(theta, alpha, p):
-    """(G, R, c) for the p steps between X_0 - m = a and X_{p+1} - m = b: given the
-    ends, (X_1 - m, ..., X_p - m) = G @ (a, b) + N(0, S), read off the dense joint
-    precision L'L of the innovations L*D = (D_i - theta*D_{i-1})_i, and
-    E[exp(alpha*||m + Y||^2)] = exp(c + alpha*||R (m + G @ (a, b))||^2) with
-    R = (I - 2*alpha*S)^(-1/2) and c = -log det(I - 2*alpha*S)/2, from S's
-    eigenvalues.  A bridge of p = 0 steps has empty G and R and c = 0."""
-    if not p:
-        return np.zeros((0, 2)), np.zeros((0, 0)), 0.0
-    innovations = np.eye(p + 2)[1:] - theta * np.eye(p + 2)[:-1]  # over D_0, ..., D_{p+1}
-    precision = innovations.T @ innovations
-    inside, ends = np.arange(1, p + 1), [0, p + 1]
-    gains = -np.linalg.solve(precision[np.ix_(inside, inside)], precision[np.ix_(inside, ends)])
-    lam, vec = np.linalg.eigh(np.linalg.inv(precision[np.ix_(inside, inside)]))
-    root = vec @ np.diag((1.0 - 2.0 * alpha * lam) ** -0.5) @ vec.T
-    return gains, root, -0.5 * float(np.sum(np.log1p(-2.0 * alpha * lam)))
-
-
-def _skeleton_log_moment(theta, m, alpha, x, t, order, stride=8):
-    """log E[g^order] for a path's estimate g = exp(alpha*S + C), t >= 1, given the
-    skeleton X_0, X_stride, X_2stride, ..., X_t (stride >= t: X_0 and X_t alone).
-
-    The skeleton points s_0 = 0, stride, ..., stride*(k-1), s_k = t (k = ceil(t/stride))
-    have deviations P_j = X_{s_j} - m = theta^(s_j)*(x - m) + sum_{i<=j} sd_i*theta^(s_j - s_i)*e_i,
-    sd_i^2 = (1 - theta^(2*lag_i))/(1 - theta^2), affine in e ~ N(0, I_k), and S - x^2 is
-    a sum of squares of affine forms in e: one per skeleton point and, through
-    _dense_bridge, one per step of each pinned bridge between two points.  So E[g^order]
-    is a dense Gaussian integral that shares no recursion with the oracle."""
-    k = -(-t // stride)
-    points = np.array([stride * j for j in range(k)] + [t])
-    lags = np.diff(points)
-    sd = np.sqrt((1.0 - theta ** (2 * lags)) / (1.0 - theta * theta))
-    j, i = points[:, None], points[None, 1:]
-    coef = np.where(i <= j, sd * theta ** np.maximum(j - i, 0), 0.0)
-    mean = theta**points * (x - m)
-    rows, consts, log_factor = [coef[1:]], [m + mean[1:]], 0.0
-    for step, lag in enumerate(lags, start=1):
-        gains, root, c = _dense_bridge(theta, alpha, lag - 1)
-        ends, end_means = coef[step - 1:step + 1], mean[step - 1:step + 1]
-        rows.append(root @ gains @ ends)
-        consts.append(root @ (m + gains @ end_means))
-        log_factor += c
-    log_mgf = _log_mgf_of_squares(np.vstack(rows), np.concatenate(consts), order * alpha)
-    return order * (alpha * x * x + log_factor) + log_mgf
-
-
 def _oracles_like_draws(seed, count):
     # the benchmark's Monte Carlo draws: |alpha|*E[S_t] <= 5, log-uniform alpha
     rng = random.Random(seed)
@@ -587,128 +535,40 @@ def _oracles_like_draws(seed, count):
         yield theta, m, alpha, x, t, rng.randrange(2**32)
 
 
-def _one_point_log_second_moment(theta, m, alpha, x, t):
-    """log E[g^2] for the one-point estimate g = exp(c + alpha*(F + a1*Z + a2*Z^2)),
-    Z standard normal: 2c + 2*alpha*F - log(1 - 4*alpha*a2)/2 + 2*alpha^2*a1^2/(1 - 4*alpha*a2),
-    with F = floor + a2*shift^2 and a1 = 2*a2*shift."""
-    c, floor, shift, a2 = one_point_coefficients(theta, m, alpha, x, t)
-    fixed, a1 = floor + a2 * shift * shift, 2.0 * a2 * shift
-    q = 1.0 - 4.0 * alpha * a2
-    return 2.0 * (c + alpha * fixed) - 0.5 * math.log(q) + 2.0 * alpha * alpha * a1 * a1 / q
+def _gaussian_log_moment(g0, g1, c2, mean, var):
+    """G = log E[exp(g0 + g1*Y + c2*Y^2)] for Y ~ N(mean, var), 1 - 2*c2*var > 0."""
+    q = 1.0 - 2.0 * c2 * var
+    return g0 - 0.5 * math.log(q) + (c2 * mean * mean + g1 * mean + 0.5 * g1 * g1 * var) / q
 
 
 def test_monte_carlo_conditioning_keeps_the_precision():
-    # on 24 draws like the benchmark's, n = 10^5: the one-point estimate's exact
-    # second moment, from its coefficients, is the dense Gaussian integral's;
-    # its relative variance is below the plain one's L_t(2*alpha)/L_t(alpha)^2 - 1,
-    # and the sampled standard error matches it
+    # on 24 draws like the benchmark's, n = 10^5, with log L_{t-1}(y) =
+    # g0 + g1*(y - m) + c2*(y - m)^2 from the closed form and X_1 - m ~
+    # N(theta*(x - m), 1): the first moment of a path's estimate is L_t (the
+    # one-step identity), its exact second moment is
+    # 2*alpha*x^2 + G(2*g0, 2*g1, 2*c2), the relative variance is below the
+    # plain one's L_t(2*alpha)/L_t(alpha)^2 - 1, and the sampled standard
+    # error matches it
     n = 10**5
     for theta, m, alpha, x, t, seed in _oracles_like_draws(20261019, 24):
-        params, case = ModelParams(theta, m), (theta, m, alpha, x, t)
+        params, point, case = ModelParams(theta, m), TransformPoint(alpha), (theta, m, alpha, x, t)
         res = monte_carlo_mgf(params, alpha, x, t, n, seed)
-        log_l = transform(params, TransformPoint(alpha), x, t).log_value.real
+        log_l = transform(params, point, x, t).log_value.real
         plain_rel_var = math.expm1(transform(params, TransformPoint(2.0 * alpha), x, t).log_value.real - 2.0 * log_l)
-        moment = _one_point_log_second_moment(theta, m, alpha, x, t)
-        dense = _skeleton_log_moment(theta, m, alpha, x, t, 2, stride=t)
-        assert abs(moment - dense) <= 1e-12 * max(1.0, abs(dense)), case
+        g0, g1, c2 = (c.real for c in closed_form.quadratic_coefficients(params, point, t - 1))
+        mean = theta * (x - m)
+        first = alpha * x * x + _gaussian_log_moment(g0, g1, c2, mean, 1.0)
+        assert abs(first - log_l) <= 1e-12 * max(1.0, abs(log_l)), case
+        moment = 2.0 * alpha * x * x + _gaussian_log_moment(2.0 * g0, 2.0 * g1, 2.0 * c2, mean, 1.0)
         rel_var = math.expm1(moment - 2.0 * log_l)
         assert 0.0 < rel_var < plain_rel_var, case
         assert abs(res.stderr / (math.exp(log_l) * math.sqrt(rel_var / n)) - 1.0) <= 0.05, case
 
 
-def test_monte_carlo_skeleton_nests_the_stride_2_estimator():
-    # the dense moments belong to an unbiased estimator (the first is L_t at
-    # every draw), so a wrong bridge fails here instead of passing as a smaller
-    # variance.  Rao-Blackwell at even t, where X_t is among the stride-8
-    # points X_8, X_16, ..., X_t, and those among the stride-2 points X_2, X_4,
-    # ...: each estimate is the finer one averaged over the other points given
-    # its own, so the one-point estimate's exact relative variance is at most
-    # stride 8's, at most stride 2's, which is below the plain one's
-    nested = 0
-    for theta, m, alpha, x, t, _ in _oracles_like_draws(20261019, 48):
-        params, case = ModelParams(theta, m), (theta, m, alpha, x, t)
-        log_l = transform(params, TransformPoint(alpha), x, t).log_value.real
-        for stride in (8, t):
-            first = _skeleton_log_moment(theta, m, alpha, x, t, 1, stride)
-            assert abs(first - log_l) <= 1e-12 * max(1.0, abs(log_l)), (case, stride)
-        if t % 2:
-            continue
-        one_point = math.expm1(_skeleton_log_moment(theta, m, alpha, x, t, 2, stride=t) - 2.0 * log_l)
-        stride_8 = math.expm1(_skeleton_log_moment(theta, m, alpha, x, t, 2) - 2.0 * log_l)
-        stride_2 = math.expm1(_stride_2_log_second_moment(theta, m, alpha, x, t) - 2.0 * log_l)
-        plain = math.expm1(transform(params, TransformPoint(2.0 * alpha), x, t).log_value.real - 2.0 * log_l)
-        assert 0.0 < one_point <= stride_8 <= stride_2 < plain, case
-        nested += 1
-    assert nested >= 20
-
-
-def _bridge_draws(seed, count, longest=7):
-    rng = random.Random(seed)
-    for _ in range(count):
-        theta = rng.choice((-1, 1)) * rng.uniform(0.05, 0.95)
-        alpha = -(10 ** rng.uniform(-300.0, math.log10(3.0)))
-        yield theta, rng.uniform(-2.0, 2.0), alpha, rng.randint(1, longest)
-
-
-def test_bridge_matches_the_dense_gaussian_integral():
-    # the coefficients of log E[exp(alpha*sum X_i^2) | ends] against the dense
-    # conditional law, alpha from -1e-300 to -3, p up to 60 (the benchmark's
-    # horizons reach 50).  Each q is a form u' W v, which the dense route gives to
-    # eps*||u||*||v|| (||W|| <= 1); the b end has the same q1 and q2 as the a end.
-    # Past 7 steps the bounds grow with p, as the rounding of p pivots does
-    draws = [*_bridge_draws(20261020, 400), *_bridge_draws(20261023, 100, longest=60)]
-    for theta, m, alpha, p in draws:
-        gains, root, c = _dense_bridge(theta, alpha, p)
-        weight, ones = root @ root, np.ones(p)
-        got = _bridge(theta, m, alpha, p)
-        case, grow = (theta, m, alpha, p), max(1.0, p / 7)
-        assert rel_err(got[0], c) <= 4e-15 * grow, case
-        assert rel_err(got[1], m * m * (ones @ weight @ ones)) <= 1e-14 * grow, case
-        forms = [(2.0 * m, ones, gains[:, 0]), (1.0, gains[:, 0], gains[:, 0]), (2.0, gains[:, 0], gains[:, 1]),
-                 (2.0 * m, ones, gains[:, 1]), (1.0, gains[:, 1], gains[:, 1])]
-        for value, (factor, u, v) in zip(got[2:] + got[2:4], forms):
-            bound = 1e-14 * grow * abs(factor) * np.linalg.norm(u) * np.linalg.norm(v)
-            assert abs(value - factor * (u @ weight @ v)) <= bound, case
-
-
-def test_bridge_matches_the_high_precision_reference():
-    # each coefficient to a few ulps, the small q3 of a long bridge at a small
-    # |theta| included, where the dense double route keeps only its norm's digits
-    for case in _bridge_draws(20261022, 100):
-        for value, expected in zip(_bridge(*case), bridge_ref(*case)):
-            assert abs(value - expected) <= 4e-15 * abs(expected), case
-
-
-def test_bridge_of_one_step_is_the_stride_2_factor():
-    # p = 1: the odd step between two even ones (variance 1/(1 + theta^2)) of the
-    # stride-2 estimator, as it wrote it
-    for theta, m, alpha, _ in _bridge_draws(20261021, 200):
-        q_sq = 1.0 + theta * theta
-        scale, slope = 1.0 / math.sqrt(1.0 - 2.0 * alpha / q_sq), theta / q_sq
-        level, gain = scale * m, scale * slope
-        want = (-0.5 * math.log1p(-2.0 * alpha / q_sq), level * level, 2.0 * level * gain, gain * gain,
-                2.0 * gain * gain)
-        for value, expected in zip(_bridge(theta, m, alpha, 1), want):
-            assert abs(value - expected) <= 1e-15 * abs(expected), (theta, m, alpha)
-
-
-def test_bridge_limits():
-    # alpha = 0: no factor and the conditional mean's square; -2*alpha past the
-    # double range: the factor is 0, as (1 - 2*alpha*v)^(-1/2) is; a bridge of
-    # no steps is the zero factor at any alpha, as its dense integral is
-    for p in (1, 3, 7):
-        c, *path = _bridge(0.6, 1.0, 0.0, p)
-        assert c == 0.0 and min(path) >= 0.0 and path[0] > 0.0
-        assert _bridge(0.6, 1.0, -1e308, p) == (-math.inf, 0.0, 0.0, 0.0, 0.0)
-    for alpha in (0.0, -0.3, -1e308):
-        assert _bridge(0.6, 1.0, alpha, 0) == (0.0, 0.0, 0.0, 0.0, 0.0)
-        assert _dense_bridge(0.6, alpha, 0)[2] == 0.0
-
-
 @pytest.mark.parametrize("t", [7, 8, 9, 16])
 def test_monte_carlo_standard_scores_cover_the_exact_value(t):
     # 200 seeds at n = 2000: the standard scores centre on 0 and few pass 2;
-    # each t draws X_t alone, after a bridge of t - 1 steps
+    # each t draws X_1 alone, and the t - 1 steps after it are integrated out
     params, alpha, x = ModelParams(-0.7, 1.5), -0.15, -0.5
     exact = transform(params, TransformPoint(alpha), x, t).value.real
     scores = []

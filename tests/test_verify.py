@@ -110,10 +110,39 @@ def test_every_check_fails_on_a_corrupted_value(monkeypatch, case):
     assert result.passed is False, result
 
 
+# check -> (the name it reads in ar1quad.verify, the arguments after
+# (params, point) at the corrupted grid point, m there, how the detail names it)
+WORST_POINTS = {
+    "spectral_identities": ("roots", (), None, "worst at theta=-0.8, alpha=(-0.3+0.4j)"),
+    "wronskian": ("roots", (), None, "worst at theta=-0.8, alpha=(-0.3+0.4j), s="),
+    "matrix_oracle": ("transform", (2.0, 5), 0.0, "worst at theta=-0.8, m=0.0, alpha=(-0.3+0.4j), x=2.0, t=5"),
+    "exactness_anchors": ("transform", (2.0, 0), 0.5, "worst at theta=-0.8, m=0.5, alpha=(-0.3+0.4j), x=2.0, t=0"),
+}
+
+
+@pytest.mark.parametrize("check", WORST_POINTS)
+def test_a_check_names_the_point_of_its_worst_error(monkeypatch, check):
+    # one grid point corrupted: the check fails, and its detail names that
+    # point, not only how large the error is there
+    name, rest, m, expected = WORST_POINTS[check]
+    original = getattr(verify, name)
+
+    def corrupted(params, point, *args):
+        value = original(params, point, *args)
+        if (params.theta, point.alpha, args) != (-0.8, complex(-0.3, 0.4), rest) or m not in (None, params.m):
+            return value
+        return _shifted_root(value) if name == "roots" else _scaled(1.5)(value)
+
+    monkeypatch.setattr(verify, name, corrupted)
+    result = getattr(verify, f"check_{check}")(3, 1e-10)
+    assert not result.passed and result.detail.startswith(expected), result
+
+
 def test_default_verify_monte_carlo_standard_error_is_below_5e_05():
-    # a default `ar1quad verify`, at its default seed: conditioned on X_10
-    # alone it reads 4.097e-05; the skeleton X_8, X_10 read 5.929e-05, the
-    # stride-4 one 6.789e-05 and the stride-2 estimator 9.607e-05
+    # a default `ar1quad verify`, at its default seed: conditioned on X_1
+    # alone it reads 2.497e-05; conditioned on X_10 alone it read 4.097e-05,
+    # the skeleton X_8, X_10 5.929e-05, the stride-4 one 6.789e-05 and the
+    # stride-2 estimator 9.607e-05
     check = {c.name: c for c in verify.run_all().checks}["monte_carlo"]
     stderr = re.search(r"stderr=([0-9.e+-]+)$", check.detail)
     assert check.passed and stderr and float(stderr.group(1)) < 5e-05, check
