@@ -1,5 +1,5 @@
 """Exact exponential transform of squared partial sums of a conditioned
-AR(1) process, its multiplicative-ergodicity constants, and independent
+AR(1) process, its multiplicative-ergodicity constants, and the
 numerical oracles that validate every closed form."""
 
 from .closed_form import (

@@ -1,7 +1,7 @@
-"""Formula-independent evaluations of the transform.
+"""Oracles that check the closed form.
 
-Two oracles validate the closed form without touching the spectral
-machinery:
+The matrix oracle touches none of the spectral machinery; the Monte Carlo
+oracle checks the closed form against itself one step on:
 
 * matrix_mgf: the Gaussian quadratic-form identity.  Conditionally on
   X_0 = x, (X_1..X_t) is normal with mean vector mu and covariance Sigma,
@@ -22,15 +22,12 @@ machinery:
   sigma_via_recursion Sigma_t, with no root and no log.
 
 * monte_carlo_mgf: the empirical mean, with its standard error, of the
-  one-step form of the transform.  The process is Markov, so
-  L_t(alpha, x) = exp(alpha*x^2)*E[L_{t-1}(alpha, X_1) | X_0 = x], and
-  log L_{t-1}(alpha, y) is a quadratic in y that _log_mgf on _eliminate
-  gives, exactly up to rounding, at three points.  So each path draws X_1
-  alone, one standard normal; the n of them are one vector from
-  Generator(SFC64(seed)), drawn in the calling thread, and the result
-  depends on (seed, n) only (see monte_carlo_mgf).  _eliminate is the one
-  tridiagonal elimination of both oracles, and the Monte Carlo cost too is
-  bounded by its transient, not by t.
+  one-step identity L_t(alpha, x) = exp(alpha*x^2)*E[L_{t-1}(alpha, X_1) |
+  X_0 = x] (the process is Markov), with log L_{t-1} the closed form's exact
+  quadratic in X_1 (quadratic_coefficients).  Each path draws X_1 alone, one
+  standard normal of one Generator(SFC64(seed)) vector, so the result
+  depends on (seed, n) only.  It reads no elimination: it checks the closed
+  form's one-step identity, not the quadratic-form identity.
 
 unconditional_transform is the exact Gaussian integral of L_t(alpha, .)
 over the stationary start law N(m, 1/(1-theta^2)); it raises
@@ -125,7 +122,8 @@ def _csum(values: list, repeats: list = ()) -> complex:
 def _eliminate(params: ModelParams, alpha: complex, x: float, t: int) -> tuple:
     """(scale, offsets, repeats, quad = sum(z_s^2/d_s)): the forward
     elimination of B = L L' - 2*alpha*I, at a real or complex alpha, with no
-    pivot test, stopped at its floating-point cycle.
+    pivot test, stopped at its floating-point cycle: the one tridiagonal
+    elimination, of matrix_mgf, sigma_via_recursion and verify.
 
     B has diagonal 1 - 2*alpha, then 1 + theta^2 - 2*alpha, and -theta beside
     it.  Its pivots d_s = 1 + u_s are carried as offsets, u_1 = -2*alpha and
@@ -271,22 +269,21 @@ def monte_carlo_mgf(
     Requires alpha <= 0 so the integrand is bounded by 1 and the estimator
     has finite variance, an integer n >= 2 and an integer seed >= 0
     (ValueError).  A non-finite alpha or x, a complex alpha off the real
-    axis and an alpha-free part beyond the double range (x^2, X_1^2 at its
-    conditional mean, or the elimination's Sigma_{t-1} at a point of the
-    fit) raise ParameterError, alpha = 0 included.
+    axis, x^2 or X_1^2 at its conditional mean beyond the double range, and
+    (t >= 1, -2*alpha finite) every error of quadratic_coefficients at t - 1
+    raise ParameterError, alpha = 0 included: where log L_{t-1} about m is
+    not finite, as transform raises there.
 
-    Only X_1 = centre + Z is simulated, centre = m + theta*(x - m), one
-    standard normal Z per path: log L_{t-1}(alpha, centre + Z) is exactly
-    quadratic in Z, its coefficients from _log_mgf on _eliminate at
-    Z = -1, 0 and 1, up to rounding.  A path's estimate is
-    exp(floor + a2*(Z + shift)^2), that quadratic plus alpha*x^2 with its
-    square completed: alpha = 0 gives exactly 1.  By Rao-Blackwell its
-    variance is at most the plain estimator's, and its relative variance is
-    flat in t.  The eliminations cost what their transient does, the draws
-    O(n) whatever t, in one n-long array.  Nothing is drawn at t = 0, whose
-    estimate exp(alpha*x^2) is returned with stderr 0, nor where -2*alpha or
-    log L_{t-1} at a point of the fit overflows: every estimate is then 0
-    (but on a set of chance below 1e-150), returned with stderr 0.
+    Only X_1 = m + theta*(x - m) + Z is simulated, one standard normal Z per
+    path, and log L_{t-1}(alpha, X_1) = g0 + g1*(X_1 - m) + c2*(X_1 - m)^2
+    exactly (closed_form.quadratic_coefficients).  A path's estimate is
+    exp(floor + c2*(Z + shift)^2), that quadratic plus alpha*x^2 with its
+    square completed, exp(floor) where c2 = 0: exactly 1 at alpha = 0.  By
+    Rao-Blackwell its variance is at most the plain estimator's, and its
+    relative variance is flat in t.  The coefficients cost what transform
+    does, the draws O(n) whatever t, in one n-long array.  Nothing is drawn
+    at t = 0, whose estimate exp(alpha*x^2) is returned with stderr 0, nor
+    where -2*alpha overflows: every estimate is 0, returned with stderr 0.
 
     Seed contract: path i's Z is entry i of
     Generator(SFC64(seed)).standard_normal(n), drawn in the calling thread,
@@ -306,36 +303,26 @@ def monte_carlo_mgf(
     n = check_horizon(n, "Monte Carlo sample count", 2)
     seed = check_horizon(seed, "Monte Carlo seed")
     t = check_horizon(t)
-    centre = params.m + params.theta * (x - params.m)
+    offset = params.theta * (x - params.m)  # X_1 = centre + Z = m + offset + Z
+    centre = params.m + offset
     if not math.isfinite(x * x + (centre * centre if t else 0.0)):
         raise _overflow("a conditioned S_t", params, x, a, t)
     if not t:  # nothing drawn: every path's estimate is exp(alpha*x^2)
         return OracleResult(value=math.exp(a * (x * x)), method="monte_carlo", stderr=0.0, n_samples=n)
-    # log L_{t-1} at X_1 = centre - 1, centre, centre + 1; none where every
-    # pivot is infinite
-    logs = []
-    if -2.0 * a < math.inf:
-        for y in (centre - 1.0, centre, centre + 1.0):
-            elimination = _eliminate(params, a, y, t - 1)
-            if not cmath.isfinite(_sigma(y, elimination)):
-                raise _overflow("a conditioned S_t", params, x, a, t)
-            logs.append(_log_mgf(a, y, elimination).real)
-    if not logs or min(logs) == -math.inf:  # every estimate is 0
+    if -2.0 * a == math.inf:  # every pivot of B is infinite: every estimate is 0
         return OracleResult(value=0.0, method="monte_carlo", stderr=0.0, n_samples=n)
-    # the quadratic in Z from its three values, in halves that cannot
-    # overflow, with its square completed: floor + a2*(Z + shift)^2 (a
-    # constant where a2 = 0, as at alpha = 0)
-    high, low = 0.5 * logs[2], 0.5 * logs[0]
-    linear, a2 = high - low, (high - logs[1]) + low
-    shift = 0.5 * linear / a2 if a2 else 0.0
-    floor = a * (x * x) + logs[1] - 0.5 * linear * shift
+    # alpha*x^2 + log L_{t-1}(X_1), its square completed: floor + c2*(Z + shift)^2
+    g0, g1, c2 = (c.real for c in quadratic_coefficients(params, TransformPoint(a), t - 1))
+    vertex = 0.5 * g1 / c2 if c2 else 0.0
+    shift = offset + vertex if c2 else 0.0
+    floor = a * (x * x) + (g0 - 0.5 * g1 * vertex)
     # an estimate's exponent may underflow, and a tiny mean or a scaled
     # deviation's square too, whatever the caller's np.seterr
     with np.errstate(all="ignore"):
         total = np.random.Generator(np.random.SFC64(seed)).standard_normal(n)
         total += shift
         np.multiply(total, total, out=total)
-        total *= a2
+        total *= c2
         total += floor
         np.exp(total, out=total)
         # the mean, then the standard error in place, in ndarray.std(ddof=1)'s

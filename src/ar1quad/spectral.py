@@ -139,11 +139,12 @@ def _roots(theta: float, alpha: complex) -> tuple:
     """
     theta2 = theta * theta
     b = -2.0 * alpha + theta2 + 1.0
-    disc = (-2.0 * alpha + (theta + 1.0) ** 2) * (-2.0 * alpha + (theta - 1.0) ** 2)
-    s = cmath.sqrt(disc)
+    f_plus, f_minus = -2.0 * alpha + (theta + 1.0) ** 2, -2.0 * alpha + (theta - 1.0) ** 2
+    disc = f_plus * f_minus  # past |alpha| ~ 1e154 it overflows, and each factor's root serves
+    s = cmath.sqrt(disc) if cmath.isfinite(disc) else cmath.sqrt(f_plus) * cmath.sqrt(f_minus)
     if (b.conjugate() * s).real < 0.0:
         s = -s
-    lam_plus = 0.5 * (b + s)
+    lam_plus = 0.5 * b + 0.5 * s  # halved first: b + s overflows past |alpha| ~ 4e307
     lam_minus = theta2 / lam_plus
     abs_plus, abs_minus = abs(lam_plus), abs(lam_minus)
     if abs_plus - abs_minus <= DOMAIN_MARGIN * abs_plus:
@@ -156,9 +157,11 @@ def _roots(theta: float, alpha: complex) -> tuple:
     # lam_plus - 1 == mu/(1 - lam_minus) by the quadratic; the direct
     # subtraction cancels catastrophically as alpha -> 0 (lam_plus -> 1)
     beta_minus = -2.0 * alpha / ((1.0 - lam_minus) * denom)
+    log_lambda_plus = _log_lambda_plus(lam_plus, lam_minus, beta_minus)  # NaN past the double range
     abs_theta = abs(theta)
-    in_domain = abs_minus < (1.0 - DOMAIN_MARGIN) * abs_theta and abs_plus > (1.0 + DOMAIN_MARGIN) * abs_theta
-    return lam_plus, lam_minus, beta_plus, beta_minus, _log_lambda_plus(lam_plus, lam_minus, beta_minus), in_domain
+    in_domain = (abs_minus < (1.0 - DOMAIN_MARGIN) * abs_theta and abs_plus > (1.0 + DOMAIN_MARGIN) * abs_theta
+                 and cmath.isfinite(log_lambda_plus))
+    return lam_plus, lam_minus, beta_plus, beta_minus, log_lambda_plus, in_domain
 
 
 def _spectral_tuple(spectral: SpectralData) -> tuple:
@@ -178,10 +181,10 @@ def roots(params: ModelParams, point: TransformPoint) -> SpectralData:
 def domain_check(params: ModelParams, point: TransformPoint) -> bool:
     """True iff |lambda_-|/|theta| < 1 < |lambda_+|/|theta| strictly.
 
-    Every finite alpha on the real interval (-inf, 0] passes.  Boundary
-    points (including equal-modulus root pairs) return False rather than
-    raising.  A non-finite alpha never gets here: TransformPoint rejects it
-    with ParameterError.
+    Every alpha on the real interval [-max_double/2, 0] passes (below it
+    -2*alpha overflows).  Boundary points (including equal-modulus root
+    pairs) return False rather than raising.  A non-finite alpha never gets
+    here: TransformPoint rejects it with ParameterError.
     """
     try:
         return _roots(params.theta, point.alpha)[5]
@@ -241,6 +244,13 @@ def _guard(t: int, e_t: complex, *values: complex) -> bool:
 SCALAR_OPS = SimpleNamespace(expm1=_expm1, log=_log, power=_int_power, guard=_guard)
 
 
+def _log_w(theta: float, lam_plus: complex, lam_minus: complex) -> complex:
+    """log(w), w = lambda_-/lambda_+ = theta^2/lambda_+^2, from the logs of |theta| and
+    lambda_+ where w underflows to 0 (|alpha| past about 1e200, |theta| below 1e-162)."""
+    w = lam_minus / lam_plus
+    return cmath.log(w) if w else 2.0 * (math.log(abs(theta)) - cmath.log(lam_plus))
+
+
 def _sequence_terms(ops: SimpleNamespace, theta: float, spectral: tuple, t):
     """(q_t, 1/psi_{t+1}, log E_t, log pi_t, regular, E_t) at one
     horizon t (SCALAR_OPS) or an array of them (sweep.ARRAY_OPS), from the
@@ -253,7 +263,7 @@ def _sequence_terms(ops: SimpleNamespace, theta: float, spectral: tuple, t):
     array guard returns the mask of rows where neither happened.
     """
     lam_plus, lam_minus, _, beta_minus, log_lambda_plus = spectral[:5]
-    w_t_m1 = ops.expm1(t * cmath.log(lam_minus / lam_plus))  # w^t - 1
+    w_t_m1 = ops.expm1(t * _log_w(theta, lam_plus, lam_minus))  # w^t - 1
     excess = beta_minus * lam_minus * w_t_m1
     e_t = 1.0 + excess
     ops.guard(t, e_t)
@@ -284,7 +294,7 @@ def sequence_ratios(spectral: SpectralData, params: ModelParams, t: int) -> Sequ
         r = complex(theta)
     else:
         # w^t itself, accurate when beta_+ is small (large |alpha|)
-        w_t = cmath.exp(t * cmath.log(lam_minus / lam_plus))
+        w_t = cmath.exp(t * _log_w(theta, lam_plus, lam_minus))
         r = theta * (beta_plus + beta_minus * w_t) / e_t
         _guard(t, e_t, r)
     # mu = beta_-*(1 - lambda_-)*(lambda_+ - lambda_-), free of the lambda_+ ~ 1 cancellation

@@ -184,18 +184,20 @@ def check_matrix_oracle(grid_size: int, tol: float) -> CheckResult:
 
 
 def check_monte_carlo(seed: int, n_samples: int) -> CheckResult:
-    """Closed form within 4 standard errors of the Monte Carlo estimate."""
-    params = ModelParams(0.6, 1.0)
-    point = TransformPoint(-0.2)
-    estimate = monte_carlo_mgf(params, -0.2, 0.0, 10, n_samples, seed)
-    closed = transform(params, point, 0.0, 10).value.real
+    """Closed form within 4 standard errors of the Monte Carlo estimate, which takes L_{t-1}
+    from the closed form: its one-step identity L_t(x) = exp(alpha*x^2)*E[L_{t-1}(X_1)]."""
+    theta, m, alpha, x, t = 0.6, 1.0, -0.2, 0.0, 10
+    params = ModelParams(theta, m)
+    estimate = monte_carlo_mgf(params, alpha, x, t, n_samples, seed)
+    closed = transform(params, TransformPoint(alpha), x, t).value.real
     z_score = abs(closed - estimate.value) / estimate.stderr
     return CheckResult(
         "monte_carlo",
         z_score,
         4.0,
         z_score <= 4.0,
-        detail=f"n={n_samples}, seed={seed}, stderr={estimate.stderr:.3e}",
+        detail=(f"one-step identity at theta={theta}, m={m}, alpha={alpha}, x={x}, t={t}, "
+                f"n={n_samples}, seed={seed}, stderr={estimate.stderr:.3e}"),
     )
 
 

@@ -17,6 +17,7 @@ from ar1quad import (
     TransformPoint,
     conditional_mean,
     constants,
+    domain_check,
     ergodic_constants,
     fit_convergence_rate,
     matrix_mgf,
@@ -29,6 +30,7 @@ from ar1quad import (
     unconditional_transform,
 )
 from ar1quad import closed_form
+from ar1quad.oracle import _eliminate, _log_mgf
 from ar1quad.cli import main
 from ar1quad.spectral import SpectralData, raw_psi
 
@@ -394,6 +396,43 @@ def test_subnormal_alpha_evaluates(capsys, theta, m, x, alpha):
     assert [row["t"] for row in rows] == list(horizons) and all(row["error"] is None for row in rows)
     for row, log_ref in zip(rows, want):
         assert _floored_err(complex(row["log_L_re"], row["log_L_im"]), log_ref) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [-1e154, -1e200, -1e300, -8e307])
+@pytest.mark.parametrize("theta", [0.6, -0.6])
+def test_huge_negative_alpha_evaluates(capsys, theta, alpha):
+    # the discriminant's product overflows past |alpha| ~ 1e154 and
+    # lambda_-/lambda_+ underflows past ~1e200, yet alpha lies in D: every
+    # entry point evaluates, and a sweep row carries transform's log L_t
+    m, x = 1.0, 0.4
+    params, point = ModelParams(theta, m), TransformPoint(alpha)
+    assert domain_check(params, point)
+    horizons = (0, 1, 5, 1000)
+    for t in horizons:
+        log_value = transform(params, point, x, t).log_value
+        assert _floored_err(log_value, log_transform_ref(theta, m, x, alpha, t)) <= 1e-13
+        g0, g1, c2 = closed_form.quadratic_coefficients(params, point, t)
+        assert _floored_err(g0 + g1 * (x - m) + c2 * (x - m) ** 2, log_value) <= 1e-13
+    erg = ergodic_constants(params, point, x)
+    assert _floored_err(erg.lambda_of_alpha, growth_rate_ref(theta, m, alpha)) <= 1e-13
+    point_args = [f"--theta={theta!r}", f"--m={m!r}", f"--x={x!r}", f"--alpha={alpha!r}"]
+    assert main(["transform", *point_args, "--t=5"]) == 0
+    assert json.loads(capsys.readouterr().out)["log_value_re"] == transform(params, point, x, 5).log_value.real
+    assert main(["sweep", *point_args, "--t=" + ",".join(map(str, horizons))]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    for row, t in zip(rows, horizons, strict=True):
+        assert row["error"] is None
+        assert _floored_err(row["log_L_re"], transform(params, point, x, t).log_value.real) <= 1e-13
+
+
+@pytest.mark.parametrize("theta", [1e-200, -1e-300])
+def test_tiny_theta_evaluates(theta):
+    # theta^2 underflows to 0, and with it lambda_- and lambda_-/lambda_+:
+    # log L_t is still the elimination's
+    params, alpha, x = ModelParams(theta, 1.0), -0.3, 0.4
+    for t in (0, 1, 5, 1000):
+        log_value = transform(params, TransformPoint(alpha), x, t).log_value
+        assert _floored_err(log_value, _log_mgf(alpha, x, _eliminate(params, alpha, x, t))) <= 1e-15
 
 
 def test_tiny_alpha_at_a_large_level_evaluates():

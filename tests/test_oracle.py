@@ -316,26 +316,23 @@ def test_monte_carlo_deterministic_given_seed():
 
 
 def one_step_coefficients(theta, m, alpha, x, t):
-    """(floor, shift, a2), t >= 1: alpha*x^2 + log L_{t-1}(alpha, X_1) as
-    floor + a2*(Z + shift)^2 in the one normal Z of X_1 = m + theta*(x - m) + Z,
-    from _log_mgf on _eliminate at Z = -1, 0, 1 in the oracle's own operations;
-    None where every estimate is 0 (-2*alpha or one of the three logs is -inf)."""
-    params, centre = ModelParams(theta, m), m + theta * (x - m)
+    """(floor, shift, c2), t >= 1: alpha*x^2 + log L_{t-1}(alpha, X_1) as
+    floor + c2*(Z + shift)^2 in the one normal Z of X_1 = m + theta*(x - m) + Z,
+    from the closed form's (g0, g1, c2) of log L_{t-1} about m in the oracle's
+    own operations; None where every estimate is 0 (-2*alpha is inf)."""
     if -2.0 * alpha == math.inf:
         return None
-    logs = [_log_mgf(alpha, y, _eliminate(params, alpha, y, t - 1)).real for y in (centre - 1.0, centre, centre + 1.0)]
-    if min(logs) == -math.inf:
-        return None
-    high, low = 0.5 * logs[2], 0.5 * logs[0]
-    linear, a2 = high - low, (high - logs[1]) + low
-    shift = 0.5 * linear / a2 if a2 else 0.0
-    return alpha * (x * x) + logs[1] - 0.5 * linear * shift, shift, a2
+    params = ModelParams(theta, m)
+    g0, g1, c2 = (c.real for c in closed_form.quadratic_coefficients(params, TransformPoint(alpha), t - 1))
+    vertex = 0.5 * g1 / c2 if c2 else 0.0
+    shift = theta * (x - m) + vertex if c2 else 0.0
+    return alpha * (x * x) + (g0 - 0.5 * g1 * vertex), shift, c2
 
 
 def replay(theta, m, alpha, x, t, n, seed):
     """The seed contract, serially: path i draws Z_i, entry i of
     Generator(SFC64(seed)).standard_normal(n), and nothing else, and its estimate is
-    exp(floor + a2*(Z_i + shift)^2) (one_step_coefficients).  The standard error is
+    exp(floor + c2*(Z_i + shift)^2) (one_step_coefficients).  The standard error is
     taken on the deviations over the largest estimate.  At t = 0 the one exact
     estimate, and where every estimate is 0 that 0, each with standard error 0."""
     if not t:
@@ -343,9 +340,9 @@ def replay(theta, m, alpha, x, t, n, seed):
     coefficients = one_step_coefficients(theta, m, alpha, x, t)
     if coefficients is None:
         return 0.0, 0.0
-    floor, shift, a2 = coefficients
+    floor, shift, c2 = coefficients
     z = np.random.Generator(np.random.SFC64(seed)).standard_normal(n) + shift
-    values = np.exp(a2 * (z * z) + floor)
+    values = np.exp(c2 * (z * z) + floor)
     largest = float(values.max())
     mean = values.mean()
     if not largest:
@@ -438,21 +435,34 @@ def test_monte_carlo_error_bar_holds_at_long_horizons(monkeypatch):
     exact = transform(params, TransformPoint(-0.02), x, 10**4).value.real
     res = monte_carlo_mgf(params, -0.02, x, 10**4, n, 0)
     assert res.stderr > 0.0 and abs(res.value - exact) <= 4.0 * res.stderr, (res, exact)
-    # t = 10^6 at alpha = -2e-4 (log L_t = -511.8): the call runs three
-    # eliminations of t - 1 steps, each stopped at its transient
-    steps = []
+    # t = 10^6 at alpha = -2e-4 (log L_t = -511.8): the quadratic in X_1 comes
+    # from the closed form, and no elimination runs
+    def no_elimination(*args):
+        raise AssertionError(f"the Monte Carlo oracle ran an elimination: {args}")
 
-    def counted(*args):
-        elimination = _eliminate(*args)
-        steps.append((args[3], len(elimination[1])))
-        return elimination
-
-    monkeypatch.setattr(oracle, "_eliminate", counted)
+    for name in ("_eliminate", "_log_mgf", "_sigma"):
+        monkeypatch.setattr(oracle, name, no_elimination)
     t = 10**6
     exact = transform(params, TransformPoint(-2e-4), x, t).value.real
     res = monte_carlo_mgf(params, -2e-4, x, t, n, 0)
     assert res.stderr > 0.0 and abs(res.value - exact) <= 4.0 * res.stderr, (res, exact)
-    assert len(steps) == 3 and all(horizon == t - 1 and run < 1000 for horizon, run in steps), steps
+
+
+def test_monte_carlo_does_not_reach_the_elimination(monkeypatch):
+    # the Monte Carlo oracle reads no elimination: a corrupted one moves the matrix
+    # oracle and leaves every Monte Carlo bit where it was
+    params, cases = ModelParams(0.6, 1.0), [(-0.2, 0.0, 10), (-0.05, 1.3, 3), (-1.5, -0.7, 40)]
+    before = [(matrix_mgf(params, a, x, t), monte_carlo_mgf(params, a, x, t, 1000, 5)) for a, x, t in cases]
+
+    def corrupted(*args):
+        scale, offsets, repeats, quad = _eliminate(*args)
+        return scale, offsets, repeats, 1.01 * quad
+
+    monkeypatch.setattr(oracle, "_eliminate", corrupted)
+    after = [(matrix_mgf(params, a, x, t), monte_carlo_mgf(params, a, x, t, 1000, 5)) for a, x, t in cases]
+    for (matrix, mc), (matrix_now, mc_now) in zip(before, after):
+        assert matrix_now.value != matrix.value
+        assert (mc_now.value, mc_now.stderr) == (mc.value, mc.stderr)
 
 
 @pytest.mark.parametrize("m, x", [(1e200, 0.5), (0.0, 1e200)])
@@ -506,7 +516,8 @@ def test_monte_carlo_without_draws_returns_the_one_estimate(t):
 @pytest.mark.parametrize("t", [1, 2, 5])
 @pytest.mark.parametrize("alpha", [-1e300, -1e308])
 def test_monte_carlo_huge_negative_alpha_gives_zero(alpha, t):
-    # 1 - 2*alpha overflows at -1e308: the log factor is -inf and the estimate 0, not NaN
+    # -2*alpha overflows at -1e308, and every estimate is 0; at -1e300 the
+    # closed form's quadratic in X_1 puts every exponent near -1e299: 0, not NaN
     res = monte_carlo_mgf(ModelParams(0.6, 1.0), alpha, 0.4, t, 1000, seed=1)
     assert res.value == 0.0 and res.stderr == 0.0
     # x - m = -inf: x^2 and X_1^2 are inf, raised as an overflow before the

@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from ar1quad import TransformValue, transform, verify
+from ar1quad import TransformValue, closed_form, transform, verify
 
 
 @pytest.mark.parametrize("check", [verify.check_matrix_oracle, verify.check_exactness_anchors])
@@ -146,6 +146,25 @@ def test_default_verify_monte_carlo_standard_error_is_below_5e_05():
     check = {c.name: c for c in verify.run_all().checks}["monte_carlo"]
     stderr = re.search(r"stderr=([0-9.e+-]+)$", check.detail)
     assert check.passed and stderr and float(stderr.group(1)) < 5e-05, check
+
+
+def test_monte_carlo_check_tests_the_one_step_identity(monkeypatch):
+    # the estimator takes log L_{t-1} from the closed form's quadratic in X_1,
+    # and the check compares its mean with the closed form's L_t: a closed
+    # form that breaks L_t(x) = exp(alpha*x^2)*E[L_{t-1}(X_1)], here with C
+    # scaled by 1.01 in the assembly, fails it at the default seed (z near 6)
+    check = {c.name: c for c in verify.run_all(grid_size=1).checks}["monte_carlo"]
+    assert check.passed
+    assert check.detail.startswith("one-step identity at theta=0.6, m=1.0, alpha=-0.2, x=0.0, t=10, "
+                                   "n=1000000, seed=20240901, stderr="), check
+    assemble = closed_form._assemble
+
+    def corrupted(theta, x, alpha, cf, *rest):
+        return assemble(theta, x, alpha, (*cf[:3], 1.01 * cf[3]), *rest)
+
+    monkeypatch.setattr(closed_form, "_assemble", corrupted)
+    check = {c.name: c for c in verify.run_all(grid_size=1).checks}["monte_carlo"]
+    assert not check.passed and check.error > 4.0, check
 
 
 def test_grid_size_saturates_at_five(monkeypatch):
