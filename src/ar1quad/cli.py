@@ -111,12 +111,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_all(
-        grid_size=args.grid_size,
-        seed=args.seed,
-        tolerance=args.tolerance,
-        mc_samples=args.mc_samples,
-    )
+    report = run_all(grid_size=args.grid_size, tolerance=args.tolerance)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         line = (f"[{status}] {check.name:<22} error={check.error:.3e}  tolerance={check.tolerance:.3e}"
@@ -166,9 +161,7 @@ def build_parser() -> _Parser:
     p_vf = sub.add_parser("verify", help="run the self-verification suite")
     p_vf.add_argument("--grid-size", type=int, default=3,
                       help="values per parameter axis, >= 1 (1 = smoke run); sizes above 5 add nothing")
-    p_vf.add_argument("--seed", type=int, default=20240901, help="Monte Carlo seed")
     p_vf.add_argument("--tolerance", type=float, default=None, help="override the float-check tolerances")
-    p_vf.add_argument("--mc-samples", type=int, default=1_000_000, help="Monte Carlo sample count")
     p_vf.set_defaults(func=cmd_verify)
 
     return parser

@@ -127,14 +127,15 @@ class RateFit:
 def _constants(params: ModelParams, point: TransformPoint, x: float) -> tuple:
     """(nu, A, mu*B, C) at (alpha, x), with no pole at alpha = 0.  Requires a
     finite x, which its callers check; raises ParameterError when a constant
-    overflows (|m| or |x| near 1e154)."""
+    overflows (|x| near 1e154, |m| near 9.5e153*sqrt(1-theta) at alpha = 0)."""
     theta, m = params.theta, params.m
     mu = point.mu
     nu = m * (1.0 - theta) / (mu + (1.0 - theta) ** 2)
     centred = x - (1.0 - theta) * nu
     terms = (nu, m * (1.0 - theta) * nu, theta * (centred * centred - mu * nu * nu), 2.0 * nu * centred)
-    # m*nu and centred^2 overflow once |m| or |x| nears sqrt(max double) ~ 1e154;
-    # a non-finite nu makes A non-finite
+    # centred^2 overflows once |x| nears sqrt(max double) ~ 1e154, and C as |m| grows: at
+    # alpha = 0 (|nu| = |m|/(1-theta), its largest at alpha <= 0) C = 2*m*(x - m)/(1-theta),
+    # past the double range near |m| = 9.5e153*sqrt(1-theta); a non-finite nu makes A non-finite
     if not all(map(cmath.isfinite, terms)):
         raise ParameterError(f"closed-form constants overflow at m={m!r}, x={x!r}, alpha={point.alpha}")
     return terms
@@ -145,8 +146,8 @@ def constants(params: ModelParams, point: TransformPoint, x: float) -> ClosedFor
     and alpha != 0 (SingularConstantError); raises DomainBoundaryError
     where the moduli of the roots coincide (outside D: the real segment
     [(1-theta)^2/2, (1+theta)^2/2], whose end (1-theta)^2/2 is the pole of
-    nu), and ParameterError when a constant overflows (|m| or |x| near
-    1e154, or B alone at a tiny alpha)."""
+    nu), and ParameterError when a constant overflows (|x| near 1e154, |m|
+    near 9.5e153*sqrt(1-theta) at alpha = 0, or B alone at a tiny alpha)."""
     check_finite("x", x)
     _roots(params.theta, point.alpha)  # its boundary test covers the pole of nu
     nu, a_const, mu_b, c_const = _constants(params, point, x)
@@ -252,6 +253,13 @@ def quadratic_coefficients(params: ModelParams, point: TransformPoint, t: int) -
     nu = stage[1][0]
     g1 = alpha * (2.0 * m + 2.0 * theta * (m - (1.0 - theta) * nu) * q_t + 2.0 * nu * (theta - inv_psi))
     return g0, g1, alpha * (1.0 + theta * q_t)
+
+
+def _gaussian_step(g0: complex, g1: complex, c2: complex, mean: float, var: float) -> complex:
+    """log E[exp(g0 + g1*Y + c2*Y^2)] for Y ~ N(mean, var), with q = 1 - 2*c2*var and the principal
+    log of q; the expectation exists where Re q > 0, which a caller tests where it may not hold."""
+    q = 1.0 - 2.0 * c2 * var
+    return g0 + (c2 * mean * mean + g1 * mean + g1 * g1 * var / 2.0) / q - 0.5 * cmath.log(q)
 
 
 def transform(params: ModelParams, point: TransformPoint, x: float, t: int) -> TransformValue:

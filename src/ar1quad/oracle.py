@@ -26,8 +26,9 @@ oracle checks the closed form against itself one step on:
   X_0 = x] (the process is Markov), with log L_{t-1} the closed form's exact
   quadratic in X_1 (quadratic_coefficients).  Each path draws X_1 alone, one
   standard normal of one Generator(SFC64(seed)) vector, so the result
-  depends on (seed, n) only.  It reads no elimination: it checks the closed
-  form's one-step identity, not the quadratic-form identity.
+  depends on (seed, n) only.  It reads no elimination.  verify's one_step
+  check evaluates the same expectation exactly (closed_form._gaussian_step),
+  so this sampled face of it is for callers and the tests, not verify.
 
 unconditional_transform is the exact Gaussian integral of L_t(alpha, .)
 over the stationary start law N(m, 1/(1-theta^2)); it raises
@@ -47,7 +48,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .closed_form import _LOG_MAX, _LOG_MIN, _exp, _outside, _overflow, quadratic_coefficients
+from .closed_form import _LOG_MAX, _LOG_MIN, _exp, _gaussian_step, _outside, _overflow, quadratic_coefficients
 from .errors import ConvergenceError, ParameterError
 from .model import ModelParams, check_finite, check_horizon
 from .spectral import TransformPoint, _log, _roots
@@ -342,16 +343,15 @@ def unconditional_transform(params: ModelParams, point: TransformPoint, t: int) 
     """E[exp(alpha*S_t)] with X_0 drawn from the stationary law N(m, v), v = 1/(1-theta^2).
 
     With log L_t(alpha, x) = g0 + g1*(x - m) + c2*(x - m)^2 exactly (quadratic_coefficients),
-    this is (1 - 2*c2*v)^(-1/2) * exp(g0 + g1^2*v / (2*(1 - 2*c2*v))).  The integral exists iff
+    this is (1 - 2*c2*v)^(-1/2) * exp(g0 + g1^2*v / (2*(1 - 2*c2*v))) (_gaussian_step).  It exists iff
     Re(1 - 2*c2*v) > 0, else ConvergenceError.  alpha = 0 gives exactly 1, and a subnormal
     alpha evaluates; alpha outside D raises DomainError.  A value beyond the double range
     raises ParameterError; below it the result is exactly 0.
     """
     g0, g1, c2 = quadratic_coefficients(params, point, t)
     v = 1.0 / (1.0 - params.theta * params.theta)
-    q = 1.0 - 2.0 * c2 * v
-    if q.real <= 0.0:
+    if (1.0 - 2.0 * c2 * v).real <= 0.0:
         raise ConvergenceError(f"Re(1 - 2*c2*v) <= 0: the start-law integral diverges at alpha={point.alpha}")
-    log_value = g0 + g1 * g1 * v / (2.0 * q) - 0.5 * cmath.log(q)
+    log_value = _gaussian_step(g0, g1, c2, 0.0, v)
     # below the double range the value is exactly 0, as transform's
     return 0j if log_value.real < _LOG_MIN else _exp(log_value, "E[exp(alpha*S_t)]", params, None, point.alpha, t)

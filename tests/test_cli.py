@@ -299,19 +299,14 @@ def test_verify_default_run_passes(capsys):
 
 
 def test_verify_smoke_run_passes(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "--grid-size", "1", "--mc-samples", "20000"
-    )
+    code, out, _ = run_cli(capsys, "verify", "--grid-size", "1")
     assert code == 0
     assert "checks passed" in out
     assert "[FAIL]" not in out
 
 
 def test_verify_impossible_tolerance_fails(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "--grid-size", "1", "--tolerance", "1e-15",
-        "--mc-samples", "20000",
-    )
+    code, out, _ = run_cli(capsys, "verify", "--grid-size", "1", "--tolerance", "1e-15")
     assert code == 1
     assert "[FAIL]" in out
 
@@ -319,7 +314,7 @@ def test_verify_impossible_tolerance_fails(capsys):
 @pytest.mark.parametrize("size", ["0", "-3"])
 def test_verify_rejects_a_grid_size_below_one(capsys, size):
     # such a size used to run the size-1 smoke grid and exit 0
-    code, out, err = run_cli(capsys, "verify", "--grid-size", size, "--mc-samples", "20000")
+    code, out, err = run_cli(capsys, "verify", "--grid-size", size)
     assert code == 64
     assert out == ""
     assert err.startswith("ar1quad: error:") and f"grid size must be >= 1, got {size}" in err
@@ -329,16 +324,22 @@ def test_verify_rejects_a_grid_size_below_one(capsys, size):
     ("--tolerance", "nan", "tolerance must be a finite number >= 0, got nan"),
     ("--tolerance", "-1", "tolerance must be a finite number >= 0, got -1.0"),
     ("--tolerance", "inf", "tolerance must be a finite number >= 0, got inf"),
-    ("--mc-samples", "1", "Monte Carlo sample count must be >= 2, got 1"),
-    ("--seed", "-1", "Monte Carlo seed must be >= 0, got -1"),
 ])
 def test_verify_rejects_a_bad_argument_before_any_check_runs(capsys, flag, value, message):
-    # a NaN or negative tolerance used to print six FAIL lines and exit 1;
-    # a bad sample count or seed exited 64 only once four checks had run
+    # a NaN or negative tolerance used to print six FAIL lines and exit 1
     code, out, err = run_cli(capsys, "verify", "--grid-size", "1", flag, value)
     assert code == 64
     assert out == ""
     assert err == f"ar1quad: error: {message}\n"
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--mc-samples"])
+def test_verify_takes_no_sampling_option(capsys, flag):
+    # every check is deterministic: --grid-size and --tolerance are verify's options
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--grid-size", "1", flag, "20000"])
+    assert info.value.code == 64
+    assert capsys.readouterr().out == ""
 
 
 def test_sweep_memory_does_not_grow_with_the_grid():

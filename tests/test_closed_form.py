@@ -219,6 +219,36 @@ def test_overflowing_constants_raise_parameter_error(m, x, alpha):
         fit_convergence_rate(params, point, x)
 
 
+@pytest.mark.parametrize("theta, m, raises", [(0.999999, 3e150, False), (0.999999, 9e150, False),
+                                              (0.999999, 1e151, True), (0.999999, 1e153, True),
+                                              (0.6, 5e153, False), (0.6, 7e153, True)])
+def test_constants_overflow_near_m_9_5e153_times_sqrt_one_minus_theta(theta, m, raises):
+    # at alpha = 0, nu = m/(1-theta) and C = 2*m*(x - m)/(1-theta): C leaves the
+    # double range near |m| = 9.5e153*sqrt(1-theta), far below the 1e154 once
+    # documented as theta nears 1 (9.5e150 at theta = 0.999999)
+    # (at theta = 0.6, A*t = m^2*t overflows log L_t from t = 8)
+    params, point, t = ModelParams(theta, m), TransformPoint(0.0), 999 if theta > 0.9 else 1
+    if raises:
+        with pytest.raises(ParameterError, match="closed-form constants overflow"):
+            transform(params, point, 0.4, t)
+    else:
+        assert transform(params, point, 0.4, t).value == 1.0
+
+
+@pytest.mark.parametrize("g0, g1, c2, mean, var", [
+    (0.1, 0.4, -0.3, 0.7, 1.3),
+    (0.0, -1.2, 0.2, -0.5, 1.0),
+    (0.1 + 0.05j, 0.4 - 0.3j, -0.3 + 0.2j, 0.7, 1.3),
+    (-2.0, 0.5 + 0.5j, -1.5 - 0.7j, 1.1, 0.4),
+])
+def test_gaussian_step_matches_gauss_hermite(g0, g1, c2, mean, var):
+    # log E[exp(g0 + g1*Y + c2*Y^2)], Y ~ N(mean, var): the closed Gaussian
+    # expectation behind the one-step identity and the start-law integral
+    nodes, weights = gauss_hermite_nodes(mean, var, 80)
+    reference = cmath.log(complex(np.sum(weights * np.exp(g0 + g1 * nodes + c2 * nodes * nodes))))
+    assert abs(closed_form._gaussian_step(g0, g1, c2, mean, var) - reference) <= 1e-15
+
+
 @pytest.mark.parametrize("theta, m, alpha", [(0.5, 0.0, 0.125), (0.5, 1.0, 0.125), (0.5, 1e200, 0.125),
                                              (0.6, 1e200, 0.3), (0.6, 1e200, 0.9)])
 def test_alpha_outside_domain_is_tested_before_the_constants(theta, m, alpha):

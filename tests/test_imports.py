@@ -1,6 +1,6 @@
 """The public surface of the package, and which modules its entry points
-import: numpy is loaded by the sweep, the Monte Carlo oracle and verify's
-run_all only, and concurrent.futures by none of them.
+import: numpy is loaded by the sweep and the Monte Carlo oracle only, and
+concurrent.futures by none of them.
 
 Each entry point runs in a fresh interpreter, which then reports whether
 a module was imported: the scalar closed form, the matrix oracle, the
@@ -44,6 +44,8 @@ ENTRY_POINTS = {
     "constants": SETUP + "constants(p, a, 0.5)",
     "cli_transform": CLI.format(["transform", *POINT, "--t", "40000"]),
     "cli_ergodic": CLI.format(["ergodic", *POINT]),
+    "cli_verify_smoke": CLI.format(["verify", "--grid-size", "1"]),
+    "cli_verify": CLI.format(["verify"]),
 }
 
 
@@ -70,25 +72,6 @@ def test_monte_carlo_loads_no_thread_pool_and_starts_no_thread():
             "monte_carlo_mgf(p, -0.3, 0.5, 7, 200_000, 0)\n"
             "assert threading.active_count() == 1, threading.enumerate()")
     assert not module_loaded_after(code, "concurrent.futures")
-
-
-STOP_AT_FIRST_CHECK = ("from ar1quad import verify\n"
-                       "class Stop(Exception): pass\n"
-                       "def stop(*args): raise Stop\n"
-                       "verify.check_spectral_identities = stop\n"
-                       "try:\n    verify.run_all()\nexcept Stop:\n    pass")
-
-
-def test_verify_loads_numpy_before_it_times_the_first_check():
-    # the first check to call an oracle (matrix_oracle) used to carry the
-    # numpy import in its time: ~141 ms, of which ~20 ms was the check
-    assert module_loaded_after(STOP_AT_FIRST_CHECK)
-
-
-def test_verify_loads_numpy_random_before_it_times_the_first_check():
-    # numpy 2 loads numpy.random on first use (~16 ms), which used to land in
-    # the monte_carlo check's time
-    assert module_loaded_after(STOP_AT_FIRST_CHECK, "numpy.random")
 
 
 def test_public_surface_is_pinned():

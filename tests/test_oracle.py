@@ -1,3 +1,4 @@
+import cmath
 import collections
 import math
 import os
@@ -313,6 +314,38 @@ def test_monte_carlo_deterministic_given_seed():
     b = monte_carlo_mgf(params, -0.2, 0.0, 5, 10_000, seed=7)
     assert a == b
     assert a.method == "monte_carlo" and a.n_samples == 10_000
+
+
+def _seed_20240901_estimate():
+    # the point and seed the Monte Carlo check of `ar1quad verify` sampled
+    # before that check became an exact one (verify.check_one_step)
+    params = ModelParams(0.6, 1.0)
+    estimate = monte_carlo_mgf(params, -0.2, 0.0, 10, 10**6, 20240901)
+    return estimate, transform(params, TransformPoint(-0.2), 0.0, 10).value.real
+
+
+def test_monte_carlo_standard_error_at_seed_20240901_is_below_5e_05():
+    # conditioned on X_1 alone it reads 2.497e-05; conditioned on X_10 alone
+    # it read 4.097e-05, the skeleton X_8, X_10 5.929e-05, the stride-4 one
+    # 6.789e-05 and the stride-2 estimator 9.607e-05
+    estimate, closed = _seed_20240901_estimate()
+    assert estimate.stderr < 5e-05, estimate
+    assert abs(closed - estimate.value) <= 4.0 * estimate.stderr, (closed, estimate)
+
+
+def test_monte_carlo_tests_the_one_step_identity(monkeypatch):
+    # the estimator takes log L_{t-1} from the closed form's quadratic in X_1:
+    # a closed form that breaks L_t(x) = exp(alpha*x^2)*E[L_{t-1}(X_1)], here
+    # with C scaled by 1.01 in the assembly, moves the standard score from
+    # 0.70 to near 6
+    assemble = closed_form._assemble
+
+    def corrupted(theta, x, alpha, cf, *rest):
+        return assemble(theta, x, alpha, (*cf[:3], 1.01 * cf[3]), *rest)
+
+    monkeypatch.setattr(closed_form, "_assemble", corrupted)
+    estimate, closed = _seed_20240901_estimate()
+    assert abs(closed - estimate.value) / estimate.stderr > 4.0, (closed, estimate)
 
 
 def one_step_coefficients(theta, m, alpha, x, t):
@@ -668,6 +701,38 @@ def _dense_stationary_mgf(theta, m, alpha, t):
 def test_unconditional_matches_dense_stationary_form(theta, m, alpha, t):
     value = unconditional_transform(ModelParams(theta, m), TransformPoint(alpha), t)
     assert rel_err(value, _dense_stationary_mgf(theta, m, alpha, t)) <= 1e-10
+
+
+def test_unconditional_transform_keeps_its_inline_formula_bits():
+    # the start-law integral goes through closed_form._gaussian_step at mean 0;
+    # its term order returns the bits of the formula it replaced, written out here
+    rng = random.Random(20240902)
+    compared = 0
+    while compared < 10_000:
+        theta = rng.uniform(-0.99, 0.99)
+        m = rng.choice([0.0, rng.uniform(-3.0, 3.0), 10 ** rng.uniform(-5.0, 5.0)])
+        scale = 10 ** rng.uniform(-12.0, 1.0)
+        alpha = complex(-scale, rng.choice([0.0, rng.uniform(-1.0, 1.0) * scale]))
+        t = rng.choice([0, 1, 5, 50, 1000, 10**6, rng.randrange(10**6)])
+        params, point = ModelParams(theta, m), TransformPoint(alpha)
+        try:
+            g0, g1, c2 = closed_form.quadratic_coefficients(params, point, t)
+        except (DomainError, ParameterError):
+            continue
+        v = 1.0 / (1.0 - theta * theta)
+        q = 1.0 - 2.0 * c2 * v
+        if q.real <= 0.0:
+            continue
+        log_value = g0 + g1 * g1 * v / (2.0 * q) - 0.5 * cmath.log(q)
+        assert repr(closed_form._gaussian_step(g0, g1, c2, 0.0, v)) == repr(log_value), (theta, m, alpha, t)
+        try:
+            expected = repr(0j if log_value.real < closed_form._LOG_MIN else cmath.exp(log_value))
+        except OverflowError:
+            with pytest.raises(ParameterError, match="overflows"):
+                unconditional_transform(params, point, t)
+        else:
+            assert repr(unconditional_transform(params, point, t)) == expected, (theta, m, alpha, t)
+        compared += 1
 
 
 def test_unconditional_divergent_integral_raises():

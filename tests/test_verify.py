@@ -5,14 +5,13 @@ check runs, it times each check, and a grid size above 5 adds nothing."""
 import cmath
 import dataclasses
 import math
-import re
 
 import pytest
 
 from ar1quad import TransformValue, closed_form, transform, verify
 
 
-@pytest.mark.parametrize("check", [verify.check_matrix_oracle, verify.check_exactness_anchors])
+@pytest.mark.parametrize("check", [verify.check_matrix_oracle, verify.check_one_step, verify.check_exactness_anchors])
 def test_a_nan_at_one_grid_point_fails_its_check(monkeypatch, check):
     # max(worst, nan) is worst: a NaN value at one grid point used to pass
     calls = []
@@ -34,18 +33,17 @@ def test_a_nan_at_one_grid_point_fails_its_check(monkeypatch, check):
     ({"tolerance": math.nan}, "tolerance must be a finite number >= 0, got nan"),
     ({"tolerance": -1.0}, "tolerance must be a finite number >= 0, got -1.0"),
     ({"tolerance": math.inf}, "tolerance must be a finite number >= 0, got inf"),
-    ({"mc_samples": 1}, "Monte Carlo sample count must be >= 2, got 1"),
-    ({"mc_samples": 2.5}, "Monte Carlo sample count must be an integer, got 2.5"),
-    ({"seed": -1}, "Monte Carlo seed must be >= 0, got -1"),
+    ({"grid_size": -3}, "grid size must be >= 1, got -3"),
+    ({"grid_size": None}, "grid size must be an integer, got None"),
+    ({"grid_size": "3"}, "grid size must be an integer, got '3'"),
     ({"grid_size": 0}, "grid size must be >= 1, got 0"),
     ({"grid_size": 1.5}, "grid size must be an integer, got 1.5"),
 ])
 def test_run_all_rejects_a_bad_argument_before_any_check_runs(monkeypatch, kwargs, message):
     # a NaN or negative tolerance used to run every check and fail all but
-    # the Monte Carlo one; a bad sample count or seed was rejected only once
-    # the checks before the Monte Carlo one had run
+    # the one with a fixed tolerance
     ran = []
-    for name in ("check_spectral_identities", "check_wronskian", "check_matrix_oracle", "check_monte_carlo",
+    for name in ("check_spectral_identities", "check_wronskian", "check_matrix_oracle", "check_one_step",
                  "check_convergence_rate", "check_exactness_anchors"):
         monkeypatch.setattr(verify, name, lambda *args, name=name: ran.append(name))
     with pytest.raises(ValueError) as exc:
@@ -56,13 +54,13 @@ def test_run_all_rejects_a_bad_argument_before_any_check_runs(monkeypatch, kwarg
 
 def test_run_all_takes_a_zero_tolerance():
     # zero is the strictest finite tolerance, not a bad argument
-    report = verify.run_all(grid_size=1, tolerance=0.0, mc_samples=20_000)
+    report = verify.run_all(grid_size=1, tolerance=0.0)
     assert len(report.checks) == 6
 
 
 def test_run_all_times_every_check():
-    report = verify.run_all(grid_size=1, mc_samples=20_000)
-    assert [c.name for c in report.checks] == ["spectral_identities", "wronskian", "matrix_oracle", "monte_carlo",
+    report = verify.run_all(grid_size=1)
+    assert [c.name for c in report.checks] == ["spectral_identities", "wronskian", "matrix_oracle", "one_step",
                                                "convergence_rate", "exactness_anchors"]
     for check in report.checks:
         assert check.seconds > 0.0, check.name
@@ -90,7 +88,7 @@ CORRUPTIONS = {
     "wronskian": ("roots", _shifted_root),
     "matrix_oracle": ("transform", _scaled(1.5)),
     "matrix_oracle-sigma_t": ("transform", _sigma_off),
-    "monte_carlo": ("transform", _scaled(1.5)),
+    "one_step": ("transform", _scaled(1.5)),
     "convergence_rate": ("ergodic_constants", lambda e: dataclasses.replace(e, rate=1.2 * e.rate)),
     "exactness_anchors": ("transform", _scaled(1.5)),
 }
@@ -105,66 +103,63 @@ def test_every_check_fails_on_a_corrupted_value(monkeypatch, case):
     name, corrupt = CORRUPTIONS[case]
     original = getattr(verify, name)
     monkeypatch.setattr(verify, name, lambda *args: corrupt(original(*args)))
-    report = verify.run_all(grid_size=1, mc_samples=2_000)
+    report = verify.run_all(grid_size=1)
     result = {c.name: c for c in report.checks}[check]
     assert result.passed is False, result
 
 
-# check -> (the name it reads in ar1quad.verify, the arguments after
-# (params, point) at the corrupted grid point, m there, how the detail names it)
+# check[-variant] -> (the name it reads in ar1quad.verify, alpha and the
+# arguments after (params, point) at the corrupted grid point, m there, how
+# the detail names it)
 WORST_POINTS = {
-    "spectral_identities": ("roots", (), None, "worst at theta=-0.8, alpha=(-0.3+0.4j)"),
-    "wronskian": ("roots", (), None, "worst at theta=-0.8, alpha=(-0.3+0.4j), s="),
-    "matrix_oracle": ("transform", (2.0, 5), 0.0, "worst at theta=-0.8, m=0.0, alpha=(-0.3+0.4j), x=2.0, t=5"),
-    "exactness_anchors": ("transform", (2.0, 0), 0.5, "worst at theta=-0.8, m=0.5, alpha=(-0.3+0.4j), x=2.0, t=0"),
+    "spectral_identities": ("roots", -0.3+0.4j, (), None, "worst at theta=-0.8, alpha=(-0.3+0.4j)"),
+    "wronskian": ("roots", -0.3+0.4j, (), None, "worst at theta=-0.8, alpha=(-0.3+0.4j), s="),
+    "matrix_oracle": ("transform", -0.3+0.4j, (2.0, 5), 0.0,
+                      "worst at theta=-0.8, m=0.0, alpha=(-0.3+0.4j), x=2.0, t=5"),
+    "one_step": ("transform", -0.3+0.4j, (2.0, 1000), 0.0,
+                 "worst at theta=-0.8, m=0.0, alpha=(-0.3+0.4j), x=2.0, t=1000"),
+    "exactness_anchors": ("transform", -0.3+0.4j, (2.0, 0), 0.5,
+                          "worst at theta=-0.8, m=0.5, alpha=(-0.3+0.4j), x=2.0, t=0"),
+    # L_t(0, x) != 1 used to end the check with error inf and the detail
+    # "L_t(0, x) != 1", naming no point and skipping the remaining thetas
+    "exactness_anchors-alpha_zero": ("transform", 0j, (1.3, 7), 0.5,
+                                     "worst at theta=-0.8, m=0.5, alpha=0.0, x=1.3, t=7"),
 }
 
 
-@pytest.mark.parametrize("check", WORST_POINTS)
-def test_a_check_names_the_point_of_its_worst_error(monkeypatch, check):
+@pytest.mark.parametrize("case", WORST_POINTS)
+def test_a_check_names_the_point_of_its_worst_error(monkeypatch, case):
     # one grid point corrupted: the check fails, and its detail names that
     # point, not only how large the error is there
-    name, rest, m, expected = WORST_POINTS[check]
+    name, alpha, rest, m, expected = WORST_POINTS[case]
     original = getattr(verify, name)
 
     def corrupted(params, point, *args):
         value = original(params, point, *args)
-        if (params.theta, point.alpha, args) != (-0.8, complex(-0.3, 0.4), rest) or m not in (None, params.m):
+        if (params.theta, point.alpha, args) != (-0.8, alpha, rest) or m not in (None, params.m):
             return value
         return _shifted_root(value) if name == "roots" else _scaled(1.5)(value)
 
     monkeypatch.setattr(verify, name, corrupted)
-    result = getattr(verify, f"check_{check}")(3, 1e-10)
+    result = getattr(verify, f"check_{case.split('-')[0]}")(3, 1e-10)
     assert not result.passed and result.detail.startswith(expected), result
 
 
-def test_default_verify_monte_carlo_standard_error_is_below_5e_05():
-    # a default `ar1quad verify`, at its default seed: conditioned on X_1
-    # alone it reads 2.497e-05; conditioned on X_10 alone it read 4.097e-05,
-    # the skeleton X_8, X_10 5.929e-05, the stride-4 one 6.789e-05 and the
-    # stride-2 estimator 9.607e-05
-    check = {c.name: c for c in verify.run_all().checks}["monte_carlo"]
-    stderr = re.search(r"stderr=([0-9.e+-]+)$", check.detail)
-    assert check.passed and stderr and float(stderr.group(1)) < 5e-05, check
-
-
-def test_monte_carlo_check_tests_the_one_step_identity(monkeypatch):
-    # the estimator takes log L_{t-1} from the closed form's quadratic in X_1,
-    # and the check compares its mean with the closed form's L_t: a closed
-    # form that breaks L_t(x) = exp(alpha*x^2)*E[L_{t-1}(X_1)], here with C
-    # scaled by 1.01 in the assembly, fails it at the default seed (z near 6)
-    check = {c.name: c for c in verify.run_all(grid_size=1).checks}["monte_carlo"]
-    assert check.passed
-    assert check.detail.startswith("one-step identity at theta=0.6, m=1.0, alpha=-0.2, x=0.0, t=10, "
-                                   "n=1000000, seed=20240901, stderr="), check
+def test_one_step_check_sees_a_part_per_billion_in_c(monkeypatch):
+    # the default check reads about 4e-16; with C scaled by 1 + 1e-9 in the
+    # assembly, L_t and the L_{t-1} under the expectation no longer obey the
+    # one-step identity (the Monte Carlo check it replaces saw C x 1.01 only
+    # at a standard score near 6)
+    check = verify.check_one_step(3, 1e-12)
+    assert check.passed and check.error <= 1e-12, check
     assemble = closed_form._assemble
 
     def corrupted(theta, x, alpha, cf, *rest):
-        return assemble(theta, x, alpha, (*cf[:3], 1.01 * cf[3]), *rest)
+        return assemble(theta, x, alpha, (*cf[:3], (1.0 + 1e-9) * cf[3]), *rest)
 
     monkeypatch.setattr(closed_form, "_assemble", corrupted)
-    check = {c.name: c for c in verify.run_all(grid_size=1).checks}["monte_carlo"]
-    assert not check.passed and check.error > 4.0, check
+    check = verify.check_one_step(3, 1e-12)
+    assert not check.passed and check.error > 1e-10, check
 
 
 def test_grid_size_saturates_at_five(monkeypatch):
