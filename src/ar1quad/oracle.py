@@ -13,9 +13,10 @@ oracle checks the closed form against itself one step on:
   det(I - 2*alpha*Sigma) = det B and mu'(I - 2*alpha*Sigma)^(-1) mu =
   w' B^(-1) w.  One forward elimination of B (_eliminate), in pure Python,
   gives both; no t x t matrix is formed.  Its state settles, in doubles, on
-  a short cycle, mostly a fixed point or a 2-cycle, so it stops there and
-  adds the repeated tail exactly: its cost is bounded by the transient, not
-  by t, and its bits are those of all t steps.  With det B = pi_t and
+  a short cycle, mostly a fixed point or a 2-cycle, so it stops there, and
+  _read adds the repeated tail exactly, at t or any shorter horizon: its
+  cost is bounded by the transient, not by t, and its bits are those of all
+  t steps.  With det B = pi_t and
   Sigma_t = x^2 + w' B^(-1) w they are the two factors of the paper's
   L_t = pi_t^(-1/2)*exp(alpha*Sigma_t), at a real or complex alpha:
   _log_mgf forms log L_t (matrix_mgf is its real face), and
@@ -121,10 +122,11 @@ def _csum(values: list, repeats: list = ()) -> complex:
 
 
 def _eliminate(params: ModelParams, alpha: complex, x: float, t: int) -> tuple:
-    """(scale, offsets, repeats, quad = sum(z_s^2/d_s)): the forward
-    elimination of B = L L' - 2*alpha*I, at a real or complex alpha, with no
-    pivot test, stopped at its floating-point cycle: the one tridiagonal
-    elimination, of matrix_mgf, sigma_via_recursion and verify.
+    """(scale, offsets, quads, start): the forward elimination of
+    B = L L' - 2*alpha*I, at a real or complex alpha, with no pivot test,
+    stopped at its floating-point cycle: the one tridiagonal elimination, of
+    matrix_mgf, sigma_via_recursion and verify, whose sums _read forms at
+    any horizon up to t.
 
     B has diagonal 1 - 2*alpha, then 1 + theta^2 - 2*alpha, and -theta beside
     it.  Its pivots d_s = 1 + u_s are carried as offsets, u_1 = -2*alpha and
@@ -133,20 +135,21 @@ def _eliminate(params: ModelParams, alpha: complex, x: float, t: int) -> tuple:
     digits.  z_1 = w_1, z_s = w_s + theta*z_{s-1}/d_{s-1} runs on
     w = L*mu = (mu_1, m*(1 - theta), ..., m*(1 - theta)) over scale =
     max(|mu_1|, |m|) (1 if w is empty or zero), so a huge mean stays finite:
-    det B = prod(d_s) and w' B^(-1) w = scale^2*quad, quad rounded once.  A
-    pivot of exactly 0 ends it with an infinite last term; an overflowing
-    mean raises ParameterError.
+    det B = prod(d_s) and w' B^(-1) w = scale^2*sum(quads), quads the terms
+    z_s^2/d_s.  A pivot of exactly 0 ends it with an infinite last term; an
+    overflowing mean raises ParameterError.
 
     Each step is a function of the state (u_s, z_s) alone, which in doubles
     settles on a short cycle (d_s -> lambda_+, z_s at the rate
     |theta/lambda_+|).  The state is kept every 16 steps; the loop stops the
     first time the state equals the kept one, bit for bit, and every later
-    step repeats the p <= 16 since, whose terms repeats counts and _tail adds
-    exactly.  So the sums keep the bits of all t steps, and the loop runs
-    about 37/ln|lambda_+/theta| steps: 41 at theta = 0.6, alpha = -0.3, 700
-    at |theta| = 0.95 and 30,000 at 0.999 as alpha -> 0.  A state that never
-    repeats within 16 steps (a NaN pivot, a real alpha on or beyond the
-    slit, a complex alpha on a longer cycle) runs to t.
+    step repeats the p <= 16 since: start is the first of them (None where
+    the loop ran to t), and _read repeats them exactly.  So the sums keep
+    the bits of all t steps, and the loop runs about 37/ln|lambda_+/theta|
+    steps: 41 at theta = 0.6, alpha = -0.3, 700 at |theta| = 0.95 and
+    30,000 at 0.999 as alpha -> 0.  A state that never repeats within 16
+    steps (a NaN pivot, a real alpha on or beyond the slit, a complex alpha
+    on a longer cycle) runs to t.
     """
     theta, m = params.theta, params.m
     mean_1 = m + theta * (x - m)
@@ -158,14 +161,13 @@ def _eliminate(params: ModelParams, alpha: complex, x: float, t: int) -> tuple:
     a2 = 2.0 * alpha
     w = m / scale * (1.0 - theta)
     z, u = mean_1 / scale, -a2
-    offsets, quads, repeats = [], [], ()
+    offsets, quads, start = [], [], None
     kept, kept_u, kept_z = 0, math.nan, math.nan  # the kept state; NaN matches none
     try:
         for s in range(t):
             # z settles last: its test fails first through the transient
             if z == kept_z and u == kept_u and _signs(u, z) == _signs(kept_u, kept_z):
-                rounds, rest = divmod(t - s, s - kept)
-                repeats = [rounds + 1] * rest + [rounds] * (s - kept - rest)
+                start = kept
                 break
             if not s & 15:
                 kept, kept_u, kept_z = s, u, z
@@ -177,12 +179,27 @@ def _eliminate(params: ModelParams, alpha: complex, x: float, t: int) -> tuple:
             z = w + theta * z / d
     except ZeroDivisionError:  # d = 0: w' B^(-1) w is infinite
         quads.append(math.inf)
+    return scale, offsets, quads, start
+
+
+def _read(alpha: complex, elimination: tuple, h: int) -> tuple:
+    """(scale, offsets, repeats, quad = sum(z_s^2/d_s)), quad rounded once, at
+    horizon h <= t from _eliminate's run to t: its first h steps, or past the
+    loop's stop all of them, the cycle's repeated repeats[j] more times each.
+    From h = 2 on (the scale is the same) these are the bits of a run to h."""
+    scale, offsets, quads, start = elimination
+    stop, repeats = len(offsets), ()
+    if h < stop:
+        offsets, quads = offsets[:h], quads[:h]
+    elif h > stop and start is not None:
+        rounds, rest = divmod(h - stop, stop - start)
+        repeats = [rounds + 1] * rest + [rounds] * (stop - start - rest)
     quad = _csum(quads, repeats) if isinstance(alpha, complex) else math.fsum(_tail(quads, repeats))
     return scale, offsets, repeats, quad
 
 
 def _log_mgf(alpha: complex, x: float, elimination: tuple) -> complex:
-    """log L_t = alpha*x^2 - log det B/2 + alpha*w' B^(-1) w from _eliminate's
+    """log L_t = alpha*x^2 - log det B/2 + alpha*w' B^(-1) w from _read's
     (scale, offsets, repeats, quad).  Each pivot log comes from its offset:
     log1p(u_s) at a real alpha (a complex one on the real axis is its real
     part), spectral._log(1 + u_s, u_s) at any other; the repeated tail enters
@@ -207,7 +224,7 @@ def _log_mgf(alpha: complex, x: float, elimination: tuple) -> complex:
 
 
 def _sigma(x: float, elimination: tuple) -> complex:
-    """Sigma_t = x^2 + scale^2*quad from _eliminate's (scale, offsets, repeats, quad)."""
+    """Sigma_t = x^2 + scale^2*quad from _read's (scale, offsets, repeats, quad)."""
     scale, _, _, quad = elimination
     return complex(x * x + scale * (scale * quad.real), scale * (scale * quad.imag))
 
@@ -232,7 +249,7 @@ def matrix_mgf(params: ModelParams, alpha: float, x: float, t: int) -> OracleRes
     t = check_horizon(t)
     if t and -2.0 * a == math.inf:  # every pivot, and det B, is infinite
         return OracleResult(value=0.0, method="matrix")
-    log_value = _log_mgf(a, x, _eliminate(params, a, x, t)).real
+    log_value = _log_mgf(a, x, _read(a, _eliminate(params, a, x, t), t)).real
     if log_value > _LOG_MAX:
         raise _overflow("L_t", params, x, a, t)
     return OracleResult(value=math.exp(log_value), method="matrix")
@@ -255,7 +272,7 @@ def sigma_via_recursion(params: ModelParams, point: TransformPoint, x: float, t:
     alpha = point.alpha
     if not _roots(params.theta, alpha)[5]:
         raise _outside(alpha)
-    sigma = _sigma(x, _eliminate(params, alpha, x, t))
+    sigma = _sigma(x, _read(alpha, _eliminate(params, alpha, x, t), t))
     if not cmath.isfinite(sigma):
         raise _overflow("Sigma_t", params, x, alpha, t)
     return sigma

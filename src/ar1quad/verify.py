@@ -22,14 +22,16 @@ import time
 from dataclasses import dataclass, field
 
 from .closed_form import (
+    _alpha_stage,
     _gaussian_step,
+    _scalar_horizon,
     ergodic_constants,
     fit_convergence_rate,
     quadratic_coefficients,
     transform,
 )
 from .model import ModelParams, check_horizon
-from .oracle import _eliminate, _log_mgf, _sigma
+from .oracle import _eliminate, _log_mgf, _read, _sigma
 from .spectral import TransformPoint, domain_check, raw_psi, roots, sequence_ratios
 
 # -1e-3 probes the small-|alpha| regime here; the test suite checks alpha
@@ -160,11 +162,14 @@ def check_wronskian(grid_size: int, tol: float) -> CheckResult:
 
 def check_matrix_oracle(grid_size: int, tol: float) -> CheckResult:
     """Closed form vs the root-free forward elimination of
-    B = L L' - 2*alpha*I (oracle._eliminate), run once per grid point for
-    both factors of L_t = pi_t^(-1/2)*exp(alpha*Sigma_t): log L_t, its
-    error relative to max(1, |log L_t|), and Sigma_t, relative, at t = 1, 5
-    and 50, complex alpha included."""
+    B = L L' - 2*alpha*I (oracle._eliminate), run once per grid point, to
+    t = 50, and read (oracle._read) at t = 1, 5 and 50 for both factors of
+    L_t = pi_t^(-1/2)*exp(alpha*Sigma_t): log L_t, its error relative to
+    max(1, |log L_t|), and Sigma_t, relative, complex alpha included.  The
+    closed form is transform's log L_t and Sigma_t, from one alpha stage per
+    grid point and one horizon stage per t."""
     thetas, alphas, xs, ms = _grids(grid_size)
+    horizons = (1, 5, 50)
     worst = 0.0, {}
     for theta in thetas:
         for m in ms:
@@ -174,12 +179,14 @@ def check_matrix_oracle(grid_size: int, tol: float) -> CheckResult:
                 if not domain_check(params, point):
                     continue
                 for x in xs:
-                    for t in (1, 5, 50):
-                        elimination = _eliminate(params, point.alpha, x, t)
-                        closed = transform(params, point, x, t)
-                        log_value, sigma = _log_mgf(point.alpha, x, elimination), _sigma(x, elimination)
-                        errors = (abs(log_value - closed.log_value) / max(1.0, abs(closed.log_value)),
-                                  abs(sigma - closed.sigma_t) / max(abs(closed.sigma_t), 1e-30))
+                    stage = _alpha_stage(params, point, x)
+                    elimination = _eliminate(params, point.alpha, x, horizons[-1])
+                    for t in horizons:
+                        log_closed, sigma_closed = _scalar_horizon(params, x, point.alpha, stage, t)[:2]
+                        reading = _read(point.alpha, elimination, t)
+                        log_value, sigma = _log_mgf(point.alpha, x, reading), _sigma(x, reading)
+                        errors = (abs(log_value - log_closed) / max(1.0, abs(log_closed)),
+                                  abs(sigma - sigma_closed) / max(abs(sigma_closed), 1e-30))
                         worst = _worse(worst, errors, theta=theta, m=m, alpha=alpha, x=x, t=t)
     return _result("matrix_oracle", worst, tol)
 
@@ -188,7 +195,8 @@ def check_one_step(grid_size: int, tol: float) -> CheckResult:
     """The closed form's one-step identity L_t(x) = exp(alpha*x^2)*E[L_{t-1}(X_1) | X_0 = x]
     (the process is Markov), exactly: log L_{t-1} is the quadratic of quadratic_coefficients
     in X_1 - m ~ N(theta*(x - m), 1), whose Gaussian expectation is closed.  log L_t's error
-    relative to max(1, |log L_t|), at t = 1, 10^3 and 10^6, complex alpha included."""
+    relative to max(1, |log L_t|), at t = 1, 10^3 and 10^6, complex alpha included; log L_t
+    is transform's, from one alpha stage per grid point."""
     thetas, alphas, xs, ms = _grids(grid_size)
     worst = 0.0, {}
     for theta in thetas:
@@ -198,10 +206,11 @@ def check_one_step(grid_size: int, tol: float) -> CheckResult:
                 point = TransformPoint(alpha)
                 if not domain_check(params, point):
                     continue
+                stages = [_alpha_stage(params, point, x) for x in xs]
                 for t in (1, 10**3, 10**6):
                     coefficients = quadratic_coefficients(params, point, t - 1)
-                    for x in xs:
-                        log_value = transform(params, point, x, t).log_value
+                    for x, stage in zip(xs, stages):
+                        log_value = _scalar_horizon(params, x, point.alpha, stage, t)[0]
                         step = point.alpha * (x * x) + _gaussian_step(*coefficients, theta * (x - m), 1.0)
                         error = abs(log_value - step) / max(1.0, abs(log_value))
                         worst = _worse(worst, [error], theta=theta, m=m, alpha=alpha, x=x, t=t)
@@ -257,7 +266,11 @@ def run_all(grid_size: int = 3, tolerance: float | None = None) -> VerifyReport:
     an integer >= 1 and a tolerance that is not a finite number >= 0.
     """
     _grids(grid_size)
-    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
+    try:
+        bad = tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0)
+    except TypeError:  # a string or a complex number
+        bad = True
+    if bad:
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
 
     def tol(default: float) -> float:

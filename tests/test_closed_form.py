@@ -30,7 +30,7 @@ from ar1quad import (
     unconditional_transform,
 )
 from ar1quad import closed_form
-from ar1quad.oracle import _eliminate, _log_mgf
+from ar1quad.oracle import _eliminate, _log_mgf, _read
 from ar1quad.cli import main
 from ar1quad.spectral import SpectralData, raw_psi
 
@@ -462,7 +462,7 @@ def test_tiny_theta_evaluates(theta):
     params, alpha, x = ModelParams(theta, 1.0), -0.3, 0.4
     for t in (0, 1, 5, 1000):
         log_value = transform(params, TransformPoint(alpha), x, t).log_value
-        assert _floored_err(log_value, _log_mgf(alpha, x, _eliminate(params, alpha, x, t))) <= 1e-15
+        assert _floored_err(log_value, _log_mgf(alpha, x, _read(alpha, _eliminate(params, alpha, x, t), t))) <= 1e-15
 
 
 def test_tiny_alpha_at_a_large_level_evaluates():

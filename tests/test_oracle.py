@@ -19,11 +19,12 @@ from ar1quad import (
     domain_check,
     matrix_mgf,
     monte_carlo_mgf,
+    sigma_via_recursion,
     transform,
     unconditional_transform,
 )
 from ar1quad import closed_form, oracle, verify
-from ar1quad.oracle import _eliminate, _log_mgf, _sigma
+from ar1quad.oracle import _eliminate, _log_mgf, _read, _sigma
 
 from mp_reference import log_transform_ref, tridiagonal_det_ref
 from util import conditional_covariance, eliminate_every_step, gauss_hermite_nodes, rel_err
@@ -156,7 +157,7 @@ def test_elimination_log_mgf_at_complex_alpha_matches_the_high_precision_referen
         draws += 1
         positive += alpha.real > 0
         log_ref = log_transform_ref(theta, m, x, alpha, t)
-        log_value = _log_mgf(point.alpha, x, _eliminate(params, point.alpha, x, t))
+        log_value = _log_mgf(point.alpha, x, _read(point.alpha, _eliminate(params, point.alpha, x, t), t))
         assert abs(log_value - log_ref) <= 1e-14 * max(1.0, abs(log_ref)), (theta, m, x, alpha, t)
     assert positive >= 30
 
@@ -170,15 +171,23 @@ def _attempt(call) -> str:
 
 
 def _elimination_outputs(params, alpha, x, t) -> tuple:
-    """_log_mgf, _sigma and matrix_mgf at one point, each as _attempt gives
-    it, all through oracle._eliminate, so a patched one serves all three."""
+    """_log_mgf, _sigma, matrix_mgf and sigma_via_recursion at one point,
+    each as _attempt gives it, all through oracle._eliminate, so a patched
+    one serves all four."""
     try:
-        elimination = oracle._eliminate(params, alpha, x, t)
+        elimination = _read(alpha, oracle._eliminate(params, alpha, x, t), t)
     except (ValueError, ArithmeticError) as exc:
         outputs = [type(exc).__name__] * 2
     else:
         outputs = [_attempt(lambda: _log_mgf(alpha, x, elimination)), _attempt(lambda: _sigma(x, elimination))]
-    return (*outputs, _attempt(lambda: matrix_mgf(params, alpha, x, t)))
+    return (*outputs, _attempt(lambda: matrix_mgf(params, alpha, x, t)),
+            _attempt(lambda: sigma_via_recursion(params, TransformPoint(alpha), x, t)))
+
+
+def _period(elimination) -> int:
+    """The length of the cycle _eliminate stopped on, 0 where it ran to t."""
+    start = elimination[3]
+    return 0 if start is None else len(elimination[1]) - start
 
 
 def _stop_rule_cases():
@@ -220,7 +229,7 @@ def test_elimination_stop_rule_keeps_every_bit(monkeypatch):
     cases = list(_stop_rule_cases())
     got = [_elimination_outputs(*case) for case in cases]
     # the draws reach the tail, on cycles of period 1, 2 and longer
-    periods = collections.Counter(len(oracle._eliminate(*case)[2]) for case in cases[:2000])
+    periods = collections.Counter(_period(oracle._eliminate(*case)) for case in cases[:2000])
     assert periods[1] + periods[2] >= 1000 and periods[2] >= 100, periods
     assert sum(count for period, count in periods.items() if period > 2) >= 3, periods
     monkeypatch.setattr(oracle, "_eliminate", eliminate_every_step)
@@ -229,11 +238,34 @@ def test_elimination_stop_rule_keeps_every_bit(monkeypatch):
     assert not wrong, (len(wrong), wrong[:3])
 
 
+@pytest.mark.parametrize("params, alpha, x, t", [
+    (ModelParams(0.6, 1.0), -0.3, 0.5, 200),  # a cycle of period 1 from step 48
+    # period 2, a draw of the stop rule's test
+    (ModelParams(-0.8776405047566277, -0.9340503240220381), -0.00421315120716049, -1.5498872659198915, 381),
+    # period 9 from step 112, the case of the test below
+    (ModelParams(-0.8969566705606153, 1.0), complex(-0.03952122095723014, 0.05810670083243488), 0.5, 400),
+], ids=["period-1", "period-2", "period-9"])
+def test_one_elimination_read_at_a_shorter_horizon_keeps_every_bit(params, alpha, x, t):
+    # verify reads t = 1, 5 and 50 off one elimination run to 50: read at
+    # any h in 2..t, before the loop's stop and past it, where the cycle's
+    # repeats count up to h, a run to t gives the bits of a run to h, and
+    # log L_h and Sigma_h those of the loop run to h with no stop.  At h = 1
+    # the scale is |mu_1| alone, max(|mu_1|, |m|) from h = 2 on
+    elimination = _eliminate(params, alpha, x, t)
+    assert _period(elimination) and len(elimination[1]) + 2 * _period(elimination) < t
+    for h in range(2, t + 1):
+        reading = _read(alpha, elimination, h)
+        assert repr(reading) == repr(_read(alpha, _eliminate(params, alpha, x, h), h)), h
+        every_step = _read(alpha, eliminate_every_step(params, alpha, x, h), h)
+        assert (repr((_log_mgf(alpha, x, reading), _sigma(x, reading)))
+                == repr((_log_mgf(alpha, x, every_step), _sigma(x, every_step)))), h
+
+
 @pytest.mark.parametrize("alpha", [-0.3, complex(-0.3, 0.4)])
 def test_elimination_steps_are_bounded_by_the_transient(alpha):
     # latency flat in t: at t = 10^6 the loop runs some 40 steps, and the
     # repeated tail counts the rest
-    _, offsets, repeats, _ = _eliminate(ModelParams(0.6, 1.0), alpha, 0.5, 10**6)
+    _, offsets, repeats, _ = _read(alpha, _eliminate(ModelParams(0.6, 1.0), alpha, 0.5, 10**6), 10**6)
     assert len(offsets) < 200
     assert len(offsets) + sum(repeats) == 10**6
 
@@ -242,7 +274,7 @@ def test_elimination_stops_on_a_cycle_of_nine_steps():
     # this complex alpha's state settles on a cycle of period 9: a state kept
     # every 8 steps never recurs, and the loop ran all 10^5 steps
     params, alpha = ModelParams(-0.8969566705606153, 1.0), complex(-0.03952122095723014, 0.05810670083243488)
-    _, offsets, repeats, _ = _eliminate(params, alpha, 0.5, 10**5)
+    _, offsets, repeats, _ = _read(alpha, _eliminate(params, alpha, 0.5, 10**5), 10**5)
     assert len(offsets) < 1000 and len(repeats) == 9
     assert len(offsets) + sum(repeats) == 10**5
 
@@ -265,7 +297,7 @@ def test_closed_form_matches_the_elimination_at_long_horizons():
         draws += 1
         for t in (10**4, 10**6):
             closed = transform(params, point, x, t)
-            elimination = _eliminate(params, point.alpha, x, t)
+            elimination = _read(point.alpha, _eliminate(params, point.alpha, x, t), t)
             log_value, sigma = _log_mgf(point.alpha, x, elimination), _sigma(x, elimination)
             assert abs(log_value - closed.log_value) <= 1e-12 * max(1.0, abs(closed.log_value)), (theta, m, x, alpha, t)
             assert abs(sigma - closed.sigma_t) <= 1e-12 * abs(closed.sigma_t), (theta, m, x, alpha, t)
@@ -488,8 +520,8 @@ def test_monte_carlo_does_not_reach_the_elimination(monkeypatch):
     before = [(matrix_mgf(params, a, x, t), monte_carlo_mgf(params, a, x, t, 1000, 5)) for a, x, t in cases]
 
     def corrupted(*args):
-        scale, offsets, repeats, quad = _eliminate(*args)
-        return scale, offsets, repeats, 1.01 * quad
+        scale, offsets, quads, start = _eliminate(*args)
+        return scale, offsets, [1.01 * q for q in quads], start
 
     monkeypatch.setattr(oracle, "_eliminate", corrupted)
     after = [(matrix_mgf(params, a, x, t), monte_carlo_mgf(params, a, x, t, 1000, 5)) for a, x, t in cases]

@@ -4,26 +4,42 @@ check runs, it times each check, and a grid size above 5 adds nothing."""
 
 import cmath
 import dataclasses
+import itertools
 import math
 
 import pytest
 
-from ar1quad import TransformValue, closed_form, transform, verify
+from ar1quad import ModelParams, TransformPoint, TransformValue, closed_form, domain_check, transform, verify
+
+
+# the closed-form value each grid check reads in ar1quad.verify: the matrix
+# oracle and one-step checks read transform's log L_t and Sigma_t from one
+# alpha stage per grid point (_scalar_horizon's first two terms), the
+# exactness anchors transform itself
+SEAMS = {"matrix_oracle": "_scalar_horizon", "one_step": "_scalar_horizon", "exactness_anchors": "transform"}
+
+
+def _nan(value):
+    """A seam's result with log L_t, L_t and Sigma_t NaN."""
+    nan = complex(math.nan, math.nan)
+    if isinstance(value, TransformValue):
+        return TransformValue(log_value=nan, value=nan, sigma_t=nan)
+    return nan, nan, *value[2:]
 
 
 @pytest.mark.parametrize("check", [verify.check_matrix_oracle, verify.check_one_step, verify.check_exactness_anchors])
 def test_a_nan_at_one_grid_point_fails_its_check(monkeypatch, check):
     # max(worst, nan) is worst: a NaN value at one grid point used to pass
+    name = SEAMS[check.__name__.removeprefix("check_")]
+    original = getattr(verify, name)
     calls = []
 
-    def nan_once(params, point, x, t):
-        calls.append(t)
-        if len(calls) == 2:
-            nan = complex(math.nan, math.nan)
-            return TransformValue(log_value=nan, value=nan, sigma_t=nan)
-        return transform(params, point, x, t)
+    def nan_once(*args):
+        calls.append(args[-1])
+        value = original(*args)
+        return _nan(value) if len(calls) == 2 else value
 
-    monkeypatch.setattr(verify, "transform", nan_once)
+    monkeypatch.setattr(verify, name, nan_once)
     result = check(1, 1.0)
     assert len(calls) > 2  # the grid points after the NaN do not clear it
     assert math.isnan(result.error) and not result.passed
@@ -38,6 +54,9 @@ def test_a_nan_at_one_grid_point_fails_its_check(monkeypatch, check):
     ({"grid_size": "3"}, "grid size must be an integer, got '3'"),
     ({"grid_size": 0}, "grid size must be >= 1, got 0"),
     ({"grid_size": 1.5}, "grid size must be an integer, got 1.5"),
+    # math.isfinite used to raise a bare TypeError on these
+    ({"tolerance": "0.1"}, "tolerance must be a finite number >= 0, got '0.1'"),
+    ({"tolerance": 0.1j}, "tolerance must be a finite number >= 0, got 0.1j"),
 ])
 def test_run_all_rejects_a_bad_argument_before_any_check_runs(monkeypatch, kwargs, message):
     # a NaN or negative tolerance used to run every check and fail all but
@@ -67,17 +86,22 @@ def test_run_all_times_every_check():
 
 
 def _scaled(factor):
-    """A transform result off by `factor`, its log consistent with it."""
-    return lambda v: dataclasses.replace(v, log_value=v.log_value + cmath.log(factor), value=v.value * factor)
+    """A closed-form result off by `factor`, its log consistent with it: a
+    transform value, or _scalar_horizon's (log L_t, Sigma_t, ...) terms."""
+    def scaled(v):
+        if isinstance(v, TransformValue):
+            return dataclasses.replace(v, log_value=v.log_value + cmath.log(factor), value=v.value * factor)
+        return v[0] + cmath.log(factor), *v[1:]
+    return scaled
 
 
 def _shifted_root(spectral):
     return dataclasses.replace(spectral, lambda_plus=1.37 * spectral.lambda_plus)
 
 
-def _sigma_off(v):
-    """A transform result whose Sigma_t alone is off by 1e-6, relative."""
-    return dataclasses.replace(v, sigma_t=v.sigma_t * (1.0 + 1e-6))
+def _sigma_off(terms):
+    """_scalar_horizon's terms with Sigma_t alone off by 1e-6, relative."""
+    return terms[0], terms[1] * (1.0 + 1e-6), *terms[2:]
 
 
 # check[-variant] -> (the name it reads in ar1quad.verify, a corruption of
@@ -86,9 +110,9 @@ def _sigma_off(v):
 CORRUPTIONS = {
     "spectral_identities": ("roots", _shifted_root),
     "wronskian": ("roots", _shifted_root),
-    "matrix_oracle": ("transform", _scaled(1.5)),
-    "matrix_oracle-sigma_t": ("transform", _sigma_off),
-    "one_step": ("transform", _scaled(1.5)),
+    "matrix_oracle": ("_scalar_horizon", _scaled(1.5)),
+    "matrix_oracle-sigma_t": ("_scalar_horizon", _sigma_off),
+    "one_step": ("_scalar_horizon", _scaled(1.5)),
     "convergence_rate": ("ergodic_constants", lambda e: dataclasses.replace(e, rate=1.2 * e.rate)),
     "exactness_anchors": ("transform", _scaled(1.5)),
 }
@@ -108,15 +132,22 @@ def test_every_check_fails_on_a_corrupted_value(monkeypatch, case):
     assert result.passed is False, result
 
 
+# the grid point a seam's arguments name: (theta, m, alpha, the rest)
+POINT_OF = {
+    "roots": lambda params, point: (params.theta, params.m, point.alpha, ()),
+    "transform": lambda params, point, x, t: (params.theta, params.m, point.alpha, (x, t)),
+    "_scalar_horizon": lambda params, x, alpha, stage, t: (params.theta, params.m, alpha, (x, t)),
+}
+
 # check[-variant] -> (the name it reads in ar1quad.verify, alpha and the
-# arguments after (params, point) at the corrupted grid point, m there, how
-# the detail names it)
+# arguments after it at the corrupted grid point, m there, how the detail
+# names it)
 WORST_POINTS = {
     "spectral_identities": ("roots", -0.3+0.4j, (), None, "worst at theta=-0.8, alpha=(-0.3+0.4j)"),
     "wronskian": ("roots", -0.3+0.4j, (), None, "worst at theta=-0.8, alpha=(-0.3+0.4j), s="),
-    "matrix_oracle": ("transform", -0.3+0.4j, (2.0, 5), 0.0,
+    "matrix_oracle": ("_scalar_horizon", -0.3+0.4j, (2.0, 5), 0.0,
                       "worst at theta=-0.8, m=0.0, alpha=(-0.3+0.4j), x=2.0, t=5"),
-    "one_step": ("transform", -0.3+0.4j, (2.0, 1000), 0.0,
+    "one_step": ("_scalar_horizon", -0.3+0.4j, (2.0, 1000), 0.0,
                  "worst at theta=-0.8, m=0.0, alpha=(-0.3+0.4j), x=2.0, t=1000"),
     "exactness_anchors": ("transform", -0.3+0.4j, (2.0, 0), 0.5,
                           "worst at theta=-0.8, m=0.5, alpha=(-0.3+0.4j), x=2.0, t=0"),
@@ -134,15 +165,32 @@ def test_a_check_names_the_point_of_its_worst_error(monkeypatch, case):
     name, alpha, rest, m, expected = WORST_POINTS[case]
     original = getattr(verify, name)
 
-    def corrupted(params, point, *args):
-        value = original(params, point, *args)
-        if (params.theta, point.alpha, args) != (-0.8, alpha, rest) or m not in (None, params.m):
+    def corrupted(*args):
+        value = original(*args)
+        theta, at_m, at_alpha, at_rest = POINT_OF[name](*args)
+        if (theta, at_alpha, at_rest) != (-0.8, alpha, rest) or m not in (None, at_m):
             return value
         return _shifted_root(value) if name == "roots" else _scaled(1.5)(value)
 
     monkeypatch.setattr(verify, name, corrupted)
     result = getattr(verify, f"check_{case.split('-')[0]}")(3, 1e-10)
     assert not result.passed and result.detail.startswith(expected), result
+
+
+def test_the_checks_read_transform_bit_for_bit():
+    # the matrix oracle and one-step checks read log L_t and Sigma_t from one
+    # alpha stage per grid point, shared across horizons: they are
+    # transform's, bit for bit, so the checks speak for the public function
+    thetas, alphas, xs, ms = verify._grids(5)
+    for theta, m, alpha, x in itertools.product(thetas, ms, alphas, xs):
+        params, point = ModelParams(theta, m), TransformPoint(alpha)
+        if not domain_check(params, point):
+            continue
+        stage = closed_form._alpha_stage(params, point, x)
+        for t in (1, 5, 50, 10**3, 10**6):
+            value = transform(params, point, x, t)
+            terms = closed_form._scalar_horizon(params, x, point.alpha, stage, t)[:2]
+            assert repr(terms) == repr((value.log_value, value.sigma_t)), (theta, m, alpha, x, t)
 
 
 def test_one_step_check_sees_a_part_per_billion_in_c(monkeypatch):
@@ -172,7 +220,7 @@ def test_grid_size_saturates_at_five(monkeypatch):
 
     def record(*args):
         calls.append(args)
-        return 1.0, [], (), 0.0  # (scale, offsets, repeats, quad) of an empty elimination
+        return 1.0, [], [], None  # (scale, offsets, quads, start) of an empty elimination
 
     monkeypatch.setattr(verify, "_eliminate", record)
     grids = {}

@@ -128,9 +128,9 @@ def conditional_covariance(params: ModelParams, t: int) -> np.ndarray:
 def eliminate_every_step(params: ModelParams, alpha: complex, x: float, t: int) -> tuple:
     """oracle._eliminate as it was before its stop rule: one interpreted
     step for every s = 1..t, each term written out, the same
-    (scale, offsets, repeats, quad) with nothing repeated.  The reference of
-    the stop rule's bit-identity test."""
-    from ar1quad.oracle import _csum, _exact_square
+    (scale, offsets, quads, start) with no cycle (start None).  The
+    reference of the stop rule's bit-identity test."""
+    from ar1quad.oracle import _exact_square
     theta, m = params.theta, params.m
     mean_1 = m + theta * (x - m)
     scale = max((abs(mean_1), abs(m))[:t], default=0.0) or 1.0
@@ -151,4 +151,4 @@ def eliminate_every_step(params: ModelParams, alpha: complex, x: float, t: int) 
             z = w + theta * z / d
     except ZeroDivisionError:
         quads.append(math.inf)
-    return scale, offsets, (), _csum(quads) if isinstance(alpha, complex) else math.fsum(quads)
+    return scale, offsets, quads, None
