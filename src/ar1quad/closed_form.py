@@ -42,7 +42,7 @@ horizon stage's text (_horizon: spectral._sequence_terms and
 the log-domain assembly) is written once, over an operations namespace:
 SCALAR_OPS (cmath and math) at one t for the public functions, which never
 call numpy, and sweep.ARRAY_OPS over an array of t for a CLI sweep (see
-sweep.py); _limit is its t -> inf limit, f_check, as E_t -> beta_+*lambda_+.
+sweep.py); _log_limit is its t -> inf limit, log f_check, as E_t -> beta_+*lambda_+.
 A non-finite log L_t raises ParameterError, as does every value beyond the
 double range (_exp) but transform's: that is inf or 0, its overflow flag set.
 """
@@ -230,29 +230,41 @@ def _scalar_horizon(params: ModelParams, x: float, alpha: complex, stage: tuple,
     return terms
 
 
-def _limit(params: ModelParams, x: float, alpha: complex, stage: tuple) -> complex:
-    """f_check, the t -> inf limit of exp(-t*Lambda)*L_t, from an alpha
-    stage: q_t -> theta/((1 - lambda_-)*lambda_+), 1/psi_{t+1} -> 0 and
-    E_t -> beta_+*lambda_+ = 1 - beta_-*lambda_- in the horizon formulas."""
+def _log_limit(params: ModelParams, x: float, alpha: complex, stage: tuple) -> tuple:
+    """(log f_check, q): the t -> inf limit of log(exp(-t*Lambda)*L_t), from
+    an alpha stage: q_t -> q = theta/((1 - lambda_-)*lambda_+), 1/psi_{t+1} -> 0
+    and E_t -> beta_+*lambda_+ = 1 - beta_-*lambda_- in the horizon formulas."""
     theta = params.theta
     lam_plus, lam_minus, beta_plus, beta_minus = stage[0][:4]
     q = theta / ((1.0 - lam_minus) * lam_plus)
     log_e = _log(beta_plus * lam_plus, -beta_minus * lam_minus)
-    log_f_check = _assemble(theta, x, alpha, stage[1], q, 0.0, log_e)[1]
-    return _exp(log_f_check, "f_check", params, x, alpha, None)
+    return _assemble(theta, x, alpha, stage[1], q, 0.0, log_e)[1], q
 
 
-def quadratic_coefficients(params: ModelParams, point: TransformPoint, t: int) -> tuple[complex, ...]:
-    """(g0, g1, c2) with log L_t(alpha, x) = g0 + g1*(x - m) + c2*(x - m)^2 exactly: x enters
-    Sigma_t through x^2, mu*B and C, with (mu*B)' = 2*theta*(x - (1-theta)*nu), (mu*B)'' = 2*theta
-    and C' = 2*nu.  One roots, one constants and one sequence-terms evaluation, at x = m; g0 is
-    log L_t there."""
-    theta, m, alpha = params.theta, params.m, point.alpha
-    stage = _alpha_stage(params, point, m)
-    g0, _, _, _, q_t, inv_psi = _scalar_horizon(params, m, alpha, stage, t)
+def _limit(params: ModelParams, x: float, alpha: complex, stage: tuple) -> complex:
+    """f_check, exp of _log_limit's log."""
+    return _exp(_log_limit(params, x, alpha, stage)[0], "f_check", params, x, alpha, None)
+
+
+def _coefficients(params: ModelParams, alpha: complex, stage: tuple, t) -> tuple:
+    """(g0, g1, c2) with log L_t(alpha, x) = g0 + g1*(x - m) + c2*(x - m)^2 exactly, from an alpha
+    stage at x = m: x enters Sigma_t through x^2, mu*B and C, with (mu*B)' = 2*theta*(x - (1-theta)*nu),
+    (mu*B)'' = 2*theta and C' = 2*nu, and g0 is log L_t at x = m.  At t = inf, the coefficients of
+    log f_check: the same lines with q_t -> q, 1/psi_{t+1} -> 0 and g0 = log f_check(m)."""
+    theta, m = params.theta, params.m
+    if t == math.inf:
+        (g0, q_t), inv_psi = _log_limit(params, m, alpha, stage), 0.0
+    else:
+        g0, _, _, _, q_t, inv_psi = _scalar_horizon(params, m, alpha, stage, t)
     nu = stage[1][0]
     g1 = alpha * (2.0 * m + 2.0 * theta * (m - (1.0 - theta) * nu) * q_t + 2.0 * nu * (theta - inv_psi))
     return g0, g1, alpha * (1.0 + theta * q_t)
+
+
+def quadratic_coefficients(params: ModelParams, point: TransformPoint, t: int) -> tuple[complex, ...]:
+    """(g0, g1, c2) with log L_t(alpha, x) = g0 + g1*(x - m) + c2*(x - m)^2 exactly (_coefficients).
+    One roots, one constants and one sequence-terms evaluation, at x = m."""
+    return _coefficients(params, point.alpha, _alpha_stage(params, point, params.m), check_horizon(t))
 
 
 def _gaussian_step(g0: complex, g1: complex, c2: complex, mean: float, var: float) -> complex:
@@ -265,7 +277,11 @@ def _gaussian_step(g0: complex, g1: complex, c2: complex, mean: float, var: floa
 def transform(params: ModelParams, point: TransformPoint, x: float, t: int) -> TransformValue:
     """Exact L_t(alpha, x), assembled as exp(-log(pi_t)/2 + alpha*Sigma_t).
 
-    alpha = 0 gives exactly 1.  Raises DomainError for alpha outside D.
+    alpha = 0 gives exactly 1 wherever Sigma_t is finite.  Where it is not
+    (A*t = m^2*t at alpha = 0 past the double range: theta = 0.6, m = 5e153,
+    t = 999), alpha*Sigma_t is 0*inf and log L_t raises ParameterError,
+    although L_t = 1 there (ROADMAP.md, item 10).  Raises DomainError for
+    alpha outside D.
     """
     log_value, sigma = _scalar_horizon(params, x, point.alpha, _alpha_stage(params, point, x), t)[:2]
     # log L_t is finite here; beyond the double range the value is inf or 0

@@ -16,9 +16,13 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from .errors import ParameterError
+
+# the largest integer in the double range, an int so that the test against it stays cheap
+_LARGEST = int(sys.float_info.max)
 
 
 def _check_real(name: str, value) -> None:
@@ -44,14 +48,19 @@ def check_finite(name: str, value: float) -> None:
 
 def check_horizon(t, name: str = "horizon t", minimum: int = 0) -> int:
     """t as an int; raise ValueError, naming t by `name`, unless it is an
-    integer (any value operator.index accepts) >= minimum.  A horizon of
-    10.5 has no transform, and a step index of 1.5 no conditional mean."""
+    integer (any value operator.index accepts) >= minimum and within the
+    double range (at most sys.float_info.max, ~1.8e308, which every float
+    operation on it needs).  A horizon of 10.5 has no transform, and a step
+    index of 1.5 no conditional mean."""
     try:
         horizon = operator.index(t)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {t!r}") from None
-    if horizon < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {t}")
+    if not minimum <= horizon <= _LARGEST:
+        if horizon < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {t}")
+        raise ValueError(f"{name} must be at most {sys.float_info.max!r}, "
+                         f"got an integer of {horizon.bit_length()} bits")
     return horizon
 
 

@@ -145,11 +145,14 @@ def _eliminate(params: ModelParams, alpha: complex, x: float, t: int) -> tuple:
     first time the state equals the kept one, bit for bit, and every later
     step repeats the p <= 16 since: start is the first of them (None where
     the loop ran to t), and _read repeats them exactly.  So the sums keep
-    the bits of all t steps, and the loop runs about 37/ln|lambda_+/theta|
-    steps: 41 at theta = 0.6, alpha = -0.3, 700 at |theta| = 0.95 and
-    30,000 at 0.999 as alpha -> 0.  A state that never repeats within 16
-    steps (a NaN pivot, a real alpha on or beyond the slit, a complex alpha
-    on a longer cycle) runs to t.
+    the bits of all t steps.  Where m != 0 the loop runs about
+    37/ln|lambda_+/theta| steps, z_s settling on its last bit: 49 at
+    theta = 0.6, alpha = -0.3, x = 0.5, m = 1, and at alpha = -1e-6, x = 1,
+    545 at theta = 0.95 and 17,489 at 0.999.  At m = 0 (w = 0) z_s decays
+    through the subnormals to 0, about 745/ln|lambda_+/theta| steps:
+    14,465 and 426,113 there.  A state that never repeats within 16 steps
+    (a NaN pivot, a real alpha on or beyond the slit, a complex alpha on a
+    longer cycle) runs to t.
     """
     theta, m = params.theta, params.m
     mean_1 = m + theta * (x - m)

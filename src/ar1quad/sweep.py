@@ -147,8 +147,8 @@ def _csv_cell(value) -> str:
 def _parse_t_grid(text: str) -> list[range]:
     """Comma-separated entries, each INT or START:STOP[:STEP] (inclusive).
 
-    Rejects a negative horizon and an empty grid here, so that a sweep
-    fails before it prints anything.
+    Rejects a negative horizon, a start or stop beyond the double range and
+    an empty grid here, so that a sweep fails before it prints anything.
     """
     grid = []
     for item in text.split(","):
@@ -166,6 +166,8 @@ def _parse_t_grid(text: str) -> list[range]:
         horizons = range(start, stop + 1, step)
         if horizons and start < 0:
             raise ValueError(f"horizon t must be >= 0, got {start}")
+        if max(start, stop) > sys.float_info.max:
+            raise ValueError(f"horizon t must be at most {sys.float_info.max!r}, got {item!r}")
         grid.append(horizons)
     if not any(grid):
         raise ValueError("alpha and t grids must be non-empty")

@@ -8,10 +8,11 @@ parameter pools run out: a larger size runs the size-5 grid, and the m
 values and the alphas stop growing at size 3 already; every grid check
 draws its alphas, real and complex, from the one pool.  Size 1
 is a minimal smoke run, and a size that is not an integer >= 1 raises
-ValueError.  A user-supplied tolerance overrides the per-check defaults
-of the float checks, which are all deterministic: nothing is sampled, and
-no numpy is loaded.  run_all rejects a bad argument (ValueError) before
-any check runs, and records each check's wall time in its result.
+ValueError.  Every check is a function of (grid_size, tol); a
+user-supplied tolerance overrides each check's default.  The checks are
+deterministic: nothing is sampled, and no numpy is loaded.  run_all
+rejects a bad argument (ValueError) before any check runs, and records
+each check's wall time in its result.
 """
 
 from __future__ import annotations
@@ -21,15 +22,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .closed_form import (
-    _alpha_stage,
-    _gaussian_step,
-    _scalar_horizon,
-    ergodic_constants,
-    fit_convergence_rate,
-    quadratic_coefficients,
-    transform,
-)
+from .closed_form import _alpha_stage, _coefficients, _gaussian_step, _log_limit, _scalar_horizon, transform
 from .model import ModelParams, check_horizon
 from .oracle import _eliminate, _log_mgf, _read, _sigma
 from .spectral import TransformPoint, domain_check, raw_psi, roots, sequence_ratios
@@ -94,38 +87,46 @@ def _grids(k: int):
     return _THETA_POOL[:k], _ALPHA_POOL[: 2 * k], _X_POOL[:k], _M_POOL[:k]
 
 
+def _points(grid_size: int, ms=None):
+    """(params, alpha, point) at each in-domain grid point, theta outermost,
+    then m (the pool's values, or `ms`), then alpha, the pool's value."""
+    thetas, alphas, _, pool = _grids(grid_size)
+    for theta in thetas:
+        for m in pool if ms is None else ms:
+            params = ModelParams(theta, m)
+            for alpha in alphas:
+                point = TransformPoint(alpha)
+                if domain_check(params, point):
+                    yield params, alpha, point
+
+
 def check_spectral_identities(grid_size: int, tol: float) -> CheckResult:
     """Vieta relations, the symmetric functions of z = lambda_+/theta, and
     the beta product/sum forms, on a theta x alpha grid including complex
     alpha."""
-    thetas, alphas, _, _ = _grids(grid_size)
     worst = 0.0, {}
-    for theta in thetas:
-        params = ModelParams(theta)
-        for alpha in alphas:
-            point = TransformPoint(alpha)
-            if not domain_check(params, point):
-                continue
-            spectral = roots(params, point)
-            lam_p, lam_m = spectral.lambda_plus, spectral.lambda_minus
-            mu = point.mu
-            z = lam_p / theta
-            zi = lam_m / theta
-            t2 = theta * theta
-            pairs = [
-                (lam_p * lam_m, complex(t2)),
-                (lam_p + lam_m, -2 * alpha + t2 + 1),
-                (z + zi, (mu + t2 + 1) / theta),
-                ((z - zi) ** 2, (mu + (1 - theta) ** 2) * (mu + (1 + theta) ** 2) / t2),
-                (z + zi - 2, (mu + (1 - theta) ** 2) / theta),
-                (z + zi + 2, (mu + (1 + theta) ** 2) / theta),
-                (
-                    spectral.beta_plus * spectral.beta_minus,
-                    mu / ((mu + (1 - theta) ** 2) * (mu + (1 + theta) ** 2)),
-                ),
-                (spectral.beta_plus + spectral.beta_minus, complex(1.0)),
-            ]
-            worst = _worse(worst, [_rel(a, b) for a, b in pairs], theta=theta, alpha=alpha)
+    for params, alpha, point in _points(grid_size, (0.0,)):
+        theta = params.theta
+        spectral = roots(params, point)
+        lam_p, lam_m = spectral.lambda_plus, spectral.lambda_minus
+        mu = point.mu
+        z = lam_p / theta
+        zi = lam_m / theta
+        t2 = theta * theta
+        pairs = [
+            (lam_p * lam_m, complex(t2)),
+            (lam_p + lam_m, -2 * alpha + t2 + 1),
+            (z + zi, (mu + t2 + 1) / theta),
+            ((z - zi) ** 2, (mu + (1 - theta) ** 2) * (mu + (1 + theta) ** 2) / t2),
+            (z + zi - 2, (mu + (1 - theta) ** 2) / theta),
+            (z + zi + 2, (mu + (1 + theta) ** 2) / theta),
+            (
+                spectral.beta_plus * spectral.beta_minus,
+                mu / ((mu + (1 - theta) ** 2) * (mu + (1 + theta) ** 2)),
+            ),
+            (spectral.beta_plus + spectral.beta_minus, complex(1.0)),
+        ]
+        worst = _worse(worst, [_rel(a, b) for a, b in pairs], theta=theta, alpha=alpha)
     return _result("spectral_identities", worst, tol)
 
 
@@ -141,22 +142,17 @@ def check_wronskian(grid_size: int, tol: float) -> CheckResult:
     to the largest quantity formed; against the O(1) constant alone,
     doubles cannot resolve the difference once |z|^(2s)*eps exceeds it.
     """
-    thetas, alphas, _, _ = _grids(grid_size)
     worst = 0.0, {}
-    for theta in thetas:
-        params = ModelParams(theta)
-        for alpha in alphas:
-            point = TransformPoint(alpha)
-            if not domain_check(params, point):
-                continue
-            spectral = roots(params, point)
-            target = point.mu / (theta * theta)
-            psi = [raw_psi(spectral, params, s) for s in range(22)]
-            worst = _worse(worst, [abs(psi[0] - 1.0), abs(theta * psi[1] - 1.0)], theta=theta, alpha=alpha, s=0)
-            for s in range(1, 21):
-                outer = psi[s + 1] * psi[s - 1]
-                scale = max(abs(outer), abs(psi[s]) ** 2, abs(target))
-                worst = _worse(worst, [abs(outer - psi[s] ** 2 - target) / scale], theta=theta, alpha=alpha, s=s)
+    for params, alpha, point in _points(grid_size, (0.0,)):
+        theta = params.theta
+        spectral = roots(params, point)
+        target = point.mu / (theta * theta)
+        psi = [raw_psi(spectral, params, s) for s in range(22)]
+        worst = _worse(worst, [abs(psi[0] - 1.0), abs(theta * psi[1] - 1.0)], theta=theta, alpha=alpha, s=0)
+        for s in range(1, 21):
+            outer = psi[s + 1] * psi[s - 1]
+            scale = max(abs(outer), abs(psi[s]) ** 2, abs(target))
+            worst = _worse(worst, [abs(outer - psi[s] ** 2 - target) / scale], theta=theta, alpha=alpha, s=s)
     return _result("wronskian", worst, tol)
 
 
@@ -168,26 +164,20 @@ def check_matrix_oracle(grid_size: int, tol: float) -> CheckResult:
     max(1, |log L_t|), and Sigma_t, relative, complex alpha included.  The
     closed form is transform's log L_t and Sigma_t, from one alpha stage per
     grid point and one horizon stage per t."""
-    thetas, alphas, xs, ms = _grids(grid_size)
+    xs = _grids(grid_size)[2]
     horizons = (1, 5, 50)
     worst = 0.0, {}
-    for theta in thetas:
-        for m in ms:
-            params = ModelParams(theta, m)
-            for alpha in alphas:
-                point = TransformPoint(alpha)
-                if not domain_check(params, point):
-                    continue
-                for x in xs:
-                    stage = _alpha_stage(params, point, x)
-                    elimination = _eliminate(params, point.alpha, x, horizons[-1])
-                    for t in horizons:
-                        log_closed, sigma_closed = _scalar_horizon(params, x, point.alpha, stage, t)[:2]
-                        reading = _read(point.alpha, elimination, t)
-                        log_value, sigma = _log_mgf(point.alpha, x, reading), _sigma(x, reading)
-                        errors = (abs(log_value - log_closed) / max(1.0, abs(log_closed)),
-                                  abs(sigma - sigma_closed) / max(abs(sigma_closed), 1e-30))
-                        worst = _worse(worst, errors, theta=theta, m=m, alpha=alpha, x=x, t=t)
+    for params, alpha, point in _points(grid_size):
+        for x in xs:
+            stage = _alpha_stage(params, point, x)
+            elimination = _eliminate(params, point.alpha, x, horizons[-1])
+            for t in horizons:
+                log_closed, sigma_closed = _scalar_horizon(params, x, point.alpha, stage, t)[:2]
+                reading = _read(point.alpha, elimination, t)
+                log_value, sigma = _log_mgf(point.alpha, x, reading), _sigma(x, reading)
+                errors = (abs(log_value - log_closed) / max(1.0, abs(log_closed)),
+                          abs(sigma - sigma_closed) / max(abs(sigma_closed), 1e-30))
+                worst = _worse(worst, errors, theta=params.theta, m=params.m, alpha=alpha, x=x, t=t)
     return _result("matrix_oracle", worst, tol)
 
 
@@ -196,70 +186,48 @@ def check_one_step(grid_size: int, tol: float) -> CheckResult:
     (the process is Markov), exactly: log L_{t-1} is the quadratic of quadratic_coefficients
     in X_1 - m ~ N(theta*(x - m), 1), whose Gaussian expectation is closed.  log L_t's error
     relative to max(1, |log L_t|), at t = 1, 10^3 and 10^6, complex alpha included; log L_t
-    is transform's, from one alpha stage per grid point."""
-    thetas, alphas, xs, ms = _grids(grid_size)
+    is transform's, from one alpha stage per grid point.  At t = inf the identity is the
+    eigen-equation exp(Lambda)*f_check(x) = exp(alpha*x^2)*E[f_check(X_1) | X_0 = x], which
+    reads Lambda and log f_check(x) from the same stages."""
+    xs = _grids(grid_size)[2]
     worst = 0.0, {}
-    for theta in thetas:
-        for m in ms:
-            params = ModelParams(theta, m)
-            for alpha in alphas:
-                point = TransformPoint(alpha)
-                if not domain_check(params, point):
-                    continue
-                stages = [_alpha_stage(params, point, x) for x in xs]
-                for t in (1, 10**3, 10**6):
-                    coefficients = quadratic_coefficients(params, point, t - 1)
-                    for x, stage in zip(xs, stages):
-                        log_value = _scalar_horizon(params, x, point.alpha, stage, t)[0]
-                        step = point.alpha * (x * x) + _gaussian_step(*coefficients, theta * (x - m), 1.0)
-                        error = abs(log_value - step) / max(1.0, abs(log_value))
-                        worst = _worse(worst, [error], theta=theta, m=m, alpha=alpha, x=x, t=t)
+    for params, alpha, point in _points(grid_size):
+        theta, m, a = params.theta, params.m, point.alpha
+        stages = [_alpha_stage(params, point, x) for x in xs]
+        at_m = _alpha_stage(params, point, m)
+        for t in (1, 10**3, 10**6, math.inf):
+            coefficients = _coefficients(params, a, at_m, t - 1)
+            for x, stage in zip(xs, stages):
+                log_value = (stage[2] + _log_limit(params, x, a, stage)[0] if t == math.inf
+                             else _scalar_horizon(params, x, a, stage, t)[0])
+                step = a * (x * x) + _gaussian_step(*coefficients, theta * (x - m), 1.0)
+                error = abs(log_value - step) / max(1.0, abs(log_value))
+                worst = _worse(worst, [error], theta=theta, m=m, alpha=alpha, x=x, t=t)
     return _result("one_step", worst, tol)
-
-
-def check_convergence_rate(tol: float) -> CheckResult:
-    """Fitted geometric error ratio of the normalized transform matches
-    |theta/lambda_+| over the window t in [20, 80]."""
-    params = ModelParams(0.6, 1.0)
-    point = TransformPoint(-0.3)
-    fit = fit_convergence_rate(params, point, 0.5)
-    expected = ergodic_constants(params, point, 0.5).rate
-    deviation = abs(fit.ratio - expected) / expected
-    return CheckResult(
-        "convergence_rate",
-        deviation,
-        tol,
-        deviation <= tol,
-        detail=f"fitted={fit.ratio:.6f}, expected={expected:.6f}, points={fit.n_points}",
-    )
 
 
 def check_exactness_anchors(grid_size: int, tol: float) -> CheckResult:
     """L_0 = exp(alpha*x^2), L_t(0, x) = 1 (error |L_t - 1| + |log L_t|), and the t = 0 sequence
     anchors r_0 = theta, 1/psi_1 = theta, log(pi_0) = 0."""
-    thetas, alphas, xs, _ = _grids(grid_size)
+    thetas, _, xs, _ = _grids(grid_size)
     worst = 0.0, {}
     for theta in thetas:
-        params = ModelParams(theta, 0.5)
-        zero = transform(params, TransformPoint(0.0), 1.3, 7)
-        worst = _worse(worst, [abs(zero.value - 1.0) + abs(zero.log_value)], theta=theta, m=params.m, alpha=0.0,
+        zero = transform(ModelParams(theta, 0.5), TransformPoint(0.0), 1.3, 7)
+        worst = _worse(worst, [abs(zero.value - 1.0) + abs(zero.log_value)], theta=theta, m=0.5, alpha=0.0,
                        x=1.3, t=7)
-        for alpha in alphas:
-            point = TransformPoint(alpha)
-            if not domain_check(params, point):
-                continue
-            spectral = roots(params, point)
-            seq = sequence_ratios(spectral, params, 0)
-            errors = abs(seq.r - theta), abs(seq.inv_psi - theta), abs(seq.log_pi)
-            worst = _worse(worst, errors, theta=theta, alpha=alpha, t=0)
-            for x in xs:
-                error = _rel(transform(params, point, x, 0).value, cmath.exp(alpha * x * x))
-                worst = _worse(worst, [error], theta=theta, m=params.m, alpha=alpha, x=x, t=0)
+    for params, alpha, point in _points(grid_size, (0.5,)):
+        theta = params.theta
+        seq = sequence_ratios(roots(params, point), params, 0)
+        errors = abs(seq.r - theta), abs(seq.inv_psi - theta), abs(seq.log_pi)
+        worst = _worse(worst, errors, theta=theta, alpha=alpha, t=0)
+        for x in xs:
+            error = _rel(transform(params, point, x, 0).value, cmath.exp(alpha * x * x))
+            worst = _worse(worst, [error], theta=theta, m=params.m, alpha=alpha, x=x, t=0)
     return _result("exactness_anchors", worst, tol)
 
 
 def run_all(grid_size: int = 3, tolerance: float | None = None) -> VerifyReport:
-    """Run every check, timing each; `tolerance` overrides the float-check
+    """Run every check, timing each; `tolerance` overrides the per-check
     defaults.
 
     Raises ValueError, before any check runs, for a grid size that is not
@@ -272,22 +240,12 @@ def run_all(grid_size: int = 3, tolerance: float | None = None) -> VerifyReport:
         bad = True
     if bad:
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
-
-    def tol(default: float) -> float:
-        return default if tolerance is None else tolerance
-
-    runs = [
-        (check_spectral_identities, grid_size, tol(1e-12)),
-        (check_wronskian, grid_size, tol(1e-10)),
-        (check_matrix_oracle, grid_size, tol(1e-10)),
-        (check_one_step, grid_size, tol(1e-12)),
-        (check_convergence_rate, tol(0.05)),
-        (check_exactness_anchors, grid_size, tol(1e-14)),
-    ]
     report = VerifyReport()
-    for check, *args in runs:
+    for check, default in ((check_spectral_identities, 1e-12), (check_wronskian, 1e-10),
+                           (check_matrix_oracle, 1e-10), (check_one_step, 1e-12),
+                           (check_exactness_anchors, 1e-14)):
         start = time.perf_counter()
-        result = check(*args)
+        result = check(grid_size, default if tolerance is None else tolerance)
         result.seconds = time.perf_counter() - start
         report.checks.append(result)
     return report

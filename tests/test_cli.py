@@ -279,6 +279,17 @@ def test_commands_deterministic_given_flags(capsys):
     assert first[1] == second[1]
 
 
+@pytest.mark.parametrize("command", ["transform", "sweep"])
+def test_a_horizon_beyond_the_double_range_is_a_usage_error(capsys, command):
+    # it used to end in a traceback (OverflowError: int too large to convert
+    # to float) and exit 1, the code of a verification failure
+    code, out, err = run_cli(capsys, command, "--theta", "0.6", "--m", "1", "--x", "0.5", "--alpha=-0.3",
+                             "--t", str(10**400))
+    assert code == 64
+    assert out == ""
+    assert err.startswith("ar1quad: error: horizon t must be at most 1.7976931348623157e+308, got ")
+
+
 def test_sweep_strict_exits_2(capsys):
     code, _, _ = run_cli(
         capsys, "sweep", "--theta", "0.5", "--m", "0", "--x", "0",
@@ -290,10 +301,10 @@ def test_sweep_strict_exits_2(capsys):
 def test_verify_default_run_passes(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0
-    assert "6/6 checks passed" in out
+    assert "5/5 checks passed" in out
     assert "[FAIL]" not in out
     lines = out.splitlines()
-    assert len(lines) == 7 and lines[-1] == "6/6 checks passed"
+    assert len(lines) == 6 and lines[-1] == "5/5 checks passed"
     for line in lines[:-1]:  # each check line carries its wall time
         assert line.startswith("[PASS] ") and re.search(r"  time=\d+\.\dms(  |$)", line), line
 
@@ -306,7 +317,8 @@ def test_verify_smoke_run_passes(capsys):
 
 
 def test_verify_impossible_tolerance_fails(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--grid-size", "1", "--tolerance", "1e-15")
+    # at grid size 1 the checks read 0 to 6e-16
+    code, out, _ = run_cli(capsys, "verify", "--grid-size", "1", "--tolerance", "1e-16")
     assert code == 1
     assert "[FAIL]" in out
 
@@ -326,7 +338,7 @@ def test_verify_rejects_a_grid_size_below_one(capsys, size):
     ("--tolerance", "inf", "tolerance must be a finite number >= 0, got inf"),
 ])
 def test_verify_rejects_a_bad_argument_before_any_check_runs(capsys, flag, value, message):
-    # a NaN or negative tolerance used to print six FAIL lines and exit 1
+    # a NaN or negative tolerance used to print a FAIL line per check and exit 1
     code, out, err = run_cli(capsys, "verify", "--grid-size", "1", flag, value)
     assert code == 64
     assert out == ""

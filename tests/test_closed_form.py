@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -148,6 +149,17 @@ def test_non_integer_horizon_raises_value_error(t):
         with pytest.raises(ValueError, match="horizon t must be an integer"):
             call()
             pytest.fail(f"{name} accepted the horizon {t!r}")
+
+
+def test_an_integer_beyond_the_double_range_is_a_bad_horizon():
+    # at t = 10^400 transform, normalized_transform, sigma_via_recursion,
+    # unconditional_transform, monte_carlo_mgf and matrix_mgf raised a bare
+    # OverflowError (int too large to convert to float, or math range error)
+    for t in (10**400, 2**1024):
+        for name, call in _horizon_callers(t).items():
+            with pytest.raises(ValueError, match=r"^horizon t must be at most 1\.7976931348623157e\+308, got an"):
+                call()
+                pytest.fail(f"{name} accepted the horizon {t!r}")
 
 
 def test_index_horizon_gives_the_int_result():
@@ -579,6 +591,39 @@ def test_quadratic_coefficients_evaluate_the_sequence_terms_once(monkeypatch, th
     # g0 is log L_t at x = m, from the same terms
     monkeypatch.undo()
     assert g0 == transform(params, point, 1.0, t).log_value
+
+
+def test_one_step_identity_and_eigen_equation_hold_on_seeded_draws():
+    # (a) log L_t = alpha*x^2 + G(coefficients of log L_{t-1}; theta*(x - m), 1) at t log-uniform
+    # to 10^6, and (b) at t = inf, Lambda + log f_check(x) = alpha*x^2 + G(coefficients of
+    # log f_check; theta*(x - m), 1): f_check is the eigenfunction of exp(alpha*x^2)*P(x, dy),
+    # with eigenvalue exp(Lambda).  Each within 1e-12 of max(1, |log L|): they read 5.1e-15 and 7.3e-15
+    rng = random.Random(34)
+    draws = 0
+    while draws < 2000:
+        theta = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 0.95)
+        m, x = rng.uniform(-2.0, 2.0), rng.uniform(-4.0, 4.0)
+        if rng.random() < 0.5:
+            alpha = -(10 ** rng.uniform(-6.0, math.log10(3.0)))
+        else:
+            re, im = (rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-3.0, math.log10(3.0)) for _ in range(2))
+            alpha = complex(re, im)
+        params, point = ModelParams(theta, m), TransformPoint(alpha)
+        if not domain_check(params, point):
+            continue
+        draws += 1
+        t = round(10 ** rng.uniform(0.0, 6.0))
+        mean = theta * (x - m)
+        log_value = transform(params, point, x, t).log_value
+        step = alpha * x * x + closed_form._gaussian_step(*closed_form.quadratic_coefficients(params, point, t - 1),
+                                                          mean, 1.0)
+        assert abs(log_value - step) <= 1e-12 * max(1.0, abs(log_value)), (theta, m, x, alpha, t)
+        stage = closed_form._alpha_stage(params, point, x)
+        eigen = ergodic_constants(params, point, x).lambda_of_alpha + closed_form._log_limit(params, x, alpha, stage)[0]
+        at_m = closed_form._alpha_stage(params, point, m)
+        step = alpha * x * x + closed_form._gaussian_step(*closed_form._coefficients(params, alpha, at_m, math.inf),
+                                                          mean, 1.0)
+        assert abs(eigen - step) <= 1e-12 * max(1.0, abs(eigen)), (theta, m, x, alpha)
 
 
 def test_scalar_path_builds_no_spectral_record(monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from ar1quad import (
     ParameterError,
     TransformPoint,
     conditional_mean,
+    monte_carlo_mgf,
     transform,
 )
 from ar1quad.model import check_horizon
@@ -115,6 +117,23 @@ def test_check_horizon_accepts_integers(t):
 def test_check_horizon_rejects_other_values(t, message):
     with pytest.raises(ValueError, match="^horizon t " + message):
         check_horizon(t)
+
+
+def test_check_horizon_bounds_an_integer_at_the_double_range():
+    # every float operation on an integer needs it within the double range:
+    # the largest double is a horizon, the next integer past the range is not
+    largest = int(sys.float_info.max)
+    assert check_horizon(largest) == largest
+    with pytest.raises(ValueError, match=r"^horizon t must be at most 1\.7976931348623157e\+308, "
+                                         r"got an integer of 1025 bits$"):
+        check_horizon(2**1024)
+    # a step index, a sample count and a seed are bounded by the same check
+    with pytest.raises(ValueError, match="^step index must be at most"):
+        conditional_mean(ModelParams(0.6, 1.0), 0.5, 10**400)
+    with pytest.raises(ValueError, match="^Monte Carlo seed must be at most"):
+        monte_carlo_mgf(ModelParams(0.6, 1.0), -0.3, 0.5, 5, 100, 10**400)
+    with pytest.raises(ValueError, match="^Monte Carlo sample count must be at most"):
+        monte_carlo_mgf(ModelParams(0.6, 1.0), -0.3, 0.5, 5, 10**400, 0)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])

@@ -19,6 +19,7 @@ from ar1quad import (
     domain_check,
     matrix_mgf,
     monte_carlo_mgf,
+    roots,
     sigma_via_recursion,
     transform,
     unconditional_transform,
@@ -268,6 +269,20 @@ def test_elimination_steps_are_bounded_by_the_transient(alpha):
     _, offsets, repeats, _ = _read(alpha, _eliminate(ModelParams(0.6, 1.0), alpha, 0.5, 10**6), 10**6)
     assert len(offsets) < 200
     assert len(offsets) + sum(repeats) == 10**6
+
+
+@pytest.mark.parametrize("theta, alpha, x, steps", [(0.999, -1e-6, 1.0, (17489, 426113)),
+                                                    (0.95, -1e-6, 1.0, (545, 14465)),
+                                                    (-0.8, -1e-3, 2.0, (162, 3266))])
+def test_elimination_transient_is_longest_at_a_zero_level(theta, alpha, x, steps):
+    # the loop stops once z_s repeats: about 37/ln|lambda_+/theta| steps,
+    # z_s settling on its last bit, at m = 1, and about 745/ln|lambda_+/theta|
+    # at m = 0, where z_s decays through the subnormals to 0
+    log_ratio = math.log(abs(roots(ModelParams(theta), TransformPoint(alpha)).lambda_plus / theta))
+    runs = [len(_eliminate(ModelParams(theta, m), alpha, x, 10**6)[1]) for m in (1.0, 0.0)]
+    assert tuple(runs) == steps
+    assert 25.0 <= runs[0] * log_ratio <= 40.0
+    assert 735.0 <= runs[1] * log_ratio <= 750.0
 
 
 def test_elimination_stops_on_a_cycle_of_nine_steps():

@@ -63,7 +63,7 @@ def test_run_all_rejects_a_bad_argument_before_any_check_runs(monkeypatch, kwarg
     # the one with a fixed tolerance
     ran = []
     for name in ("check_spectral_identities", "check_wronskian", "check_matrix_oracle", "check_one_step",
-                 "check_convergence_rate", "check_exactness_anchors"):
+                 "check_exactness_anchors"):
         monkeypatch.setattr(verify, name, lambda *args, name=name: ran.append(name))
     with pytest.raises(ValueError) as exc:
         verify.run_all(**kwargs)
@@ -74,13 +74,13 @@ def test_run_all_rejects_a_bad_argument_before_any_check_runs(monkeypatch, kwarg
 def test_run_all_takes_a_zero_tolerance():
     # zero is the strictest finite tolerance, not a bad argument
     report = verify.run_all(grid_size=1, tolerance=0.0)
-    assert len(report.checks) == 6
+    assert len(report.checks) == 5
 
 
 def test_run_all_times_every_check():
     report = verify.run_all(grid_size=1)
     assert [c.name for c in report.checks] == ["spectral_identities", "wronskian", "matrix_oracle", "one_step",
-                                               "convergence_rate", "exactness_anchors"]
+                                               "exactness_anchors"]
     for check in report.checks:
         assert check.seconds > 0.0, check.name
 
@@ -104,16 +104,24 @@ def _sigma_off(terms):
     return terms[0], terms[1] * (1.0 + 1e-6), *terms[2:]
 
 
+def _lambda_off(stage):
+    """An alpha stage with Lambda alone off by 1e-9, relative."""
+    return stage[0], stage[1], stage[2] * (1.0 + 1e-9), *stage[3:]
+
+
 # check[-variant] -> (the name it reads in ar1quad.verify, a corruption of
 # that name's result); the matrix oracle check compares both factors of
-# L_t, log L_t and Sigma_t, so each alone must fail it
+# L_t, log L_t and Sigma_t, so each alone must fail it, and the one-step
+# check's eigen-equation at t = inf reads Lambda and log f_check(x), so a
+# part per billion in either must fail it
 CORRUPTIONS = {
     "spectral_identities": ("roots", _shifted_root),
     "wronskian": ("roots", _shifted_root),
     "matrix_oracle": ("_scalar_horizon", _scaled(1.5)),
     "matrix_oracle-sigma_t": ("_scalar_horizon", _sigma_off),
     "one_step": ("_scalar_horizon", _scaled(1.5)),
-    "convergence_rate": ("ergodic_constants", lambda e: dataclasses.replace(e, rate=1.2 * e.rate)),
+    "one_step-lambda": ("_alpha_stage", _lambda_off),
+    "one_step-log_f_check": ("_log_limit", lambda v: (v[0] + 1e-9, *v[1:])),
     "exactness_anchors": ("transform", _scaled(1.5)),
 }
 
@@ -137,6 +145,7 @@ POINT_OF = {
     "roots": lambda params, point: (params.theta, params.m, point.alpha, ()),
     "transform": lambda params, point, x, t: (params.theta, params.m, point.alpha, (x, t)),
     "_scalar_horizon": lambda params, x, alpha, stage, t: (params.theta, params.m, alpha, (x, t)),
+    "_log_limit": lambda params, x, alpha, stage: (params.theta, params.m, alpha, (x, math.inf)),
 }
 
 # check[-variant] -> (the name it reads in ar1quad.verify, alpha and the
@@ -149,6 +158,8 @@ WORST_POINTS = {
                       "worst at theta=-0.8, m=0.0, alpha=(-0.3+0.4j), x=2.0, t=5"),
     "one_step": ("_scalar_horizon", -0.3+0.4j, (2.0, 1000), 0.0,
                  "worst at theta=-0.8, m=0.0, alpha=(-0.3+0.4j), x=2.0, t=1000"),
+    "one_step-eigen": ("_log_limit", -0.3+0.4j, (2.0, math.inf), 0.0,
+                       "worst at theta=-0.8, m=0.0, alpha=(-0.3+0.4j), x=2.0, t=inf"),
     "exactness_anchors": ("transform", -0.3+0.4j, (2.0, 0), 0.5,
                           "worst at theta=-0.8, m=0.5, alpha=(-0.3+0.4j), x=2.0, t=0"),
     # L_t(0, x) != 1 used to end the check with error inf and the detail
