@@ -33,18 +33,23 @@ included; only the public constants() forms B.
 
 Every output comes from one evaluation in two stages, so the formulas live
 in one place and transform, normalized_transform, ergodic_constants and
-fit_convergence_rate agree bit for bit.  The alpha stage (_alpha_stage:
-roots, nu, A, mu*B, C, Lambda and the rate) depends only on (alpha, x); the
-horizon stage adds t.  The stages carry plain tuples, the roots as the
-tuple of spectral._roots, so a call builds no record but the one it
-returns: only the public spectral.roots() builds SpectralData.  The
-horizon stage's text (_horizon: spectral._sequence_terms and
-the log-domain assembly) is written once, over an operations namespace:
+fit_convergence_rate agree bit for bit.  Each stage splits where its
+inputs do.  The alpha stage is spectral._roots, which depends on (theta,
+alpha) only, then _constants at (m, x): nu, A, mu*B, C, Lambda and the
+rate.  The horizon stage is spectral._sequence_terms, which depends on
+(theta, alpha, t) only, then _horizon's log-domain assembly at (m, x);
+_limit_terms and _log_limit are the same pair at t -> inf, where
+q_t -> q, 1/psi_{t+1} -> 0 and E_t -> beta_+*lambda_+.  A caller holding
+the roots or the sequence terms (verify's grid) gets every (m, x) through
+the same operations, with the same bits.  The stages carry plain tuples,
+the roots as the tuple of spectral._roots, so a call builds no record but
+the one it returns: only the public spectral.roots() builds SpectralData.
+The horizon stage's text is written once, over an operations namespace:
 SCALAR_OPS (cmath and math) at one t for the public functions, which never
 call numpy, and sweep.ARRAY_OPS over an array of t for a CLI sweep (see
-sweep.py); _log_limit is its t -> inf limit, log f_check, as E_t -> beta_+*lambda_+.
-A non-finite log L_t raises ParameterError, as does every value beyond the
-double range (_exp) but transform's: that is inf or 0, its overflow flag set.
+sweep.py).  A non-finite log L_t raises ParameterError, as does every value
+beyond the double range (_exp) but transform's: that is inf or 0, its
+overflow flag set.
 """
 
 from __future__ import annotations
@@ -124,10 +129,12 @@ class RateFit:
     n_points: int
 
 
-def _constants(params: ModelParams, point: TransformPoint, x: float) -> tuple:
-    """(nu, A, mu*B, C) at (alpha, x), with no pole at alpha = 0.  Requires a
-    finite x, which its callers check; raises ParameterError when a constant
-    overflows (|x| near 1e154, |m| near 9.5e153*sqrt(1-theta) at alpha = 0)."""
+def _constants(params: ModelParams, point: TransformPoint, x: float, spectral: tuple) -> tuple:
+    """The alpha stage at (m, x) from the roots (the tuple of spectral._roots):
+    (spectral, (nu, A, mu*B, C), Lambda, rate), the constants with no pole at
+    alpha = 0.  Requires a finite x, which its callers check; raises
+    ParameterError when a constant overflows (|x| near 1e154, |m| near
+    9.5e153*sqrt(1-theta) at alpha = 0)."""
     theta, m = params.theta, params.m
     mu = point.mu
     nu = m * (1.0 - theta) / (mu + (1.0 - theta) ** 2)
@@ -138,7 +145,7 @@ def _constants(params: ModelParams, point: TransformPoint, x: float) -> tuple:
     # past the double range near |m| = 9.5e153*sqrt(1-theta); a non-finite nu makes A non-finite
     if not all(map(cmath.isfinite, terms)):
         raise ParameterError(f"closed-form constants overflow at m={m!r}, x={x!r}, alpha={point.alpha}")
-    return terms
+    return spectral, terms, point.alpha * terms[1] - 0.5 * spectral[4], abs(theta / spectral[0])
 
 
 def constants(params: ModelParams, point: TransformPoint, x: float) -> ClosedFormConstants:
@@ -149,8 +156,8 @@ def constants(params: ModelParams, point: TransformPoint, x: float) -> ClosedFor
     nu), and ParameterError when a constant overflows (|x| near 1e154, |m|
     near 9.5e153*sqrt(1-theta) at alpha = 0, or B alone at a tiny alpha)."""
     check_finite("x", x)
-    _roots(params.theta, point.alpha)  # its boundary test covers the pole of nu
-    nu, a_const, mu_b, c_const = _constants(params, point, x)
+    # _roots' boundary test covers the pole of nu
+    nu, a_const, mu_b, c_const = _constants(params, point, x, _roots(params.theta, point.alpha))[1]
     if point.alpha == 0:
         raise SingularConstantError("B has a 1/(-2*alpha) pole at alpha == 0")
     b_const = mu_b / point.mu
@@ -174,12 +181,10 @@ def _alpha_stage(params: ModelParams, point: TransformPoint, x: float) -> tuple:
     ParameterError for overflowing constants.
     """
     check_finite("x", x)
-    theta, alpha = params.theta, point.alpha
-    spectral = _roots(theta, alpha)
+    spectral = _roots(params.theta, point.alpha)
     if not spectral[5]:
-        raise _outside(alpha)
-    cf = _constants(params, point, x)
-    return spectral, cf, alpha * cf[1] - 0.5 * spectral[4], abs(theta / spectral[0])
+        raise _outside(point.alpha)
+    return _constants(params, point, x, spectral)
 
 
 def _overflow(what: str, params: ModelParams, x: float | None, alpha: complex, t: int | None) -> ParameterError:
@@ -205,66 +210,73 @@ def _assemble(theta, x, alpha, cf, q_t, inv_psi, log_e) -> tuple:
     return bounded, -0.5 * log_e + alpha * bounded
 
 
-def _horizon(ops, params: ModelParams, x: float, alpha: complex, stage: tuple, t) -> tuple:
+def _horizon(params: ModelParams, x: float, alpha: complex, cf: tuple, terms: tuple, t) -> tuple:
     """(log L_t, Sigma_t, log(exp(-t*Lambda)*L_t), regular, q_t, 1/psi_{t+1})
-    at one horizon t (SCALAR_OPS) or an array of them (sweep.ARRAY_OPS):
-    the one text of the horizon formulas, see spectral._sequence_terms for
-    `regular`."""
-    spectral, cf = stage[0], stage[1]
-    theta = params.theta
-    q_t, inv_psi, log_e, log_pi, regular = _sequence_terms(ops, theta, spectral, t)[:5]
-    bounded, log_normalized = _assemble(theta, x, alpha, cf, q_t, inv_psi, log_e)
+    at (m, x) from the constants there, cf, and the sequence terms of
+    spectral._sequence_terms at one horizon t (SCALAR_OPS) or an array of
+    them (sweep.ARRAY_OPS): the one text of the horizon formulas.  The terms
+    depend on (theta, alpha, t) only, so one evaluation serves every (m, x);
+    see spectral._sequence_terms for `regular`."""
+    q_t, inv_psi, log_e, log_pi, regular = terms[:5]
+    bounded, log_normalized = _assemble(params.theta, x, alpha, cf, q_t, inv_psi, log_e)
     sigma = cf[1] * t + bounded
     return -0.5 * log_pi + alpha * sigma, sigma, log_normalized, regular, q_t, inv_psi
 
 
 def _scalar_horizon(params: ModelParams, x: float, alpha: complex, stage: tuple, t: int) -> tuple:
-    """_horizon over SCALAR_OPS at one horizon t >= 0, from an alpha stage.
-    Raises ValueError unless t is an integer >= 0, and ParameterError where
-    log L_t is not finite (A*t beyond the double range: |m| near 1e152 at
-    t = 10^6)."""
+    """_horizon on the SCALAR_OPS sequence terms at one horizon t >= 0, from
+    an alpha stage.  Raises ValueError unless t is an integer >= 0, and
+    ParameterError where log L_t is not finite (A*t beyond the double range:
+    |m| near 1e152 at t = 10^6)."""
     t = check_horizon(t)
-    terms = _horizon(SCALAR_OPS, params, x, alpha, stage, t)
+    terms = _horizon(params, x, alpha, stage[1], _sequence_terms(SCALAR_OPS, params.theta, stage[0], t), t)
     if not cmath.isfinite(terms[0]):
         raise _overflow("log L_t", params, x, alpha, t)
     return terms
 
 
-def _log_limit(params: ModelParams, x: float, alpha: complex, stage: tuple) -> tuple:
-    """(log f_check, q): the t -> inf limit of log(exp(-t*Lambda)*L_t), from
-    an alpha stage: q_t -> q = theta/((1 - lambda_-)*lambda_+), 1/psi_{t+1} -> 0
-    and E_t -> beta_+*lambda_+ = 1 - beta_-*lambda_- in the horizon formulas."""
-    theta = params.theta
-    lam_plus, lam_minus, beta_plus, beta_minus = stage[0][:4]
-    q = theta / ((1.0 - lam_minus) * lam_plus)
-    log_e = _log(beta_plus * lam_plus, -beta_minus * lam_minus)
-    return _assemble(theta, x, alpha, stage[1], q, 0.0, log_e)[1], q
+def _limit_terms(theta: float, spectral: tuple) -> tuple:
+    """(q, 0, log(beta_+*lambda_+)): the t -> inf limits of the first three
+    sequence terms, q_t -> q = theta/((1 - lambda_-)*lambda_+),
+    1/psi_{t+1} -> 0 and E_t -> beta_+*lambda_+ = 1 - beta_-*lambda_-, from
+    the tuple of spectral._roots: like the sequence terms, they depend on
+    (theta, alpha) only."""
+    lam_plus, lam_minus, beta_plus, beta_minus = spectral[:4]
+    return theta / ((1.0 - lam_minus) * lam_plus), 0.0, _log(beta_plus * lam_plus, -beta_minus * lam_minus)
 
 
-def _limit(params: ModelParams, x: float, alpha: complex, stage: tuple) -> complex:
-    """f_check, exp of _log_limit's log."""
-    return _exp(_log_limit(params, x, alpha, stage)[0], "f_check", params, x, alpha, None)
+def _log_limit(params: ModelParams, x: float, alpha: complex, cf: tuple, terms: tuple) -> complex:
+    """log f_check, the t -> inf limit of log(exp(-t*Lambda)*L_t), at (m, x)
+    from the constants there and _limit_terms."""
+    q, inv_psi, log_e = terms
+    return _assemble(params.theta, x, alpha, cf, q, inv_psi, log_e)[1]
 
 
-def _coefficients(params: ModelParams, alpha: complex, stage: tuple, t) -> tuple:
-    """(g0, g1, c2) with log L_t(alpha, x) = g0 + g1*(x - m) + c2*(x - m)^2 exactly, from an alpha
-    stage at x = m: x enters Sigma_t through x^2, mu*B and C, with (mu*B)' = 2*theta*(x - (1-theta)*nu),
-    (mu*B)'' = 2*theta and C' = 2*nu, and g0 is log L_t at x = m.  At t = inf, the coefficients of
-    log f_check: the same lines with q_t -> q, 1/psi_{t+1} -> 0 and g0 = log f_check(m)."""
+def _coefficients(params: ModelParams, alpha: complex, cf: tuple, terms: tuple, t) -> tuple:
+    """(g0, g1, c2) with log L_t(alpha, x) = g0 + g1*(x - m) + c2*(x - m)^2 exactly, from the constants
+    at x = m and the sequence terms at t: x enters Sigma_t through x^2, mu*B and C, with
+    (mu*B)' = 2*theta*(x - (1-theta)*nu), (mu*B)'' = 2*theta and C' = 2*nu, and g0 is log L_t at x = m.
+    At t = inf, from _limit_terms, the coefficients of log f_check: the same lines with q_t -> q,
+    1/psi_{t+1} -> 0 and g0 = log f_check(m).  g0 is not tested for overflow."""
     theta, m = params.theta, params.m
-    if t == math.inf:
-        (g0, q_t), inv_psi = _log_limit(params, m, alpha, stage), 0.0
-    else:
-        g0, _, _, _, q_t, inv_psi = _scalar_horizon(params, m, alpha, stage, t)
-    nu = stage[1][0]
+    g0 = _log_limit(params, m, alpha, cf, terms) if t == math.inf else _horizon(params, m, alpha, cf, terms, t)[0]
+    q_t, inv_psi = terms[:2]
+    nu = cf[0]
     g1 = alpha * (2.0 * m + 2.0 * theta * (m - (1.0 - theta) * nu) * q_t + 2.0 * nu * (theta - inv_psi))
     return g0, g1, alpha * (1.0 + theta * q_t)
 
 
 def quadratic_coefficients(params: ModelParams, point: TransformPoint, t: int) -> tuple[complex, ...]:
     """(g0, g1, c2) with log L_t(alpha, x) = g0 + g1*(x - m) + c2*(x - m)^2 exactly (_coefficients).
-    One roots, one constants and one sequence-terms evaluation, at x = m."""
-    return _coefficients(params, point.alpha, _alpha_stage(params, point, params.m), check_horizon(t))
+    One roots, one constants and one sequence-terms evaluation, at x = m; raises as transform does
+    at x = m."""
+    stage = _alpha_stage(params, point, params.m)
+    t = check_horizon(t)
+    terms = _sequence_terms(SCALAR_OPS, params.theta, stage[0], t)
+    coefficients = _coefficients(params, point.alpha, stage[1], terms, t)
+    if not cmath.isfinite(coefficients[0]):
+        raise _overflow("log L_t", params, params.m, point.alpha, t)
+    return coefficients
 
 
 def _gaussian_step(g0: complex, g1: complex, c2: complex, mean: float, var: float) -> complex:
@@ -297,7 +309,9 @@ def ergodic_constants(params: ModelParams, point: TransformPoint, x: float) -> E
     rate = |theta| since lambda_+ -> 1).
     """
     stage = _alpha_stage(params, point, x)
-    return ErgodicConstants(lambda_of_alpha=stage[2], f_check=_limit(params, x, point.alpha, stage), rate=stage[3])
+    log_f_check = _log_limit(params, x, point.alpha, stage[1], _limit_terms(params.theta, stage[0]))
+    f_check = _exp(log_f_check, "f_check", params, x, point.alpha, None)
+    return ErgodicConstants(lambda_of_alpha=stage[2], f_check=f_check, rate=stage[3])
 
 
 def normalized_transform(params: ModelParams, point: TransformPoint, x: float, t: int) -> complex:
@@ -326,7 +340,8 @@ def fit_convergence_rate(
     # ergodic_constants(...).f_check and normalized_transform(...)
     stage = _alpha_stage(params, point, x)
     alpha = point.alpha
-    target = _limit(params, x, alpha, stage)
+    target = _exp(_log_limit(params, x, alpha, stage[1], _limit_terms(params.theta, stage[0])), "f_check", params, x,
+                  alpha, None)
     points = []
     for t in range(check_horizon(t_start), check_horizon(t_end) + 1):
         log_normalized = _scalar_horizon(params, x, alpha, stage, t)[2]

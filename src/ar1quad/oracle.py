@@ -37,9 +37,26 @@ ParameterError where its value lies beyond the double range.
 
 Both oracles take a real alpha only (a complex one on the real axis is its
 real part, any other raises ParameterError).  At a complex alpha log det B
-is a sum of principal logs, equal to the closed form's log pi_t only modulo
-2*pi*i: it took the closed form's branch on 13,450 seeded draws against a
-60-digit reference, a measurement, not a proof, so it stays private.
+(_log_det) is a sum of principal logs of the pivots d_1 = 1 - 2*alpha,
+d_s = 1 + theta^2 - 2*alpha - theta^2/d_{s-1}.  On the half-plane
+a = Re alpha < (1-|theta|)^2/2 that sum is proved to be one continuous
+branch: every pivot has
+
+    Re d_s >= b = min(1 - 2a, lambda_+(a)) > 0,
+
+lambda_+(a) the larger root of r^2 - (1 + theta^2 - 2a)*r + theta^2, real
+there with lambda_- < |theta| < lambda_+.  Re d_1 = 1 - 2a >= b.  If
+Re d_{s-1} >= b > 0, then Re(1/d) <= 1/Re d gives Re d_s >= g(Re d_{s-1})
+>= g(b) >= b, where g(r) = 1 + theta^2 - 2a - theta^2/r is increasing on
+r > 0 and g(r) - r = -(r - lambda_-)(r - lambda_+)/r >= 0 on
+[lambda_-, lambda_+], an interval that holds b: b <= lambda_+, and
+1 - 2a > 1 - (1-|theta|)^2 >= |theta| > lambda_-.  So no pivot meets the
+cut of the principal log, each log is continuous in alpha, and so is their
+sum, which is real on the real axis: it is log det B continued from there
+(exact arithmetic; tests/test_oracle.py checks the computed pivots against
+b).  The closed form's log pi_t is still only measured to take the same
+branch (13,450 seeded draws against a 60-digit reference), so the complex
+face of the matrix oracle stays private.
 """
 
 from __future__ import annotations
@@ -47,12 +64,18 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 from .closed_form import _LOG_MAX, _LOG_MIN, _exp, _gaussian_step, _outside, _overflow, quadratic_coefficients
 from .errors import ConvergenceError, ParameterError
 from .model import ModelParams, check_finite, check_horizon
 from .spectral import TransformPoint, _log, _roots
+
+# typing.TYPE_CHECKING's run-time value: type checkers take any name
+# TYPE_CHECKING as true and read Literal, and `import ar1quad` loads no typing
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Literal
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -201,16 +224,17 @@ def _read(alpha: complex, elimination: tuple, h: int) -> tuple:
     return scale, offsets, repeats, quad
 
 
-def _log_mgf(alpha: complex, x: float, elimination: tuple) -> complex:
-    """log L_t = alpha*x^2 - log det B/2 + alpha*w' B^(-1) w from _read's
-    (scale, offsets, repeats, quad).  Each pivot log comes from its offset:
-    log1p(u_s) at a real alpha (a complex one on the real axis is its real
-    part), spectral._log(1 + u_s, u_s) at any other; the repeated tail enters
-    through _tail, and each sum is rounded once.  A pivot <= 0 or NaN raises
-    ConvergenceError."""
-    scale, offsets, repeats, quad = elimination
+def _log_det(alpha: complex, elimination: tuple) -> complex:
+    """log det B = sum(log d_s) from _read's offsets and repeats alone: each
+    pivot log comes from its offset, log1p(u_s) at a real alpha (a complex
+    one on the real axis is its real part: a float is returned),
+    spectral._log(1 + u_s, u_s) at any other; the repeated tail enters
+    through _tail, and each sum is rounded once.  Every u_s depends on
+    (theta, alpha) alone, so every (m, x) gives the same bits at one horizon.
+    A pivot <= 0 or NaN raises ConvergenceError."""
+    offsets, repeats = elimination[1:3]
     if isinstance(alpha, complex) and not alpha.imag:
-        alpha, offsets, quad = alpha.real, [u.real for u in offsets], quad.real
+        alpha, offsets = alpha.real, [u.real for u in offsets]
     try:  # log1p raises at a pivot d = 1 + u <= 0, log at d = 0; a NaN pivot gives NaN
         log_det = (_csum([_log(1.0 + u, u) for u in offsets], repeats) if alpha.imag
                    else math.fsum(_tail(map(math.log1p, offsets), repeats)))
@@ -219,6 +243,16 @@ def _log_mgf(alpha: complex, x: float, elimination: tuple) -> complex:
     if cmath.isnan(log_det):
         raise ConvergenceError(f"I - 2*alpha*Sigma is not positive definite at alpha={alpha}: "
                                "the moment generating function diverges")
+    return log_det
+
+
+def _log_mgf(alpha: complex, x: float, elimination: tuple, log_det: complex) -> complex:
+    """log L_t = alpha*x^2 - log det B/2 + alpha*w' B^(-1) w from _read's
+    (scale, offsets, repeats, quad) and _log_det's log det B at that
+    reading (a complex alpha on the real axis is its real part)."""
+    scale, quad = elimination[0], elimination[3]
+    if isinstance(alpha, complex) and not alpha.imag:
+        alpha, quad = alpha.real, quad.real
     # at a real alpha the three terms share its sign; fsum rounds their sum
     # once, where two additions can land an ulp of log L_t off, a relative
     # error of |log L_t|*eps in the value
@@ -236,11 +270,12 @@ def matrix_mgf(params: ModelParams, alpha: float, x: float, t: int) -> OracleRes
     """E[exp(alpha*S_t) | X_0 = x] via the quadratic-form identity, at a
     cost bounded by the elimination's transient, not by t (_eliminate).
 
-    exp(_log_mgf) on _eliminate, log det B and log L_t each rounded once:
-    alpha = 0 gives 1, and alpha < 0 gives 0 where the quadratic form
-    overflows or (t >= 1) where -2*alpha does.  B is positive definite
-    exactly when I - 2*alpha*Sigma is, so a pivot <= 0 means the moment
-    generating function diverges (ConvergenceError).  Near the divergence
+    exp(_log_mgf) on _eliminate, log det B (_log_det) and log L_t each
+    rounded once: alpha = 0 gives 1, and alpha < 0 gives 0 where the
+    quadratic form overflows or (t >= 1) where -2*alpha does.  B is
+    positive definite exactly when I - 2*alpha*Sigma is, so a pivot <= 0
+    means the moment generating function diverges (ConvergenceError).
+    Near the divergence
     point the value stays within 2*eps*cond(I - 2*alpha*Sigma) of the exact
     value at the double inputs (1.5*eps*cond at worst at 0.999999 of the
     pole, t <= 500).  A non-finite alpha or x, a complex alpha off the real
@@ -252,7 +287,8 @@ def matrix_mgf(params: ModelParams, alpha: float, x: float, t: int) -> OracleRes
     t = check_horizon(t)
     if t and -2.0 * a == math.inf:  # every pivot, and det B, is infinite
         return OracleResult(value=0.0, method="matrix")
-    log_value = _log_mgf(a, x, _read(a, _eliminate(params, a, x, t), t)).real
+    reading = _read(a, _eliminate(params, a, x, t), t)
+    log_value = _log_mgf(a, x, reading, _log_det(a, reading)).real
     if log_value > _LOG_MAX:
         raise _overflow("L_t", params, x, a, t)
     return OracleResult(value=math.exp(log_value), method="matrix")

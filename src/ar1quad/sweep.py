@@ -3,7 +3,7 @@ the top: cli imports it when a sweep runs, so `import ar1quad`, the scalar
 functions and the other commands never load numpy.
 
 ARRAY_OPS is spectral.SCALAR_OPS over numpy arrays: the one text of the
-horizon formulas (closed_form._horizon over spectral._sequence_terms)
+horizon formulas (spectral._sequence_terms, then closed_form._horizon)
 evaluates a chunk of horizons in one pass, with the same
 cancellation-free forms, a real base's powers kept real, and a vanishing
 or non-finite E_t returned as a mask of rows instead of raised.  numpy's
@@ -32,7 +32,7 @@ from .cli import _fmt
 from .closed_form import _LOG_MAX, _alpha_stage, _horizon, _overflow
 from .errors import DomainError
 from .model import ModelParams, check_finite
-from .spectral import TransformPoint
+from .spectral import TransformPoint, _sequence_terms
 
 _SWEEP_FIELDS = ["alpha_re", "alpha_im", "t", "log_L_re", "log_L_im", "normalized_re", "normalized_im", "Lambda_re",
                  "rate", "error"]
@@ -113,7 +113,7 @@ ARRAY_OPS = SimpleNamespace(expm1=_array_expm1, log=_array_log, power=_array_pow
 
 
 def _horizon_batch(params: ModelParams, point: TransformPoint, x: float, stage: tuple, horizons: list[int]) -> tuple:
-    """closed_form._horizon over ARRAY_OPS, for a list of horizons.
+    """closed_form._horizon on the ARRAY_OPS sequence terms, for a list of horizons.
 
     Returns (log L_t, exp(-t*Lambda)*L_t, regular, error).  The arrays
     cover the rows before the first one whose log L_t is not finite or
@@ -124,7 +124,8 @@ def _horizon_batch(params: ModelParams, point: TransformPoint, x: float, stage: 
     alpha = point.alpha
     t = np.array(horizons, dtype=float)
     with np.errstate(all="ignore"):
-        log_value, _, log_normalized, regular = _horizon(ARRAY_OPS, params, x, alpha, stage, t)[:4]
+        terms = _sequence_terms(ARRAY_OPS, params.theta, stage[0], t)
+        log_value, _, log_normalized, regular = _horizon(params, x, alpha, stage[1], terms, t)[:4]
         log_finite = np.isfinite(log_value)
         overflow = regular & (~log_finite | (log_normalized.real > _LOG_MAX))
         normalized = _array_exp(log_normalized)

@@ -13,6 +13,13 @@ user-supplied tolerance overrides each check's default.  The checks are
 deterministic: nothing is sampled, and no numpy is loaded.  run_all
 rejects a bad argument (ValueError) before any check runs, and records
 each check's wall time in its result.
+
+Each quantity is evaluated once, at the level it depends on: the roots
+once per (theta, alpha), shared by every m (_points); the closed form's
+sequence terms and the elimination's log det B once per (theta, alpha, t);
+the constants once per grid point and x, and one elimination there.  The
+results are those of evaluating everything at every grid point, bit for
+bit, since each shared quantity is the same operations on the same inputs.
 """
 
 from __future__ import annotations
@@ -22,10 +29,11 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .closed_form import _alpha_stage, _coefficients, _gaussian_step, _log_limit, _scalar_horizon, transform
+from .closed_form import _coefficients, _constants, _gaussian_step, _horizon, _limit_terms, _log_limit, transform
+from .errors import DomainBoundaryError
 from .model import ModelParams, check_horizon
-from .oracle import _eliminate, _log_mgf, _read, _sigma
-from .spectral import TransformPoint, domain_check, raw_psi, roots, sequence_ratios
+from .oracle import _eliminate, _log_det, _log_mgf, _read, _sigma
+from .spectral import SCALAR_OPS, TransformPoint, _sequence_terms, _spectral_tuple, raw_psi, roots, sequence_ratios
 
 # -1e-3 probes the small-|alpha| regime here; the test suite checks alpha
 # down to -1e-300 against a high-precision reference
@@ -88,16 +96,26 @@ def _grids(k: int):
 
 
 def _points(grid_size: int, ms=None):
-    """(params, alpha, point) at each in-domain grid point, theta outermost,
-    then m (the pool's values, or `ms`), then alpha, the pool's value."""
+    """(params, alpha, point, spectral) at each in-domain grid point, theta
+    outermost, then m (the pool's values, or `ms`), then alpha, the pool's
+    value; spectral is roots()'s record, solved once per (theta, alpha) and
+    shared by every m (the domain test, as domain_check's, is its
+    in_domain)."""
     thetas, alphas, _, pool = _grids(grid_size)
     for theta in thetas:
+        solved = []
+        for alpha in alphas:
+            point = TransformPoint(alpha)
+            try:
+                spectral = roots(ModelParams(theta, 0.0), point)
+            except DomainBoundaryError:
+                continue
+            if spectral.in_domain:
+                solved.append((alpha, point, spectral))
         for m in pool if ms is None else ms:
             params = ModelParams(theta, m)
-            for alpha in alphas:
-                point = TransformPoint(alpha)
-                if domain_check(params, point):
-                    yield params, alpha, point
+            for alpha, point, spectral in solved:
+                yield params, alpha, point, spectral
 
 
 def check_spectral_identities(grid_size: int, tol: float) -> CheckResult:
@@ -105,9 +123,8 @@ def check_spectral_identities(grid_size: int, tol: float) -> CheckResult:
     the beta product/sum forms, on a theta x alpha grid including complex
     alpha."""
     worst = 0.0, {}
-    for params, alpha, point in _points(grid_size, (0.0,)):
+    for params, alpha, point, spectral in _points(grid_size, (0.0,)):
         theta = params.theta
-        spectral = roots(params, point)
         lam_p, lam_m = spectral.lambda_plus, spectral.lambda_minus
         mu = point.mu
         z = lam_p / theta
@@ -143,9 +160,8 @@ def check_wronskian(grid_size: int, tol: float) -> CheckResult:
     doubles cannot resolve the difference once |z|^(2s)*eps exceeds it.
     """
     worst = 0.0, {}
-    for params, alpha, point in _points(grid_size, (0.0,)):
+    for params, alpha, point, spectral in _points(grid_size, (0.0,)):
         theta = params.theta
-        spectral = roots(params, point)
         target = point.mu / (theta * theta)
         psi = [raw_psi(spectral, params, s) for s in range(22)]
         worst = _worse(worst, [abs(psi[0] - 1.0), abs(theta * psi[1] - 1.0)], theta=theta, alpha=alpha, s=0)
@@ -162,22 +178,30 @@ def check_matrix_oracle(grid_size: int, tol: float) -> CheckResult:
     t = 50, and read (oracle._read) at t = 1, 5 and 50 for both factors of
     L_t = pi_t^(-1/2)*exp(alpha*Sigma_t): log L_t, its error relative to
     max(1, |log L_t|), and Sigma_t, relative, complex alpha included.  The
-    closed form is transform's log L_t and Sigma_t, from one alpha stage per
-    grid point and one horizon stage per t."""
+    closed form is transform's log L_t and Sigma_t: the sequence terms once
+    per (theta, alpha, t), the constants once per grid point and x.  The
+    pivots depend on (theta, alpha) alone, so log det B (oracle._log_det) is
+    summed once per (theta, alpha, t), from the first reading there."""
     xs = _grids(grid_size)[2]
     horizons = (1, 5, 50)
+    levels = {}  # (theta, alpha) -> [(t, sequence terms, log det B)]
     worst = 0.0, {}
-    for params, alpha, point in _points(grid_size):
+    for params, alpha, point, spectral in _points(grid_size):
+        theta, a = params.theta, point.alpha
+        roots_tuple = _spectral_tuple(spectral)
         for x in xs:
-            stage = _alpha_stage(params, point, x)
-            elimination = _eliminate(params, point.alpha, x, horizons[-1])
-            for t in horizons:
-                log_closed, sigma_closed = _scalar_horizon(params, x, point.alpha, stage, t)[:2]
-                reading = _read(point.alpha, elimination, t)
-                log_value, sigma = _log_mgf(point.alpha, x, reading), _sigma(x, reading)
+            cf = _constants(params, point, x, roots_tuple)[1]
+            elimination = _eliminate(params, a, x, horizons[-1])
+            readings = [_read(a, elimination, t) for t in horizons]
+            if (theta, alpha) not in levels:
+                levels[theta, alpha] = [(t, _sequence_terms(SCALAR_OPS, theta, roots_tuple, t), _log_det(a, reading))
+                                        for t, reading in zip(horizons, readings)]
+            for (t, terms, log_det), reading in zip(levels[theta, alpha], readings):
+                log_closed, sigma_closed = _horizon(params, x, a, cf, terms, t)[:2]
+                log_value, sigma = _log_mgf(a, x, reading, log_det), _sigma(x, reading)
                 errors = (abs(log_value - log_closed) / max(1.0, abs(log_closed)),
                           abs(sigma - sigma_closed) / max(abs(sigma_closed), 1e-30))
-                worst = _worse(worst, errors, theta=params.theta, m=params.m, alpha=alpha, x=x, t=t)
+                worst = _worse(worst, errors, theta=theta, m=params.m, alpha=alpha, x=x, t=t)
     return _result("matrix_oracle", worst, tol)
 
 
@@ -186,20 +210,28 @@ def check_one_step(grid_size: int, tol: float) -> CheckResult:
     (the process is Markov), exactly: log L_{t-1} is the quadratic of quadratic_coefficients
     in X_1 - m ~ N(theta*(x - m), 1), whose Gaussian expectation is closed.  log L_t's error
     relative to max(1, |log L_t|), at t = 1, 10^3 and 10^6, complex alpha included; log L_t
-    is transform's, from one alpha stage per grid point.  At t = inf the identity is the
-    eigen-equation exp(Lambda)*f_check(x) = exp(alpha*x^2)*E[f_check(X_1) | X_0 = x], which
-    reads Lambda and log f_check(x) from the same stages."""
+    is transform's, from the sequence terms at t - 1 and t once per (theta, alpha, t) and the
+    constants once per grid point and x.  At t = inf the identity is the eigen-equation
+    exp(Lambda)*f_check(x) = exp(alpha*x^2)*E[f_check(X_1) | X_0 = x], which reads Lambda
+    and log f_check(x) from the same constants and the limit terms (_limit_terms)."""
     xs = _grids(grid_size)[2]
+    levels = {}  # (theta, alpha) -> [(t, sequence terms at t - 1, at t)]
     worst = 0.0, {}
-    for params, alpha, point in _points(grid_size):
+    for params, alpha, point, spectral in _points(grid_size):
         theta, m, a = params.theta, params.m, point.alpha
-        stages = [_alpha_stage(params, point, x) for x in xs]
-        at_m = _alpha_stage(params, point, m)
-        for t in (1, 10**3, 10**6, math.inf):
-            coefficients = _coefficients(params, a, at_m, t - 1)
+        roots_tuple = _spectral_tuple(spectral)
+        if (theta, alpha) not in levels:
+            limit = _limit_terms(theta, roots_tuple)
+            levels[theta, alpha] = [(t, _sequence_terms(SCALAR_OPS, theta, roots_tuple, t - 1),
+                                     _sequence_terms(SCALAR_OPS, theta, roots_tuple, t)) for t in (1, 10**3, 10**6)]
+            levels[theta, alpha].append((math.inf, limit, limit))
+        stages = [_constants(params, point, x, roots_tuple) for x in xs]
+        at_m = _constants(params, point, m, roots_tuple)[1]
+        for t, before, at in levels[theta, alpha]:
+            coefficients = _coefficients(params, a, at_m, before, t - 1)
             for x, stage in zip(xs, stages):
-                log_value = (stage[2] + _log_limit(params, x, a, stage)[0] if t == math.inf
-                             else _scalar_horizon(params, x, a, stage, t)[0])
+                log_value = (stage[2] + _log_limit(params, x, a, stage[1], at) if t == math.inf
+                             else _horizon(params, x, a, stage[1], at, t)[0])
                 step = a * (x * x) + _gaussian_step(*coefficients, theta * (x - m), 1.0)
                 error = abs(log_value - step) / max(1.0, abs(log_value))
                 worst = _worse(worst, [error], theta=theta, m=m, alpha=alpha, x=x, t=t)
@@ -215,9 +247,9 @@ def check_exactness_anchors(grid_size: int, tol: float) -> CheckResult:
         zero = transform(ModelParams(theta, 0.5), TransformPoint(0.0), 1.3, 7)
         worst = _worse(worst, [abs(zero.value - 1.0) + abs(zero.log_value)], theta=theta, m=0.5, alpha=0.0,
                        x=1.3, t=7)
-    for params, alpha, point in _points(grid_size, (0.5,)):
+    for params, alpha, point, spectral in _points(grid_size, (0.5,)):
         theta = params.theta
-        seq = sequence_ratios(roots(params, point), params, 0)
+        seq = sequence_ratios(spectral, params, 0)
         errors = abs(seq.r - theta), abs(seq.inv_psi - theta), abs(seq.log_pi)
         worst = _worse(worst, errors, theta=theta, alpha=alpha, t=0)
         for x in xs:

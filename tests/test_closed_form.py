@@ -31,12 +31,12 @@ from ar1quad import (
     unconditional_transform,
 )
 from ar1quad import closed_form
-from ar1quad.oracle import _eliminate, _log_mgf, _read
+from ar1quad.oracle import _eliminate, _read
 from ar1quad.cli import main
 from ar1quad.spectral import SpectralData, raw_psi
 
 from mp_reference import growth_rate_ref, log_transform_ref
-from util import alpha_grid_in_domain, conditional_covariance, count_calls, gauss_hermite_nodes, rel_err
+from util import alpha_grid_in_domain, conditional_covariance, count_calls, gauss_hermite_nodes, log_mgf_at, rel_err
 
 
 def test_constants_vanish_at_zero_mean():
@@ -474,7 +474,7 @@ def test_tiny_theta_evaluates(theta):
     params, alpha, x = ModelParams(theta, 1.0), -0.3, 0.4
     for t in (0, 1, 5, 1000):
         log_value = transform(params, TransformPoint(alpha), x, t).log_value
-        assert _floored_err(log_value, _log_mgf(alpha, x, _read(alpha, _eliminate(params, alpha, x, t), t))) <= 1e-15
+        assert _floored_err(log_value, log_mgf_at(alpha, x, _read(alpha, _eliminate(params, alpha, x, t), t))) <= 1e-15
 
 
 def test_tiny_alpha_at_a_large_level_evaluates():
@@ -619,10 +619,12 @@ def test_one_step_identity_and_eigen_equation_hold_on_seeded_draws():
                                                           mean, 1.0)
         assert abs(log_value - step) <= 1e-12 * max(1.0, abs(log_value)), (theta, m, x, alpha, t)
         stage = closed_form._alpha_stage(params, point, x)
-        eigen = ergodic_constants(params, point, x).lambda_of_alpha + closed_form._log_limit(params, x, alpha, stage)[0]
-        at_m = closed_form._alpha_stage(params, point, m)
-        step = alpha * x * x + closed_form._gaussian_step(*closed_form._coefficients(params, alpha, at_m, math.inf),
-                                                          mean, 1.0)
+        limit = closed_form._limit_terms(theta, stage[0])
+        log_f_check = closed_form._log_limit(params, x, alpha, stage[1], limit)
+        eigen = ergodic_constants(params, point, x).lambda_of_alpha + log_f_check
+        at_m = closed_form._alpha_stage(params, point, m)[1]
+        coefficients = closed_form._coefficients(params, alpha, at_m, limit, math.inf)
+        step = alpha * x * x + closed_form._gaussian_step(*coefficients, mean, 1.0)
         assert abs(eigen - step) <= 1e-12 * max(1.0, abs(eigen)), (theta, m, x, alpha)
 
 

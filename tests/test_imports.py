@@ -1,11 +1,11 @@
 """The public surface of the package, and which modules its entry points
-import: numpy is loaded by the sweep and the Monte Carlo oracle only, and
-concurrent.futures by none of them.
+import: numpy is loaded by the sweep and the Monte Carlo oracle only,
+concurrent.futures by none of them, and typing by none of the scalar ones.
 
 Each entry point runs in a fresh interpreter, which then reports whether
 a module was imported: the scalar closed form, the matrix oracle, the
 package import and the `transform`, `ergodic` and `verify` front ends
-must not pay for either.
+must not pay for any of them.
 """
 
 import os
@@ -21,11 +21,12 @@ CLI = "from ar1quad.cli import main; assert main({!r}) == 0"
 POINT = ["--theta", "0.6", "--m", "1", "--x", "0.5", "--alpha=-0.3"]
 
 
-def module_loaded_after(code: str, module: str = "numpy") -> bool:
+def module_loaded_after(code: str, module: str = "numpy", flags: tuple = ()) -> bool:
     src = os.path.dirname(os.path.dirname(ar1quad.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = f"import sys\n{code}\nprint({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", script], check=True, env=env, capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, *flags, "-c", script], check=True, env=env, capture_output=True,
+                         text=True).stdout
     return out.splitlines()[-1] == "True"  # the last line: a CLI command prints its result first
 
 
@@ -52,6 +53,13 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("code", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
 def test_scalar_entry_points_do_not_load_numpy(code):
     assert not module_loaded_after(code)
+
+
+@pytest.mark.parametrize("code", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_scalar_entry_points_do_not_load_typing(code):
+    # -S: no site hook has imported typing before the package does, so its
+    # own imports show (OracleResult's Literal is for type checkers only)
+    assert not module_loaded_after(code, "typing", ("-S",))
 
 
 def test_sweep_loads_numpy():

@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ar1quad
 from ar1quad import (
@@ -25,10 +27,10 @@ from ar1quad import (
     unconditional_transform,
 )
 from ar1quad import closed_form, oracle, verify
-from ar1quad.oracle import _eliminate, _log_mgf, _read, _sigma
+from ar1quad.oracle import _eliminate, _read, _sigma
 
 from mp_reference import log_transform_ref, tridiagonal_det_ref
-from util import conditional_covariance, eliminate_every_step, gauss_hermite_nodes, rel_err
+from util import conditional_covariance, eliminate_every_step, gauss_hermite_nodes, log_mgf_at, rel_err
 
 
 def test_matrix_horizon_zero_is_gaussian_factor():
@@ -158,7 +160,7 @@ def test_elimination_log_mgf_at_complex_alpha_matches_the_high_precision_referen
         draws += 1
         positive += alpha.real > 0
         log_ref = log_transform_ref(theta, m, x, alpha, t)
-        log_value = _log_mgf(point.alpha, x, _read(point.alpha, _eliminate(params, point.alpha, x, t), t))
+        log_value = log_mgf_at(point.alpha, x, _read(point.alpha, _eliminate(params, point.alpha, x, t), t))
         assert abs(log_value - log_ref) <= 1e-14 * max(1.0, abs(log_ref)), (theta, m, x, alpha, t)
     assert positive >= 30
 
@@ -180,7 +182,7 @@ def _elimination_outputs(params, alpha, x, t) -> tuple:
     except (ValueError, ArithmeticError) as exc:
         outputs = [type(exc).__name__] * 2
     else:
-        outputs = [_attempt(lambda: _log_mgf(alpha, x, elimination)), _attempt(lambda: _sigma(x, elimination))]
+        outputs = [_attempt(lambda: log_mgf_at(alpha, x, elimination)), _attempt(lambda: _sigma(x, elimination))]
     return (*outputs, _attempt(lambda: matrix_mgf(params, alpha, x, t)),
             _attempt(lambda: sigma_via_recursion(params, TransformPoint(alpha), x, t)))
 
@@ -258,8 +260,8 @@ def test_one_elimination_read_at_a_shorter_horizon_keeps_every_bit(params, alpha
         reading = _read(alpha, elimination, h)
         assert repr(reading) == repr(_read(alpha, _eliminate(params, alpha, x, h), h)), h
         every_step = _read(alpha, eliminate_every_step(params, alpha, x, h), h)
-        assert (repr((_log_mgf(alpha, x, reading), _sigma(x, reading)))
-                == repr((_log_mgf(alpha, x, every_step), _sigma(x, every_step)))), h
+        assert (repr((log_mgf_at(alpha, x, reading), _sigma(x, reading)))
+                == repr((log_mgf_at(alpha, x, every_step), _sigma(x, every_step)))), h
 
 
 @pytest.mark.parametrize("alpha", [-0.3, complex(-0.3, 0.4)])
@@ -313,7 +315,7 @@ def test_closed_form_matches_the_elimination_at_long_horizons():
         for t in (10**4, 10**6):
             closed = transform(params, point, x, t)
             elimination = _read(point.alpha, _eliminate(params, point.alpha, x, t), t)
-            log_value, sigma = _log_mgf(point.alpha, x, elimination), _sigma(x, elimination)
+            log_value, sigma = log_mgf_at(point.alpha, x, elimination), _sigma(x, elimination)
             assert abs(log_value - closed.log_value) <= 1e-12 * max(1.0, abs(closed.log_value)), (theta, m, x, alpha, t)
             assert abs(sigma - closed.sigma_t) <= 1e-12 * abs(closed.sigma_t), (theta, m, x, alpha, t)
 
@@ -520,7 +522,7 @@ def test_monte_carlo_error_bar_holds_at_long_horizons(monkeypatch):
     def no_elimination(*args):
         raise AssertionError(f"the Monte Carlo oracle ran an elimination: {args}")
 
-    for name in ("_eliminate", "_log_mgf", "_sigma"):
+    for name in ("_eliminate", "_log_det", "_log_mgf", "_sigma"):
         monkeypatch.setattr(oracle, name, no_elimination)
     t = 10**6
     exact = transform(params, TransformPoint(-2e-4), x, t).value.real
@@ -889,3 +891,24 @@ def test_unconditional_matches_stationary_start_monte_carlo():
     stderr = values.std(ddof=1) / math.sqrt(n)
     assert abs(quad - values.mean()) <= 4.0 * stderr
 
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(theta=st.floats(1e-6, 0.999), sign=st.sampled_from([1.0, -1.0]),
+       log_gap=st.floats(math.log(1e-12), math.log(10.0)),
+       im=st.one_of(st.just(0.0), st.floats(math.log(1e-9), math.log(10.0)).map(math.exp)),
+       im_sign=st.sampled_from([1.0, -1.0]), m=st.floats(-2.0, 2.0), x=st.floats(-4.0, 4.0))
+def test_every_pivot_keeps_a_positive_real_part_on_the_half_plane(theta, sign, log_gap, im, im_sign, m, x):
+    # the half-plane bound of the oracle docstring: on Re alpha = a < (1-|theta|)^2/2
+    # every pivot has Re d_s >= min(1 - 2a, lambda_+(a)) > 0, so no principal log of a
+    # pivot crosses its cut and log det B is one continuous branch; a from 1e-12 below
+    # the edge down to 10 below it, complex alpha included, up to the rounding of a pivot
+    a = 0.5 * (1.0 - theta) ** 2 - math.exp(log_gap)
+    alpha = complex(a, im_sign * im)
+    c = 1.0 + theta * theta - 2.0 * a  # lambda_+(a) + lambda_-(a), > 2*theta on the half-plane
+    lam_plus = 0.5 * (c + math.sqrt(max(0.0, (c - 2.0 * theta) * (c + 2.0 * theta))))
+    bound = min(1.0 - 2.0 * a, lam_plus)
+    assert bound > theta  # 1 - 2a > 1 - (1-theta)^2 >= theta and lambda_+ > theta
+    offsets = _eliminate(ModelParams(sign * theta, m), alpha, x, 200)[1]
+    slack = 8.0 * sys.float_info.epsilon * (1.0 + theta * theta + 2.0 * abs(alpha))
+    assert min((1.0 + u).real for u in offsets) >= bound - slack, (alpha, bound)

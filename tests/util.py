@@ -8,6 +8,7 @@ import numpy as np
 
 from ar1quad import ModelParams, TransformPoint, closed_form, domain_check
 from ar1quad.model import check_horizon
+from ar1quad.oracle import _log_det, _log_mgf
 from ar1quad.spectral import RAW_INDEX_MAX, SCALAR_OPS, _int_power, _roots, _sequence_terms
 
 EPS = sys.float_info.epsilon
@@ -15,6 +16,12 @@ EPS = sys.float_info.epsilon
 
 def rel_err(a, b, floor=1e-300) -> float:
     return abs(a - b) / max(abs(b), floor)
+
+
+def log_mgf_at(alpha, x, reading):
+    """oracle._log_mgf at one oracle._read reading, from that reading's own
+    log det B (oracle._log_det), as matrix_mgf forms it."""
+    return _log_mgf(alpha, x, reading, _log_det(alpha, reading))
 
 
 def worse(worst: float, *errors: float) -> float:
@@ -79,7 +86,7 @@ def term_sizes(params, point, x, t):
     at alpha = 0 both are 0, and log L_t = 0, n = 1 must hold exactly."""
     spectral = _roots(params.theta, point.alpha)
     q_t, inv_psi, log_e = _sequence_terms(SCALAR_OPS, params.theta, spectral, t)[:3]
-    _, a_const, mu_b, c_const = closed_form._constants(params, point, x)
+    _, a_const, mu_b, c_const = closed_form._constants(params, point, x, spectral)[1]
     bounded = x * x + abs(mu_b * q_t) + abs(c_const * (params.theta - inv_psi))
     log_lambda_plus, alpha = spectral[4], abs(point.alpha)
     # log pi_t = (t+1)*log lambda_+ + (log E_t - log lambda_+), log n = -log E_t/2 + alpha*bounded
