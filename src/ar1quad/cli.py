@@ -155,7 +155,7 @@ def build_parser() -> _Parser:
     p_sw.add_argument("--alpha-im", default=None, help="comma-separated imaginary parts")
     p_sw.add_argument("--t", required=True, help="comma-separated horizons; START:STOP[:STEP] ranges allowed")
     p_sw.add_argument("--format", choices=("json", "csv"), default="json")
-    p_sw.add_argument("--strict", action="store_true", help="exit 2 if any grid point is out of domain")
+    p_sw.add_argument("--strict", action="store_true", help="exit 2 if any row is an error row")
     p_sw.set_defaults(func=cmd_sweep)
 
     p_vf = sub.add_parser("verify", help="run the self-verification suite")

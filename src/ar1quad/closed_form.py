@@ -42,8 +42,8 @@ _limit_terms and _log_limit are the same pair at t -> inf, where
 q_t -> q, 1/psi_{t+1} -> 0 and E_t -> beta_+*lambda_+.  A caller holding
 the roots or the sequence terms (verify's grid) gets every (m, x) through
 the same operations, with the same bits.  The stages carry plain tuples,
-the roots as the tuple of spectral._roots, so a call builds no record but
-the one it returns: only the public spectral.roots() builds SpectralData.
+the roots as the tuple of spectral._roots, which alone decides membership
+of D, so a call builds no record but the one it returns.
 The horizon stage's text is written once, over an operations namespace:
 SCALAR_OPS (cmath and math) at one t for the public functions, which never
 call numpy, and sweep.ARRAY_OPS over an array of t for a CLI sweep (see
@@ -59,7 +59,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, ParameterError, SingularConstantError
+from .errors import ParameterError, SingularConstantError
 from .model import ModelParams, check_finite, check_horizon
 from .spectral import SCALAR_OPS, TransformPoint, _log, _roots, _sequence_terms
 
@@ -166,25 +166,18 @@ def constants(params: ModelParams, point: TransformPoint, x: float) -> ClosedFor
     return ClosedFormConstants(nu=nu, A=a_const, B=b_const, C=c_const)
 
 
-def _outside(alpha: complex) -> DomainError:
-    return DomainError(f"alpha={alpha} is outside the validity domain")
-
-
 def _alpha_stage(params: ModelParams, point: TransformPoint, x: float) -> tuple:
     """(spectral, (nu, A, mu*B, C), Lambda, rate): the part of L_t that does
     not depend on t, from one _roots and one _constants evaluation, with
     spectral the tuple of spectral._roots.
 
-    Raises ParameterError for a non-finite x, then DomainError for alpha
-    outside D (DomainBoundaryError where the moduli of the roots coincide,
-    which includes the pole of nu at mu = -(1-theta)^2), then
+    Raises ParameterError for a non-finite x, then _roots' DomainError for
+    alpha outside D (DomainBoundaryError where the moduli of the roots
+    coincide, which includes the pole of nu at mu = -(1-theta)^2), then
     ParameterError for overflowing constants.
     """
     check_finite("x", x)
-    spectral = _roots(params.theta, point.alpha)
-    if not spectral[5]:
-        raise _outside(point.alpha)
-    return _constants(params, point, x, spectral)
+    return _constants(params, point, x, _roots(params.theta, point.alpha))
 
 
 def _overflow(what: str, params: ModelParams, x: float | None, alpha: complex, t: int | None) -> ParameterError:

@@ -6,12 +6,15 @@ class ParameterError(ValueError):
 
 
 class DomainError(ValueError):
-    """Transform argument alpha lies outside the validity domain D."""
+    """Transform argument alpha lies outside the validity domain D, or its
+    characteristic roots lie beyond the double range; raised by
+    spectral._roots, the one test of membership."""
 
 
 class DomainBoundaryError(DomainError):
-    """The two characteristic roots have equal modulus, so the dominant /
-    recessive labelling (and hence membership in D) is ambiguous."""
+    """alpha lies within DOMAIN_MARGIN of the slit that D excludes: the two
+    characteristic roots' moduli are not separated by |theta| with that
+    relative margin, so the dominant / recessive labelling is ambiguous."""
 
 
 class SingularSequenceError(ArithmeticError):

@@ -65,7 +65,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .closed_form import _LOG_MAX, _LOG_MIN, _exp, _gaussian_step, _outside, _overflow, quadratic_coefficients
+from .closed_form import _LOG_MAX, _LOG_MIN, _exp, _gaussian_step, _overflow, quadratic_coefficients
 from .errors import ConvergenceError, ParameterError
 from .model import ModelParams, check_finite, check_horizon
 from .spectral import TransformPoint, _log, _roots
@@ -301,7 +301,7 @@ def sigma_via_recursion(params: ModelParams, point: TransformPoint, x: float, t:
 
     It reads neither the roots nor the A, B, C telescoping, so agreement with
     transform(...).sigma_t validates the closed form; the roots are solved
-    only to raise DomainError outside D (DomainBoundaryError on its
+    only for _roots' DomainError outside D (DomainBoundaryError on its
     boundary), as transform does.  Raises ParameterError for a non-finite x
     and wherever Sigma_t is not finite (|m| near 1e154, a zero pivot), and
     ValueError unless t is an integer >= 0.
@@ -309,8 +309,7 @@ def sigma_via_recursion(params: ModelParams, point: TransformPoint, x: float, t:
     check_finite("x", x)
     t = check_horizon(t)
     alpha = point.alpha
-    if not _roots(params.theta, alpha)[5]:
-        raise _outside(alpha)
+    _roots(params.theta, alpha)
     sigma = _sigma(x, _read(alpha, _eliminate(params, alpha, x, t), t))
     if not cmath.isfinite(sigma):
         raise _overflow("Sigma_t", params, x, alpha, t)

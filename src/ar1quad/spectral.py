@@ -28,27 +28,30 @@ exactly, so the anchors pi_0 = 1, r_0 = 1/psi_1 = theta and q_0 = 0 need
 no special case.  Raw psi evaluation (raw_psi) serves only the Wronskian
 check of verify.py and the tests.
 
-The roots and weights at one alpha travel as the plain tuple of _roots,
-(lambda_+, lambda_-, beta_+, beta_-, log lambda_+, in_domain): only the
-public roots() builds a SpectralData record from it, so an evaluation
-builds none.  The formulas are written once, in _sequence_terms, over a
-small namespace of operations (expm1, log from the excess, integer power
-and the singularity guard).  SCALAR_OPS (cmath and math, no numpy)
-evaluates one horizon for every public function; sweep.py holds ARRAY_OPS,
-which evaluates an array of horizons for a sweep.
+_roots alone decides membership of D, by one test of the root moduli:
+it returns the roots and weights at an alpha inside D as the plain tuple
+(lambda_+, lambda_-, beta_+, beta_-, log lambda_+) and raises DomainError
+elsewhere.  SpectralData is that tuple with field names, which only the
+public roots() builds, so an evaluation builds none.  The formulas are
+written once, in _sequence_terms, over a small namespace of operations
+(expm1, log from the excess, integer power and the singularity guard).
+SCALAR_OPS (cmath and math, no numpy) evaluates one horizon for every
+public function; sweep.py holds ARRAY_OPS, which evaluates an array of
+horizons for a sweep.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 from .errors import DomainBoundaryError, DomainError, ParameterError, SingularSequenceError
 from .model import ModelParams, check_horizon
 
-# Strict-inequality margin for the root-modulus tests; boundary points are
+# Strict-inequality margin of the root-modulus test in _roots; boundary points are
 # rejected rather than guessed.
 DOMAIN_MARGIN = 1e-12
 
@@ -79,28 +82,16 @@ class TransformPoint:
         return -2.0 * self.alpha
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    """Roots and weights of the characteristic quadratic at one alpha.
+class SpectralData(namedtuple("SpectralData", "lambda_plus lambda_minus beta_plus beta_minus log_lambda_plus")):
+    """Roots and weights of the characteristic quadratic at one alpha in D:
+    the tuple of _roots with field names.
 
     lambda_plus is the root of larger modulus; beta_+/- satisfy
-    beta_plus + beta_minus = 1 (since pi_0 = 1).  in_domain records whether
-    |lambda_minus| < |theta| < |lambda_plus| holds strictly.  The derived
-    log_lambda_plus keeps full relative precision as alpha -> 0.  Only the
-    public roots() builds this record; the evaluation carries the tuple of
-    _roots.
+    beta_plus + beta_minus = 1 (since pi_0 = 1).  log_lambda_plus keeps
+    full relative precision as alpha -> 0.
     """
 
-    lambda_plus: complex
-    lambda_minus: complex
-    beta_plus: complex
-    beta_minus: complex
-    in_domain: bool
-    log_lambda_plus: complex = field(init=False)
-
-    def __post_init__(self):
-        log_lambda_plus = _log_lambda_plus(self.lambda_plus, self.lambda_minus, self.beta_minus)
-        object.__setattr__(self, "log_lambda_plus", log_lambda_plus)
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -121,21 +112,18 @@ class SequenceRatios:
     theta_minus_r: complex
 
 
-def _log_lambda_plus(lam_plus: complex, lam_minus: complex, beta_minus: complex) -> complex:
-    """log(lambda_+) from its excess lambda_+ - 1 = beta_-*(lambda_+ - lambda_-),
-    free of the lambda_+ ~ 1 cancellation as alpha -> 0."""
-    return _log(lam_plus, beta_minus * (lam_plus - lam_minus))
-
-
 def _roots(theta: float, alpha: complex) -> tuple:
-    """(lambda_+, lambda_-, beta_+, beta_-, log lambda_+, in_domain): the
-    fields of roots() as a plain tuple, which the evaluation carries.
+    """(lambda_+, lambda_-, beta_+, beta_-, log lambda_+): the fields of
+    roots() as a plain tuple, which the evaluation carries.
 
     The discriminant is evaluated in the factored form
     (-2*alpha + (theta+1)^2) * (-2*alpha + (theta-1)^2) and the smaller
     root comes from the product relation lambda_+*lambda_- = theta^2, which
-    avoids cancellation.  Raises DomainBoundaryError when the two moduli
-    coincide within DOMAIN_MARGIN (labelling would be arbitrary there).
+    avoids cancellation.  The one membership test of D: raises
+    DomainBoundaryError unless |lambda_-| < (1 - DOMAIN_MARGIN)*|theta| and
+    |lambda_+| > (1 + DOMAIN_MARGIN)*|theta| (near equal moduli the
+    labelling would be arbitrary), and DomainError where the roots or
+    log lambda_+ lie beyond the double range (|alpha| near 1e308).
     """
     theta2 = theta * theta
     b = -2.0 * alpha + theta2 + 1.0
@@ -146,40 +134,38 @@ def _roots(theta: float, alpha: complex) -> tuple:
         s = -s
     lam_plus = 0.5 * b + 0.5 * s  # halved first: b + s overflows past |alpha| ~ 4e307
     lam_minus = theta2 / lam_plus
-    abs_plus, abs_minus = abs(lam_plus), abs(lam_minus)
-    if abs_plus - abs_minus <= DOMAIN_MARGIN * abs_plus:
-        raise DomainBoundaryError(
-            f"|lambda_+| == |lambda_-| at alpha={alpha}: root labelling is ambiguous "
-            "(boundary of the validity domain)"
-        )
-    denom = lam_plus - lam_minus
-    beta_plus = (1.0 - lam_minus) / denom
-    # lam_plus - 1 == mu/(1 - lam_minus) by the quadratic; the direct
-    # subtraction cancels catastrophically as alpha -> 0 (lam_plus -> 1)
-    beta_minus = -2.0 * alpha / ((1.0 - lam_minus) * denom)
-    log_lambda_plus = _log_lambda_plus(lam_plus, lam_minus, beta_minus)  # NaN past the double range
     abs_theta = abs(theta)
-    in_domain = (abs_minus < (1.0 - DOMAIN_MARGIN) * abs_theta and abs_plus > (1.0 + DOMAIN_MARGIN) * abs_theta
-                 and cmath.isfinite(log_lambda_plus))
-    return lam_plus, lam_minus, beta_plus, beta_minus, log_lambda_plus, in_domain
-
-
-def _spectral_tuple(spectral: SpectralData) -> tuple:
-    """A SpectralData record as the tuple of _roots."""
-    return (spectral.lambda_plus, spectral.lambda_minus, spectral.beta_plus, spectral.beta_minus,
-            spectral.log_lambda_plus, spectral.in_domain)
+    try:
+        abs_plus, abs_minus = abs(lam_plus), abs(lam_minus)
+    except OverflowError:  # finite parts whose modulus lies beyond the double range
+        abs_plus = abs_minus = math.nan
+    if abs_minus < (1.0 - DOMAIN_MARGIN) * abs_theta and abs_plus > (1.0 + DOMAIN_MARGIN) * abs_theta:
+        denom = lam_plus - lam_minus
+        beta_plus = (1.0 - lam_minus) / denom
+        # lam_plus - 1 == mu/(1 - lam_minus) by the quadratic; the direct
+        # subtraction cancels catastrophically as alpha -> 0 (lam_plus -> 1)
+        beta_minus = -2.0 * alpha / ((1.0 - lam_minus) * denom)
+        # log lambda_+ from its excess lambda_+ - 1 = beta_-*(lambda_+ - lambda_-)
+        log_lambda_plus = _log(lam_plus, beta_minus * denom)
+        if cmath.isfinite(log_lambda_plus):
+            return lam_plus, lam_minus, beta_plus, beta_minus, log_lambda_plus
+    elif math.isfinite(abs_plus):
+        raise DomainBoundaryError(
+            f"a root modulus lies within DOMAIN_MARGIN of |theta| at alpha={alpha}: root labelling "
+            "is ambiguous (boundary of the validity domain)"
+        )
+    raise DomainError(f"alpha={alpha} is outside the validity domain: its roots lie beyond the double range")
 
 
 def roots(params: ModelParams, point: TransformPoint) -> SpectralData:
-    """Solve the characteristic quadratic and label the roots by modulus
-    (see _roots): the public record of the tuple the evaluation carries.
-    Raises DomainBoundaryError where the two moduli coincide."""
-    lam_plus, lam_minus, beta_plus, beta_minus, _, in_domain = _roots(params.theta, point.alpha)
-    return SpectralData(lam_plus, lam_minus, beta_plus, beta_minus, in_domain)
+    """Solve the characteristic quadratic and label the roots by modulus:
+    the record of _roots' tuple, raising as _roots does outside D."""
+    return SpectralData(*_roots(params.theta, point.alpha))
 
 
 def domain_check(params: ModelParams, point: TransformPoint) -> bool:
-    """True iff |lambda_-|/|theta| < 1 < |lambda_+|/|theta| strictly.
+    """True iff alpha lies in D, the test of _roots: |lambda_-|/|theta| <
+    1 < |lambda_+|/|theta| strictly, with the roots within the double range.
 
     Every alpha on the real interval [-max_double/2, 0] passes (below it
     -2*alpha overflows).  Boundary points (including equal-modulus root
@@ -187,9 +173,10 @@ def domain_check(params: ModelParams, point: TransformPoint) -> bool:
     here: TransformPoint rejects it with ParameterError.
     """
     try:
-        return _roots(params.theta, point.alpha)[5]
-    except DomainBoundaryError:
+        _roots(params.theta, point.alpha)
+    except DomainError:
         return False
+    return True
 
 
 def _int_power(base: complex, n: int) -> complex:
@@ -254,7 +241,7 @@ def _log_w(theta: float, lam_plus: complex, lam_minus: complex) -> complex:
 def _sequence_terms(ops: SimpleNamespace, theta: float, spectral: tuple, t):
     """(q_t, 1/psi_{t+1}, log E_t, log pi_t, regular, E_t) at one
     horizon t (SCALAR_OPS) or an array of them (sweep.ARRAY_OPS), from the
-    tuple of _roots.
+    tuple of _roots or its SpectralData record.
 
     The one text of the closed forms in the module docstring, whose anchors
     log pi_0 = 0, 1/psi_1 = theta and q_0 = 0 come out exact since
@@ -262,7 +249,7 @@ def _sequence_terms(ops: SimpleNamespace, theta: float, spectral: tuple, t):
     SingularSequenceError for a vanishing E_t or a non-finite result, the
     array guard returns the mask of rows where neither happened.
     """
-    lam_plus, lam_minus, _, beta_minus, log_lambda_plus = spectral[:5]
+    lam_plus, lam_minus, _, beta_minus, log_lambda_plus = spectral
     w_t_m1 = ops.expm1(t * _log_w(theta, lam_plus, lam_minus))  # w^t - 1
     excess = beta_minus * lam_minus * w_t_m1
     e_t = 1.0 + excess
@@ -285,11 +272,9 @@ def sequence_ratios(spectral: SpectralData, params: ModelParams, t: int) -> Sequ
     raises SingularSequenceError, as does any non-finite result.
     """
     t = check_horizon(t)
-    if not spectral.in_domain:
-        raise DomainError("sequence ratios are only defined inside the validity domain")
-    theta, stage = params.theta, _spectral_tuple(spectral)
-    lam_plus, lam_minus, beta_plus, beta_minus = stage[:4]
-    q_t, inv_psi, _, log_pi, _, e_t = _sequence_terms(SCALAR_OPS, theta, stage, t)
+    theta = params.theta
+    lam_plus, lam_minus, beta_plus, beta_minus = spectral[:4]
+    q_t, inv_psi, _, log_pi, _, e_t = _sequence_terms(SCALAR_OPS, theta, spectral, t)
     if t == 0:
         r = complex(theta)
     else:

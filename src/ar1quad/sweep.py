@@ -246,7 +246,8 @@ def cmd_sweep(args) -> int:
     template, kept as its pieces between the four value slots, and
     _sweep_chunk fills the slots of each chunk.  A row whose log L_t or
     normalized value overflows ends the sweep (ParameterError) after the
-    rows before it.
+    rows before it.  Error rows say out_of_domain for an alpha outside D
+    and singular_sequence where E_t vanishes at an alpha inside it.
     """
     alphas = _parse_alpha_grid(args.alpha, args.alpha_im)
     t_grid = _parse_t_grid(args.t)
@@ -259,10 +260,12 @@ def cmd_sweep(args) -> int:
     for alpha in alphas:
         point = TransformPoint(alpha)
         head = [cell(alpha.real), cell(alpha.imag), "%d"]
-        error_row = _sweep_template(head + [cell(None)] * 6 + [cell("out_of_domain")], csv)
         try:
-            stage = _alpha_stage(params, point, x)
+            stage, label = _alpha_stage(params, point, x), "singular_sequence"
         except DomainError:  # every row of this alpha is an error row
+            stage, label = None, "out_of_domain"
+        error_row = _sweep_template(head + [cell(None)] * 6 + [cell(label)], csv)
+        if stage is None:
             plans.append((point, None, (None, error_row)))
             continue
         tail = [cell(stage[2].real), cell(stage[3]), cell(None)]

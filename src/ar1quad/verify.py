@@ -30,10 +30,10 @@ import time
 from dataclasses import dataclass, field
 
 from .closed_form import _coefficients, _constants, _gaussian_step, _horizon, _limit_terms, _log_limit, transform
-from .errors import DomainBoundaryError
+from .errors import DomainError
 from .model import ModelParams, check_horizon
 from .oracle import _eliminate, _log_det, _log_mgf, _read, _sigma
-from .spectral import SCALAR_OPS, TransformPoint, _sequence_terms, _spectral_tuple, raw_psi, roots, sequence_ratios
+from .spectral import SCALAR_OPS, TransformPoint, _sequence_terms, raw_psi, roots, sequence_ratios
 
 # -1e-3 probes the small-|alpha| regime here; the test suite checks alpha
 # down to -1e-300 against a high-precision reference
@@ -96,22 +96,19 @@ def _grids(k: int):
 
 
 def _points(grid_size: int, ms=None):
-    """(params, alpha, point, spectral) at each in-domain grid point, theta
+    """(params, alpha, point, spectral) at each grid point in D, theta
     outermost, then m (the pool's values, or `ms`), then alpha, the pool's
     value; spectral is roots()'s record, solved once per (theta, alpha) and
-    shared by every m (the domain test, as domain_check's, is its
-    in_domain)."""
+    shared by every m (an alpha outside D, where roots() raises, is left out)."""
     thetas, alphas, _, pool = _grids(grid_size)
     for theta in thetas:
         solved = []
         for alpha in alphas:
             point = TransformPoint(alpha)
             try:
-                spectral = roots(ModelParams(theta, 0.0), point)
-            except DomainBoundaryError:
-                continue
-            if spectral.in_domain:
-                solved.append((alpha, point, spectral))
+                solved.append((alpha, point, roots(ModelParams(theta, 0.0), point)))
+            except DomainError:
+                pass
         for m in pool if ms is None else ms:
             params = ModelParams(theta, m)
             for alpha, point, spectral in solved:
@@ -188,13 +185,12 @@ def check_matrix_oracle(grid_size: int, tol: float) -> CheckResult:
     worst = 0.0, {}
     for params, alpha, point, spectral in _points(grid_size):
         theta, a = params.theta, point.alpha
-        roots_tuple = _spectral_tuple(spectral)
         for x in xs:
-            cf = _constants(params, point, x, roots_tuple)[1]
+            cf = _constants(params, point, x, spectral)[1]
             elimination = _eliminate(params, a, x, horizons[-1])
             readings = [_read(a, elimination, t) for t in horizons]
             if (theta, alpha) not in levels:
-                levels[theta, alpha] = [(t, _sequence_terms(SCALAR_OPS, theta, roots_tuple, t), _log_det(a, reading))
+                levels[theta, alpha] = [(t, _sequence_terms(SCALAR_OPS, theta, spectral, t), _log_det(a, reading))
                                         for t, reading in zip(horizons, readings)]
             for (t, terms, log_det), reading in zip(levels[theta, alpha], readings):
                 log_closed, sigma_closed = _horizon(params, x, a, cf, terms, t)[:2]
@@ -219,14 +215,13 @@ def check_one_step(grid_size: int, tol: float) -> CheckResult:
     worst = 0.0, {}
     for params, alpha, point, spectral in _points(grid_size):
         theta, m, a = params.theta, params.m, point.alpha
-        roots_tuple = _spectral_tuple(spectral)
         if (theta, alpha) not in levels:
-            limit = _limit_terms(theta, roots_tuple)
-            levels[theta, alpha] = [(t, _sequence_terms(SCALAR_OPS, theta, roots_tuple, t - 1),
-                                     _sequence_terms(SCALAR_OPS, theta, roots_tuple, t)) for t in (1, 10**3, 10**6)]
+            limit = _limit_terms(theta, spectral)
+            levels[theta, alpha] = [(t, _sequence_terms(SCALAR_OPS, theta, spectral, t - 1),
+                                     _sequence_terms(SCALAR_OPS, theta, spectral, t)) for t in (1, 10**3, 10**6)]
             levels[theta, alpha].append((math.inf, limit, limit))
-        stages = [_constants(params, point, x, roots_tuple) for x in xs]
-        at_m = _constants(params, point, m, roots_tuple)[1]
+        stages = [_constants(params, point, x, spectral) for x in xs]
+        at_m = _constants(params, point, m, spectral)[1]
         for t, before, at in levels[theta, alpha]:
             coefficients = _coefficients(params, a, at_m, before, t - 1)
             for x, stage in zip(xs, stages):

@@ -257,6 +257,22 @@ def test_alpha_outside_domain_is_out_of_domain(capsys, theta, m, alpha):
     assert run_cli(capsys, *sweep, "--strict")[0] == 2
 
 
+# the modulus of lambda_+ beyond the double range although its parts are
+# finite, and a point within DOMAIN_MARGIN of the slit's end, off the real axis
+@pytest.mark.parametrize("theta, alpha, alpha_im", [
+    ("0.6", "-5.32e+307", "-7.4e+307"),
+    ("0.8644070938353902", "0.009192718101607471", "9.357390103252788e-19"),
+])
+def test_alpha_at_the_edge_of_the_membership_test_is_out_of_domain(capsys, theta, alpha, alpha_im):
+    point = ["--theta", theta, "--m", "1", "--x", "0.5", f"--alpha={alpha}", f"--alpha-im={alpha_im}"]
+    for argv in (["transform", *point, "--t", "3"], ["ergodic", *point]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out) == {"error": "out_of_domain"} and err == ""
+    code, out, _ = run_cli(capsys, "sweep", *point, "--t", "3", "--strict")
+    assert code == 2 and json.loads(out)["error"] == "out_of_domain"
+
+
 def test_sweep_accepts_alpha_zero_rows(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--theta", "0.5", "--m", "1", "--x", "0.3",

@@ -630,10 +630,10 @@ def test_one_step_identity_and_eigen_equation_hold_on_seeded_draws():
 
 def test_scalar_path_builds_no_spectral_record(monkeypatch):
     # the evaluation carries the tuple of spectral._roots: only the public
-    # roots() builds SpectralData, and its __post_init__ runs once per record
+    # roots() builds SpectralData, and its __new__ runs once per record
     built = []
-    post_init = SpectralData.__post_init__
-    monkeypatch.setattr(SpectralData, "__post_init__", lambda self: built.append(post_init(self)))
+    new = SpectralData.__new__
+    monkeypatch.setattr(SpectralData, "__new__", lambda cls, *fields: built.append(cls) or new(cls, *fields))
     params, real, cplx = ModelParams(0.6, 1.0), TransformPoint(-0.3), TransformPoint(complex(-0.3, 0.2))
     roots(params, cplx)
     assert len(built) == 1  # the counter sees a record

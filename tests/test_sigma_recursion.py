@@ -23,14 +23,14 @@ _POINTS = [(0.6, 1.5, 2.0, -0.5), (-0.8, -0.7, -1.0, complex(-0.3, 0.4)), (0.3, 
 
 
 def _corrupt_roots(monkeypatch):
-    """Bind every name of spectral._roots to a stand-in that keeps the true
-    in_domain flag but returns wrong roots, weights and log lambda_+."""
+    """Bind every name of spectral._roots to a stand-in that raises where
+    _roots does but returns wrong roots, weights and log lambda_+."""
     true_roots = spectral._roots
 
     def corrupted(theta, alpha):
-        lam_plus, lam_minus, beta_plus, beta_minus, log_lambda_plus, in_domain = true_roots(theta, alpha)
+        lam_plus, lam_minus, beta_plus, beta_minus, log_lambda_plus = true_roots(theta, alpha)
         return (3.0 * lam_plus + 1j, 0.5 * lam_minus - 0.25j, beta_plus - 0.125, beta_minus + 0.125,
-                log_lambda_plus + 0.75, in_domain)
+                log_lambda_plus + 0.75)
 
     bound = [module for module in list(sys.modules.values()) if getattr(module, "_roots", None) is true_roots]
     assert spectral in bound
@@ -41,7 +41,7 @@ def _corrupt_roots(monkeypatch):
 @pytest.mark.parametrize("theta, m, x, alpha", _POINTS)
 def test_sigma_recursion_reads_no_root(monkeypatch, theta, m, x, alpha):
     # wrong roots change the closed form but not the cross-check: it reads
-    # only the in_domain flag, so it is independent of the roots it validates
+    # only whether _roots raises, so it is independent of the roots it validates
     params, point = ModelParams(theta, m), TransformPoint(alpha)
     expected = {t: sigma_via_recursion(params, point, x, t) for t in (0, 1, 5, 50)}
     closed = transform(params, point, x, 50).sigma_t

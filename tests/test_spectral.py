@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import sys
 
 import mpmath
@@ -11,14 +12,19 @@ from ar1quad import (
     DomainError,
     ModelParams,
     ParameterError,
+    SingularConstantError,
     SingularSequenceError,
     SpectralData,
     TransformPoint,
+    constants,
     domain_check,
+    ergodic_constants,
     roots,
     sequence_ratios,
+    sigma_via_recursion,
+    transform,
 )
-from ar1quad.spectral import _expm1, _roots, _spectral_tuple, raw_psi
+from ar1quad.spectral import _expm1, _roots, raw_psi
 from ar1quad.sweep import _array_expm1
 
 from mp_reference import sequence_ref
@@ -44,7 +50,8 @@ def test_roots_at_alpha_zero_are_one_and_theta_squared():
     assert spectral.lambda_minus == 0.25
     assert spectral.beta_plus == 1.0
     assert spectral.beta_minus == 0.0
-    assert spectral.in_domain
+    assert spectral.log_lambda_plus == 0.0
+    assert domain_check(ModelParams(0.5), TransformPoint(0.0))
 
 
 def test_roots_quadratic_formula_example():
@@ -204,24 +211,63 @@ def test_public_roots_hold_the_bits_of_the_stage_tuple():
         for alpha in alphas:
             try:
                 stage = _roots(theta, alpha)
-            except DomainBoundaryError:
-                with pytest.raises(DomainBoundaryError):
+            except DomainError as exc:
+                with pytest.raises(type(exc)):
                     roots(ModelParams(theta), TransformPoint(alpha))
                 continue
-            assert repr(_spectral_tuple(roots(ModelParams(theta), TransformPoint(alpha)))) == repr(stage)
-            assert type(stage[5]) is bool
+            record = roots(ModelParams(theta), TransformPoint(alpha))
+            assert type(record) is SpectralData and len(stage) == 5
+            assert repr(tuple(record)) == repr(stage)
             compared += 1
     assert compared >= 0.9 * len(thetas) * len(alphas)
 
 
-def test_out_of_domain_sequence_request_raises():
-    params = ModelParams(0.5)
-    spectral = SpectralData(
-        lambda_plus=complex(0.4), lambda_minus=complex(0.625),
-        beta_plus=complex(1.0), beta_minus=complex(0.0), in_domain=False,
-    )
-    with pytest.raises(DomainError):
-        sequence_ratios(spectral, params, 3)
+def _membership_draws():
+    """(theta, alpha) pairs where membership of D is close to call: the
+    slit's ends at relative distances 1e-15 to 1e-9, real and with
+    |Im alpha| down to 1e-19, and |alpha| in [1e307, 1.79e308] at every
+    angle, after two fixed points.  At the first, |lambda_+|/|theta| - 1
+    lies between 5e-13 and 1e-12; at the second, abs(lambda_+) overflows
+    although its parts are finite."""
+    rng = random.Random(20261022)
+    draws = [(0.8644070938353902, complex(0.009192718101607471, 9.357390103252788e-19)),
+             (0.6, complex(-5.32e307, -7.4e307))]
+    for _ in range(300):
+        theta = rng.choice((-1.0, 1.0)) * rng.uniform(0.01, 0.99)
+        end = rng.choice(((1.0 - abs(theta)) ** 2 / 2.0, (1.0 + abs(theta)) ** 2 / 2.0))
+        re = end * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-15.0, -9.0))
+        im = rng.choice((0.0, rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-19.0, -9.0)))
+        draws.append((theta, complex(re, im)))
+    for _ in range(300):
+        theta = rng.choice((-1.0, 1.0)) * rng.uniform(0.01, 0.99)
+        modulus = 10.0 ** rng.uniform(307.0, math.log10(1.79e308))
+        draws.append((theta, cmath.rect(modulus, rng.uniform(-math.pi, math.pi))))
+    return draws
+
+
+def test_every_entry_point_keeps_one_membership_contract():
+    # _roots alone decides membership of D: each entry point raises
+    # DomainError exactly where domain_check is False, and any other error
+    # it raises is one of the package's own
+    outcomes = set()
+    for theta, alpha in _membership_draws():
+        params, point = ModelParams(theta, 1.0), TransformPoint(alpha)
+        inside = domain_check(params, point)
+        outcomes.add(inside)
+        for name, evaluate in (("roots", lambda: roots(params, point)),
+                               ("constants", lambda: constants(params, point, 0.5)),
+                               ("transform", lambda: transform(params, point, 0.5, 5)),
+                               ("ergodic_constants", lambda: ergodic_constants(params, point, 0.5)),
+                               ("sigma_via_recursion", lambda: sigma_via_recursion(params, point, 0.5, 5))):
+            try:
+                evaluate()
+                outside = False
+            except DomainError:
+                outside = True
+            except (ParameterError, SingularConstantError, SingularSequenceError):
+                outside = False
+            assert outside is not inside, (name, theta, alpha)
+    assert outcomes == {True, False}
 
 
 def test_vanishing_pi_raises_singular_sequence():
@@ -231,7 +277,7 @@ def test_vanishing_pi_raises_singular_sequence():
     params = ModelParams(0.5)
     crafted = SpectralData(
         lambda_plus=complex(7.0 / 3.0), lambda_minus=complex(7.0 / 6.0),
-        beta_plus=complex(-1.0 / 7.0), beta_minus=complex(8.0 / 7.0), in_domain=True,
+        beta_plus=complex(-1.0 / 7.0), beta_minus=complex(8.0 / 7.0), log_lambda_plus=cmath.log(7.0 / 3.0),
     )
     assert raw_pi(crafted, params, 0) == 1 and raw_pi(crafted, params, 2) == 0
     assert sequence_ratios(crafted, params, 0).log_pi == 0
@@ -247,7 +293,7 @@ def test_vanishing_d_t_beyond_horizon_zero_raises_singular_sequence():
     params = ModelParams(0.5)
     crafted = SpectralData(
         lambda_plus=complex(3.0), lambda_minus=complex(1.5),
-        beta_plus=complex(-1.0 / 3.0), beta_minus=complex(4.0 / 3.0), in_domain=True,
+        beta_plus=complex(-1.0 / 3.0), beta_minus=complex(4.0 / 3.0), log_lambda_plus=cmath.log(3.0),
     )
     assert raw_pi(crafted, params, 0) == 1 and raw_pi(crafted, params, 1) == 0
     at_zero = sequence_ratios(crafted, params, 0)

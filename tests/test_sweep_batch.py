@@ -9,6 +9,7 @@ reference is the rendering of every cell through _fmt / _csv_cell: its
 output must be those bytes.
 """
 
+import cmath
 import contextlib
 import io
 import json
@@ -31,7 +32,6 @@ from ar1quad import (
 from ar1quad import cli, closed_form
 from ar1quad import sweep as sweep_module
 from ar1quad.cli import main
-from ar1quad.spectral import _spectral_tuple
 from mp_reference import log_transform_ref
 from util import rel_err, term_sizes, within_conditioning
 
@@ -142,15 +142,15 @@ def test_vanishing_d_t_prints_an_error_row(monkeypatch):
     # crafted roots (w = 1/2, pi_0 = 1, beta_- = 4/3): E_1 = 1 + beta_-*lambda_-*(w - 1)
     # = 0, so pi_1 and psi_2 vanish at t = 1 and nowhere else in 0..5
     crafted = SpectralData(lambda_plus=complex(3.0), lambda_minus=complex(1.5),
-                           beta_plus=complex(-1.0 / 3.0), beta_minus=complex(4.0 / 3.0), in_domain=True)
+                           beta_plus=complex(-1.0 / 3.0), beta_minus=complex(4.0 / 3.0), log_lambda_plus=cmath.log(3.0))
     params = ModelParams(0.5, 0.0)
     with pytest.raises(SingularSequenceError):
         sequence_ratios(crafted, params, 1)
-    monkeypatch.setattr(closed_form, "_roots", lambda theta, alpha: _spectral_tuple(crafted))
+    monkeypatch.setattr(closed_form, "_roots", lambda theta, alpha: crafted)
     argv = ["--theta=0.5", "--m=0", "--x=0.5", "--alpha=-0.3", "--t=0:5"]
     code, rows, _ = sweep(*argv)
     assert code == 0
-    assert [row["error"] for row in rows] == [None, "out_of_domain", None, None, None, None]
+    assert [row["error"] for row in rows] == [None, "singular_sequence", None, None, None, None]
     assert rows[1]["log_L_re"] is None and all(math.isfinite(rows[k]["log_L_re"]) for k in (0, 2, 3, 4, 5))
     assert sweep(*argv, "--strict")[0] == 2
 
@@ -205,12 +205,12 @@ def rendered(theta, m, x, alphas, t_text, fmt, batch=sweep_module._horizon_batch
     lines = [",".join(sweep_module._SWEEP_FIELDS) + "\n"] if csv else []
     for alpha in alphas:
         point = TransformPoint(alpha)
-        error = [None] * 6 + ["out_of_domain"]
         try:
             stage = closed_form._alpha_stage(params, point, x)
         except DomainError:
-            lines += [line([alpha.real, alpha.imag, t, *error]) for t in horizons]
+            lines += [line([alpha.real, alpha.imag, t, *[None] * 6, "out_of_domain"]) for t in horizons]
             continue
+        error = [None] * 6 + ["singular_sequence"]
         for k in range(0, len(horizons), sweep_module._SWEEP_CHUNK):
             chunk = horizons[k:k + sweep_module._SWEEP_CHUNK]
             log_value, normalized, regular, _ = batch(params, point, x, stage, chunk)
@@ -247,11 +247,11 @@ def test_sweep_output_with_a_vanishing_d_t_is_the_cell_by_cell_rendering(monkeyp
     # the crafted roots of test_vanishing_d_t_prints_an_error_row: an error
     # row at t = 1 among the template's rows of one chunk
     crafted = SpectralData(lambda_plus=complex(3.0), lambda_minus=complex(1.5),
-                           beta_plus=complex(-1.0 / 3.0), beta_minus=complex(4.0 / 3.0), in_domain=True)
-    monkeypatch.setattr(closed_form, "_roots", lambda theta, alpha: _spectral_tuple(crafted))
+                           beta_plus=complex(-1.0 / 3.0), beta_minus=complex(4.0 / 3.0), log_lambda_plus=cmath.log(3.0))
+    monkeypatch.setattr(closed_form, "_roots", lambda theta, alpha: crafted)
     text = sweep_text("--theta=0.5", "--m=0", "--x=0.5", "--alpha=-0.3,-0.2", "--alpha-im=0,0.1", "--t=0:5",
                       f"--format={fmt}")
-    assert "out_of_domain" in text
+    assert "singular_sequence" in text
     assert text == rendered(0.5, 0.0, 0.5, [complex(-0.3), complex(-0.2, 0.1)], "0:5", fmt)
 
 

@@ -16,7 +16,7 @@ import pytest
 from ar1quad import (ModelParams, TransformPoint, TransformValue, closed_form, domain_check, roots, spectral, transform,
                      verify)
 from ar1quad.oracle import _eliminate, _read, _sigma
-from ar1quad.spectral import SCALAR_OPS, _sequence_terms, _spectral_tuple
+from ar1quad.spectral import SCALAR_OPS, _sequence_terms
 from util import log_mgf_at
 
 
@@ -107,7 +107,7 @@ def _scaled(factor):
 
 
 def _shifted_root(spectral):
-    return dataclasses.replace(spectral, lambda_plus=1.37 * spectral.lambda_plus)
+    return spectral._replace(lambda_plus=1.37 * spectral.lambda_plus)
 
 
 def _sigma_off(terms):
@@ -209,7 +209,7 @@ def test_the_checks_read_transform_bit_for_bit():
         point = TransformPoint(alpha)
         if not domain_check(ModelParams(theta, 0.0), point):
             continue
-        spectral = _spectral_tuple(roots(ModelParams(theta, 0.0), point))
+        spectral = roots(ModelParams(theta, 0.0), point)
         for t in (1, 5, 50, 10**3, 10**6):
             terms = _sequence_terms(SCALAR_OPS, theta, spectral, t)
             for m, x in itertools.product(ms, xs):
