@@ -57,7 +57,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ParameterError, SingularConstantError
 from .model import ModelParams, check_finite, check_horizon
@@ -67,18 +67,13 @@ _LOG_MAX = math.log(sys.float_info.max)  # ~709.78
 _LOG_MIN = -745.0  # below the smallest subnormal's log
 
 
-@dataclass(frozen=True)
-class ClosedFormConstants:
+class ClosedFormConstants(namedtuple("ClosedFormConstants", "nu A B C")):
     """The constants nu, A, B, C entering Sigma_t, for one (alpha, x)."""
 
-    nu: complex
-    A: complex
-    B: complex
-    C: complex
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TransformValue:
+class TransformValue(namedtuple("TransformValue", "log_value value sigma_t overflow", defaults=(False,))):
     """L_t(alpha, x) with its log-domain representation.
 
     `value` is exp(log_value); when Re(log_value) leaves the double
@@ -90,43 +85,20 @@ class TransformValue:
     at any t >= 0, rebuilds it from matrix_mgf's elimination, with no root.
     """
 
-    log_value: complex
-    value: complex
-    sigma_t: complex
-    overflow: bool = False
-
-    def __init__(self, log_value: complex, value: complex, sigma_t: complex, overflow: bool = False):
-        # each field is written once, straight into the instance dict, as
-        # ModelParams does: the generated frozen __init__ costs more
-        fields = self.__dict__
-        fields["log_value"] = log_value
-        fields["value"] = value
-        fields["sigma_t"] = sigma_t
-        fields["overflow"] = overflow
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ErgodicConstants:
+class ErgodicConstants(namedtuple("ErgodicConstants", "lambda_of_alpha f_check rate")):
     """Growth rate Lambda(alpha), limit function f_check(alpha, x), and the
     geometric convergence factor rate = |theta/lambda_+| in (0, 1)."""
 
-    lambda_of_alpha: complex
-    f_check: complex
-    rate: float
-
-    def __init__(self, lambda_of_alpha: complex, f_check: complex, rate: float):
-        fields = self.__dict__  # as TransformValue
-        fields["lambda_of_alpha"] = lambda_of_alpha
-        fields["f_check"] = f_check
-        fields["rate"] = rate
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(namedtuple("RateFit", "ratio n_points")):
     """Least-squares estimate of the geometric error-decay ratio."""
 
-    ratio: float
-    n_points: int
+    __slots__ = ()
 
 
 def _constants(params: ModelParams, point: TransformPoint, x: float, spectral: tuple) -> tuple:

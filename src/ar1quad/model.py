@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ParameterError
 
@@ -64,28 +64,27 @@ def check_horizon(t, name: str = "horizon t", minimum: int = 0) -> int:
     return horizon
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(namedtuple("ModelParams", "theta m", defaults=(0.0,))):
     """Process parameters: memory coefficient theta and level shift m.
 
     The stationary law of X is normal with mean m and variance
     1/(1 - theta^2).
     """
 
-    theta: float
-    m: float = 0.0
+    __slots__ = ()
 
-    def __init__(self, theta: float, m: float = 0.0):
-        # each field is written once, straight into the instance dict: the
-        # frozen __setattr__ refuses it, and object.__setattr__ costs more
+    def __new__(cls, theta: float, m: float = 0.0):
         if type(theta) is not float and type(theta) is not int:  # abs() takes a complex's modulus
             _check_real("theta", theta)
         if not 0.0 < abs(theta) < 1.0:
             raise ParameterError(f"need 0 < |theta| < 1, got theta={theta!r}")
         check_finite("m", m)
-        fields = self.__dict__
-        fields["theta"] = theta
-        fields["m"] = m
+        return tuple.__new__(cls, (theta, m))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make is tuple.__new__, which skips validation; _replace builds through _make
+        return cls(*iterable)
 
 
 def conditional_mean(params: ModelParams, x: float, s: int) -> float:

@@ -63,28 +63,19 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .closed_form import _LOG_MAX, _LOG_MIN, _exp, _gaussian_step, _overflow, quadratic_coefficients
 from .errors import ConvergenceError, ParameterError
 from .model import ModelParams, check_finite, check_horizon
 from .spectral import TransformPoint, _log, _roots
 
-# typing.TYPE_CHECKING's run-time value: type checkers take any name
-# TYPE_CHECKING as true and read Literal, and `import ar1quad` loads no typing
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from typing import Literal
 
+class OracleResult(namedtuple("OracleResult", "value method stderr n_samples", defaults=(None, None))):
+    """A single oracle evaluation, its method "matrix" or "monte_carlo";
+    stderr/n_samples only for Monte Carlo."""
 
-@dataclass(frozen=True)
-class OracleResult:
-    """A single oracle evaluation; stderr/n_samples only for Monte Carlo."""
-
-    value: float
-    method: Literal["matrix", "monte_carlo"]
-    stderr: float | None = None
-    n_samples: int | None = None
+    __slots__ = ()
 
 
 def _exact_square(p: float) -> tuple[float, float]:
@@ -171,11 +162,18 @@ def _eliminate(params: ModelParams, alpha: complex, x: float, t: int) -> tuple:
     the bits of all t steps.  Where m != 0 the loop runs about
     37/ln|lambda_+/theta| steps, z_s settling on its last bit: 49 at
     theta = 0.6, alpha = -0.3, x = 0.5, m = 1, and at alpha = -1e-6, x = 1,
-    545 at theta = 0.95 and 17,489 at 0.999.  At m = 0 (w = 0) z_s decays
-    through the subnormals to 0, about 745/ln|lambda_+/theta| steps:
-    14,465 and 426,113 there.  A state that never repeats within 16 steps
-    (a NaN pivot, a real alpha on or beyond the slit, a complex alpha on a
-    longer cycle) runs to t.
+    545 at theta = 0.95 and 17,489 at 0.999.  At m = 0 (w = 0) z_s -> 0, and
+    at the first kept state where |z_s|^2 < 2^-120 * max|quads| z_s is
+    zeroed, so the loop stops once u_s repeats, about 42/ln|lambda_+/theta|
+    steps in: 817 and 24,145 there (unzeroed z_s decayed through the
+    subnormals, 14,465 and 426,113 steps, or turned on a ring of them longer
+    than 16 steps and ran to t).  The offsets are untouched, and so are
+    log det B's bits.  The dropped quads, geometric from there, sum to some
+    2^-120/(1 - |theta/lambda_+|^2) of the largest; fsum rounds the exact
+    sum once, so they could move its last bit only where it lies that close
+    to a tie, which no seeded draw has shown (README.md).  A state that
+    never repeats within 16 steps (a NaN pivot, a real alpha on or beyond
+    the slit, a complex alpha on a longer cycle) runs to t.
     """
     theta, m = params.theta, params.m
     mean_1 = m + theta * (x - m)
@@ -189,6 +187,7 @@ def _eliminate(params: ModelParams, alpha: complex, x: float, t: int) -> tuple:
     z, u = mean_1 / scale, -a2
     offsets, quads, start = [], [], None
     kept, kept_u, kept_z = 0, math.nan, math.nan  # the kept state; NaN matches none
+    peak = 0.0  # the largest |quad| so far, at m = 0
     try:
         for s in range(t):
             # z settles last: its test fails first through the transient
@@ -196,6 +195,10 @@ def _eliminate(params: ModelParams, alpha: complex, x: float, t: int) -> tuple:
                 start = kept
                 break
             if not s & 15:
+                if not w and s:  # m = 0: z_s -> 0, and its negligible tail may run on a ring of subnormals
+                    peak = max(peak, *map(abs, quads[-16:]))
+                    if abs(z) ** 2 < 2.0 ** -120 * peak:
+                        z *= 0.0
                 kept, kept_u, kept_z = s, u, z
             d = 1.0 + u
             offsets.append(u)

@@ -45,7 +45,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 from .errors import DomainBoundaryError, DomainError, ParameterError, SingularSequenceError
@@ -60,22 +59,23 @@ DOMAIN_MARGIN = 1e-12
 RAW_INDEX_MAX = 51
 
 
-@dataclass(frozen=True)
-class TransformPoint:
+class TransformPoint(namedtuple("TransformPoint", "alpha")):
     """A transform argument alpha together with its alias mu = -2*alpha.
 
     A non-finite alpha raises ParameterError: it has no transform to be
     inside or outside the validity domain of."""
 
-    alpha: complex
+    __slots__ = ()
 
-    def __init__(self, alpha: complex):
-        # the field is written once, straight into the instance dict: the
-        # frozen __setattr__ refuses it, and object.__setattr__ costs more
+    def __new__(cls, alpha: complex):
         alpha = complex(alpha)
         if not cmath.isfinite(alpha):
             raise ParameterError(f"alpha must be finite, got {alpha!r}")
-        self.__dict__["alpha"] = alpha
+        return tuple.__new__(cls, (alpha,))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # as ModelParams': _replace validates through __new__
 
     @property
     def mu(self) -> complex:
@@ -94,8 +94,7 @@ class SpectralData(namedtuple("SpectralData", "lambda_plus lambda_minus beta_plu
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SequenceRatios:
+class SequenceRatios(namedtuple("SequenceRatios", "t r inv_psi log_pi theta_minus_r")):
     """Stably computed sequence quantities at horizon t.
 
     r = psi_t/psi_{t+1}, inv_psi = 1/psi_{t+1}, theta_minus_r = theta - r_t
@@ -105,11 +104,7 @@ class SequenceRatios:
     principal branch is not attempted.
     """
 
-    t: int
-    r: complex
-    inv_psi: complex
-    log_pi: complex
-    theta_minus_r: complex
+    __slots__ = ()
 
 
 def _roots(theta: float, alpha: complex) -> tuple:

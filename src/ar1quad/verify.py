@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .closed_form import _coefficients, _constants, _gaussian_step, _horizon, _limit_terms, _log_limit, transform
 from .errors import DomainError
@@ -44,22 +44,18 @@ _X_POOL = [0.0, -1.0, 2.0, 0.3]
 _M_POOL = [1.5, 0.0, -0.7]
 
 
-@dataclass
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "name error tolerance passed detail seconds", defaults=("", 0.0))):
     """One check's worst error against its tolerance; run_all sets
     `seconds`, the check's wall time."""
 
-    name: str
-    error: float
-    tolerance: float
-    passed: bool
-    detail: str = ""
-    seconds: float = 0.0
+    __slots__ = ()
 
 
-@dataclass
-class VerifyReport:
-    checks: list[CheckResult] = field(default_factory=list)
+class VerifyReport(namedtuple("VerifyReport", "checks")):
+    __slots__ = ()
+
+    def __new__(cls, checks: list[CheckResult] | None = None):
+        return tuple.__new__(cls, ([] if checks is None else checks,))  # a fresh list for each report
 
     @property
     def all_passed(self) -> bool:
@@ -273,6 +269,5 @@ def run_all(grid_size: int = 3, tolerance: float | None = None) -> VerifyReport:
                            (check_exactness_anchors, 1e-14)):
         start = time.perf_counter()
         result = check(grid_size, default if tolerance is None else tolerance)
-        result.seconds = time.perf_counter() - start
-        report.checks.append(result)
+        report.checks.append(result._replace(seconds=time.perf_counter() - start))
     return report

@@ -1,6 +1,5 @@
 import cmath
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -58,37 +57,40 @@ def test_constants_centred_start_kills_c():
     assert rel_err(cf.B, -0.5 * 0.4 * 0.4) < 1e-14
 
 
-def test_transform_value_keeps_the_dataclass_contract():
+def test_transform_value_keeps_the_record_contract():
     tv = closed_form.TransformValue(complex(-1.5), complex(0.25), complex(2.0))
-    assert [f.name for f in dataclasses.fields(closed_form.TransformValue)] == ["log_value", "value", "sigma_t",
-                                                                                "overflow"]
+    assert closed_form.TransformValue._fields == ("log_value", "value", "sigma_t", "overflow")
     assert tv.overflow is False
     assert repr(tv) == "TransformValue(log_value=(-1.5+0j), value=(0.25+0j), sigma_t=(2+0j), overflow=False)"
+    assert tv._asdict() == {"log_value": -1.5, "value": 0.25, "sigma_t": 2.0, "overflow": False}
     same = closed_form.TransformValue(log_value=complex(-1.5), value=complex(0.25), sigma_t=complex(2.0), overflow=False)
     assert tv == same and hash(tv) == hash(same)
-    assert tv != dataclasses.replace(tv, overflow=True)
-    assert dataclasses.replace(tv, value=0j) == closed_form.TransformValue(complex(-1.5), 0j, complex(2.0))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert tv != tv._replace(overflow=True)
+    assert tv._replace(value=0j) == closed_form.TransformValue(complex(-1.5), 0j, complex(2.0))
+    with pytest.raises(AttributeError):
         tv.value = 1.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         tv.overflow = True
     # transform returns the record its fields describe
     out = transform(ModelParams(0.6, 1.0), TransformPoint(-0.3), 0.5, 10)
     assert out == closed_form.TransformValue(out.log_value, cmath.exp(out.log_value), out.sigma_t)
+    assert type(out) is closed_form.TransformValue
 
 
-def test_ergodic_constants_keep_the_dataclass_contract():
+def test_ergodic_constants_keep_the_record_contract():
     ec = closed_form.ErgodicConstants(complex(-0.5), complex(0.9), 0.3)
-    assert [f.name for f in dataclasses.fields(closed_form.ErgodicConstants)] == ["lambda_of_alpha", "f_check",
-                                                                                  "rate"]
+    assert closed_form.ErgodicConstants._fields == ("lambda_of_alpha", "f_check", "rate")
     assert repr(ec) == "ErgodicConstants(lambda_of_alpha=(-0.5+0j), f_check=(0.9+0j), rate=0.3)"
     same = closed_form.ErgodicConstants(lambda_of_alpha=complex(-0.5), f_check=complex(0.9), rate=0.3)
     assert ec == same and hash(ec) == hash(same)
-    assert dataclasses.replace(ec, rate=0.5) == closed_form.ErgodicConstants(complex(-0.5), complex(0.9), 0.5)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert ec._replace(rate=0.5) == closed_form.ErgodicConstants(complex(-0.5), complex(0.9), 0.5)
+    with pytest.raises(AttributeError):
         ec.rate = 0.5
+    with pytest.raises(ValueError, match="unexpected field names"):
+        ec._replace(ratio=0.5)
     out = ergodic_constants(ModelParams(0.6, 1.0), TransformPoint(-0.3), 0.5)
     assert out == closed_form.ErgodicConstants(out.lambda_of_alpha, out.f_check, out.rate)
+    assert type(out) is closed_form.ErgodicConstants
 
 
 def test_constants_singular_at_alpha_zero():
@@ -311,7 +313,7 @@ def test_log_transform_overflow_raises_parameter_error():
 def test_large_finite_level_sets_the_overflow_flag():
     # m = 1e150 keeps nu, A, B, C finite; L_t itself underflows
     params, point = ModelParams(-0.8, 1e150), TransformPoint(-0.3)
-    assert all(map(cmath.isfinite, vars(constants(params, point, 0.5)).values()))
+    assert all(map(cmath.isfinite, constants(params, point, 0.5)))
     tv = transform(params, point, 0.5, 10)
     assert tv.overflow and tv.value == 0 and cmath.isfinite(tv.log_value)
     assert cmath.isfinite(ergodic_constants(params, point, 0.5).lambda_of_alpha)

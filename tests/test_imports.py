@@ -1,6 +1,7 @@
 """The public surface of the package, and which modules its entry points
 import: numpy is loaded by the sweep and the Monte Carlo oracle only,
-concurrent.futures by none of them, and typing by none of the scalar ones.
+concurrent.futures by none of them, and typing, dataclasses and inspect by
+none of the scalar ones (every record is a named tuple).
 
 Each entry point runs in a fresh interpreter, which then reports whether
 a module was imported: the scalar closed form, the matrix oracle, the
@@ -22,9 +23,10 @@ POINT = ["--theta", "0.6", "--m", "1", "--x", "0.5", "--alpha=-0.3"]
 
 
 def module_loaded_after(code: str, module: str = "numpy", flags: tuple = ()) -> bool:
+    """Whether `module` (or any of several names separated by spaces) is loaded after `code` runs."""
     src = os.path.dirname(os.path.dirname(ar1quad.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    script = f"import sys\n{code}\nprint({module!r} in sys.modules)"
+    script = f"import sys\n{code}\nprint(any(name in sys.modules for name in {module.split()!r}))"
     out = subprocess.run([sys.executable, *flags, "-c", script], check=True, env=env, capture_output=True,
                          text=True).stdout
     return out.splitlines()[-1] == "True"  # the last line: a CLI command prints its result first
@@ -58,8 +60,15 @@ def test_scalar_entry_points_do_not_load_numpy(code):
 @pytest.mark.parametrize("code", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
 def test_scalar_entry_points_do_not_load_typing(code):
     # -S: no site hook has imported typing before the package does, so its
-    # own imports show (OracleResult's Literal is for type checkers only)
+    # own imports show
     assert not module_loaded_after(code, "typing", ("-S",))
+
+
+@pytest.mark.parametrize("code", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_scalar_entry_points_do_not_load_dataclasses(code):
+    # dataclasses imports inspect, and with it ast, dis and tokenize: about
+    # half of what `import ar1quad` cost while the records were dataclasses
+    assert not module_loaded_after(code, "dataclasses inspect", ("-S",))
 
 
 def test_sweep_loads_numpy():

@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import math
+import pickle
 import sys
 from fractions import Fraction
 
@@ -11,8 +12,15 @@ from ar1quad import (
     ParameterError,
     TransformPoint,
     conditional_mean,
+    constants,
+    ergodic_constants,
+    fit_convergence_rate,
+    matrix_mgf,
     monte_carlo_mgf,
+    roots,
+    sequence_ratios,
     transform,
+    verify,
 )
 from ar1quad.model import check_horizon
 
@@ -37,7 +45,7 @@ def test_complex_theta_or_m_rejected(value):
     with pytest.raises(ParameterError, match=r"^theta must be real, got "):
         ModelParams(value, 1.0)
     with pytest.raises(ParameterError, match=r"^theta must be real, got "):
-        dataclasses.replace(ModelParams(0.6, 1.0), theta=value)
+        ModelParams(0.6, 1.0)._replace(theta=value)
     with pytest.raises(ParameterError, match=r"^m must be real, got "):  # was a bare TypeError
         ModelParams(0.6, value)
 
@@ -68,40 +76,64 @@ def test_real_number_types_accepted(value):
     assert conditional_mean(params, value, 0) == value
 
 
-def test_model_params_keeps_the_dataclass_contract():
+def test_model_params_keeps_the_record_contract():
     params = ModelParams(theta=0.6, m=1.0)
     assert (params.theta, params.m) == (0.6, 1.0)
     assert ModelParams(0.6).m == 0.0 and ModelParams(theta=-0.5).m == 0.0
-    assert [f.name for f in dataclasses.fields(ModelParams)] == ["theta", "m"]
+    assert ModelParams._fields == ("theta", "m") and params._asdict() == {"theta": 0.6, "m": 1.0}
     assert repr(params) == "ModelParams(theta=0.6, m=1.0)"
     assert params == ModelParams(0.6, 1.0) and hash(params) == hash(ModelParams(0.6, 1.0))
     assert params != ModelParams(0.6, 2.0) and params != ModelParams(-0.6, 1.0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert params == (0.6, 1.0)  # a named tuple: equal to the plain tuple of its values
+    with pytest.raises(AttributeError):
         params.theta = 0.5
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         params.m = 2.0
-    assert dataclasses.replace(params, m=2.0) == ModelParams(0.6, 2.0)
-    # replace goes through __init__, so it validates as the constructor does
+    with pytest.raises(AttributeError):  # no instance dict to take a new attribute
+        params.extra = 1
+    assert params._replace(m=2.0) == ModelParams(0.6, 2.0) and type(params._replace(m=2.0)) is ModelParams
+    # _replace goes through __new__, so it validates as the constructor does
     with pytest.raises(ParameterError, match=r"^need 0 < \|theta\| < 1, got theta=1\.5$"):
-        dataclasses.replace(params, theta=1.5)
+        params._replace(theta=1.5)
     with pytest.raises(ParameterError, match=r"^m must be finite, got nan$"):
-        dataclasses.replace(params, m=math.nan)
+        params._replace(m=math.nan)
+    with pytest.raises(ParameterError, match=r"^need 0 < \|theta\| < 1, got theta=0$"):
+        ModelParams._make((0, 1.0))
 
 
-def test_transform_point_keeps_the_dataclass_contract():
+def test_transform_point_keeps_the_record_contract():
     point = TransformPoint(alpha=-0.3)
-    assert type(point.alpha) is complex and point.alpha == complex(-0.3)
-    assert [f.name for f in dataclasses.fields(TransformPoint)] == ["alpha"]
+    assert type(point.alpha) is complex and point.alpha == complex(-0.3) and point.mu == complex(0.6)
+    assert TransformPoint._fields == ("alpha",) and point._asdict() == {"alpha": complex(-0.3)}
     assert repr(point) == "TransformPoint(alpha=(-0.3+0j))"
     assert point == TransformPoint(complex(-0.3)) and hash(point) == hash(TransformPoint(complex(-0.3)))
     assert point != TransformPoint(complex(-0.3, 0.1))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         point.alpha = 0.5
-    assert dataclasses.replace(point, alpha=-1) == TransformPoint(-1.0)
+    with pytest.raises(AttributeError):
+        point.mu = 0.5
+    # _replace converts and validates as the constructor does
+    assert point._replace(alpha=-1) == TransformPoint(-1.0) and type(point._replace(alpha=-1).alpha) is complex
     with pytest.raises(ParameterError, match=r"^alpha must be finite, got \(nan\+0j\)$"):
-        dataclasses.replace(point, alpha=math.nan)
+        point._replace(alpha=math.nan)
     with pytest.raises(ParameterError, match=r"^alpha must be finite, got \(-0\.3\+infj\)$"):
         TransformPoint(complex(-0.3, math.inf))
+
+
+def _records():
+    params, point = ModelParams(0.6, 1.0), TransformPoint(complex(-0.3, 0.2))
+    spectral = roots(params, point)
+    report = verify.run_all(grid_size=1)
+    return [params, point, spectral, sequence_ratios(spectral, params, 7), constants(params, point, 0.5),
+            transform(params, point, 0.5, 7), ergodic_constants(params, point, 0.5),
+            fit_convergence_rate(params, TransformPoint(-0.3), 0.5), matrix_mgf(params, -0.3, 0.5, 7),
+            monte_carlo_mgf(params, -0.3, 0.5, 7, 100, 0), report.checks[0], report]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda record: type(record).__name__)
+def test_every_record_survives_pickle_and_copy(record):
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(clone) is type(record) and clone == record and repr(clone) == repr(record)
 
 
 @pytest.mark.parametrize("t", [0, 7, 10**6, np.int64(12), np.uint8(3), True])

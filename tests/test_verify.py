@@ -6,7 +6,6 @@ results of a walk that evaluates everything at every grid point."""
 
 import cmath
 import collections
-import dataclasses
 import itertools
 import math
 import sys
@@ -99,7 +98,7 @@ def _scaled(factor):
     (log L_t, Sigma_t, ...) terms."""
     def scaled(v):
         if isinstance(v, TransformValue):
-            return dataclasses.replace(v, log_value=v.log_value + cmath.log(factor), value=v.value * factor)
+            return v._replace(log_value=v.log_value + cmath.log(factor), value=v.value * factor)
         if isinstance(v, complex):
             return v + cmath.log(factor)
         return v[0] + cmath.log(factor), *v[1:]
