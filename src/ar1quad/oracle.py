@@ -15,11 +15,11 @@ oracle checks the closed form against itself one step on:
   gives both; no t x t matrix is formed.  Its state settles, in doubles, on
   a short cycle, mostly a fixed point or a 2-cycle, so it stops there, and
   _read adds the repeated tail exactly, at t or any shorter horizon: its
-  cost is bounded by the transient, not by t, and its bits are those of all
-  t steps.  With det B = pi_t and
-  Sigma_t = x^2 + w' B^(-1) w they are the two factors of the paper's
-  L_t = pi_t^(-1/2)*exp(alpha*Sigma_t), at a real or complex alpha:
-  _log_mgf forms log L_t (matrix_mgf is its real face), and
+  cost is bounded by the transient (plus lcm(16, p) on a cycle of period
+  p > 16), not by t, and its bits are those of all t steps.  With
+  det B = pi_t and Sigma_t = x^2 + w' B^(-1) w they are the two factors of
+  the paper's L_t = pi_t^(-1/2)*exp(alpha*Sigma_t), at a real or complex
+  alpha: _log_mgf forms log L_t (matrix_mgf is its real face), and
   sigma_via_recursion Sigma_t, with no root and no log.
 
 * monte_carlo_mgf: the empirical mean, with its standard error, of the
@@ -166,14 +166,26 @@ def _eliminate(params: ModelParams, alpha: complex, x: float, t: int) -> tuple:
     at the first kept state where |z_s|^2 < 2^-120 * max|quads| z_s is
     zeroed, so the loop stops once u_s repeats, about 42/ln|lambda_+/theta|
     steps in: 817 and 24,145 there (unzeroed z_s decayed through the
-    subnormals, 14,465 and 426,113 steps, or turned on a ring of them longer
-    than 16 steps and ran to t).  The offsets are untouched, and so are
-    log det B's bits.  The dropped quads, geometric from there, sum to some
-    2^-120/(1 - |theta/lambda_+|^2) of the largest; fsum rounds the exact
-    sum once, so they could move its last bit only where it lies that close
-    to a tie, which no seeded draw has shown (README.md).  A state that
-    never repeats within 16 steps (a NaN pivot, a real alpha on or beyond
-    the slit, a complex alpha on a longer cycle) runs to t.
+    subnormals, 14,465 and 426,113 steps, or turned on a ring of them).
+    The offsets are untouched, and so are log det B's bits.  The dropped
+    quads, geometric from there, sum to some 2^-120/(1 - |theta/lambda_+|^2)
+    of the largest; fsum rounds the exact sum once, so they could move its
+    last bit only where it lies that close to a tie, which no seeded draw
+    has shown (README.md).
+
+    A second state, kept at steps 1024, 2048, 4096, ..., is compared every
+    16 steps, so a cycle of period p > 16 that starts at step c stops by
+    step 2*max(c, lcm(16, p), 512) + lcm(16, p): start is the first such
+    state on the cycle with lcm(16, p) steps before the next, and the
+    repeated block is lcm(16, p) steps long, whole rounds of the cycle.
+    A cycle of p <= 16 stops on the 16-step state first, so its runs are
+    unchanged.  At theta = -0.7394983583580568,
+    alpha = 0.19622054165068836 + 0.004193098758473933j, x = 0.5, m = 1,
+    near the slit and off the half-plane Re alpha < (1-|theta|)^2/2, the
+    state settles on a 23-step cycle some 3,900 steps in, and the loop
+    stops at 4,464 steps (8,560 at m = 0), where it ran to t.  A state that
+    never repeats (a NaN pivot, a real alpha on or beyond the slit) runs to
+    t, as does a transient longer than t.
     """
     theta, m = params.theta, params.m
     mean_1 = m + theta * (x - m)
@@ -187,6 +199,7 @@ def _eliminate(params: ModelParams, alpha: complex, x: float, t: int) -> tuple:
     z, u = mean_1 / scale, -a2
     offsets, quads, start = [], [], None
     kept, kept_u, kept_z = 0, math.nan, math.nan  # the kept state; NaN matches none
+    far, far_u, far_z, refresh = 0, math.nan, math.nan, 1024  # the state kept at s = 1024, 2048, 4096, ...
     peak = 0.0  # the largest |quad| so far, at m = 0
     try:
         for s in range(t):
@@ -199,6 +212,11 @@ def _eliminate(params: ModelParams, alpha: complex, x: float, t: int) -> tuple:
                     peak = max(peak, *map(abs, quads[-16:]))
                     if abs(z) ** 2 < 2.0 ** -120 * peak:
                         z *= 0.0
+                if z == far_z and u == far_u and _signs(u, z) == _signs(far_u, far_z):
+                    start = far
+                    break
+                if s == refresh:
+                    far, far_u, far_z, refresh = s, u, z, 2 * s
                 kept, kept_u, kept_z = s, u, z
             d = 1.0 + u
             offsets.append(u)

@@ -6,10 +6,12 @@ none of the scalar ones (every record is a named tuple).
 Each entry point runs in a fresh interpreter, which then reports whether
 a module was imported: the scalar closed form, the matrix oracle, the
 package import and the `transform`, `ergodic` and `verify` front ends
-must not pay for any of them.
+must not pay for any of them.  `import ar1quad` loads the closed form
+alone; the oracles load on first access and are bound in the package then.
 """
 
 import os
+import pickle
 import subprocess
 import sys
 
@@ -22,14 +24,19 @@ CLI = "from ar1quad.cli import main; assert main({!r}) == 0"
 POINT = ["--theta", "0.6", "--m", "1", "--x", "0.5", "--alpha=-0.3"]
 
 
-def module_loaded_after(code: str, module: str = "numpy", flags: tuple = ()) -> bool:
-    """Whether `module` (or any of several names separated by spaces) is loaded after `code` runs."""
+def run_fresh(code: str, flags: tuple = ()) -> str:
+    """The last line `code` prints in a fresh interpreter that imports the package from this tree."""
     src = os.path.dirname(os.path.dirname(ar1quad.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    script = f"import sys\n{code}\nprint(any(name in sys.modules for name in {module.split()!r}))"
-    out = subprocess.run([sys.executable, *flags, "-c", script], check=True, env=env, capture_output=True,
+    out = subprocess.run([sys.executable, *flags, "-c", code], check=True, env=env, capture_output=True,
                          text=True).stdout
-    return out.splitlines()[-1] == "True"  # the last line: a CLI command prints its result first
+    return out.splitlines()[-1]  # the last line: a CLI command prints its result first
+
+
+def module_loaded_after(code: str, module: str = "numpy", flags: tuple = ()) -> bool:
+    """Whether `module` (or any of several names separated by spaces) is loaded after `code` runs."""
+    script = f"import sys\n{code}\nprint(any(name in sys.modules for name in {module.split()!r}))"
+    return run_fresh(script, flags) == "True"
 
 
 ENTRY_POINTS = {
@@ -102,3 +109,52 @@ def test_public_surface_is_pinned():
         "unconditional_transform",
     ]
     assert all(hasattr(ar1quad, name) for name in ar1quad.__all__)
+
+
+ORACLE_NAMES = ["OracleResult", "matrix_mgf", "monte_carlo_mgf", "sigma_via_recursion", "unconditional_transform"]
+
+
+def test_import_loads_the_closed_form_alone():
+    loaded = run_fresh("import sys, ar1quad; print(sorted(n for n in sys.modules if n.startswith('ar1quad')))",
+                       ("-S",))
+    assert loaded == str(["ar1quad", "ar1quad.closed_form", "ar1quad.errors", "ar1quad.model", "ar1quad.spectral"])
+
+
+def test_oracle_names_load_on_first_access_and_stay_bound():
+    # a fresh interpreter: this one bound them when the test modules imported them
+    code = (f"import sys, ar1quad\nnames = {ORACLE_NAMES!r}\n"
+            "assert not any(name in vars(ar1quad) for name in names + ['oracle'])\n"
+            "first = ar1quad.matrix_mgf\n"
+            "assert 'ar1quad.oracle' in sys.modules\n"
+            "assert all(vars(ar1quad)[name] is getattr(ar1quad.oracle, name) for name in names)\n"
+            "assert first is ar1quad.oracle.matrix_mgf\n"
+            "print(first(ar1quad.ModelParams(0.6, 1.0), -0.3, 0.5, 40).method)")
+    assert run_fresh(code, ("-S",)) == "matrix"
+
+
+def test_the_oracle_submodule_resolves_after_a_bare_import():
+    code = "import ar1quad\nprint(ar1quad.oracle.__name__, ar1quad.oracle.sigma_via_recursion.__module__)"
+    assert run_fresh(code, ("-S",)) == "ar1quad.oracle ar1quad.oracle"
+
+
+def test_star_import_binds_every_public_name():
+    code = ("from ar1quad import *\nimport ar1quad\n"
+            "print(all(globals()[name] is getattr(ar1quad, name) for name in ar1quad.__all__))")
+    assert run_fresh(code, ("-S",)) == "True"
+
+
+def test_dir_lists_the_lazy_names():
+    listed = dir(ar1quad)
+    assert set(ar1quad.__all__) <= set(listed) and "oracle" in listed
+    assert listed == sorted(listed)
+
+
+def test_an_unknown_name_raises_the_standard_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'ar1quad' has no attribute 'no_such_name'$"):
+        ar1quad.no_such_name  # noqa: B018
+
+
+def test_an_oracle_result_pickles():
+    result = ar1quad.OracleResult(0.25, "monte_carlo", 1e-3, 100)
+    assert pickle.loads(pickle.dumps(result)) == result
+    assert type(pickle.loads(pickle.dumps(result))) is ar1quad.OracleResult

@@ -27,7 +27,7 @@ from ar1quad import (
     unconditional_transform,
 )
 from ar1quad import closed_form, oracle, verify
-from ar1quad.oracle import _eliminate, _read, _sigma
+from ar1quad.oracle import _eliminate, _log_det, _read, _sigma
 
 from mp_reference import log_transform_ref, tridiagonal_det_ref
 from util import conditional_covariance, eliminate_every_step, gauss_hermite_nodes, log_mgf_at, rel_err
@@ -300,6 +300,25 @@ def test_elimination_stops_on_a_cycle_of_nine_steps():
     _, offsets, repeats, _ = _read(alpha, _eliminate(params, alpha, 0.5, 10**5), 10**5)
     assert len(offsets) < 1000 and len(repeats) == 9
     assert len(offsets) + sum(repeats) == 10**5
+
+
+def test_elimination_stops_on_a_cycle_longer_than_sixteen_steps():
+    # near the slit, off the half-plane Re alpha < (1-|theta|)^2/2, this
+    # complex alpha's state settles on a cycle of period 23 some 3,900 steps
+    # in: the state kept every 16 steps never recurs, and the loop ran to t.
+    # The state kept at steps 1024, 2048, 4096, ... recurs, compared every
+    # 16 steps, after lcm(16, 23) = 368; read at t = 10^4, past that stop,
+    # log det B and Sigma_t keep the bits of the loop run to t
+    params, alpha = ModelParams(-0.7394983583580568, 1.0), complex(0.19622054165068836, 0.004193098758473933)
+    elimination = _eliminate(params, alpha, 0.5, 10**5)
+    assert len(elimination[1]) < 5000 and _period(elimination) % 23 == 0
+    _, offsets, repeats, _ = _read(alpha, elimination, 10**5)
+    assert len(offsets) + sum(repeats) == 10**5
+    reading = _read(alpha, _eliminate(params, alpha, 0.5, 10**4), 10**4)
+    every_step = _read(alpha, eliminate_every_step(params, alpha, 0.5, 10**4), 10**4)
+    assert reading[2]
+    assert (repr((_log_det(alpha, reading), _sigma(0.5, reading)))
+            == repr((_log_det(alpha, every_step), _sigma(0.5, every_step))))
 
 
 def test_closed_form_matches_the_elimination_at_long_horizons():
